@@ -208,20 +208,3 @@ def pad_batch(utts):
         feats[i, : u.feats.shape[0]] = u.feats
     return feats, lengths, [u.tokens for u in utts]
 
-
-def make_batches(corpus, batch_size: int, seed: int) -> list:
-    """Split a corpus into length-bucketed batches covering one epoch.
-
-    Utterances are sorted by frame count so batch-mates have similar
-    lengths (less padding), grouped into runs of batch_size, and the
-    batch order is then shuffled with the given seed. Every utterance
-    appears in exactly one batch.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    order = sorted(range(len(corpus)), key=lambda i: (corpus[i].feats.shape[0], i))
-    batches = [[corpus[i] for i in order[k : k + batch_size]]
-               for k in range(0, len(order), batch_size)]
-    rng = np.random.default_rng([seed, 0xBA7C])
-    rng.shuffle(batches)
-    return batches

@@ -109,12 +109,13 @@ def gradcheck_battery(seed: int) -> float:
     """
     rng = np.random.default_rng([seed, 0x6C])
 
-    def drawer(*shapes, shifts=None):
+    def drawer(*shapes, shifts=None, floors=None):
         offs = shifts or [0.0] * len(shapes)
+        lows = floors or [-np.inf] * len(shapes)
 
         def make(r):
-            return [Tensor(r.normal(size=s) + o, dtype=np.float64)
-                    for s, o in zip(shapes, offs)]
+            return [Tensor(np.maximum(r.normal(size=s) + o, lo), dtype=np.float64)
+                    for s, o, lo in zip(shapes, offs, lows)]
 
         return make
 
@@ -124,7 +125,8 @@ def gradcheck_battery(seed: int) -> float:
     worst = max(worst, _conditioned_check(
         lambda a, b: E.sum_(E.mul(E.add(E.log(a), E.sub(E.exp(E.mul(b, Tensor(np.full((), 0.3)))), E.relu(b))), Tensor(w1)))
         + E.sum_(E.mul(E.gelu(b), Tensor(w1))) + E.mean_(E.abs_(b)),
-        drawer((2, 3), (2, 3), shifts=[3.5, 0.0]), rng))
+        # log's operand is floored clear of its pole
+        drawer((2, 3), (2, 3), shifts=[3.5, 0.0], floors=[0.5, -np.inf]), rng))
 
     w2 = rng.normal(size=(2, 5, 3)) + 1.5
     worst = max(worst, _conditioned_check(

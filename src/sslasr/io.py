@@ -19,6 +19,8 @@ FEAT_MAGIC = b"FEAT1\x00"
 CKPT_MAGIC = b"SSLCKPT1"
 
 _DTYPE_TO_CODE = {"float32": "<f4", "float64": "<f8"}
+_HEADER_FIELDS = {"version", "config", "provenance", "tensors"}
+_TENSOR_FIELDS = {"name", "dtype", "shape", "offset"}
 
 
 # ---------------------------------------------------------------------------
@@ -98,18 +100,27 @@ def save_checkpoint(path, params: dict, config: dict, provenance: dict,
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read an SSLCKPT1 file; a malformed one raises ValueError."""
     raw = Path(path).read_bytes()
     if raw[: len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise ValueError("bad SSLCKPT1 magic")
     off = len(CKPT_MAGIC)
+    if len(raw) < off + 4:
+        raise ValueError("truncated SSLCKPT1 header")
     (hlen,) = struct.unpack_from("<I", raw, off)
     off += 4
     if off + hlen > len(raw):
         raise ValueError("truncated SSLCKPT1 header")
     header = json.loads(raw[off : off + hlen].decode("utf-8"))
+    if not isinstance(header, dict) or not _HEADER_FIELDS <= header.keys():
+        raise ValueError(f"malformed SSLCKPT1 header: needs fields {sorted(_HEADER_FIELDS)}")
     off += hlen
     params = {}
     for entry in header["tensors"]:
+        if not isinstance(entry, dict) or not _TENSOR_FIELDS <= entry.keys():
+            raise ValueError(f"malformed SSLCKPT1 tensor entry: {entry!r}")
+        if entry["dtype"] not in _DTYPE_TO_CODE:
+            raise ValueError(f"unknown SSLCKPT1 dtype '{entry['dtype']}' for '{entry['name']}'")
         code = _DTYPE_TO_CODE[entry["dtype"]]
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1

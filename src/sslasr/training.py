@@ -4,10 +4,13 @@ and supervised CTC finetuning on the labeled target domain.
 
 Every stage reads and writes SSLCKPT1 checkpoints carrying a config
 snapshot and a provenance dict that counts optimizer steps applied to
-the backbone ("f"), adapters ("ada"), and generator ("g")."""
+the backbone ("f"), adapters ("ada"), and generator ("g"). restore() is
+the one reader; the training stages share one tail that trains, counts
+the steps and writes the checkpoint."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +21,7 @@ from .data import CorpusConfig, make_corpus, pad_batch
 from .engine import Tape, Tensor, backward
 from .features import spec_augment
 from .io import append_jsonl, load_checkpoint, save_checkpoint
-from .model import Encoder, EncoderConfig, build_encoder
+from .model import Encoder, EncoderConfig, Module, build_encoder
 from .objectives import (
     APCConfig,
     BidirectionalAPC,
@@ -130,10 +133,24 @@ def build_corpora(cfg: PipelineConfig) -> dict:
     }
 
 
-class SSLBundle:
-    """Encoder(s) plus self-supervised objective for one recipe."""
+def _group(name: str) -> str:
+    """Provenance group of a parameter name: adapters 'ada', generator 'g'
+    (SSL objective heads and the CTC head), else backbone 'f'."""
+    if ".adapter" in name or name.startswith("adapter"):
+        return "ada"
+    if name.startswith(("obj.", "ctc.")) or ".gen." in name:
+        return "g"
+    return "f"
+
+
+class SSLBundle(Module):
+    """Encoder(s) plus self-supervised objective for one recipe.
+
+    Parameters are named 'model.*' and 'obj.*'; biapc takes the names of
+    its forward/reverse pair ('fwd.model.*', 'fwd.gen.*', 'rev.*')."""
 
     def __init__(self, cfg: PipelineConfig, seed: int):
+        super().__init__()
         if cfg.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective '{cfg.objective}'")
         self.cfg = cfg
@@ -166,50 +183,28 @@ class SSLBundle:
                     span_len=cfg.span_len, alpha=cfg.cluster_alpha,
                 )
                 self.obj = MaskedClusterObjective(mcfg, cfg.d_model, rng)
+            self.children.update(model=self.encoder, obj=self.obj)
 
     # -- parameters ---------------------------------------------------------
 
-    def named_params(self) -> dict:
+    def named_params(self, prefix: str = "") -> dict:
         if self.pair is not None:
-            return self.pair.named_params()
-        out = {"model." + k: v for k, v in self.encoder.named_params().items()}
-        out.update({"obj." + k: v for k, v in self.obj.named_params().items()})
-        return out
+            return {prefix + k: v for k, v in self.pair.named_params().items()}
+        return super().named_params(prefix)
 
     def param_groups(self) -> dict:
         """Split into backbone 'f', adapters 'ada', generator 'g' (unique tensors)."""
         groups = {"f": {}, "ada": {}, "g": {}}
         for name, t in self.named_params().items():
-            if ".adapter" in name or name.startswith("adapter"):
-                groups["ada"][name] = t
-            elif name.startswith("obj.") or ".gen." in name or name.startswith("fwd.gen") or name.startswith("rev.gen"):
-                groups["g"][name] = t
-            else:
-                groups["f"][name] = t
+            groups[_group(name)][name] = t
         return groups
 
     # -- adapters -----------------------------------------------------------
 
     def insert_adapters(self, d_adapter: int, rng, random_init: bool = False) -> None:
-        if self.pair is not None:
-            self.pair.insert_adapters(d_adapter, rng, random_init=random_init)
-        else:
-            self.encoder.insert_adapters(d_adapter, rng, random_init=random_init)
-
-    @property
-    def adapters_inserted(self) -> bool:
-        return self.encoder.adapters_inserted
+        (self.pair or self.encoder).insert_adapters(d_adapter, rng, random_init=random_init)
 
     # -- targets for masked_cluster ------------------------------------------
-
-    def _frozen_encoder_copy(self) -> Encoder:
-        """Detached copy of the current encoder for target assignment."""
-        copy = build_encoder(self.cfg.encoder_config(), self.cfg.seed)
-        if self.encoder.adapters_inserted:
-            copy.insert_adapters(self.encoder.d_adapter,
-                                 np.random.default_rng([self.cfg.seed, 0xADA]))
-        copy.load_params({k: v.data.copy() for k, v in self.encoder.named_params().items()})
-        return copy
 
     def prepare_cluster_targets(self, corpus, rng, use_encoder: bool) -> None:
         """Fit k-means targets and precompute labels for the whole corpus.
@@ -217,7 +212,7 @@ class SSLBundle:
         Targets stay frozen for the rest of the stage even while the live
         encoder trains, so encoder-based labeling uses a detached copy."""
         pairs = [(u.feats, u.feats.shape[0]) for u in corpus]
-        enc = self._frozen_encoder_copy() if use_encoder else None
+        enc = copy.deepcopy(self.encoder) if use_encoder else None
         self.centers = fit_cluster_targets(pairs, self.encoder.subsample_factor,
                                            self.cfg.n_clusters, rng, encoder=enc)
         self.centers_encoder = enc
@@ -256,9 +251,21 @@ class SSLBundle:
         return self.obj.loss(self.encoder, feats, lengths, labels, rng)
 
     def encoder_for_finetune(self) -> Encoder:
-        if self.pair is not None:
-            return self.pair.average_directions()
-        return self.encoder
+        return self.pair.average_directions() if self.pair is not None else self.encoder
+
+
+class CTCModel(Module):
+    """The finetuned recognizer: encoder 'model.*' plus CTC head 'ctc.*'."""
+
+    def __init__(self, encoder: Encoder, head: CTCHead):
+        super().__init__()
+        self.encoder = encoder
+        self.children.update(model=encoder, ctc=head)
+
+    def __call__(self, feats, lengths):
+        """Returns (logits over blank + vocabulary, output lengths)."""
+        hidden, out_lengths = self.encoder(feats, lengths)
+        return self.children["ctc"](hidden), out_lengths
 
 
 # ---------------------------------------------------------------------------
@@ -266,81 +273,61 @@ class SSLBundle:
 # ---------------------------------------------------------------------------
 
 
-def _snapshot(cfg: PipelineConfig, extra: dict) -> dict:
-    snap = cfg.to_dict()
-    snap.update(extra)
-    return snap
+def restore(cfg: PipelineConfig, ckpt_path) -> tuple:
+    """Rebuild the model a checkpoint holds; returns (model, provenance).
 
-
-def _require_compatible(cfg: PipelineConfig, snapshot: dict) -> None:
+    A pretrain or adapt checkpoint gives an SSLBundle with its cluster
+    targets, a finetune checkpoint a CTCModel. Both are rebuilt from the
+    checkpoint's config snapshot, get adapters at the recorded width, and
+    take every weight through Module.load_params."""
+    ckpt = load_checkpoint(ckpt_path)
     mine = cfg.to_dict()
-    bad = [k for k in _STRUCTURAL if k in snapshot and snapshot[k] != mine[k]]
+    bad = [k for k in _STRUCTURAL if k in ckpt.config and ckpt.config[k] != mine[k]]
     if bad:
         raise ValueError(f"config mismatch with checkpoint on fields {bad}")
-
-
-def save_bundle(path, bundle: SSLBundle, cfg: PipelineConfig, provenance: dict,
-                stage: str, step: int) -> None:
-    params = dict(bundle.named_params())
-    if bundle.centers is not None:
-        params["aux.cluster_centers"] = bundle.centers
-    extra = {
-        "stage": stage,
-        "adapters_d": bundle.encoder.d_adapter if bundle.adapters_inserted else 0,
-        "cluster_targets_from_encoder": bool(bundle.centers_encoder is not None),
-    }
-    save_checkpoint(path, params, _snapshot(cfg, extra), provenance,
-                    rng_state={"seed": cfg.seed, "stage": stage, "step": step})
-
-
-def load_bundle(cfg: PipelineConfig, ckpt_path) -> tuple:
-    """Rebuild an SSLBundle from a checkpoint; returns (bundle, provenance)."""
-    ckpt = load_checkpoint(ckpt_path)
-    _require_compatible(cfg, ckpt.config)
-    snap_cfg = PipelineConfig.from_dict(ckpt.config)
-    bundle = SSLBundle(snap_cfg, seed=snap_cfg.seed)
+    snap = PipelineConfig.from_dict(ckpt.config)
+    if ckpt.config.get("stage") == "finetune":
+        head = CTCHead(np.random.default_rng([snap.seed, 0xC7C]), snap.d_model, snap.vocab_size)
+        model = CTCModel(build_encoder(snap.encoder_config(), snap.seed), head)
+        host = model.encoder
+    else:
+        model = host = SSLBundle(snap, seed=snap.seed)
     d_ada = int(ckpt.config.get("adapters_d", 0))
     if d_ada:
-        bundle.insert_adapters(d_ada, np.random.default_rng([snap_cfg.seed, 0xADA]))
+        host.insert_adapters(d_ada, np.random.default_rng([snap.seed, 0xADA]))
     params = dict(ckpt.params)
     centers = params.pop("aux.cluster_centers", None)
-    _assign_params(bundle.named_params(), params)
+    model.load_params(params)
     if centers is not None:
-        bundle.centers = centers
+        model.centers = centers
         if ckpt.config.get("cluster_targets_from_encoder"):
-            bundle.centers_encoder = bundle._frozen_encoder_copy()
-    return bundle, dict(ckpt.provenance)
+            model.centers_encoder = copy.deepcopy(model.encoder)
+    return model, dict(ckpt.provenance)
 
 
-def _assign_params(named: dict, flat: dict) -> None:
-    if set(named) != set(flat):
-        missing = sorted(set(named) - set(flat))
-        extra = sorted(set(flat) - set(named))
-        raise ValueError(f"checkpoint parameter mismatch: missing={missing[:4]} extra={extra[:4]}")
-    for k, t in named.items():
-        arr = np.asarray(flat[k])
-        if tuple(arr.shape) != t.shape:
-            raise ValueError(f"shape mismatch for '{k}': {arr.shape} vs {t.shape}")
-        t.data = np.ascontiguousarray(arr.astype(t.dtype))
+def _restore_for(stage: str, cfg: PipelineConfig, ckpt_path) -> tuple:
+    """restore() for a stage: adapt and finetune continue a pretrain or
+    adapt checkpoint, evaluate reads a finetune one."""
+    model, provenance = restore(cfg, ckpt_path)
+    if isinstance(model, CTCModel) != (stage == "evaluate"):
+        held = "a finetune" if isinstance(model, CTCModel) else "a pretrain or adapt"
+        raise ValueError(f"stage '{stage}' cannot start from {held} checkpoint: {ckpt_path}")
+    return model, provenance
 
 
 # ---------------------------------------------------------------------------
-# the shared training loop
+# the shared training loop and stage tail
 # ---------------------------------------------------------------------------
-
-
-def _set_trainable(all_params: dict, trainable: dict) -> None:
-    ids = {id(t) for t in trainable.values()}
-    for t in all_params.values():
-        t.requires_grad = id(t) in ids
-        t.grad = None
 
 
 def _train_loop(stage: str, cfg: PipelineConfig, corpus, loss_fn, all_params: dict,
                 trainable: dict, steps: int, lr_fn, metrics_path) -> None:
     if not trainable and steps > 0:
         raise ValueError(f"stage '{stage}' has no trainable parameters")
-    _set_trainable(all_params, trainable)
+    ids = {id(t) for t in trainable.values()}
+    for t in all_params.values():
+        t.requires_grad = id(t) in ids
+        t.grad = None
     opt = Adam(trainable)
     n = len(corpus)
     stage_id = _STAGE_IDS[stage]
@@ -355,15 +342,41 @@ def _train_loop(stage: str, cfg: PipelineConfig, corpus, loss_fn, all_params: di
         clip_global_norm(trainable, cfg.clip_norm)
         lr = lr_fn(step)
         opt.step(lr=lr)
-        if metrics_path is not None:
-            append_jsonl(metrics_path, {
-                "step": step, "stage": stage, "loss": float(loss.data),
-                "lr": lr, "seed": cfg.seed,
-            })
+        append_jsonl(metrics_path, {
+            "step": step, "stage": stage, "loss": float(loss.data),
+            "lr": lr, "seed": cfg.seed,
+        })
     # leave every parameter differentiable and grad-free for downstream use
     for t in all_params.values():
         t.requires_grad = True
         t.grad = None
+
+
+def _run_stage(stage: str, tag: str, cfg: PipelineConfig, workdir, corpus, model, loss_fn,
+               trainable: dict, steps: int, lr_fn, provenance: dict, **fields) -> str:
+    """Train `model`, then save it as '<tag>.ckpt'; returns the path.
+
+    The stage's metrics log '<tag>_metrics.jsonl' starts fresh, so a rerun
+    in the same workdir leaves only its own records. Each provenance group
+    gains `steps` iff any of its tensors was trainable."""
+    workdir = Path(workdir)
+    workdir.mkdir(parents=True, exist_ok=True)
+    metrics_path = workdir / f"{tag}_metrics.jsonl"
+    metrics_path.unlink(missing_ok=True)
+    params = model.named_params()
+    _train_loop(stage, cfg, corpus, loss_fn, params, trainable, steps, lr_fn, metrics_path)
+    touched = {_group(name) for name in trainable}
+    provenance = {g: provenance.get(g, 0) + (steps if g in touched else 0)
+                  for g in ("f", "ada", "g")}
+    fields.update(stage=stage, adapters_d=model.encoder.d_adapter)
+    if isinstance(model, SSLBundle):
+        fields["cluster_targets_from_encoder"] = model.centers_encoder is not None
+        if model.centers is not None:
+            params["aux.cluster_centers"] = model.centers
+    out = workdir / f"{tag}.ckpt"
+    save_checkpoint(out, params, {**cfg.to_dict(), **fields}, provenance,
+                    rng_state={"seed": cfg.seed, "stage": stage, "step": steps})
+    return str(out)
 
 
 # ---------------------------------------------------------------------------
@@ -373,25 +386,15 @@ def _train_loop(stage: str, cfg: PipelineConfig, corpus, loss_fn, all_params: di
 
 def run_pretrain(cfg: PipelineConfig, workdir, corpus=None, steps: int | None = None) -> str:
     """SSL pretraining on the source domain; returns the checkpoint path."""
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    if steps is None:
-        steps = cfg.pretrain_steps
-    if corpus is None:
-        corpus = build_corpora(cfg)["source_train"]
+    steps = cfg.pretrain_steps if steps is None else steps
+    corpus = build_corpora(cfg)["source_train"] if corpus is None else corpus
     bundle = SSLBundle(cfg, seed=cfg.seed)
     if cfg.objective == "masked_cluster":
         bundle.prepare_cluster_targets(corpus, np.random.default_rng([cfg.seed, 0x535]),
                                        use_encoder=False)
-    params = bundle.named_params()
     lr_fn = lambda s: noam_lr(s, cfg.d_model, cfg.noam_warmup, cfg.noam_factor)
-    _train_loop("pretrain", cfg, corpus, bundle.loss, params, params, steps, lr_fn,
-                workdir / "pretrain_metrics.jsonl")
-    groups = bundle.param_groups()
-    provenance = {"f": steps if groups["f"] else 0, "ada": 0, "g": steps if groups["g"] else 0}
-    out = workdir / "pretrain.ckpt"
-    save_bundle(out, bundle, cfg, provenance, "pretrain", steps)
-    return str(out)
+    return _run_stage("pretrain", "pretrain", cfg, workdir, corpus, bundle, bundle.loss,
+                      bundle.named_params(), steps, lr_fn, {})
 
 
 def run_adapt(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "draft",
@@ -403,42 +406,29 @@ def run_adapt(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "draft",
     reduced peak learning rate."""
     if mode not in ADAPT_MODES:
         raise ValueError(f"unknown adapt mode '{mode}'")
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    if steps is None:
-        steps = cfg.adapt_steps
-    if corpus is None:
-        corpus = build_corpora(cfg)["target_train"]
-    bundle, provenance = load_bundle(cfg, ckpt_path)
+    steps = cfg.adapt_steps if steps is None else steps
+    corpus = build_corpora(cfg)["target_train"] if corpus is None else corpus
+    bundle, provenance = _restore_for("adapt", cfg, ckpt_path)
     if cfg.objective == "masked_cluster":
         # second-stage targets: refit clusters on the pretrained encoder's features
         bundle.prepare_cluster_targets(corpus, np.random.default_rng([cfg.seed, 0x535, 2]),
                                        use_encoder=True)
     if mode == "draft":
-        if bundle.adapters_inserted:
+        if bundle.encoder.adapters_inserted:
             if bundle.encoder.d_adapter != cfg.d_adapter:
                 raise ValueError("checkpoint already has adapters of a different size")
         else:
             bundle.insert_adapters(cfg.d_adapter, np.random.default_rng([cfg.seed, 0xADA]))
         factor = cfg.noam_factor
+        trainable = bundle.param_groups()["ada"]
     else:
-        if bundle.adapters_inserted:
+        if bundle.encoder.adapters_inserted:
             raise ValueError("saft does not apply to a model with adapters")
         factor = cfg.noam_factor * cfg.saft_lr_scale
-    params = bundle.named_params()
-    groups = bundle.param_groups()
-    trainable = groups["ada"] if mode == "draft" else params
+        trainable = bundle.named_params()
     lr_fn = lambda s: noam_lr(s, cfg.d_model, cfg.noam_warmup, factor)
-    _train_loop("adapt", cfg, corpus, bundle.loss, params, trainable, steps, lr_fn,
-                workdir / f"adapt_{mode}_metrics.jsonl")
-    if mode == "draft":
-        provenance["ada"] = provenance.get("ada", 0) + steps
-    else:
-        provenance["f"] = provenance.get("f", 0) + steps
-        provenance["g"] = provenance.get("g", 0) + steps
-    out = workdir / f"adapt_{mode}.ckpt"
-    save_bundle(out, bundle, cfg, provenance, "adapt", steps)
-    return str(out)
+    return _run_stage("adapt", f"adapt_{mode}", cfg, workdir, corpus, bundle, bundle.loss,
+                      trainable, steps, lr_fn, provenance)
 
 
 def run_finetune(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "full",
@@ -446,18 +436,13 @@ def run_finetune(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "full",
     """Supervised CTC finetuning with a fresh generator; returns ckpt path."""
     if mode not in FINETUNE_MODES:
         raise ValueError(f"unknown finetune mode '{mode}'")
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    if steps is None:
-        steps = cfg.finetune_steps
-    if corpus is None:
-        corpus = build_corpora(cfg)["target_train"]
-    bundle, provenance = load_bundle(cfg, ckpt_path)
+    steps = cfg.finetune_steps if steps is None else steps
+    corpus = build_corpora(cfg)["target_train"] if corpus is None else corpus
+    bundle, provenance = _restore_for("finetune", cfg, ckpt_path)
     encoder = bundle.encoder_for_finetune()
 
-    if mode in ("adapters_frozen", "adapters_only", "random_adapters"):
-        if not encoder.adapters_inserted:
-            raise ValueError(f"finetune mode '{mode}' requires a checkpoint with adapters")
+    if mode in ("adapters_frozen", "adapters_only", "random_adapters") and not encoder.adapters_inserted:
+        raise ValueError(f"finetune mode '{mode}' requires a checkpoint with adapters")
     if mode == "random_adapters":
         encoder.reinit_adapters(np.random.default_rng([cfg.seed, 0xF00D]))
     if mode == "plus_ra":
@@ -465,18 +450,13 @@ def run_finetune(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "full",
             raise ValueError("finetune mode 'plus_ra' requires a checkpoint without adapters")
         encoder.insert_adapters(cfg.d_adapter, np.random.default_rng([cfg.seed, 0xF00D]))
 
-    head = CTCHead(np.random.default_rng([cfg.seed, 0xC7C]), cfg.d_model, cfg.vocab_size)
-    all_params = {"model." + k: v for k, v in encoder.named_params().items()}
-    all_params.update({"ctc." + k: v for k, v in head.named_params().items()})
-    head_params = {"ctc." + k: v for k, v in head.named_params().items()}
-    backbone = {"model." + k: v for k, v in encoder.backbone_params().items()}
-    adapters = {"model." + k: v for k, v in encoder.adapter_params().items()}
-    if mode == "full":
-        trainable = dict(all_params)
-    elif mode == "adapters_frozen":
-        trainable = {**backbone, **head_params}
-    else:  # adapters_only, random_adapters, plus_ra
-        trainable = {**adapters, **head_params}
+    model = CTCModel(encoder, CTCHead(np.random.default_rng([cfg.seed, 0xC7C]),
+                                      cfg.d_model, cfg.vocab_size))
+    trainable = model.named_params()
+    if mode != "full":
+        # adapters_frozen trains backbone + head; the adapter modes adapters + head
+        frozen = "ada" if mode == "adapters_frozen" else "f"
+        trainable = {k: v for k, v in trainable.items() if _group(k) != frozen}
 
     warmup = max(1, int(round(cfg.ft_warmup_frac * steps)))
     hold = int(round(cfg.ft_hold_frac * steps))
@@ -488,44 +468,13 @@ def run_finetune(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "full",
         if cfg.spec_augment:
             for i, n in enumerate(lengths):
                 feats[i, :n] = spec_augment(feats[i, :n], rng)
-        hidden, out_lengths = encoder(feats, lengths)
-        logits = head(hidden)
+        logits, out_lengths = model(feats, lengths)
         # corpus tokens are 0-based; CTC reserves 0 for the blank
         shifted = [[t + 1 for t in y] for y in targets]
         return ctc_loss_batch(logits, out_lengths, shifted, normalize=True)
 
-    _train_loop("finetune", cfg, corpus, loss_fn, all_params, trainable, steps, lr_fn,
-                Path(workdir) / f"finetune_{mode}_metrics.jsonl")
-
-    if trainable.keys() & backbone.keys():
-        provenance["f"] = provenance.get("f", 0) + steps
-    if trainable.keys() & adapters.keys():
-        provenance["ada"] = provenance.get("ada", 0) + steps
-    provenance["g"] = provenance.get("g", 0) + steps
-
-    params = dict(all_params)
-    extra = {"stage": "finetune", "finetune_mode": mode,
-             "adapters_d": encoder.d_adapter if encoder.adapters_inserted else 0}
-    out = Path(workdir) / f"finetune_{mode}.ckpt"
-    save_checkpoint(out, params, _snapshot(cfg, extra), provenance,
-                    rng_state={"seed": cfg.seed, "stage": "finetune", "step": steps})
-    return str(out)
-
-
-def load_finetuned(cfg: PipelineConfig, ckpt_path):
-    """Rebuild (encoder, ctc_head) from a finetune checkpoint."""
-    ckpt = load_checkpoint(ckpt_path)
-    _require_compatible(cfg, ckpt.config)
-    snap = PipelineConfig.from_dict(ckpt.config)
-    encoder = build_encoder(snap.encoder_config(), snap.seed)
-    d_ada = int(ckpt.config.get("adapters_d", 0))
-    if d_ada:
-        encoder.insert_adapters(d_ada, np.random.default_rng([snap.seed, 0xADA]))
-    head = CTCHead(np.random.default_rng([snap.seed, 0xC7C]), snap.d_model, snap.vocab_size)
-    named = {"model." + k: v for k, v in encoder.named_params().items()}
-    named.update({"ctc." + k: v for k, v in head.named_params().items()})
-    _assign_params(named, dict(ckpt.params))
-    return encoder, head, dict(ckpt.provenance)
+    return _run_stage("finetune", f"finetune_{mode}", cfg, workdir, corpus, model, loss_fn,
+                      trainable, steps, lr_fn, provenance, finetune_mode=mode)
 
 
 def run_evaluate(cfg: PipelineConfig, ckpt_path, corpus=None) -> dict:
@@ -534,14 +483,13 @@ def run_evaluate(cfg: PipelineConfig, ckpt_path, corpus=None) -> dict:
         corpus = build_corpora(cfg)["target_eval"]
     if not corpus:
         raise ValueError("no utterances")
-    encoder, head, provenance = load_finetuned(cfg, ckpt_path)
+    model, provenance = _restore_for("evaluate", cfg, ckpt_path)
     refs, hyps = [], []
     b = max(1, cfg.batch_size)
     for i in range(0, len(corpus), b):
         chunk = corpus[i : i + b]
         feats, lengths, targets = pad_batch(chunk)
-        hidden, out_lengths = encoder(feats, lengths)
-        logits = head(hidden)
+        logits, out_lengths = model(feats, lengths)
         for j, target in enumerate(targets):
             t_j = int(out_lengths[j])
             hyp = greedy_decode(logits.data[j, :t_j], blank=0)

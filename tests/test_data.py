@@ -8,7 +8,6 @@ from sslasr.data import (
     domain_transform,
     expected_mean_shift,
     load_corpus,
-    make_batches,
     make_corpus,
     pad_batch,
     read_wav,
@@ -148,39 +147,3 @@ class TestDiskRoundTrip:
             assert not feats[i, lengths[i]:].any()
         assert tokens == [u.tokens for u in utts]
 
-
-class TestBatching:
-    def test_epoch_coverage_and_determinism(self):
-        corpus = make_corpus(CorpusConfig(n_utterances=23, seed=8))
-        batches = make_batches(corpus, batch_size=4, seed=11)
-        again = make_batches(corpus, batch_size=4, seed=11)
-        assert [[u.utt_id for u in b] for b in batches] == \
-               [[u.utt_id for u in b] for b in again]
-        ids = [u.utt_id for b in batches for u in b]
-        assert sorted(ids) == sorted(u.utt_id for u in corpus)
-        assert len(batches) == 6
-        assert sorted(len(b) for b in batches) == [3, 4, 4, 4, 4, 4]
-
-    def test_batches_are_length_bucketed(self):
-        corpus = make_corpus(CorpusConfig(n_utterances=40, min_tokens=2, max_tokens=6, seed=9))
-        for batch in make_batches(corpus, batch_size=8, seed=0):
-            lens = [u.feats.shape[0] for u in batch]
-            ids = {u.utt_id for u in batch}
-            # contiguous window of the sorted lengths: any corpus length
-            # strictly inside the batch's range must belong to this batch
-            for u in corpus:
-                if min(lens) < u.feats.shape[0] < max(lens):
-                    assert u.utt_id in ids
-
-    def test_seed_changes_order_not_membership(self):
-        corpus = make_corpus(CorpusConfig(n_utterances=30, seed=10))
-        a = make_batches(corpus, 5, seed=0)
-        b = make_batches(corpus, 5, seed=1)
-        key = lambda bs: sorted(tuple(u.utt_id for u in x) for x in bs)
-        assert key(a) == key(b)
-        assert [tuple(u.utt_id for u in x) for x in a] != \
-               [tuple(u.utt_id for u in x) for x in b]
-
-    def test_bad_batch_size(self):
-        with pytest.raises(ValueError, match="positive"):
-            make_batches([], 0, seed=0)

@@ -1,5 +1,8 @@
 """Round-trip and corruption tests for the on-disk formats."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -104,6 +107,29 @@ class TestCheckpoints:
         raw = p.read_bytes()
         p.write_bytes(raw[:-16])
         with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(p)
+
+    def test_rejects_short_file(self, tmp_path):
+        p = tmp_path / "x.ckpt"
+        p.write_bytes(b"SSLCKPT1\x01\x00")
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(p)
+
+    def test_rejects_header_without_tensors(self, tmp_path):
+        p = tmp_path / "x.ckpt"
+        header = json.dumps({"version": 1, "config": {}, "provenance": {}}).encode()
+        p.write_bytes(b"SSLCKPT1" + struct.pack("<I", len(header)) + header)
+        with pytest.raises(ValueError, match="malformed.*tensors"):
+            load_checkpoint(p)
+
+    def test_rejects_unknown_dtype(self, tmp_path):
+        p = tmp_path / "x.ckpt"
+        save_checkpoint(p, {"a": np.ones(4, dtype=np.float32)}, {}, {})
+        raw = p.read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw, 8)
+        header = raw[12 : 12 + hlen].replace(b'"float32"', b'"int8"   ')
+        p.write_bytes(raw[:12] + header + raw[12 + hlen :])
+        with pytest.raises(ValueError, match="unknown SSLCKPT1 dtype 'int8'"):
             load_checkpoint(p)
 
     def test_missing_rng_state_is_none(self, tmp_path):

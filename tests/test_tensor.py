@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sslasr import engine as T
-from sslasr.gradcheck import finite_diff_gradcheck
+from sslasr.gradcheck import finite_diff_gradcheck, gradcheck_battery
 from sslasr.optim import Adam, clip_global_norm, noam_lr, tri_stage_lr
 from sslasr.engine import Tape, Tensor, backward
 
@@ -291,6 +291,11 @@ class TestGradcheckPrimitives:
 
         with pytest.raises(RuntimeError, match="nondeterministic"):
             finite_diff_gradcheck(fn, [t64([1.0, 2.0])])
+
+    @pytest.mark.parametrize("seed", [1544, 1938])
+    def test_battery_keeps_log_operand_positive(self, seed):
+        # unfloored, these seeds draw a log operand <= 0
+        assert gradcheck_battery(seed) < 1e-6
 
 
 class TestOptim:

@@ -9,11 +9,11 @@ from sslasr.training import (
     FINETUNE_MODES,
     OBJECTIVES,
     PIPELINES,
+    CTCModel,
     PipelineConfig,
     SSLBundle,
     build_corpora,
-    load_bundle,
-    load_finetuned,
+    restore,
     run_adapt,
     run_evaluate,
     run_finetune,
@@ -105,12 +105,15 @@ class TestEvaluation:
 
     def test_load_finetuned_roundtrip(self, draft_chain):
         cfg, _, _, _, fin, _ = draft_chain
-        encoder, head, provenance = load_finetuned(cfg, fin)
+        model, provenance = restore(cfg, fin)
+        assert isinstance(model, CTCModel)
         stored = load_checkpoint(fin).params
-        for k, t in encoder.named_params().items():
-            assert np.array_equal(t.data, stored["model." + k])
-        for k, t in head.named_params().items():
-            assert np.array_equal(t.data, stored["ctc." + k])
+        restored = model.named_params()
+        assert set(restored) == set(stored)
+        assert any(k.startswith("model.adapter") for k in restored)
+        for k, t in restored.items():
+            assert np.array_equal(t.data, stored[k])
+        assert provenance == {"f": 7, "ada": 6, "g": 7}
 
 
 class TestMetricsLogs:
@@ -125,12 +128,21 @@ class TestMetricsLogs:
         assert len(read_jsonl(work / "adapt_draft_metrics.jsonl")) == cfg.adapt_steps
         assert len(read_jsonl(work / "finetune_full_metrics.jsonl")) == cfg.finetune_steps
 
+    def test_rerun_starts_a_fresh_log(self, tmp_path):
+        cfg = tiny_cfg(pretrain_steps=3)
+        run_pretrain(cfg, tmp_path)
+        run_pretrain(cfg, tmp_path)
+        records = read_jsonl(tmp_path / "pretrain_metrics.jsonl")
+        assert [r["step"] for r in records] == [1, 2, 3]
+
 
 class TestBundleRoundTrip:
     def test_load_bundle_restores_params(self, draft_chain):
         cfg, _, pre, _, _, _ = draft_chain
-        bundle, provenance = load_bundle(cfg, pre)
+        bundle, provenance = restore(cfg, pre)
+        assert isinstance(bundle, SSLBundle)
         stored = load_checkpoint(pre).params
+        assert set(bundle.named_params()) == set(stored)
         for k, t in bundle.named_params().items():
             assert np.array_equal(t.data, stored[k])
         assert provenance == {"f": 4, "ada": 0, "g": 4}
@@ -138,9 +150,18 @@ class TestBundleRoundTrip:
     def test_structural_mismatch_rejected(self, draft_chain):
         _, _, pre, _, _, _ = draft_chain
         with pytest.raises(ValueError, match="config mismatch"):
-            load_bundle(tiny_cfg(d_model=32), pre)
+            restore(tiny_cfg(d_model=32), pre)
         with pytest.raises(ValueError, match="config mismatch"):
-            load_bundle(tiny_cfg(objective="apc"), pre)
+            restore(tiny_cfg(objective="apc"), pre)
+
+    def test_wrong_stage_checkpoint_rejected(self, draft_chain, tmp_path):
+        cfg, _, pre, _, fin, _ = draft_chain
+        with pytest.raises(ValueError, match="'finetune' cannot start from a finetune"):
+            run_finetune(cfg, fin, tmp_path)
+        with pytest.raises(ValueError, match="'adapt' cannot start from a finetune"):
+            run_adapt(cfg, fin, tmp_path)
+        with pytest.raises(ValueError, match="'evaluate' cannot start from a pretrain"):
+            run_evaluate(cfg, pre)
 
     def test_param_groups_partition(self):
         bundle = SSLBundle(tiny_cfg(), seed=0)
