@@ -11,7 +11,7 @@ controls utterance sampling.
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +34,6 @@ class CorpusConfig:
     domain: str = "source"
     seed: int = 0
     proto_seed: int = 7
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 @dataclass

@@ -2,11 +2,15 @@
 manifests, JSONL metric logs, and key=value config files.
 
 All binary formats are little-endian regardless of host byte order.
+Feature files and checkpoints are written atomically; their readers
+raise ValueError on any malformed file.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +27,20 @@ _HEADER_FIELDS = {"version", "config", "provenance", "tensors"}
 _TENSOR_FIELDS = {"name", "dtype", "shape", "offset"}
 
 
+def _write_atomic(path, chunks) -> None:
+    """Write byte chunks to a temp file beside `path`, then rename it into
+    place, so a failed write leaves any previous file untouched."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 # ---------------------------------------------------------------------------
 # FEAT1: single-utterance feature matrix
 # ---------------------------------------------------------------------------
@@ -34,9 +52,7 @@ def write_feat(path, feats: np.ndarray, shift_ms: float, window_ms: float) -> No
     if f.ndim != 2:
         raise ValueError("FEAT1 expects a 2-D (frames, dims) array")
     header = FEAT_MAGIC + struct.pack("<IIff", f.shape[0], f.shape[1], shift_ms, window_ms)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(f.astype("<f4", copy=False).tobytes(order="C"))
+    _write_atomic(path, [header, f.astype("<f4", copy=False).tobytes(order="C")])
 
 
 def read_feat(path):
@@ -45,6 +61,8 @@ def read_feat(path):
     if raw[: len(FEAT_MAGIC)] != FEAT_MAGIC:
         raise ValueError("bad FEAT1 magic")
     off = len(FEAT_MAGIC)
+    if len(raw) < off + struct.calcsize("<IIff"):
+        raise ValueError(f"truncated FEAT1 header: {len(raw)} bytes in {path}")
     t, d, shift_ms, window_ms = struct.unpack_from("<IIff", raw, off)
     off += struct.calcsize("<IIff")
     need = t * d * 4
@@ -91,12 +109,11 @@ def save_checkpoint(path, params: dict, config: dict, provenance: dict,
         "rng_state": rng_state,
     }
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", len(hbytes)))
-        fh.write(hbytes)
-        for blob in payloads:
-            fh.write(blob)
+    _write_atomic(path, [CKPT_MAGIC, struct.pack("<I", len(hbytes)), hbytes, *payloads])
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -111,19 +128,27 @@ def load_checkpoint(path) -> Checkpoint:
     off += 4
     if off + hlen > len(raw):
         raise ValueError("truncated SSLCKPT1 header")
-    header = json.loads(raw[off : off + hlen].decode("utf-8"))
-    if not isinstance(header, dict) or not _HEADER_FIELDS <= header.keys():
-        raise ValueError(f"malformed SSLCKPT1 header: needs fields {sorted(_HEADER_FIELDS)}")
+    try:
+        header = json.loads(raw[off : off + hlen].decode("utf-8"))
+    except RecursionError:
+        raise ValueError("malformed SSLCKPT1 header: nested too deeply") from None
+    if (not isinstance(header, dict) or not _HEADER_FIELDS <= header.keys()
+            or not isinstance(header["tensors"], list)
+            or not isinstance(header["config"], dict) or not isinstance(header["provenance"], dict)):
+        raise ValueError(f"malformed SSLCKPT1 header: needs fields {sorted(_HEADER_FIELDS)}, "
+                         "with dict config and provenance and a list of tensors")
     off += hlen
     params = {}
     for entry in header["tensors"]:
-        if not isinstance(entry, dict) or not _TENSOR_FIELDS <= entry.keys():
+        if (not isinstance(entry, dict) or not _TENSOR_FIELDS <= entry.keys()
+                or not isinstance(entry["name"], str) or not isinstance(entry["shape"], list)
+                or not all(_is_count(v) for v in [entry["offset"], *entry["shape"]])):
             raise ValueError(f"malformed SSLCKPT1 tensor entry: {entry!r}")
-        if entry["dtype"] not in _DTYPE_TO_CODE:
-            raise ValueError(f"unknown SSLCKPT1 dtype '{entry['dtype']}' for '{entry['name']}'")
+        if not isinstance(entry["dtype"], str) or entry["dtype"] not in _DTYPE_TO_CODE:
+            raise ValueError(f"unknown SSLCKPT1 dtype {entry['dtype']!r} for {entry['name']!r}")
         code = _DTYPE_TO_CODE[entry["dtype"]]
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         start = off + entry["offset"]
         end = start + count * np.dtype(code).itemsize
         if end > len(raw):

@@ -1,7 +1,6 @@
 """Transformer encoder over subsampled features, with residual adapters.
 
-Layout: optional learned waveform frontend (3 convs, total stride 8),
-a two-conv subsampling block (total stride 4), sinusoidal positions,
+Layout: a two-conv subsampling block (total stride 4), sinusoidal positions,
 pre-norm transformer blocks, final layer norm. Adapters, when inserted,
 sit after the conv block and after every transformer block.
 """
@@ -9,7 +8,7 @@ sit after the conv block and after every transformer block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,18 +22,21 @@ def xavier_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
 
 
 class Module:
-    """Tree of named parameter Tensors; children keep insertion order."""
+    """Tree of named parameter Tensors; children keep insertion order.
+
+    A tensor shared between children (see alias_from) is listed once,
+    under the first name that reaches it."""
 
     def __init__(self):
         self.p: dict[str, Tensor] = {}
         self.children: dict[str, "Module"] = {}
 
     def named_params(self, prefix: str = "") -> dict[str, Tensor]:
-        out = {}
-        for k, t in self.p.items():
-            out[prefix + k] = t
+        out = {prefix + k: t for k, t in self.p.items()}
         for name, child in self.children.items():
-            out.update(child.named_params(prefix + name + "."))
+            seen = {id(t) for t in out.values()}
+            out.update((k, t) for k, t in child.named_params(prefix + name + ".").items()
+                       if id(t) not in seen)
         return out
 
     def load_params(self, flat: dict, prefix: str = "") -> None:
@@ -200,20 +202,6 @@ class ConvSubsampler(Module):
         return E.gelu(self.children["conv2"](E.gelu(self.children["conv1"](x))))
 
 
-class WaveFrontend(Module):
-    """Three stride-2 kernel-8 convs over raw samples; total stride 8."""
-
-    def __init__(self, rng, d_model: int, padding: str):
-        super().__init__()
-        for i, c_in in enumerate([1, d_model, d_model]):
-            self.children[f"conv{i}"] = Conv1d(rng, 8, c_in, d_model, stride=2, padding=padding)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        for i in range(3):
-            x = E.gelu(self.children[f"conv{i}"](x))
-        return x
-
-
 def sinusoidal_positions(t: int, d: int, dtype=np.float32) -> np.ndarray:
     if d % 2 != 0:
         raise ValueError("positional encoding needs an even dimension")
@@ -234,27 +222,15 @@ class EncoderConfig:
     n_blocks: int = 2
     d_ffn: int = 128
     causal: bool = True
-    frontend: str = "logmel"  # or "waveform"
     conv_kernel: int = 3
     ln_eps: float = 1e-5
-
-    def to_dict(self) -> dict:
-        return {
-            "d_input": self.d_input, "d_model": self.d_model, "n_heads": self.n_heads,
-            "n_blocks": self.n_blocks, "d_ffn": self.d_ffn, "causal": self.causal,
-            "frontend": self.frontend, "conv_kernel": self.conv_kernel, "ln_eps": self.ln_eps,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(**{k: d[k] for k in cls().to_dict()})
 
 
 class Encoder(Module):
     """Backbone f: features (B, T, d_input) -> hidden states (B, T', d_model).
 
-    T' = ceil(T / 4) for the logmel frontend (ceil(T / 32) from raw
-    waveform). Valid output lengths follow the same rule per utterance.
+    T' = ceil(T / 4); valid output lengths follow the same rule per
+    utterance.
     """
 
     subsample_factor = 4  # two stride-2 convs
@@ -263,13 +239,7 @@ class Encoder(Module):
         super().__init__()
         self.config = config
         pad = "causal" if config.causal else "same"
-        d_conv_in = config.d_input
-        if config.frontend == "waveform":
-            self.children["frontend"] = WaveFrontend(rng, config.d_model, pad)
-            d_conv_in = config.d_model
-        elif config.frontend != "logmel":
-            raise ValueError(f"unknown frontend '{config.frontend}'")
-        self.children["conv"] = ConvSubsampler(rng, d_conv_in, config.d_model, config.conv_kernel, pad)
+        self.children["conv"] = ConvSubsampler(rng, config.d_input, config.d_model, config.conv_kernel, pad)
         for i in range(config.n_blocks):
             self.children[f"block{i}"] = TransformerBlock(
                 rng, config.d_model, config.n_heads, config.d_ffn, config.ln_eps
@@ -300,25 +270,16 @@ class Encoder(Module):
                 rng, self.config.d_model, self.d_adapter, random_init=True
             )
 
-    def adapter_params(self) -> dict:
-        return {k: v for k, v in self.named_params().items() if k.startswith("adapter")}
-
-    def backbone_params(self) -> dict:
-        return {k: v for k, v in self.named_params().items() if not k.startswith("adapter")}
-
     # -- forward -----------------------------------------------------------
 
     def out_length(self, n: int) -> int:
-        stride = 32 if self.config.frontend == "waveform" else 4
-        return -(-n // stride)
+        return -(-n // self.subsample_factor)
 
     def encode_latents(self, feats, lengths):
-        """Frontend + conv block only (no adapter); returns (latents, out_lengths)."""
+        """Conv block only (no adapter); returns (latents, out_lengths)."""
         x = feats if isinstance(feats, Tensor) else Tensor(np.asarray(feats, dtype=np.float32))
         if x.ndim != 3:
             raise ValueError("encoder expects (batch, time, dim) input")
-        if "frontend" in self.children:
-            x = self.children["frontend"](x)
         z = self.children["conv"](x)
         out_lengths = np.array([self.out_length(int(n)) for n in np.asarray(lengths)])
         return z, out_lengths

@@ -132,17 +132,20 @@ def reverse_group_blocks(feats: np.ndarray, lengths, factor: int) -> np.ndarray:
     return out
 
 
-class BidirectionalAPC:
+class BidirectionalAPC(Module):
     """Forward and time-reversed autoregressive models with weight sharing.
 
-    Schemes: 'none' (two independent models), 'share_generator',
-    'share_gen_encoder' (generator + transformer blocks + final norm),
-    'share_all' (every parameter aliased).
+    Children 'fwd' and 'rev' each hold an encoder 'model' and its
+    generator 'gen'. Schemes: 'none' (two independent models),
+    'share_generator', 'share_gen_encoder' (generator + transformer
+    blocks + final norm), 'share_all' (every parameter aliased). A shared
+    tensor is named once, under 'fwd'.
     """
 
     SCHEMES = ("none", "share_generator", "share_gen_encoder", "share_all")
 
     def __init__(self, enc_cfg: EncoderConfig, apc_cfg: APCConfig, scheme: str, seed: int):
+        super().__init__()
         if scheme not in self.SCHEMES:
             raise ValueError(f"unknown sharing scheme '{scheme}'")
         self.scheme = scheme
@@ -154,9 +157,14 @@ class BidirectionalAPC:
         rng_r = np.random.default_rng([seed + 1, 0x0B1])
         self.fwd_obj = EAPCObjective(apc_cfg, enc_cfg.d_model, self.fwd.subsample_factor, rng_f)
         self.rev_obj = EAPCObjective(apc_cfg, enc_cfg.d_model, self.rev.subsample_factor, rng_r)
+        for name, enc, obj in (("fwd", self.fwd, self.fwd_obj), ("rev", self.rev, self.rev_obj)):
+            self.children[name] = Module()
+            self.children[name].children.update(model=enc, gen=obj)
         self._apply_sharing()
 
     def _apply_sharing(self) -> None:
+        """Alias the scheme's shared modules; adapters follow their host
+        module, so insert_adapters runs this again."""
         if self.scheme in ("share_generator", "share_gen_encoder", "share_all"):
             self.rev_obj.alias_from(self.fwd_obj)
         if self.scheme in ("share_gen_encoder", "share_all"):
@@ -167,8 +175,6 @@ class BidirectionalAPC:
             self.rev.children["final_ln"].alias_from(self.fwd.children["final_ln"])
         if self.scheme == "share_all":
             self.rev.children["conv"].alias_from(self.fwd.children["conv"])
-            if "frontend" in self.fwd.children:
-                self.rev.children["frontend"].alias_from(self.fwd.children["frontend"])
             if self.fwd.adapters_inserted:
                 self.rev.children["adapter0"].alias_from(self.fwd.children["adapter0"])
 
@@ -176,12 +182,7 @@ class BidirectionalAPC:
                         random_init: bool = False) -> None:
         self.fwd.insert_adapters(d_adapter, rng, random_init=random_init)
         self.rev.insert_adapters(d_adapter, rng, random_init=random_init)
-        # adapters follow their host module's sharing
-        if self.scheme in ("share_gen_encoder", "share_all"):
-            for i in range(self.enc_cfg.n_blocks):
-                self.rev.children[f"adapter{i + 1}"].alias_from(self.fwd.children[f"adapter{i + 1}"])
-        if self.scheme == "share_all":
-            self.rev.children["adapter0"].alias_from(self.fwd.children["adapter0"])
+        self._apply_sharing()
 
     def loss(self, feats, lengths, normalize: bool = True) -> Tensor:
         factor = self.fwd.subsample_factor
@@ -189,21 +190,6 @@ class BidirectionalAPC:
         rev_feats = reverse_group_blocks(np.asarray(feats), lengths, factor)
         rev_loss = self.rev_obj.loss(self.rev, rev_feats, lengths, normalize=normalize)
         return E.add(fwd_loss, rev_loss)
-
-    def named_params(self) -> dict:
-        out = {}
-        for k, v in self.fwd.named_params().items():
-            out["fwd.model." + k] = v
-        for k, v in self.fwd_obj.named_params().items():
-            out["fwd.gen." + k] = v
-        seen = {id(t) for t in out.values()}
-        for k, v in self.rev.named_params().items():
-            if id(v) not in seen:
-                out["rev.model." + k] = v
-        for k, v in self.rev_obj.named_params().items():
-            if id(v) not in seen:
-                out["rev.gen." + k] = v
-        return out
 
     def average_directions(self) -> Encoder:
         """Average unshared forward/reverse weights elementwise, in place.
@@ -485,30 +471,11 @@ class MaskedClusterObjective(Module):
         return total
 
 
-def fit_cluster_targets(corpus, factor: int, k: int, rng: np.random.Generator,
-                        encoder: Encoder | None = None, n_iters: int = 25) -> np.ndarray:
-    """Fit k-means over group features of a corpus.
-
-    corpus is an iterable of (feats (T, D), length) pairs. With an encoder,
-    features are its hidden states (one per group); otherwise raw group
-    means. Returns the cluster centers.
-    """
-    rows = []
-    for feats, length in corpus:
-        if encoder is None:
-            rows.append(group_mean_features(feats, length, factor))
-        else:
-            hidden, _ = encoder(feats[None, :, :], np.array([length]))
-            g = int(length) // factor
-            rows.append(hidden.data[0, :g])
-    return kmeans_fit(np.concatenate(rows, axis=0), k, rng, n_iters=n_iters)
-
-
-def assign_cluster_labels(feats: np.ndarray, length: int, centers: np.ndarray,
-                          factor: int, encoder: Encoder | None = None) -> np.ndarray:
+def cluster_features(feats: np.ndarray, length: int, factor: int,
+                     encoder: Encoder | None = None) -> np.ndarray:
+    """One k-means input row per complete frame group of an utterance:
+    the group's mean feature vector, or with an encoder its hidden state."""
     if encoder is None:
-        rows = group_mean_features(feats, length, factor)
-    else:
-        hidden, _ = encoder(feats[None, :, :], np.array([length]))
-        rows = hidden.data[0, : int(length) // factor]
-    return kmeans_assign(rows, centers)
+        return group_mean_features(feats, length, factor)
+    hidden, _ = encoder(feats[None, :, :], np.array([length]))
+    return hidden.data[0, : int(length) // factor]

@@ -10,7 +10,6 @@ the steps and writes the checkpoint."""
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,8 +29,9 @@ from .objectives import (
     EAPCObjective,
     MaskedClusterConfig,
     MaskedClusterObjective,
-    assign_cluster_labels,
-    fit_cluster_targets,
+    cluster_features,
+    kmeans_assign,
+    kmeans_fit,
 )
 from .optim import Adam, clip_global_norm, noam_lr, tri_stage_lr
 
@@ -42,7 +42,7 @@ _STAGE_IDS = {"pretrain": 1, "adapt": 2, "finetune": 3}
 
 # structural fields that must match between a config and a checkpoint snapshot
 _STRUCTURAL = (
-    "d_feat", "d_model", "n_heads", "n_blocks", "d_ffn", "causal", "frontend",
+    "d_feat", "d_model", "n_heads", "n_blocks", "d_ffn", "causal",
     "objective", "biapc_scheme", "apc_shift", "apc_lags", "apc_p",
     "n_codes", "n_clusters", "vocab_size",
 )
@@ -68,7 +68,6 @@ class PipelineConfig:
     n_blocks: int = 2
     d_ffn: int = 128
     causal: bool = True
-    frontend: str = "logmel"
     # objective
     objective: str = "eapc"
     biapc_scheme: str = "share_generator"
@@ -112,7 +111,6 @@ class PipelineConfig:
         return EncoderConfig(
             d_input=self.d_feat, d_model=self.d_model, n_heads=self.n_heads,
             n_blocks=self.n_blocks, d_ffn=self.d_ffn, causal=self.causal,
-            frontend=self.frontend,
         )
 
 
@@ -147,7 +145,9 @@ class SSLBundle(Module):
     """Encoder(s) plus self-supervised objective for one recipe.
 
     Parameters are named 'model.*' and 'obj.*'; biapc takes the names of
-    its forward/reverse pair ('fwd.model.*', 'fwd.gen.*', 'rev.*')."""
+    its forward/reverse pair ('fwd.model.*', 'fwd.gen.*', 'rev.*'). For
+    masked_cluster, each stage labels its own corpus before training
+    (prepare_cluster_targets); the labels are not checkpointed."""
 
     def __init__(self, cfg: PipelineConfig, seed: int):
         super().__init__()
@@ -156,12 +156,12 @@ class SSLBundle(Module):
         self.cfg = cfg
         self.kind = cfg.objective
         enc_cfg = cfg.encoder_config()
-        self.centers = None  # k-means centers for masked_cluster
-        self.centers_encoder = None  # encoder used when assigning labels
+        self.cluster_targets = {}  # utt_id -> k-means labels, masked_cluster only
         if self.kind == "biapc":
             apc = APCConfig(shift=cfg.apc_shift, n_lags=cfg.apc_lags, p=cfg.apc_p, d_feat=cfg.d_feat)
             self.pair = BidirectionalAPC(enc_cfg, apc, cfg.biapc_scheme, seed)
             self.encoder = self.pair.fwd
+            self.children.update(self.pair.children)
         else:
             self.pair = None
             self.encoder = build_encoder(enc_cfg, seed)
@@ -185,20 +185,6 @@ class SSLBundle(Module):
                 self.obj = MaskedClusterObjective(mcfg, cfg.d_model, rng)
             self.children.update(model=self.encoder, obj=self.obj)
 
-    # -- parameters ---------------------------------------------------------
-
-    def named_params(self, prefix: str = "") -> dict:
-        if self.pair is not None:
-            return {prefix + k: v for k, v in self.pair.named_params().items()}
-        return super().named_params(prefix)
-
-    def param_groups(self) -> dict:
-        """Split into backbone 'f', adapters 'ada', generator 'g' (unique tensors)."""
-        groups = {"f": {}, "ada": {}, "g": {}}
-        for name, t in self.named_params().items():
-            groups[_group(name)][name] = t
-        return groups
-
     # -- adapters -----------------------------------------------------------
 
     def insert_adapters(self, d_adapter: int, rng, random_init: bool = False) -> None:
@@ -207,33 +193,25 @@ class SSLBundle(Module):
     # -- targets for masked_cluster ------------------------------------------
 
     def prepare_cluster_targets(self, corpus, rng, use_encoder: bool) -> None:
-        """Fit k-means targets and precompute labels for the whole corpus.
+        """Fit k-means centers on the corpus and label every utterance of it.
 
-        Targets stay frozen for the rest of the stage even while the live
-        encoder trains, so encoder-based labeling uses a detached copy."""
-        pairs = [(u.feats, u.feats.shape[0]) for u in corpus]
-        enc = copy.deepcopy(self.encoder) if use_encoder else None
-        self.centers = fit_cluster_targets(pairs, self.encoder.subsample_factor,
-                                           self.cfg.n_clusters, rng, encoder=enc)
-        self.centers_encoder = enc
-        self._label_cache = {
-            u.utt_id: assign_cluster_labels(u.feats, u.feats.shape[0], self.centers,
-                                            self.encoder.subsample_factor, encoder=enc)
-            for u in corpus
-        }
+        Runs before the stage trains, so encoder-based targets come from
+        the encoder as the stage received it; only the labels are kept."""
+        enc = self.encoder if use_encoder else None
+        rows = [cluster_features(u.feats, u.feats.shape[0], self.encoder.subsample_factor, enc)
+                for u in corpus]
+        centers = kmeans_fit(np.concatenate(rows, axis=0), self.cfg.n_clusters, rng)
+        self.cluster_targets = {u.utt_id: kmeans_assign(r, centers) for u, r in zip(corpus, rows)}
 
     def cluster_labels(self, batch_utts) -> np.ndarray:
-        if self.centers is None:
-            raise RuntimeError("cluster targets not prepared")
+        missing = [u.utt_id for u in batch_utts if u.utt_id not in self.cluster_targets]
+        if missing:
+            raise RuntimeError(f"cluster targets not prepared for utterances {missing[:3]}")
         factor = self.encoder.subsample_factor
         g = max(-(-u.feats.shape[0] // factor) for u in batch_utts)
         labels = np.full((len(batch_utts), g), -1, dtype=np.int64)
-        cache = getattr(self, "_label_cache", {})
         for i, u in enumerate(batch_utts):
-            lab = cache.get(u.utt_id)
-            if lab is None:
-                lab = assign_cluster_labels(u.feats, u.feats.shape[0], self.centers,
-                                            factor, encoder=self.centers_encoder)
+            lab = self.cluster_targets[u.utt_id]
             labels[i, : len(lab)] = lab
         return labels
 
@@ -276,10 +254,11 @@ class CTCModel(Module):
 def restore(cfg: PipelineConfig, ckpt_path) -> tuple:
     """Rebuild the model a checkpoint holds; returns (model, provenance).
 
-    A pretrain or adapt checkpoint gives an SSLBundle with its cluster
-    targets, a finetune checkpoint a CTCModel. Both are rebuilt from the
-    checkpoint's config snapshot, get adapters at the recorded width, and
-    take every weight through Module.load_params."""
+    A pretrain or adapt checkpoint gives an SSLBundle (masked-cluster
+    targets are not stored; each stage prepares its own), a finetune
+    checkpoint a CTCModel. Both are rebuilt from the checkpoint's config
+    snapshot, get adapters at the recorded width, and take every weight
+    through Module.load_params."""
     ckpt = load_checkpoint(ckpt_path)
     mine = cfg.to_dict()
     bad = [k for k in _STRUCTURAL if k in ckpt.config and ckpt.config[k] != mine[k]]
@@ -295,13 +274,7 @@ def restore(cfg: PipelineConfig, ckpt_path) -> tuple:
     d_ada = int(ckpt.config.get("adapters_d", 0))
     if d_ada:
         host.insert_adapters(d_ada, np.random.default_rng([snap.seed, 0xADA]))
-    params = dict(ckpt.params)
-    centers = params.pop("aux.cluster_centers", None)
-    model.load_params(params)
-    if centers is not None:
-        model.centers = centers
-        if ckpt.config.get("cluster_targets_from_encoder"):
-            model.centers_encoder = copy.deepcopy(model.encoder)
+    model.load_params(ckpt.params)
     return model, dict(ckpt.provenance)
 
 
@@ -369,10 +342,6 @@ def _run_stage(stage: str, tag: str, cfg: PipelineConfig, workdir, corpus, model
     provenance = {g: provenance.get(g, 0) + (steps if g in touched else 0)
                   for g in ("f", "ada", "g")}
     fields.update(stage=stage, adapters_d=model.encoder.d_adapter)
-    if isinstance(model, SSLBundle):
-        fields["cluster_targets_from_encoder"] = model.centers_encoder is not None
-        if model.centers is not None:
-            params["aux.cluster_centers"] = model.centers
     out = workdir / f"{tag}.ckpt"
     save_checkpoint(out, params, {**cfg.to_dict(), **fields}, provenance,
                     rng_state={"seed": cfg.seed, "stage": stage, "step": steps})
@@ -420,7 +389,7 @@ def run_adapt(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "draft",
         else:
             bundle.insert_adapters(cfg.d_adapter, np.random.default_rng([cfg.seed, 0xADA]))
         factor = cfg.noam_factor
-        trainable = bundle.param_groups()["ada"]
+        trainable = {k: v for k, v in bundle.named_params().items() if _group(k) == "ada"}
     else:
         if bundle.encoder.adapters_inserted:
             raise ValueError("saft does not apply to a model with adapters")

@@ -5,9 +5,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import sslasr.io
 from sslasr.engine import Tensor
 from sslasr.io import (
+    CKPT_MAGIC,
+    FEAT_MAGIC,
     ManifestEntry,
     append_jsonl,
     load_checkpoint,
@@ -199,3 +204,136 @@ class TestJsonlAndConfig:
         p.write_text("lr 0.1\n")
         with pytest.raises(ValueError, match="line 1.*key = value"):
             read_config(p)
+
+
+def _ckpt_bytes(header, payload=b"") -> bytes:
+    h = json.dumps(header).encode()
+    return CKPT_MAGIC + struct.pack("<I", len(h)) + h + payload
+
+
+def _entry(**kw):
+    return {"name": "a", "dtype": "float32", "shape": [2], "offset": 0, **kw}
+
+
+class TestMalformedFiles:
+    """A malformed file makes its reader raise ValueError, never another error."""
+
+    @pytest.mark.parametrize("header", [
+        {"version": 1, "config": {}, "provenance": {}, "tensors": 5},
+        {"version": 1, "config": [], "provenance": {}, "tensors": []},
+        {"version": 1, "config": {}, "provenance": {}, "tensors": [_entry(shape=3)]},
+        {"version": 1, "config": {}, "provenance": {}, "tensors": [_entry(offset="0")]},
+        {"version": 1, "config": {}, "provenance": {}, "tensors": [_entry(dtype=["float32"])]},
+        {"version": 1, "config": {}, "provenance": {}, "tensors": [_entry(offset=-4)]},
+        {"version": 1, "config": {}, "provenance": {}, "tensors": [_entry(shape=[-1])]},
+        {"version": 1, "config": {}, "provenance": {}, "tensors": [_entry(name=["a"])]},
+    ])
+    def test_checkpoint_fields_of_wrong_type_or_sign(self, tmp_path, header):
+        p = tmp_path / "x.ckpt"
+        p.write_bytes(_ckpt_bytes(header, b"\x00" * 16))
+        with pytest.raises(ValueError, match="malformed|unknown SSLCKPT1 dtype"):
+            load_checkpoint(p)
+
+    def test_checkpoint_header_nested_too_deeply(self, tmp_path):
+        p = tmp_path / "x.ckpt"
+        header = b"[" * 200_000
+        p.write_bytes(CKPT_MAGIC + struct.pack("<I", len(header)) + header)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            load_checkpoint(p)
+
+    def test_feat_with_short_header(self, tmp_path):
+        p = tmp_path / "x.feat"
+        p.write_bytes(FEAT_MAGIC + b"\x04\x00\x00")
+        with pytest.raises(ValueError, match="truncated FEAT1 header"):
+            read_feat(p)
+
+    @staticmethod
+    def _read(reader, path, data: bytes):
+        path.write_bytes(data)
+        try:
+            reader(path)
+        except ValueError:
+            pass
+
+    _fuzz = settings(max_examples=150, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @_fuzz
+    @given(data=st.binary(max_size=96), magic=st.booleans())
+    def test_read_feat_on_arbitrary_bytes(self, tmp_path, data, magic):
+        self._read(read_feat, tmp_path / "x.feat", (FEAT_MAGIC if magic else b"") + data)
+
+    @_fuzz
+    @given(data=st.binary(max_size=96), magic=st.booleans())
+    def test_load_checkpoint_on_arbitrary_bytes(self, tmp_path, data, magic):
+        self._read(load_checkpoint, tmp_path / "x.ckpt", (CKPT_MAGIC if magic else b"") + data)
+
+    _json = st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=8,
+    )
+    _entries = st.fixed_dictionaries({
+        "name": st.text(max_size=3) | _json,
+        "dtype": st.sampled_from(["float32", "float64"]) | _json,
+        "shape": st.lists(st.integers(-2, 5), max_size=3) | _json,
+        "offset": st.integers(-8, 48) | _json,
+    })
+    _headers = st.fixed_dictionaries({
+        "version": _json,
+        "config": st.just({}) | _json,
+        "provenance": st.just({}) | _json,
+        "tensors": st.lists(_entries | _json, max_size=3) | _json,
+    }) | _json
+
+    @_fuzz
+    @given(header=_headers, payload=st.binary(max_size=48))
+    def test_load_checkpoint_on_arbitrary_json_headers(self, tmp_path, header, payload):
+        self._read(load_checkpoint, tmp_path / "x.ckpt", _ckpt_bytes(header, payload))
+
+    @_fuzz
+    @given(data=st.binary(max_size=96))
+    def test_read_manifest_on_arbitrary_bytes(self, tmp_path, data):
+        self._read(read_manifest, tmp_path / "m.tsv", data)
+
+    @_fuzz
+    @given(data=st.binary(max_size=96))
+    def test_read_config_on_arbitrary_bytes(self, tmp_path, data):
+        self._read(read_config, tmp_path / "run.cfg", data)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("write", [
+        lambda p, v: write_feat(p, np.full((3, 4), v, dtype=np.float32), 10.0, 25.0),
+        lambda p, v: save_checkpoint(p, {"w": np.full(6, v, dtype=np.float32)}, {"v": v}, {}),
+    ], ids=["feat", "checkpoint"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, write):
+        p = tmp_path / "x.bin"
+        write(p, 1.0)
+        before = p.read_bytes()
+        real_open = open
+
+        class HalfWrite:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(sslasr.io, "open", lambda *a, **k: HalfWrite(real_open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="no space"):
+            write(p, 2.0)
+        assert p.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["x.bin"]
+        monkeypatch.undo()
+        write(p, 2.0)
+        assert p.read_bytes() != before
+        assert [q.name for q in tmp_path.iterdir()] == ["x.bin"]

@@ -1,5 +1,7 @@
 """Encoder backbone: causality, padding invariance, adapters, sharing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from sslasr.engine import Tensor
 from sslasr.model import (
     Encoder,
     EncoderConfig,
+    Module,
     ResidualAdapter,
     build_encoder,
     sinusoidal_positions,
@@ -16,8 +19,7 @@ SMALL = EncoderConfig(d_input=8, d_model=16, n_heads=2, n_blocks=2, d_ffn=32)
 
 
 def small_encoder(seed=0, **overrides):
-    cfg = EncoderConfig(**{**SMALL.to_dict(), **overrides})
-    return build_encoder(cfg, seed)
+    return build_encoder(replace(SMALL, **overrides), seed)
 
 
 class TestCausality:
@@ -86,18 +88,6 @@ class TestShapes:
         for n, want in [(1, 1), (4, 1), (5, 2), (98, 25), (100, 25)]:
             assert enc.out_length(n) == want
 
-    def test_out_length_waveform(self):
-        enc = small_encoder(frontend="waveform", d_input=1)
-        for n, want in [(32, 1), (33, 2), (16000, 500)]:
-            assert enc.out_length(n) == want
-
-    def test_waveform_frontend_end_to_end(self):
-        enc = small_encoder(frontend="waveform", d_input=1)
-        samples = np.random.default_rng(4).normal(size=(2, 128, 1)).astype(np.float32)
-        out, out_lens = enc(samples, [128, 100])
-        assert out.shape == (2, 4, 16)
-        assert list(out_lens) == [4, 4]
-
     def test_rejects_bad_input_rank(self):
         enc = small_encoder()
         with pytest.raises(ValueError, match=r"\(batch, time, dim\)"):
@@ -106,8 +96,6 @@ class TestShapes:
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError, match="n_heads"):
             small_encoder(d_model=16, n_heads=3)
-        with pytest.raises(ValueError, match="unknown frontend"):
-            small_encoder(frontend="mfcc")
 
     def test_attention_mask_semantics(self):
         enc = small_encoder(causal=True)
@@ -149,10 +137,9 @@ class TestAdapters:
     def test_adapter_count_and_names(self):
         enc = small_encoder()
         enc.insert_adapters(4, np.random.default_rng(0))
-        names = set(enc.adapter_params())
+        tops = {n.split(".")[0] for n in enc.named_params()}
         # one adapter after the conv block plus one per transformer block
-        assert {n.split(".")[0] for n in names} == {"adapter0", "adapter1", "adapter2"}
-        assert set(enc.named_params()) == names | set(enc.backbone_params())
+        assert tops == {"conv", "block0", "block1", "final_ln", "adapter0", "adapter1", "adapter2"}
 
     def test_double_insert_rejected(self):
         enc = small_encoder()
@@ -190,6 +177,26 @@ class TestSharingAndSerialization:
         b = small_encoder(n_blocks=1)
         with pytest.raises(ValueError, match="structurally different"):
             b.alias_from(a)
+
+    def test_shared_tensors_listed_once_under_first_name(self):
+        root = Module()
+        root.children.update(a=small_encoder(seed=0), b=small_encoder(seed=1))
+        a, b = root.children["a"], root.children["b"]
+        b.children["block0"].alias_from(a.children["block0"])
+        names = root.named_params()
+        n_block = len(a.children["block0"].named_params())
+        assert len(names) == 2 * len(a.named_params()) - n_block
+        assert not any(n.startswith("b.block0.") for n in names)
+        assert names["a.block0.ln1.g"] is b.children["block0"].children["ln1"].p["g"]
+        other = Module()
+        other.children.update(a=small_encoder(seed=2), b=small_encoder(seed=3))
+        other.children["b"].children["block0"].alias_from(other.children["a"].children["block0"])
+        state = {k: t.data.copy() for k, t in names.items()}
+        other.load_params(state)
+        for k, t in other.named_params().items():
+            assert np.array_equal(t.data, state[k])
+        assert np.array_equal(other.children["b"].named_params()["block0.ln1.g"].data,
+                              state["a.block0.ln1.g"])
 
     def test_load_params_roundtrip(self):
         a = small_encoder(seed=3)

@@ -20,9 +20,8 @@ from sslasr.objectives import (
     MaskedClusterObjective,
     apc_loss,
     apply_mask_embedding,
-    assign_cluster_labels,
     batch_mask,
-    fit_cluster_targets,
+    cluster_features,
     group_mean_features,
     gumbel_tau,
     kmeans_assign,
@@ -418,7 +417,7 @@ class TestMaskedCluster:
         centers = kmeans_fit(rows, 3, np.random.default_rng(0))
         labels = np.full((2, 4), -1, dtype=np.int64)
         for b in range(2):
-            lab = assign_cluster_labels(feats[b], lengths[b], centers, 4)
+            lab = kmeans_assign(cluster_features(feats[b], lengths[b], 4), centers)
             labels[b, : len(lab)] = lab
         return enc, obj, feats, lengths, labels
 
@@ -449,18 +448,22 @@ class TestMaskedCluster:
 
     def test_fit_cluster_targets_shapes(self):
         rng = np.random.default_rng(3)
-        utts = [(rng.normal(size=(16, 4)).astype(np.float32), 16) for _ in range(4)]
-        centers = fit_cluster_targets(utts, factor=4, k=3, rng=np.random.default_rng(1))
+        utts = [rng.normal(size=(16, 4)).astype(np.float32) for _ in range(4)]
+        rows = [cluster_features(u, 15, factor=4) for u in utts]
+        assert np.array_equal(rows[0], group_mean_features(utts[0], 15, 4))
+        centers = kmeans_fit(np.concatenate(rows), 3, np.random.default_rng(1))
         assert centers.shape == (3, 4)
-        labels = assign_cluster_labels(utts[0][0], 16, centers, 4)
-        assert labels.shape == (4,) and set(labels) <= {0, 1, 2}
+        labels = kmeans_assign(rows[0], centers)
+        assert labels.shape == (3,) and set(labels) <= {0, 1, 2}
 
     def test_fit_cluster_targets_with_encoder(self):
         rng = np.random.default_rng(4)
         enc = build_encoder(ENC, seed=4)
-        utts = [(rng.normal(size=(16, 4)).astype(np.float32), 16) for _ in range(3)]
-        centers = fit_cluster_targets(utts, factor=4, k=2,
-                                      rng=np.random.default_rng(2), encoder=enc)
-        assert centers.shape == (2, 8)  # hidden-state space, d_model wide
-        labels = assign_cluster_labels(utts[0][0], 16, centers, 4, encoder=enc)
-        assert labels.shape == (4,)
+        utts = [rng.normal(size=(16, 4)).astype(np.float32) for _ in range(3)]
+        rows = [cluster_features(u, 15, factor=4, encoder=enc) for u in utts]
+        assert rows[0].shape == (3, 8)  # hidden-state space, d_model wide
+        hidden, _ = enc(utts[0][None], [15])
+        assert np.array_equal(rows[0], hidden.data[0, :3])
+        centers = kmeans_fit(np.concatenate(rows), 2, np.random.default_rng(2))
+        assert centers.shape == (2, 8)
+        assert kmeans_assign(rows[0], centers).shape == (3,)

@@ -12,6 +12,7 @@ from sslasr.training import (
     CTCModel,
     PipelineConfig,
     SSLBundle,
+    _group,
     build_corpora,
     restore,
     run_adapt,
@@ -164,15 +165,17 @@ class TestBundleRoundTrip:
             run_evaluate(cfg, pre)
 
     def test_param_groups_partition(self):
-        bundle = SSLBundle(tiny_cfg(), seed=0)
-        bundle.insert_adapters(4, np.random.default_rng(0))
-        groups = bundle.param_groups()
-        names = set(bundle.named_params())
-        assert set(groups["f"]) | set(groups["ada"]) | set(groups["g"]) == names
-        assert not set(groups["f"]) & set(groups["ada"])
-        assert not set(groups["ada"]) & set(groups["g"])
-        assert all(".adapter" in n for n in groups["ada"])
-        assert groups["ada"] and groups["g"]
+        for objective in ("eapc", "biapc"):
+            bundle = SSLBundle(tiny_cfg(objective=objective), seed=0)
+            bundle.insert_adapters(4, np.random.default_rng(0))
+            groups = {}
+            for name in bundle.named_params():
+                groups.setdefault(_group(name), set()).add(name)
+            assert set(groups) == {"f", "ada", "g"}
+            assert all(".adapter" in n for n in groups["ada"])
+            assert all(n.startswith("obj.") or ".gen." in n for n in groups["g"])
+            assert not any("adapter" in n or "gen" in n or n.startswith("obj.")
+                           for n in groups["f"])
 
 
 class TestModeValidation:
@@ -263,18 +266,26 @@ class TestObjectiveCoverage:
 
 
 class TestClusterTargets:
-    def test_adapt_refits_on_encoder_features(self, tmp_path):
-        cfg = tiny_cfg(objective="masked_cluster", n_train=16, n_eval=6,
-                       pretrain_steps=2, adapt_steps=2, finetune_steps=1)
+    def test_encoder_targets_differ_from_raw_feature_targets(self):
+        cfg = tiny_cfg(objective="masked_cluster", n_train=16)
+        corpus = build_corpora(cfg)["source_train"]
+        labels = {}
+        for use_encoder in (False, True):
+            bundle = SSLBundle(cfg, seed=0)
+            bundle.prepare_cluster_targets(corpus, np.random.default_rng(0), use_encoder=use_encoder)
+            assert set(bundle.cluster_targets) == {u.utt_id for u in corpus}
+            labels[use_encoder] = np.concatenate([bundle.cluster_labels([u])[0] for u in corpus])
+        assert labels[False].shape == labels[True].shape
+        assert not np.array_equal(labels[False], labels[True])
+
+    def test_restored_bundle_has_no_targets(self, tmp_path):
+        cfg = tiny_cfg(objective="masked_cluster", n_train=16, pretrain_steps=2)
         pre = run_pretrain(cfg, tmp_path)
-        ada = run_adapt(cfg, pre, tmp_path, mode="draft")
-        ck_pre, ck_ada = load_checkpoint(pre), load_checkpoint(ada)
-        assert ck_pre.config["cluster_targets_from_encoder"] is False
-        assert ck_ada.config["cluster_targets_from_encoder"] is True
-        c0 = ck_pre.params["aux.cluster_centers"]
-        c1 = ck_ada.params["aux.cluster_centers"]
-        assert c0.shape == (cfg.n_clusters, cfg.d_feat)
-        assert c1.shape == (cfg.n_clusters, cfg.d_model)
+        assert not any(k.startswith("aux.") for k in load_checkpoint(pre).params)
+        bundle, _ = restore(cfg, pre)
+        corpus = build_corpora(cfg)["source_train"]
+        with pytest.raises(RuntimeError, match="cluster targets not prepared"):
+            bundle.loss(corpus[:2], np.random.default_rng(0), 1)
 
     def test_labels_require_preparation(self):
         bundle = SSLBundle(tiny_cfg(objective="masked_cluster"), seed=0)
