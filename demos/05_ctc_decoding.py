@@ -11,12 +11,18 @@ import itertools
 import numpy as np
 
 from sslasr.ctc import (
-    ctc_loss_single,
+    ctc_loss_batch,
     error_rate,
     greedy_decode,
     min_input_length,
 )
 from sslasr.engine import Tensor
+
+
+def ctc_nll(logits, target):
+    """-log P(target) for one (T, V) utterance, scored as a batch of one."""
+    batch = Tensor(logits[None])  # (1, T, V)
+    return float(ctc_loss_batch(batch, [len(logits)], [list(target)], normalize=False).data)
 
 
 def collapse(path, blank=0):
@@ -39,7 +45,7 @@ for target in ([1], [2, 1], [1, 1]):
              if collapse(p) == list(target)]
     brute = -np.log(sum(np.exp(sum(logp[i, c] for i, c in enumerate(p)))
                         for p in paths))
-    got = float(ctc_loss_single(Tensor(logits), target).data)
+    got = ctc_nll(logits, target)
     print(f"target {target}: {len(paths):2d} paths, brute {brute:.10f}, "
           f"ctc {got:.10f}, diff {abs(brute - got):.1e}")
 
@@ -49,7 +55,7 @@ total = float(np.exp(logp[:, 0].sum()))  # the empty transcription
 for n in range(1, T + 1):
     for target in itertools.product(range(1, V), repeat=n):
         if min_input_length(target) <= T:
-            total += float(np.exp(-ctc_loss_single(Tensor(logits), list(target)).data))
+            total += float(np.exp(-ctc_nll(logits, target)))
 print(f"sum of P(target) over every possible target: {total:.12f}")
 
 print()

@@ -8,7 +8,6 @@ domain-adaptation pipeline over synthetic corpora.
 from .ctc import (
     CTCHead,
     ctc_loss_batch,
-    ctc_loss_single,
     edit_distance,
     error_rate,
     greedy_decode,
@@ -77,7 +76,6 @@ __all__ = [
     "build_encoder",
     "clip_global_norm",
     "ctc_loss_batch",
-    "ctc_loss_single",
     "edit_distance",
     "error_rate",
     "finite_diff_gradcheck",

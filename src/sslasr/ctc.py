@@ -1,9 +1,10 @@
 """CTC loss, greedy decoding, and token error metrics.
 
-The forward algorithm runs in log space over the blank-interleaved label
-sequence. Impossible transitions carry a finite additive penalty
-(LOG_ZERO) rather than -inf so verification-mode finiteness checks stay
-enabled and gradients contain no NaNs.
+The loss is one recorded op over the whole batch. Its forward pass runs
+the log-space alpha recursion over each utterance's blank-interleaved
+label sequence in float64, with a true -inf for unreachable states; its
+backward pass runs the beta recursion and returns the closed-form
+gradient softmax - posterior occupancy (Graves et al., ICML 2006).
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import numpy as np
 from . import engine as E
 from .engine import Tensor
 from .model import Linear, Module
-
-LOG_ZERO = -1e30
 
 
 class CTCHead(Module):
@@ -49,91 +48,91 @@ def min_input_length(target) -> int:
     return len(target) + repeats
 
 
-def _gather_row(logp: Tensor, t: int, idx: np.ndarray) -> Tensor:
-    """logp[t, idx] as a 1-D tensor of len(idx)."""
-    row = E.slice_axis(logp, 0, t, t + 1)  # (1, V)
-    col = E.transpose(row, (1, 0))  # (V, 1)
-    return E.reshape(E.embedding(col, idx), (len(idx),))
-
-
-def ctc_loss_single(logits: Tensor, target, blank: int = 0, normalize: bool = False) -> Tensor:
-    """Negative log-likelihood of `target` for one utterance.
-
-    logits: (T, V) on the tape. Infeasible targets (too few frames)
-    return +inf off the tape and emit a warning. normalize divides by
-    the target length.
-    """
-    target = [int(y) for y in target]
-    T, V = logits.shape
-    for y in target:
-        if y == blank or not 0 <= y < V:
-            raise ValueError("target tokens must be non-blank vocabulary indices")
-    if len(target) == 0:
-        raise ValueError("empty CTC target")
-    if T < min_input_length(target):
-        warnings.warn("CTC target infeasible for input length; returning +inf")
-        return Tensor(np.asarray(np.inf, dtype=logits.dtype))
-
-    logp = E.log_softmax(logits, axis=-1)
-    ext = np.asarray(extended_labels(target, blank))
-    S = len(ext)
-
-    # additive masks for the three transition sources
-    no_skip = np.full(S, LOG_ZERO)
-    for s in range(2, S):
-        if ext[s] != blank and ext[s] != ext[s - 2]:
-            no_skip[s] = 0.0
-    dtype = np.float64 if logits.dtype == np.float64 else np.float32
-    lz1 = Tensor(np.full(1, LOG_ZERO, dtype=dtype))
-    lz2 = Tensor(np.full(2, LOG_ZERO, dtype=dtype))
-    skip_mask = Tensor(no_skip.astype(dtype))
-
-    # alpha(0, s): emission at s=0 (blank) and s=1 (first label), else LOG_ZERO
-    init = np.full(S, LOG_ZERO, dtype=dtype)
-    init[0] = 0.0
-    init[1] = 0.0
-    alpha = E.add(_gather_row(logp, 0, ext), Tensor(init))
-
-    for t in range(1, T):
-        stay = alpha
-        step1 = E.concat([lz1, E.slice_axis(alpha, 0, 0, S - 1)], axis=0)
-        step2 = E.add(E.concat([lz2, E.slice_axis(alpha, 0, 0, S - 2)], axis=0), skip_mask)
-        stacked = E.concat([
-            E.reshape(stay, (1, S)), E.reshape(step1, (1, S)), E.reshape(step2, (1, S))
-        ], axis=0)
-        alpha = E.add(E.logsumexp(stacked, axis=0), _gather_row(logp, t, ext))
-
-    tail = E.slice_axis(alpha, 0, S - 2, S) if S >= 2 else E.reshape(alpha, (1,))
-    nll = E.mul(E.logsumexp(tail, axis=0, keepdims=True), Tensor(np.asarray(-1.0, dtype=dtype)))
-    nll = E.reshape(nll, ())
-    if normalize:
-        nll = E.mul(nll, Tensor(np.asarray(1.0 / len(target), dtype=dtype)))
-    return nll
-
-
 def ctc_loss_batch(logits: Tensor, out_lengths, targets, blank: int = 0,
                    normalize: bool = True) -> Tensor:
     """Mean per-utterance CTC loss over the feasible part of a batch.
 
     logits: (B, T, V); out_lengths gives each utterance's valid frame
-    count; targets is a list of token-id lists. Infeasible utterances
+    count; targets is a list of B token-id lists. Infeasible utterances
     are skipped (each with a warning); an all-infeasible batch raises.
+    normalize divides each utterance's loss by its target length.
     """
-    B = logits.shape[0]
-    losses = []
-    for b in range(B):
-        T_b = int(np.asarray(out_lengths)[b])
-        sub = E.reshape(E.slice_axis(E.slice_axis(logits, 0, b, b + 1), 1, 0, T_b),
-                        (T_b, logits.shape[2]))
-        loss = ctc_loss_single(sub, targets[b], blank=blank, normalize=normalize)
-        if np.isfinite(loss.data):
-            losses.append(loss)
-    if not losses:
+    B, T, V = logits.shape
+    lengths = [int(n) for n in np.asarray(out_lengths).reshape(-1)]
+    for what, n in (("out_lengths", len(lengths)), ("targets", len(targets))):
+        if n != B:
+            raise ValueError(f"{n} CTC {what} for a batch of {B}: "
+                             f"utterance {min(n, B)} is unmatched")
+    kept, labels = [], []
+    for b, (n, target) in enumerate(zip(lengths, targets)):
+        if not 0 <= n <= T:
+            raise ValueError(f"utterance {b}: out_length {n} outside [0, {T}]")
+        target = [int(y) for y in target]
+        if any(y == blank or not 0 <= y < V for y in target):
+            raise ValueError(f"utterance {b}: target tokens must be non-blank vocabulary indices")
+        if not target:
+            raise ValueError(f"utterance {b}: empty CTC target")
+        if n < min_input_length(target):
+            warnings.warn(f"CTC target of utterance {b} infeasible for {n} frames; skipped")
+            continue
+        kept.append(b)
+        labels.append(target)
+    if not kept:
         raise ValueError("no feasible CTC targets in batch")
-    total = losses[0]
-    for l in losses[1:]:
-        total = E.add(total, l)
-    return E.mul(total, Tensor(np.asarray(1.0 / len(losses), dtype=total.dtype)))
+
+    K = len(kept)
+    n_lab = np.array([len(y) for y in labels])
+    S = 2 * int(n_lab.max()) + 1
+    ext = np.full((K, S), blank)
+    for k, y in enumerate(labels):
+        ext[k, : 2 * len(y) + 1] = extended_labels(y, blank)
+    # the skip s-2 -> s is open only between distinct labels
+    skip = np.full((K, S - 2), -np.inf)
+    skip[(ext[:, 2:] != blank) & (ext[:, 2:] != ext[:, :-2])] = 0.0
+    ks = np.arange(K)
+    t_last = np.array([lengths[b] for b in kept]) - 1
+    s_last = 2 * n_lab
+    scale = 1.0 / (K * n_lab) if normalize else np.full(K, 1.0 / K)
+
+    x = logits.data[kept].astype(np.float64)
+    m = x.max(axis=-1, keepdims=True)
+    logp = x - m - np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
+    em = np.take_along_axis(logp, ext[:, None, :], axis=2)  # (K, T, S)
+    alpha = np.full((K, T, S), -np.inf)
+    alpha[:, 0, :2] = em[:, 0, :2]
+    for t in range(1, T):
+        a = alpha[:, t - 1]
+        cur = a.copy()
+        cur[:, 1:] = np.logaddexp(cur[:, 1:], a[:, :-1])
+        cur[:, 2:] = np.logaddexp(cur[:, 2:], a[:, :-2] + skip)
+        alpha[:, t] = cur + em[:, t]
+    end = alpha[ks, t_last]
+    nll = -np.logaddexp(end[ks, s_last], end[ks, s_last - 1])
+
+    def bwd(g):
+        # beta[k, t, s]: log-probability of frames t+1.. finishing the labels
+        # from state s at frame t
+        beta = np.full((K, T, S), -np.inf)
+        beta[ks, t_last, s_last] = 0.0
+        beta[ks, t_last, s_last - 1] = 0.0
+        for t in range(T - 2, -1, -1):
+            nxt = beta[:, t + 1] + em[:, t + 1]
+            cur = nxt.copy()
+            cur[:, :-1] = np.logaddexp(cur[:, :-1], nxt[:, 1:])
+            cur[:, :-2] = np.logaddexp(cur[:, :-2], nxt[:, 2:] + skip)
+            beta[:, t] = np.where((t < t_last)[:, None], cur, beta[:, t])
+        onehot = np.zeros((K, S, V))
+        onehot[ks[:, None], np.arange(S), ext] = 1.0
+        occ = np.exp(alpha + beta + nll[:, None, None]) @ onehot  # (K, T, V)
+        # occupancy sums to 1 over a valid frame and to 0 over a padded one,
+        # so this is softmax - occupancy on valid frames and exactly 0 on padding
+        gk = np.exp(logp) * occ.sum(axis=-1, keepdims=True) - occ
+        grad = np.zeros((B, T, V))
+        grad[kept] = gk * (g * scale)[:, None, None]
+        return (grad,)
+
+    loss = np.asarray((nll * scale).sum(), dtype=logits.dtype)
+    return E._record("ctc_loss", (logits,), loss, bwd)
 
 
 def greedy_decode(log_probs: np.ndarray, blank: int = 0) -> list:

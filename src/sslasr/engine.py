@@ -38,7 +38,7 @@ class Tensor:
     in place. grad is None until backward() deposits into it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -48,7 +48,6 @@ class Tensor:
         self.data = arr if arr.ndim == 0 else np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._tape = None  # tape that produced this tensor, None for leaves
 
     @property
     def shape(self):
@@ -74,9 +73,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
@@ -141,7 +137,6 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._dead = False
 
     def __enter__(self) -> "Tape":
         _push_tape(self)
@@ -150,11 +145,6 @@ class Tape:
     def __exit__(self, *exc):
         _pop_tape(self)
         return False
-
-    def reset(self) -> None:
-        """Drop all recorded nodes; tensors produced on this tape become unusable."""
-        self.nodes.clear()
-        self._dead = True
 
 
 _TAPE_STACK: list[Tape] = []
@@ -177,14 +167,9 @@ def _active_tape():
 def _record(op: str, inputs, out_data: np.ndarray, backward_fn) -> Tensor:
     _check_finite(op, out_data)
     tape = _active_tape()
-    tensor_inputs = [t for t in inputs if isinstance(t, Tensor)]
-    for t in tensor_inputs:
-        if t._tape is not None and t._tape._dead:
-            raise RuntimeError(f"tensor used after tape reset (op '{op}')")
     out = Tensor(out_data)
-    if tape is not None and any(t.requires_grad for t in tensor_inputs):
+    if tape is not None and any(isinstance(t, Tensor) and t.requires_grad for t in inputs):
         out.requires_grad = True
-        out._tape = tape
         tape.nodes.append(_Node(op, tuple(inputs), out, backward_fn))
     return out
 
@@ -206,8 +191,6 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """Accumulate d(loss)/d(leaf) into .grad of every requiring leaf."""
     if loss.size != 1:
         raise ValueError("backward requires a scalar loss")
-    if tape._dead:
-        raise RuntimeError("backward on a reset tape")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     produced = {id(n.output) for n in tape.nodes}
     if id(loss) not in produced:
@@ -288,20 +271,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     out = a.data.reshape(shape)
     orig = a.shape
     return _record("reshape", (a,), out, lambda g: (g.reshape(orig),))
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("concat of zero tensors")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _record("concat", tuple(tensors), out, bwd)
 
 
 def take(a: Tensor, key) -> Tensor:
@@ -482,13 +451,6 @@ def embedding(table: Tensor, indices) -> Tensor:
     return _record("embedding", (table,), out, bwd)
 
 
-def masked_fill(a: Tensor, mask, value: float) -> Tensor:
-    """Replace positions where mask is True with `value` (constant)."""
-    m = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
-    out = np.where(m, np.asarray(value, dtype=a.dtype), a.data)
-    return _record("masked_fill", (a,), out, lambda g: (np.where(m, 0.0, g),))
-
-
 def where_mask(a: Tensor, b: Tensor, mask) -> Tensor:
     """Elementwise select: mask True takes a, False takes b."""
     m = np.asarray(mask, dtype=bool)
@@ -529,28 +491,6 @@ def _reduce_bwd(shape, axis, keepdims):
         return (np.broadcast_to(g, shape).copy(),)
 
     return bwd
-
-
-def max_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Max reduction; gradient flows to the first max position only."""
-    x = a.data
-    out = x.max(axis=axis, keepdims=keepdims)
-
-    def bwd(g):
-        if axis is None:
-            onehot = np.zeros_like(x)
-            onehot.reshape(-1)[np.argmax(x)] = 1.0
-            return (onehot * g,)
-        ax = axis % x.ndim
-        idx = np.argmax(x, axis=ax)
-        onehot = np.zeros_like(x)
-        np.put_along_axis(onehot, np.expand_dims(idx, ax), 1.0, axis=ax)
-        ge = np.asarray(g)
-        if not keepdims:
-            ge = np.expand_dims(ge, ax)
-        return (onehot * ge,)
-
-    return _record("max", (a,), np.asarray(out), bwd)
 
 
 def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
@@ -598,10 +538,6 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return _record("cross_entropy", (logits,), out, bwd)
 
 
-def detach(a: Tensor) -> Tensor:
-    return a.detach()
-
-
 # ---------------------------------------------------------------------------
 # composed helpers (no new primitives, gradients come from composition)
 # ---------------------------------------------------------------------------
@@ -609,24 +545,6 @@ def detach(a: Tensor) -> Tensor:
 
 def abs_(a: Tensor) -> Tensor:
     return add(relu(a), relu(-a))
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    m = max_(a, axis=axis, keepdims=True)
-    z = sub(a, m)
-    lse = log(sum_(exp(z), axis=axis, keepdims=True))
-    return sub(z, lse)
-
-
-def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    m = max_(a, axis=axis, keepdims=True)
-    s = log(sum_(exp(sub(a, m)), axis=axis, keepdims=True))
-    out = add(m, s)
-    if not keepdims:
-        ax = axis % a.ndim
-        new_shape = tuple(d for i, d in enumerate(a.shape) if i != ax)
-        out = reshape(out, new_shape)
-    return out
 
 
 def straight_through(soft: Tensor, hard: np.ndarray) -> Tensor:

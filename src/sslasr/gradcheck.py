@@ -101,11 +101,12 @@ def _conditioned_check(fn, draw, rng, tries: int = 8) -> float:
 
 
 def gradcheck_battery(seed: int) -> float:
-    """Worst gradcheck error over the full primitive set for one seed.
+    """Worst gradcheck error over the engine's primitive set for one seed.
 
-    Inputs are drawn away from relu/max kinks so central differences
-    stay valid; every primitive (and the composed helpers) appears in
-    at least one checked function.
+    Inputs are drawn away from the relu kink so central differences stay
+    valid; every engine primitive and abs_ appears in at least one
+    checked function. straight_through and the fused CTC op are checked
+    by the contrastive and CTC terms of loss_gradcheck_battery.
     """
     rng = np.random.default_rng([seed, 0x6C])
 
@@ -119,31 +120,36 @@ def gradcheck_battery(seed: int) -> float:
 
         return make
 
+    def weights(*shape):
+        # floored clear of 0: redrawing the inputs cannot lift a gradient
+        # element equal to a near-zero weight out of the error floor
+        return np.maximum(rng.normal(size=shape) + 1.5, 0.25)
+
     worst = 0.0
 
-    w1 = rng.normal(size=(2, 3)) + 1.5
+    w1 = weights(2, 3)
     worst = max(worst, _conditioned_check(
         lambda a, b: E.sum_(E.mul(E.add(E.log(a), E.sub(E.exp(E.mul(b, Tensor(np.full((), 0.3)))), E.relu(b))), Tensor(w1)))
         + E.sum_(E.mul(E.gelu(b), Tensor(w1))) + E.mean_(E.abs_(b)),
         # log's operand is floored clear of its pole
         drawer((2, 3), (2, 3), shifts=[3.5, 0.0], floors=[0.5, -np.inf]), rng))
 
-    w2 = rng.normal(size=(2, 5, 3)) + 1.5
+    w2 = weights(2, 6)
     worst = max(worst, _conditioned_check(
-        lambda p, q: E.sum_(E.mul(E.reshape(E.slice_axis(E.concat(
-            [E.transpose(E.matmul(p, q), (0, 2, 1))] * 2, axis=2), 2, 1, 4), (2, 5, 3)), Tensor(w2))),
+        lambda p, q: E.sum_(E.mul(E.reshape(E.slice_axis(
+            E.transpose(E.matmul(p, q), (0, 2, 1)), 1, 1, 5, step=2), (2, 6)), Tensor(w2))),
         drawer((2, 3, 4), (4, 5)), rng))
 
     mask = np.ones((2, 6), dtype=bool)
     mask[0, 2] = False
-    w3 = rng.normal(size=(2, 6)) + 1.5
+    w3 = weights(2, 6)
     worst = max(worst, _conditioned_check(
         lambda v, gg, bv: E.sum_(E.mul(E.softmax(E.layer_norm(v, gg, bv, eps=1e-5), axis=-1, mask=mask), Tensor(w3))),
         drawer((2, 6), (6,), (6,), shifts=[0.0, 1.0, 0.0]), rng))
 
     for padding, stride in (("causal", 2), ("same", 1), ("none", 2)):
         out_t = {("causal", 2): 5, ("same", 1): 9, ("none", 2): 4}[(padding, stride)]
-        wc = rng.normal(size=(2, out_t, 4)) + 1.5
+        wc = weights(2, out_t, 4)
         worst = max(worst, _conditioned_check(
             lambda u, v, z, p=padding, s=stride, w=wc: E.sum_(
                 E.mul(E.conv1d(u, v, z, stride=s, padding=p), Tensor(w))),
@@ -151,16 +157,14 @@ def gradcheck_battery(seed: int) -> float:
 
     idx = np.array([0, 3, 3])
     sel = np.array([[True], [False], [True]])
-    w4 = rng.normal(size=(3, 4)) + 1.5
+    w4 = weights(3, 4)
     worst = max(worst, _conditioned_check(
-        lambda tt, oo: E.sum_(E.mul(E.masked_fill(E.where_mask(E.embedding(tt, idx), oo, sel),
-                                                  np.array([[False, True, False, False]] * 3), 0.25), Tensor(w4))),
+        lambda tt, oo: E.sum_(E.mul(E.where_mask(E.embedding(tt, idx), oo, sel), Tensor(w4))),
         drawer((5, 4), (3, 4)), rng))
 
     tg = np.array([0, 2, 1, 1])
     worst = max(worst, _conditioned_check(
-        lambda p, q, l: E.sum_(E.cosine_similarity(p, q, axis=-1)) + E.sum_(E.cross_entropy(l, tg))
-        + E.sum_(E.max_(l, axis=-1)) + E.sum_(E.log_softmax(l)) + E.sum_(E.logsumexp(l, axis=0)),
+        lambda p, q, l: E.sum_(E.cosine_similarity(p, q, axis=-1)) + E.sum_(E.cross_entropy(l, tg)),
         drawer((3, 5), (3, 5), (4, 3), shifts=[0.6, -0.4, 0.0]), rng))
 
     return worst

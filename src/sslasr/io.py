@@ -184,21 +184,29 @@ def write_manifest(path, entries) -> None:
             fh.write(f"{e.utt_id}\t{e.path}\t{e.transcript}\t{e.domain}\n")
 
 
+def _text_lines(path) -> list:
+    """The lines of a UTF-8 text file; other bytes are a ValueError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def read_manifest(path) -> list:
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ValueError(f"manifest line {lineno}: expected 4 tab-separated fields")
-            entries.append(ManifestEntry(*fields))
+    for lineno, line in enumerate(_text_lines(path), 1):
+        line = line.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise ValueError(f"{path}: manifest line {lineno}: expected 4 tab-separated fields")
+        entries.append(ManifestEntry(*fields))
     seen = set()
     for e in entries:
         if e.utt_id in seen:
-            raise ValueError(f"duplicate utterance id in manifest: {e.utt_id!r}")
+            raise ValueError(f"{path}: duplicate utterance id in manifest: {e.utt_id!r}")
         seen.add(e.utt_id)
     return entries
 
@@ -243,15 +251,14 @@ def parse_value(raw: str):
 def read_config(path) -> dict:
     """`key = value` lines; '#' starts a comment; blank lines ignored."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"config line {lineno}: expected 'key = value'")
-            key, raw = stripped.split("=", 1)
-            out[key.strip()] = parse_value(raw)
+    for lineno, line in enumerate(_text_lines(path), 1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ValueError(f"{path}: config line {lineno}: expected 'key = value'")
+        key, raw = stripped.split("=", 1)
+        out[key.strip()] = parse_value(raw)
     return out
 
 

