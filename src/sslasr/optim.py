@@ -42,10 +42,14 @@ class Adam:
             if p.grad is None:
                 continue
             g = p.grad
-            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1.0 - b2) * g * g
-            mhat = self.m[k] / c1
-            vhat = self.v[k] / c2
+            m, v = self.m[k], self.v[k]
+            # in place, same operations in the same order as b1*m + (1-b1)*g
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            mhat = m / c1
+            vhat = v / c2
             p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.eps)
 
 

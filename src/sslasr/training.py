@@ -309,15 +309,21 @@ def _train_loop(stage: str, cfg: PipelineConfig, corpus, loss_fn, all_params: di
         idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
         batch = [corpus[int(i)] for i in idx]
         opt.zero_grad()
-        with Tape() as tape:
-            loss = loss_fn(batch, rng, step)
-            backward(loss, tape)
-        clip_global_norm(trainable, cfg.clip_norm)
+        try:
+            with Tape() as tape:
+                loss = loss_fn(batch, rng, step)
+                backward(loss, tape)
+        except FloatingPointError as e:
+            raise FloatingPointError(f"stage '{stage}' step {step}: {e}") from e
+        grad_norm = clip_global_norm(trainable, cfg.clip_norm)
+        if not np.isfinite(grad_norm):
+            # the clipped update would write NaN into every trainable tensor
+            raise FloatingPointError(f"stage '{stage}' step {step}: non-finite gradient norm {grad_norm}")
         lr = lr_fn(step)
         opt.step(lr=lr)
         append_jsonl(metrics_path, {
             "step": step, "stage": stage, "loss": float(loss.data),
-            "lr": lr, "seed": cfg.seed,
+            "grad_norm": grad_norm, "lr": lr, "seed": cfg.seed,
         })
     # leave every parameter differentiable and grad-free for downstream use
     for t in all_params.values():

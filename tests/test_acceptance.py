@@ -36,7 +36,10 @@ from sslasr.objectives import (
 from sslasr.optim import noam_lr, tri_stage_lr
 from sslasr.training import (
     PipelineConfig,
+    build_corpora,
     run_adapt,
+    run_evaluate,
+    run_finetune,
     run_pipeline,
     run_pretrain,
 )
@@ -340,19 +343,33 @@ def test_09_learning_rate_schedules_match_closed_forms():
 
 
 def test_10_adaptation_orders_error_rates(tmp_path):
-    medians = {}
+    # The stages run_pipeline chains, except that draft and no_adapt, which
+    # pretrain identically for a seed, share one pretrain checkpoint.
+    ters = {"draft": [], "no_adapt": [], "scratch": []}
     slowest = 0.0
-    for variant in ("draft", "no_adapt", "scratch"):
-        ters = []
-        for seed in range(5):
+    for seed in range(5):
+        cfg = PipelineConfig(seed=seed)
+        corpora = build_corpora(cfg)
+        work = tmp_path / f"seed{seed}"
+        t0 = time.time()
+        pre = run_pretrain(cfg, work / "source", corpus=corpora["source_train"])
+        pretrain_s = time.time() - t0
+        for variant in ters:
             t0 = time.time()
-            report = run_pipeline(PipelineConfig(seed=seed),
-                                  tmp_path / f"{variant}_{seed}", variant)
-            elapsed = time.time() - t0
+            if variant == "draft":
+                ckpt = run_adapt(cfg, pre, work / variant, mode="draft",
+                                 corpus=corpora["target_train"])
+            elif variant == "no_adapt":
+                ckpt = pre
+            else:
+                ckpt = run_pretrain(cfg, work / variant, corpus=corpora["source_train"], steps=0)
+            ckpt = run_finetune(cfg, ckpt, work / variant, mode="full",
+                                corpus=corpora["target_train"])
+            ters[variant].append(run_evaluate(cfg, ckpt, corpus=corpora["target_eval"])["ter"])
+            elapsed = time.time() - t0 + (pretrain_s if variant != "scratch" else 0.0)
             slowest = max(slowest, elapsed)
             assert elapsed < 180.0, f"{variant} seed {seed} took {elapsed:.0f}s"
-            ters.append(report["ter"])
-        medians[variant] = statistics.median(ters)
+    medians = {variant: statistics.median(v) for variant, v in ters.items()}
     assert medians["draft"] <= medians["no_adapt"] <= medians["scratch"], \
         f"median TER ordering violated: {medians}"
     print(f"\n[PASS] 10/12 end-to-end ordering: median TER draft "

@@ -74,6 +74,15 @@ class TestForwardOracles:
             ref = np.einsum("kc,kcd->d", x[0, t : t + 3], w)
             np.testing.assert_allclose(out[0, t], ref, rtol=1e-6)
 
+    def test_gelu_float32_matches_float64_formula(self):
+        x = np.linspace(-10.0, 10.0, 20001, dtype=np.float32)
+        out = T.gelu(Tensor(x)).data
+        x64 = x.astype(np.float64)
+        ref = 0.5 * x64 * (1.0 + np.tanh(0.7978845608028654 * (x64 + 0.044715 * x64**3)))
+        tol = 8 * np.finfo(np.float32).eps
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, ref, rtol=tol, atol=tol * 10.0)
+
     def test_embedding_lookup(self):
         table = t64(np.arange(12.0).reshape(4, 3))
         out = T.embedding(table, np.array([2, 0, 2]))
@@ -90,6 +99,50 @@ class TestForwardOracles:
     def test_abs_composition(self):
         out = T.abs_(t64([-2.0, 0.0, 1.5]))
         np.testing.assert_allclose(out.data, [2.0, 0.0, 1.5])
+
+
+def _conv1d_reference(x, w, b, g, stride, padding):
+    """Per-tap loop: forward output and the input/weight/bias gradients for upstream g."""
+    B, T_in, _ = x.shape
+    K = w.shape[0]
+    left = {"causal": K - 1, "same": (K - 1) // 2, "none": 0}[padding]
+    t_out = (T_in - K) // stride + 1 if padding == "none" else -(-T_in // stride)
+    xp = np.zeros((B, max(left + T_in, (t_out - 1) * stride + K), x.shape[2]))
+    xp[:, left : left + T_in] = x
+    out = np.zeros((B, t_out, w.shape[2])) + b
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for t in range(t_out):
+        for k in range(K):
+            row = t * stride + k
+            out[:, t] += xp[:, row] @ w[k]
+            gxp[:, row] += g[:, t] @ w[k].T
+            gw[k] += xp[:, row].T @ g[:, t]
+    return out, gxp[:, left : left + T_in], gw, g.sum(axis=(0, 1))
+
+
+class TestConv1dReference:
+    """The matmul conv1d agrees with a direct per-tap loop, overlapping taps included."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", ["causal", "same", "none"])
+    def test_forward_and_gradients(self, padding, stride, dtype):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(2, 11, 3)).astype(dtype)
+        w = rng.normal(size=(4, 3, 5)).astype(dtype)  # K=4 > stride: taps overlap
+        b = rng.normal(size=5).astype(dtype)
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        with Tape() as tape:
+            out = T.conv1d(xt, wt, bt, stride=stride, padding=padding)
+            g = rng.normal(size=out.shape).astype(dtype)
+            backward(T.sum_(T.mul(out, Tensor(g))), tape)
+        refs = _conv1d_reference(*(a.astype(np.float64) for a in (x, w, b, g)), stride, padding)
+        tol = 64 * np.finfo(dtype).eps
+        for name, got, ref in zip(("out", "gx", "gw", "gb"),
+                                  (out.data, xt.grad, wt.grad, bt.grad), refs):
+            assert got.dtype == dtype and got.shape == ref.shape, name
+            np.testing.assert_allclose(got, ref, rtol=tol, atol=tol * np.abs(ref).max(),
+                                       err_msg=name)
 
 
 class TestBackwardSemantics:
@@ -126,6 +179,32 @@ class TestBackwardSemantics:
             backward(T.sum_(y), tape)
         np.testing.assert_allclose(x.grad, 2.0 * x.data)
 
+    @pytest.mark.parametrize("op,frozen", [
+        ("matmul", 0), ("matmul", 1),
+        ("layer_norm", 0), ("layer_norm", 1), ("layer_norm", 2),
+        ("conv1d", 0), ("conv1d", 1), ("conv1d", 2),
+    ])
+    def test_frozen_input_leaves_other_gradients_exact(self, op, frozen):
+        rng = np.random.default_rng(18)
+        shapes, fn = {
+            "matmul": ([(2, 5, 3), (3, 4)], T.matmul),
+            "layer_norm": ([(2, 5, 4), (4,), (4,)], T.layer_norm),
+            "conv1d": ([(2, 9, 3), (3, 3, 4), (4,)],
+                       lambda x, w, b: T.conv1d(x, w, b, stride=2, padding="causal")),
+        }[op]
+        arrays = [rng.normal(size=s).astype(np.float32) for s in shapes]
+        grads = {}
+        for skip in (None, frozen):
+            ins = [Tensor(a, requires_grad=i != skip) for i, a in enumerate(arrays)]
+            with Tape() as tape:
+                z = fn(*ins)
+                backward(T.sum_(T.mul(z, z)), tape)
+            grads[skip] = [t.grad for t in ins]
+        assert grads[frozen][frozen] is None
+        for i, (full, skipped) in enumerate(zip(grads[None], grads[frozen])):
+            if i != frozen:
+                np.testing.assert_array_equal(skipped, full)
+
     def test_grad_dtype_matches_data(self):
         x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
         with Tape() as tape:
@@ -139,6 +218,17 @@ class TestVerificationMode:
         with pytest.raises(FloatingPointError, match="non-finite"):
             with np.errstate(over="ignore"):
                 T.exp(t64([1000.0]))
+
+    def test_single_nan_at_the_end_of_a_large_array_raises(self):
+        x = np.zeros(10**6, dtype=np.float32)
+        x[-1] = np.nan
+        with pytest.raises(FloatingPointError, match="op 'reshape'"):
+            T.reshape(Tensor(x), (1000, 1000))
+
+    def test_finite_values_whose_sum_overflows_pass(self):
+        x = np.full(4, 3e38, dtype=np.float32)
+        out = T.reshape(Tensor(x), (2, 2))
+        np.testing.assert_array_equal(out.data.reshape(-1), x)
 
     def test_overflow_passes_when_disabled(self):
         T.set_verification(False)
@@ -280,6 +370,24 @@ class TestOptim:
             p2.grad = np.full(1, 1e3)
             opt.step()
         assert abs(p1.data[0] - p2.data[0]) < 1e-4
+
+    def test_adam_in_place_update_matches_out_of_place_formula(self):
+        rng = np.random.default_rng(19)
+        p0 = rng.normal(size=(3, 4)).astype(np.float32)
+        grads = [rng.normal(size=(3, 4)).astype(np.float32) for _ in range(3)]
+        p = Tensor(p0, requires_grad=True)
+        opt = Adam({"p": p}, lr=0.01)
+        ref, m, v = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
+        b1, b2, eps = opt.beta1, opt.beta2, opt.eps
+        for t, g in enumerate(grads, 1):
+            p.grad = g
+            opt.step()
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            ref = ref - 0.01 * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            np.testing.assert_array_equal(opt.m["p"], m)
+            np.testing.assert_array_equal(opt.v["p"], v)
+            np.testing.assert_array_equal(p.data, ref)
 
     def test_clip_global_norm(self):
         p1 = Tensor(np.zeros(2), requires_grad=True, dtype=np.float64)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from sslasr import engine as E
+from sslasr.engine import Tape, Tensor, backward
 from sslasr.io import load_checkpoint, read_jsonl
 from sslasr.training import (
     ADAPT_MODES,
@@ -13,6 +15,7 @@ from sslasr.training import (
     PipelineConfig,
     SSLBundle,
     _group,
+    _train_loop,
     build_corpora,
     restore,
     run_adapt,
@@ -125,6 +128,7 @@ class TestMetricsLogs:
         for i, rec in enumerate(records, 1):
             assert rec["step"] == i and rec["stage"] == "pretrain"
             assert np.isfinite(rec["loss"]) and rec["lr"] > 0
+            assert np.isfinite(rec["grad_norm"]) and rec["grad_norm"] > 0
             assert rec["seed"] == cfg.seed
         assert len(read_jsonl(work / "adapt_draft_metrics.jsonl")) == cfg.adapt_steps
         assert len(read_jsonl(work / "finetune_full_metrics.jsonl")) == cfg.finetune_steps
@@ -135,6 +139,74 @@ class TestMetricsLogs:
         run_pretrain(cfg, tmp_path)
         records = read_jsonl(tmp_path / "pretrain_metrics.jsonl")
         assert [r["step"] for r in records] == [1, 2, 3]
+
+
+class TestNonFiniteSteps:
+    """A non-finite loss or gradient stops the stage before any weight moves."""
+
+    def test_infinite_gradient_raises_before_the_update(self, tmp_path):
+        # d/dw log(w) = 1/w overflows float32 at w = 1e-45; the clipped
+        # update used to write NaN into w and carry on
+        w = Tensor(np.array([1e-45, 1.0], dtype=np.float32))
+        before = w.data.copy()
+        metrics = tmp_path / "m.jsonl"
+        with np.errstate(all="ignore"), \
+                pytest.raises(FloatingPointError, match="stage 'pretrain' step 1: non-finite gradient norm"):
+            _train_loop("pretrain", tiny_cfg(), [None], lambda batch, rng, step: E.sum_(E.log(w)),
+                        {"w": w}, {"w": w}, 1, lambda s: 1e-3, metrics)
+        np.testing.assert_array_equal(w.data, before)
+        assert not metrics.exists()
+
+    @pytest.mark.parametrize("kind,match", [
+        ("forward", "stage 'pretrain' step 1: non-finite values produced by op 'mul'"),
+        ("gradient", "stage 'pretrain' step 1: non-finite gradient norm nan"),
+    ], ids=["forward", "gradient"])
+    def test_stage_writes_no_checkpoint(self, kind, match, tmp_path, monkeypatch):
+        loss = SSLBundle.loss
+
+        def poisoned(self, batch, rng, step):
+            out = loss(self, batch, rng, step)
+            if kind == "forward":
+                return E.mul(out, Tensor(np.float32(np.inf)))
+            # log(0*w + 1e-45) is finite, but its gradient 0 * (1/1e-45) is NaN
+            w = next(iter(self.encoder.named_params().values()))
+            tiny = E.add(E.mul(w, Tensor(np.float32(0.0))), Tensor(np.float32(1e-45)))
+            return E.add(out, E.sum_(E.log(tiny)))
+
+        monkeypatch.setattr(SSLBundle, "loss", poisoned)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=match):
+            run_pretrain(tiny_cfg(), tmp_path)
+        assert not (tmp_path / "pretrain.ckpt").exists()
+        assert not (tmp_path / "pretrain_metrics.jsonl").exists()
+
+
+class TestFrozenGradients:
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_skipping_frozen_gradients_is_exact(self, objective):
+        """A draft step's adapter gradients do not depend on whether the
+        backbone's gradients are computed, and a frozen tensor gets none."""
+        cfg = tiny_cfg(objective=objective, n_train=8)
+        corpus = build_corpora(cfg)["target_train"][: cfg.batch_size]
+        grads = {}
+        for frozen in (True, False):
+            bundle = SSLBundle(cfg, seed=0)
+            if objective == "masked_cluster":
+                bundle.prepare_cluster_targets(corpus, np.random.default_rng(1), use_encoder=False)
+            bundle.insert_adapters(cfg.d_adapter, np.random.default_rng(2), random_init=True)
+            params = bundle.named_params()
+            for name, t in params.items():
+                t.requires_grad = not frozen or _group(name) == "ada"
+            with Tape() as tape:
+                backward(bundle.loss(corpus, np.random.default_rng(3), 1), tape)
+            grads[frozen] = {name: t.grad for name, t in params.items()}
+        adapters = [name for name in grads[True] if _group(name) == "ada"]
+        assert adapters
+        for name, g in grads[True].items():
+            if name in adapters:
+                assert g is not None and np.any(g != 0), name
+                np.testing.assert_array_equal(g, grads[False][name], err_msg=name)
+            else:
+                assert g is None, name
 
 
 class TestBundleRoundTrip:
