@@ -1,6 +1,7 @@
 """Five self-supervised objectives over one batch of unlabeled features.
 
-All of them train the same encoder; they differ only in what they ask it
+All of them train the same encoder through one call,
+loss(encoder, batch, rng, step); they differ only in what they ask it
 to predict: future frames (APC / E-APC, causal), both directions at once
 (Bi-APC), a quantized latent among distractors (contrastive), or the
 k-means cluster of each masked region (masked cluster prediction).
@@ -8,6 +9,7 @@ k-means cluster of each masked region (masked cluster prediction).
 
 import numpy as np
 
+from sslasr.data import Batch
 from sslasr.engine import Tape
 from sslasr.engine import backward as run_backward
 from sslasr.model import EncoderConfig, build_encoder
@@ -29,6 +31,7 @@ cfg = EncoderConfig(d_input=8, d_model=16, n_heads=2, n_blocks=1,
 rng = np.random.default_rng(0)
 feats = rng.normal(size=(4, 32, 8)).astype(np.float32)
 lengths = np.array([32, 29, 24, 20])
+batch = Batch(feats, lengths, utt_ids=("a", "b", "c", "d"))
 
 print("== future-frame regression (APC and its multi-lag extension) ==")
 enc = build_encoder(cfg, seed=1)
@@ -36,9 +39,9 @@ apc = EAPCObjective(APCConfig(shift=1, n_lags=1, p=1, d_feat=8), 16, 4,
                     np.random.default_rng(2))
 eapc = EAPCObjective(APCConfig(shift=1, n_lags=3, p=1, d_feat=8), 16, 4,
                      np.random.default_rng(3))
-print(f"APC   (predict 1 group ahead)        loss {float(apc.loss(enc, feats, lengths).data):.4f}")
+print(f"APC   (predict 1 group ahead)        loss {float(apc.loss(enc, batch).data):.4f}")
 print(f"E-APC (predict lags 1..3, one generator each) "
-      f"loss {float(eapc.loss(enc, feats, lengths).data):.4f}")
+      f"loss {float(eapc.loss(enc, batch).data):.4f}")
 
 print()
 print("== bidirectional APC with four sharing schemes ==")
@@ -46,7 +49,7 @@ for scheme in BidirectionalAPC.SCHEMES:
     pair = BidirectionalAPC(cfg, APCConfig(shift=1, n_lags=1, p=1, d_feat=8),
                             scheme, seed=4)
     n_tensors = len(pair.named_params())
-    loss = float(pair.loss(feats, lengths).data)
+    loss = float(pair.loss(pair.fwd, batch).data)
     print(f"{scheme:18s} {n_tensors:3d} unique tensors, loss {loss:.4f}")
 # after pretraining, the two directions collapse into one inference encoder
 pair = BidirectionalAPC(cfg, APCConfig(shift=1, n_lags=1, p=1, d_feat=8),
@@ -61,7 +64,7 @@ enc_c = build_encoder(cfg, seed=5)
 contr = ContrastiveObjective(
     ContrastiveConfig(n_negatives=5, mask_prob=0.3, span_len=2, n_codes=8),
     16, np.random.default_rng(6))
-loss = contr.loss(enc_c, feats, lengths, np.random.default_rng(7), step=0)
+loss = contr.loss(enc_c, batch, np.random.default_rng(7), step=0)
 print(f"masked positions pick their own quantized latent among 5 negatives")
 print(f"loss (infonce + 0.1 * diversity) {float(loss.data):.4f}")
 
@@ -76,11 +79,11 @@ groups = [group_mean_features(feats[i], int(lengths[i]), 4)
           for i in range(len(feats))]
 centers = kmeans_fit(np.concatenate(groups).astype(np.float32), 6,
                      np.random.default_rng(10))
-labels = np.full((4, 8), -1)
-for i, g in enumerate(groups):
-    labels[i, : len(g)] = kmeans_assign(g.astype(np.float32), centers)
+# the objective keeps one label per group, keyed by utterance id
+mc.targets = {u: kmeans_assign(g.astype(np.float32), centers)
+              for u, g in zip(batch.utt_ids, groups)}
 with Tape() as tape:
-    loss = mc.loss(enc_m, feats, lengths, labels, np.random.default_rng(11))
+    loss = mc.loss(enc_m, batch, np.random.default_rng(11))
 run_backward(loss, tape)
 grads = sum(1 for t in {**enc_m.named_params(), **mc.named_params()}.values()
             if t.grad is not None)

@@ -12,15 +12,8 @@ from .ctc import (
     error_rate,
     greedy_decode,
 )
-from .data import CorpusConfig, make_corpus
-from .engine import (
-    Tape,
-    Tensor,
-    backward,
-    set_verification,
-    tensor,
-    verification_enabled,
-)
+from .data import Batch, CorpusConfig, make_corpus
+from .engine import Tape, Tensor, backward
 from .features import Featurizer, FeaturizerConfig, spec_augment
 from .gradcheck import finite_diff_gradcheck
 from .io import (
@@ -55,6 +48,7 @@ from .training import (
 __all__ = [
     "APCConfig",
     "Adam",
+    "Batch",
     "BidirectionalAPC",
     "CTCHead",
     "ContrastiveConfig",
@@ -91,11 +85,8 @@ __all__ = [
     "run_pipeline",
     "run_pretrain",
     "save_checkpoint",
-    "set_verification",
     "spec_augment",
-    "tensor",
     "tri_stage_lr",
-    "verification_enabled",
     "write_feat",
     "write_manifest",
 ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import wave
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,14 +83,6 @@ def make_corpus(cfg: CorpusConfig) -> list:
     protos = token_prototypes(cfg.proto_seed, cfg.vocab_size, cfg.proto_len, cfg.d_feat)
     a, b = domain_transform(cfg.proto_seed, cfg.d_feat)
     return [make_utterance(cfg, protos, a, b, i) for i in range(cfg.n_utterances)]
-
-
-def expected_mean_shift(cfg: CorpusConfig) -> np.ndarray:
-    """E[target frame] - E[source frame] = (A - I) mu_src + b for matched seeds."""
-    protos = token_prototypes(cfg.proto_seed, cfg.vocab_size, cfg.proto_len, cfg.d_feat)
-    a, b = domain_transform(cfg.proto_seed, cfg.d_feat)
-    mu = protos.mean(axis=(0, 1))
-    return (a - np.eye(cfg.d_feat)) @ mu + b
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +188,23 @@ def load_corpus(manifest_path, featurizer_cfg: FeaturizerConfig | None = None) -
     return utts
 
 
-def pad_batch(utts):
-    """Stack a list of Utterances: (feats (B, T, D), lengths, token lists)."""
+class Batch(NamedTuple):
+    """Features (B, T, D) zero-padded past each utterance's length, with
+    token lists and utterance ids in batch order."""
+
+    feats: np.ndarray
+    lengths: np.ndarray
+    tokens: tuple = ()
+    utt_ids: tuple = ()
+
+
+def pad_batch(utts) -> Batch:
+    """Zero-pad a list of Utterances to the longest one."""
     lengths = np.array([u.feats.shape[0] for u in utts])
     tmax = int(lengths.max())
     d = utts[0].feats.shape[1]
     feats = np.zeros((len(utts), tmax, d), dtype=np.float32)
     for i, u in enumerate(utts):
         feats[i, : u.feats.shape[0]] = u.feats
-    return feats, lengths, [u.tokens for u in utts]
+    return Batch(feats, lengths, [u.tokens for u in utts], [u.utt_id for u in utts])
 

@@ -3,7 +3,8 @@
 A Tape records every differentiable op applied to Tensors while it is
 active. backward() replays the tape in reverse and accumulates gradients
 into leaf tensors that have requires_grad set. Gradients accumulate
-across repeated backward calls; call zero_grad() between steps.
+across repeated backward calls; reset .grad between steps. Every op
+output is checked for NaN/Inf right after the forward computation.
 """
 
 from __future__ import annotations
@@ -12,22 +13,9 @@ import numpy as np
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
-# Global verification switch: when on, every op output is checked for
-# NaN/Inf right after the forward computation.
-_VERIFY = True
-
-
-def set_verification(enabled: bool) -> None:
-    global _VERIFY
-    _VERIFY = bool(enabled)
-
-
-def verification_enabled() -> bool:
-    return _VERIFY
-
 
 def _check_finite(op: str, data: np.ndarray) -> None:
-    if _VERIFY and data.dtype in _FLOAT_DTYPES and not np.isfinite(data).all():
+    if data.dtype in _FLOAT_DTYPES and not np.isfinite(data).all():
         raise FloatingPointError(f"non-finite values produced by op '{op}'")
 
 
@@ -65,61 +53,8 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.size == 1 else self._item_err()
-
-    def _item_err(self):
-        raise ValueError("item() requires a single-element tensor")
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; all routed through the recorded primitives.
-    def __add__(self, other):
-        return add(self, _wrap(other, self.dtype))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other, self.dtype))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, _wrap(-1.0, self.dtype))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return mean_(self, axis=axis, keepdims=keepdims)
-
-
-def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
-def _wrap(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 class _Node:
@@ -555,7 +490,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 
 
 def abs_(a: Tensor) -> Tensor:
-    return add(relu(a), relu(-a))
+    return add(relu(a), relu(mul(a, Tensor(np.asarray(-1.0, dtype=a.dtype)))))
 
 
 def straight_through(soft: Tensor, hard: np.ndarray) -> Tensor:

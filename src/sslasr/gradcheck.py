@@ -6,6 +6,7 @@ import numpy as np
 
 from . import engine as E
 from .ctc import CTCHead, ctc_loss_batch
+from .data import Batch
 from .engine import Tape, Tensor, backward
 from .model import EncoderConfig, ResidualAdapter, build_encoder
 from .objectives import (
@@ -129,8 +130,9 @@ def gradcheck_battery(seed: int) -> float:
 
     w1 = weights(2, 3)
     worst = max(worst, _conditioned_check(
-        lambda a, b: E.sum_(E.mul(E.add(E.log(a), E.sub(E.exp(E.mul(b, Tensor(np.full((), 0.3)))), E.relu(b))), Tensor(w1)))
-        + E.sum_(E.mul(E.gelu(b), Tensor(w1))) + E.mean_(E.abs_(b)),
+        lambda a, b: E.add(E.add(
+            E.sum_(E.mul(E.add(E.log(a), E.sub(E.exp(E.mul(b, Tensor(np.full((), 0.3)))), E.relu(b))), Tensor(w1))),
+            E.sum_(E.mul(E.gelu(b), Tensor(w1)))), E.mean_(E.abs_(b))),
         # log's operand is floored clear of its pole
         drawer((2, 3), (2, 3), shifts=[3.5, 0.0], floors=[0.5, -np.inf]), rng))
 
@@ -164,7 +166,7 @@ def gradcheck_battery(seed: int) -> float:
 
     tg = np.array([0, 2, 1, 1])
     worst = max(worst, _conditioned_check(
-        lambda p, q, l: E.sum_(E.cosine_similarity(p, q, axis=-1)) + E.sum_(E.cross_entropy(l, tg)),
+        lambda p, q, l: E.add(E.sum_(E.cosine_similarity(p, q, axis=-1)), E.sum_(E.cross_entropy(l, tg))),
         drawer((3, 5), (3, 5), (4, 3), shifts=[0.6, -0.4, 0.0]), rng))
 
     return worst
@@ -233,6 +235,7 @@ def loss_gradcheck_battery(seed: int) -> float:
                             d_ffn=16, causal=True)
     feats = rng.normal(size=(2, 14, 4))
     lengths = np.array([14, 11])
+    batch = Batch(feats, lengths, utt_ids=("u0", "u1"))
     worst = 0.0
 
     def check(fn, specs):
@@ -246,7 +249,7 @@ def loss_gradcheck_battery(seed: int) -> float:
                         enc.subsample_factor, rng)
     named = _float64_params({"enc": enc, "obj": obj})
     worst = max(worst, check(
-        lambda *_: obj.loss(enc, feats, lengths),
+        lambda *_: obj.loss(enc, batch),
         [(named["enc.block0.attn.wo.w"], 0.0, 0.5),
          (named["enc.final_ln.g"], 1.0, 0.3),
          (named["enc.conv.conv2.b"], 0.0, 0.5),
@@ -258,7 +261,7 @@ def loss_gradcheck_battery(seed: int) -> float:
                          enc2.subsample_factor, rng)
     named = _float64_params({"enc": enc2, "obj": obj2})
     worst = max(worst, check(
-        lambda *_: obj2.loss(enc2, feats, lengths),
+        lambda *_: obj2.loss(enc2, batch),
         [(named["enc.block0.ffn.lin1.b"], 0.0, 0.5),
          (named["enc.block0.ln2.g"], 1.0, 0.3),
          (named["obj.gen1.b"], 0.0, 0.5),
@@ -269,7 +272,7 @@ def loss_gradcheck_battery(seed: int) -> float:
                             "share_generator", seed)
     named = _float64_params({"pair": pair})
     worst = max(worst, check(
-        lambda *_: pair.loss(feats, lengths),
+        lambda *_: pair.loss(pair.fwd, batch),
         [(named["pair.fwd.gen.gen0.b"], 0.0, 0.5),
          (named["pair.fwd.model.block0.ln1.g"], 1.0, 0.3),
          (named["pair.rev.model.conv.conv2.b"], 0.0, 0.5)]))
@@ -288,7 +291,7 @@ def loss_gradcheck_battery(seed: int) -> float:
     lengths_c = np.array([20, 17])
     named = _float64_params({"enc": enc3, "obj": cobj})
     worst = max(worst, check(
-        lambda *_: cobj.loss(enc3, feats_c, lengths_c,
+        lambda *_: cobj.loss(enc3, Batch(feats_c, lengths_c),
                              np.random.default_rng([seed, 0x77]), step=3),
         [(named["obj.mask_emb"], 0.0, 0.5),
          (named["obj.quantizer.codebook"], 0.0, 1.0),
@@ -317,14 +320,10 @@ def loss_gradcheck_battery(seed: int) -> float:
     gm = [group_mean_features(feats[i], int(lengths[i]), enc4.subsample_factor)
           for i in range(2)]
     centers = kmeans_fit(np.concatenate(gm).astype(np.float32), 3, rng)
-    labels = np.full((2, 4), -1)
-    for i in range(2):
-        lab = kmeans_assign(gm[i].astype(np.float32), centers)
-        labels[i, : len(lab)] = lab
+    mobj.targets = {f"u{i}": kmeans_assign(gm[i].astype(np.float32), centers) for i in range(2)}
     named = _float64_params({"enc": enc4, "obj": mobj})
     worst = max(worst, check(
-        lambda *_: mobj.loss(enc4, feats, lengths, labels,
-                             np.random.default_rng([seed, 0x78])),
+        lambda *_: mobj.loss(enc4, batch, np.random.default_rng([seed, 0x78])),
         [(named["obj.mask_emb"], 0.0, 0.5),
          (named["obj.classifier.w"], 0.0, 0.5),
          (named["obj.classifier.b"], 0.0, 0.5),

@@ -261,8 +261,3 @@ def read_config(path) -> dict:
         out[key.strip()] = parse_value(raw)
     return out
 
-
-def write_config(path, values: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(values):
-            fh.write(f"{key} = {values[key]}\n")

@@ -61,10 +61,6 @@ class Module:
         for name in self.children:
             self.children[name].alias_from(other.children[name])
 
-    def shares_storage_with(self, other: "Module") -> bool:
-        mine, theirs = self.named_params(), other.named_params()
-        return all(mine[k] is theirs[k] for k in mine)
-
 
 class Linear(Module):
     def __init__(self, rng, d_in: int, d_out: int, bias: bool = True):

@@ -1,9 +1,10 @@
 """Self-supervised objectives over encoder hidden states.
 
-Five objectives share one encoder contract: autoregressive prediction
-(single lag), its multi-lag extension, a bidirectional pair with weight
-sharing, masked contrastive prediction with a Gumbel-softmax codebook,
-and masked cluster-id prediction with k-means targets.
+Five objectives share one call shape, loss(encoder, batch, rng, step),
+with batch a padded data.Batch: autoregressive prediction (single lag),
+its multi-lag extension, a bidirectional pair with weight sharing,
+masked contrastive prediction with a Gumbel-softmax codebook, and masked
+cluster-id prediction with k-means targets.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine as E
+from .data import Batch
 from .engine import Tensor
 from .model import Encoder, EncoderConfig, Linear, Module, build_encoder
 
@@ -87,7 +89,10 @@ class EAPCObjective(Module):
     def lags(self):
         return range(self.cfg.shift, self.cfg.shift + self.cfg.n_lags)
 
-    def loss(self, encoder: Encoder, feats, lengths, normalize: bool = True) -> Tensor:
+    def loss(self, encoder: Encoder, batch: Batch, rng=None, step: int = 0,
+             normalize: bool = True) -> Tensor:
+        """rng and step are unused; normalize=False returns the raw sum over lags."""
+        feats, lengths = batch.feats, batch.lengths
         hidden, out_lengths = encoder(feats, lengths)
         stacked, valid = stack_targets(feats, lengths, self.factor)
         # cap at the longest valid row so trailing padding cannot change
@@ -184,11 +189,12 @@ class BidirectionalAPC(Module):
         self.rev.insert_adapters(d_adapter, rng, random_init=random_init)
         self._apply_sharing()
 
-    def loss(self, feats, lengths, normalize: bool = True) -> Tensor:
-        factor = self.fwd.subsample_factor
-        fwd_loss = self.fwd_obj.loss(self.fwd, feats, lengths, normalize=normalize)
-        rev_feats = reverse_group_blocks(np.asarray(feats), lengths, factor)
-        rev_loss = self.rev_obj.loss(self.rev, rev_feats, lengths, normalize=normalize)
+    def loss(self, encoder: Encoder, batch: Batch, rng=None, step: int = 0,
+             normalize: bool = True) -> Tensor:
+        """Forward term on `encoder` (the pair's 'fwd'), reverse term on 'rev'."""
+        fwd_loss = self.fwd_obj.loss(encoder, batch, normalize=normalize)
+        rev_feats = reverse_group_blocks(np.asarray(batch.feats), batch.lengths, encoder.subsample_factor)
+        rev_loss = self.rev_obj.loss(self.rev, batch._replace(feats=rev_feats), normalize=normalize)
         return E.add(fwd_loss, rev_loss)
 
     def average_directions(self) -> Encoder:
@@ -214,19 +220,18 @@ class BidirectionalAPC(Module):
 
 
 def sample_mask_spans(valid_len: int, rng: np.random.Generator,
-                      mask_prob: float = 0.065, span_len: int = 10,
-                      min_spans: int = 1) -> np.ndarray:
+                      mask_prob: float = 0.065, span_len: int = 10) -> np.ndarray:
     """Boolean mask over [0, valid_len): union of spans with random starts.
 
-    Each position starts a span with probability mask_prob; if none fires
-    and min_spans > 0, one start is forced so short utterances still
-    contribute masked positions.
+    Each position starts a span with probability mask_prob; if none fires,
+    one start is forced so short utterances still contribute masked
+    positions.
     """
     mask = np.zeros(valid_len, dtype=bool)
     if valid_len == 0:
         return mask
     starts = np.nonzero(rng.random(valid_len) < mask_prob)[0]
-    if starts.size == 0 and min_spans > 0:
+    if starts.size == 0:
         starts = np.array([int(rng.integers(valid_len))])
     for s in starts:
         mask[s : s + span_len] = True
@@ -298,7 +303,8 @@ class GumbelQuantizer(Module):
             E.sum_(E.mul(soft, Tensor(w[..., None])), axis=tuple(range(soft.ndim - 1))),
             Tensor(np.asarray(1.0 / total, dtype=soft.dtype)),
         )
-        ent = -E.sum_(E.mul(pbar, E.log(E.add(pbar, Tensor(np.asarray(1e-10, dtype=soft.dtype))))))
+        plogp = E.sum_(E.mul(pbar, E.log(E.add(pbar, Tensor(np.asarray(1e-10, dtype=soft.dtype))))))
+        ent = E.mul(plogp, Tensor(np.asarray(-1.0, dtype=plogp.dtype)))
         return E.mul(E.sub(Tensor(np.asarray(float(v), dtype=soft.dtype)), E.exp(ent)),
                      Tensor(np.asarray(1.0 / v, dtype=soft.dtype)))
 
@@ -329,8 +335,9 @@ class ContrastiveObjective(Module):
             rng.uniform(-0.5, 0.5, size=d_model).astype(np.float32), requires_grad=True
         )
 
-    def loss(self, encoder: Encoder, feats, lengths, rng: np.random.Generator, step: int = 0) -> Tensor:
+    def loss(self, encoder: Encoder, batch: Batch, rng: np.random.Generator, step: int = 0) -> Tensor:
         cfg = self.cfg
+        feats, lengths = batch.feats, batch.lengths
         latents, out_lengths = encoder.encode_latents(feats, lengths)
         B, G, D = latents.shape
         valid = np.minimum(valid_groups(lengths, encoder.subsample_factor), G)
@@ -387,7 +394,7 @@ def kmeans_fit(x: np.ndarray, k: int, rng: np.random.Generator, n_iters: int = 2
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if n < k:
-        raise ValueError("fewer points than clusters")
+        raise ValueError(f"fewer points than clusters: {n} points, {k} clusters")
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[int(rng.integers(n))]
     d2 = ((x - centers[0]) ** 2).sum(axis=1)
@@ -417,7 +424,7 @@ def kmeans_assign(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def group_mean_features(feats: np.ndarray, length: int, factor: int) -> np.ndarray:
     """Mean feature vector of each complete frame group in one utterance."""
     g = int(length) // factor
-    return np.asarray(feats)[: g * factor].reshape(g, factor, -1).mean(axis=1)
+    return np.asarray(feats)[: g * factor].reshape(g, factor, np.shape(feats)[-1]).mean(axis=1)
 
 
 @dataclass
@@ -429,25 +436,39 @@ class MaskedClusterConfig:
 
 
 class MaskedClusterObjective(Module):
-    """Predict the k-means cluster of each masked group from context."""
+    """Predict the k-means cluster of each masked group from context.
+
+    targets (utt_id -> one label per complete frame group, -1 for none)
+    is filled by prepare() and is not checkpointed."""
 
     def __init__(self, cfg: MaskedClusterConfig, d_model: int, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
+        self.targets = {}
         self.children["classifier"] = Linear(rng, d_model, cfg.n_clusters)
         self.p["mask_emb"] = Tensor(
             rng.uniform(-0.5, 0.5, size=d_model).astype(np.float32), requires_grad=True
         )
 
-    def loss(self, encoder: Encoder, feats, lengths, labels: np.ndarray,
-             rng: np.random.Generator) -> Tensor:
-        """labels (B, G) int, -1 marks positions without a target."""
+    def prepare(self, corpus, rng: np.random.Generator, encoder: Encoder | None = None) -> None:
+        """Fit k-means centers on the corpus and label every utterance of it,
+        from group-mean features or, given an encoder, its hidden states."""
+        rows = [cluster_features(u.feats, u.feats.shape[0], Encoder.subsample_factor, encoder)
+                for u in corpus]
+        centers = kmeans_fit(np.concatenate(rows, axis=0), self.cfg.n_clusters, rng)
+        self.targets = {u.utt_id: kmeans_assign(r, centers) for u, r in zip(corpus, rows)}
+
+    def loss(self, encoder: Encoder, batch: Batch, rng: np.random.Generator, step: int = 0) -> Tensor:
         cfg = self.cfg
-        latents, out_lengths = encoder.encode_latents(feats, lengths)
+        missing = [u for u in batch.utt_ids if u not in self.targets]
+        if missing:
+            raise RuntimeError(f"cluster targets not prepared for utterances {missing[:3]}")
+        # labels at the encoder's output length, -1 past each utterance's targets
+        lab = np.full((len(batch.utt_ids), encoder.out_length(batch.feats.shape[1])), -1, dtype=np.int64)
+        for i, u in enumerate(batch.utt_ids):
+            lab[i, : len(self.targets[u])] = self.targets[u]
+        latents, out_lengths = encoder.encode_latents(batch.feats, batch.lengths)
         B, G, D = latents.shape
-        lab = np.asarray(labels)[:, :G]
-        if lab.shape[1] < G:
-            lab = np.pad(lab, ((0, 0), (0, G - lab.shape[1])), constant_values=-1)
         valid = (lab >= 0).sum(axis=1)
         mask = batch_mask(valid, G, rng, cfg.mask_prob, cfg.span_len)
         context = encoder.contextualize(

@@ -29,9 +29,6 @@ from .objectives import (
     EAPCObjective,
     MaskedClusterConfig,
     MaskedClusterObjective,
-    cluster_features,
-    kmeans_assign,
-    kmeans_fit,
 )
 from .optim import Adam, clip_global_norm, noam_lr, tri_stage_lr
 
@@ -141,6 +138,29 @@ def _group(name: str) -> str:
     return "f"
 
 
+def build_objective(cfg: PipelineConfig, seed: int) -> Module:
+    """The objective cfg.objective names; apc is E-APC at one lag."""
+    name = cfg.objective
+    if name not in OBJECTIVES:
+        raise ValueError(f"unknown objective '{name}'")
+    rng = np.random.default_rng([seed, 0x0B1])
+    if name in ("apc", "eapc", "biapc"):
+        n_lags = 1 if name == "apc" else cfg.apc_lags
+        apc = APCConfig(shift=cfg.apc_shift, n_lags=n_lags, p=cfg.apc_p, d_feat=cfg.d_feat)
+        if name == "biapc":
+            return BidirectionalAPC(cfg.encoder_config(), apc, cfg.biapc_scheme, seed)
+        return EAPCObjective(apc, cfg.d_model, Encoder.subsample_factor, rng)
+    if name == "contrastive":
+        return ContrastiveObjective(ContrastiveConfig(
+            n_negatives=cfg.n_negatives, tau_cos=cfg.tau_cos, mask_prob=cfg.mask_prob,
+            span_len=cfg.span_len, n_codes=cfg.n_codes, diversity_weight=cfg.diversity_weight,
+        ), cfg.d_model, rng)
+    return MaskedClusterObjective(MaskedClusterConfig(
+        n_clusters=cfg.n_clusters, mask_prob=cfg.mask_prob,
+        span_len=cfg.span_len, alpha=cfg.cluster_alpha,
+    ), cfg.d_model, rng)
+
+
 class SSLBundle(Module):
     """Encoder(s) plus self-supervised objective for one recipe.
 
@@ -151,82 +171,25 @@ class SSLBundle(Module):
 
     def __init__(self, cfg: PipelineConfig, seed: int):
         super().__init__()
-        if cfg.objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective '{cfg.objective}'")
         self.cfg = cfg
-        self.kind = cfg.objective
-        enc_cfg = cfg.encoder_config()
-        self.cluster_targets = {}  # utt_id -> k-means labels, masked_cluster only
-        if self.kind == "biapc":
-            apc = APCConfig(shift=cfg.apc_shift, n_lags=cfg.apc_lags, p=cfg.apc_p, d_feat=cfg.d_feat)
-            self.pair = BidirectionalAPC(enc_cfg, apc, cfg.biapc_scheme, seed)
+        self.obj = build_objective(cfg, seed)
+        self.pair = self.obj if isinstance(self.obj, BidirectionalAPC) else None
+        if self.pair:  # Bi-APC trains its own encoder pair
             self.encoder = self.pair.fwd
             self.children.update(self.pair.children)
         else:
-            self.pair = None
-            self.encoder = build_encoder(enc_cfg, seed)
-            rng = np.random.default_rng([seed, 0x0B1])
-            if self.kind in ("apc", "eapc"):
-                n_lags = 1 if self.kind == "apc" else cfg.apc_lags
-                apc = APCConfig(shift=cfg.apc_shift, n_lags=n_lags, p=cfg.apc_p, d_feat=cfg.d_feat)
-                self.obj = EAPCObjective(apc, cfg.d_model, self.encoder.subsample_factor, rng)
-            elif self.kind == "contrastive":
-                ccfg = ContrastiveConfig(
-                    n_negatives=cfg.n_negatives, tau_cos=cfg.tau_cos, mask_prob=cfg.mask_prob,
-                    span_len=cfg.span_len, n_codes=cfg.n_codes,
-                    diversity_weight=cfg.diversity_weight,
-                )
-                self.obj = ContrastiveObjective(ccfg, cfg.d_model, rng)
-            else:
-                mcfg = MaskedClusterConfig(
-                    n_clusters=cfg.n_clusters, mask_prob=cfg.mask_prob,
-                    span_len=cfg.span_len, alpha=cfg.cluster_alpha,
-                )
-                self.obj = MaskedClusterObjective(mcfg, cfg.d_model, rng)
+            self.encoder = build_encoder(cfg.encoder_config(), seed)
             self.children.update(model=self.encoder, obj=self.obj)
-
-    # -- adapters -----------------------------------------------------------
 
     def insert_adapters(self, d_adapter: int, rng, random_init: bool = False) -> None:
         (self.pair or self.encoder).insert_adapters(d_adapter, rng, random_init=random_init)
 
-    # -- targets for masked_cluster ------------------------------------------
-
     def prepare_cluster_targets(self, corpus, rng, use_encoder: bool) -> None:
-        """Fit k-means centers on the corpus and label every utterance of it.
-
-        Runs before the stage trains, so encoder-based targets come from
-        the encoder as the stage received it; only the labels are kept."""
-        enc = self.encoder if use_encoder else None
-        rows = [cluster_features(u.feats, u.feats.shape[0], self.encoder.subsample_factor, enc)
-                for u in corpus]
-        centers = kmeans_fit(np.concatenate(rows, axis=0), self.cfg.n_clusters, rng)
-        self.cluster_targets = {u.utt_id: kmeans_assign(r, centers) for u, r in zip(corpus, rows)}
-
-    def cluster_labels(self, batch_utts) -> np.ndarray:
-        missing = [u.utt_id for u in batch_utts if u.utt_id not in self.cluster_targets]
-        if missing:
-            raise RuntimeError(f"cluster targets not prepared for utterances {missing[:3]}")
-        factor = self.encoder.subsample_factor
-        g = max(-(-u.feats.shape[0] // factor) for u in batch_utts)
-        labels = np.full((len(batch_utts), g), -1, dtype=np.int64)
-        for i, u in enumerate(batch_utts):
-            lab = self.cluster_targets[u.utt_id]
-            labels[i, : len(lab)] = lab
-        return labels
-
-    # -- loss ----------------------------------------------------------------
+        """masked_cluster labels from the encoder as the stage received it, or raw features."""
+        self.obj.prepare(corpus, rng, self.encoder if use_encoder else None)
 
     def loss(self, batch_utts, rng: np.random.Generator, step: int) -> Tensor:
-        feats, lengths, _ = pad_batch(batch_utts)
-        if self.kind in ("apc", "eapc"):
-            return self.obj.loss(self.encoder, feats, lengths, normalize=True)
-        if self.kind == "biapc":
-            return self.pair.loss(feats, lengths, normalize=True)
-        if self.kind == "contrastive":
-            return self.obj.loss(self.encoder, feats, lengths, rng, step=step)
-        labels = self.cluster_labels(batch_utts)
-        return self.obj.loss(self.encoder, feats, lengths, labels, rng)
+        return self.obj.loss(self.encoder, pad_batch(batch_utts), rng, step)
 
     def encoder_for_finetune(self) -> Encoder:
         return self.pair.average_directions() if self.pair is not None else self.encoder
@@ -297,6 +260,8 @@ def _train_loop(stage: str, cfg: PipelineConfig, corpus, loss_fn, all_params: di
                 trainable: dict, steps: int, lr_fn, metrics_path) -> None:
     if not trainable and steps > 0:
         raise ValueError(f"stage '{stage}' has no trainable parameters")
+    if not corpus and steps > 0:
+        raise ValueError(f"stage '{stage}' has no utterances")
     ids = {id(t) for t in trainable.values()}
     for t in all_params.values():
         t.requires_grad = id(t) in ids
@@ -315,6 +280,8 @@ def _train_loop(stage: str, cfg: PipelineConfig, corpus, loss_fn, all_params: di
                 backward(loss, tape)
         except FloatingPointError as e:
             raise FloatingPointError(f"stage '{stage}' step {step}: {e}") from e
+        except ValueError as e:
+            raise ValueError(f"stage '{stage}' step {step}: {e}") from e
         grad_norm = clip_global_norm(trainable, cfg.clip_norm)
         if not np.isfinite(grad_norm):
             # the clipped update would write NaN into every trainable tensor
@@ -438,14 +405,15 @@ def run_finetune(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "full",
     decay = max(1, steps - warmup - hold)
     lr_fn = lambda s: tri_stage_lr(s, cfg.ft_peak_lr, warmup, hold, decay, cfg.ft_final_scale)
 
-    def loss_fn(batch, rng, step):
-        feats, lengths, targets = pad_batch(batch)
+    def loss_fn(batch_utts, rng, step):
+        batch = pad_batch(batch_utts)
+        feats = batch.feats
         if cfg.spec_augment:
-            for i, n in enumerate(lengths):
+            for i, n in enumerate(batch.lengths):
                 feats[i, :n] = spec_augment(feats[i, :n], rng)
-        logits, out_lengths = model(feats, lengths)
+        logits, out_lengths = model(feats, batch.lengths)
         # corpus tokens are 0-based; CTC reserves 0 for the blank
-        shifted = [[t + 1 for t in y] for y in targets]
+        shifted = [[t + 1 for t in y] for y in batch.tokens]
         return ctc_loss_batch(logits, out_lengths, shifted, normalize=True)
 
     return _run_stage("finetune", f"finetune_{mode}", cfg, workdir, corpus, model, loss_fn,
@@ -462,10 +430,9 @@ def run_evaluate(cfg: PipelineConfig, ckpt_path, corpus=None) -> dict:
     refs, hyps = [], []
     b = max(1, cfg.batch_size)
     for i in range(0, len(corpus), b):
-        chunk = corpus[i : i + b]
-        feats, lengths, targets = pad_batch(chunk)
-        logits, out_lengths = model(feats, lengths)
-        for j, target in enumerate(targets):
+        batch = pad_batch(corpus[i : i + b])
+        logits, out_lengths = model(batch.feats, batch.lengths)
+        for j, target in enumerate(batch.tokens):
             t_j = int(out_lengths[j])
             hyp = greedy_decode(logits.data[j, :t_j], blank=0)
             refs.append(target)

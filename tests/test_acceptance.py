@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from sslasr.ctc import CTCHead, ctc_loss_batch, min_input_length
+from sslasr.data import Batch
 from sslasr.engine import Tensor
 from sslasr.features import Featurizer, FeaturizerConfig
 from sslasr.gradcheck import gradcheck_battery, loss_gradcheck_battery
@@ -177,6 +178,7 @@ def test_04_every_loss_is_invariant_to_extra_padding():
     labels = np.full((2, gm0.shape[0]), -1)
     labels[0] = kmeans_assign(gm0.astype(np.float32), centers)
     labels[1, : gm1.shape[0]] = kmeans_assign(gm1.astype(np.float32), centers)
+    mc.targets = {"u0": labels[0], "u1": labels[1]}
     enc_t = build_encoder(cfg, seed=50)
     head = CTCHead(np.random.default_rng(51), 8, vocab_size=4)
 
@@ -185,12 +187,12 @@ def test_04_every_loss_is_invariant_to_extra_padding():
         return ctc_loss_batch(head(hidden), out_lens, [[1, 2], [2, 1]])
 
     losses = {
-        "apc": lambda x: apc.loss(enc_a, x, lengths),
-        "eapc": lambda x: eapc.loss(enc_e, x, lengths),
-        "biapc": lambda x: pair.loss(x, lengths),
-        "contrastive": lambda x: contr.loss(enc_c, x, lengths,
+        "apc": lambda x: apc.loss(enc_a, Batch(x, lengths)),
+        "eapc": lambda x: eapc.loss(enc_e, Batch(x, lengths)),
+        "biapc": lambda x: pair.loss(pair.fwd, Batch(x, lengths)),
+        "contrastive": lambda x: contr.loss(enc_c, Batch(x, lengths),
                                             np.random.default_rng(52), step=3),
-        "masked_cluster": lambda x: mc.loss(enc_m, x, lengths, labels,
+        "masked_cluster": lambda x: mc.loss(enc_m, Batch(x, lengths, utt_ids=("u0", "u1")),
                                             np.random.default_rng(53)),
         "ctc": ctc,
     }
@@ -217,7 +219,7 @@ def test_05_single_lag_objective_reduces_to_plain_reconstruction():
     enc = build_encoder(cfg, seed=55)
     single = EAPCObjective(APCConfig(shift=2, n_lags=1, p=1, d_feat=4), 8, 4,
                            np.random.default_rng(56))
-    got = float(single.loss(enc, feats, lengths, normalize=False).data)
+    got = float(single.loss(enc, Batch(feats, lengths), normalize=False).data)
     hidden, _ = enc(feats, lengths)
     stacked, valid = stack_targets(feats, lengths, 4)
     g = stacked.shape[1]
@@ -238,8 +240,8 @@ def test_05_single_lag_objective_reduces_to_plain_reconstruction():
                           np.random.default_rng(59))
         s.children["gen0"].p["w"].data = multi.children[f"gen{i}"].p["w"].data.copy()
         s.children["gen0"].p["b"].data = multi.children[f"gen{i}"].p["b"].data.copy()
-        parts.append(float(s.loss(enc2, feats, lengths, normalize=False).data))
-    total = float(multi.loss(enc2, feats, lengths, normalize=False).data)
+        parts.append(float(s.loss(enc2, Batch(feats, lengths), normalize=False).data))
+    total = float(multi.loss(enc2, Batch(feats, lengths), normalize=False).data)
     err2 = abs(total - np.float32(parts[0] + parts[1])) / max(abs(total), 1e-30)
     assert err2 <= 4 * eps32, f"lag-sum mismatch {err2:.3e}"
     print(f"\n[PASS] 5/12 lag reduction: k=1 matches plain reconstruction "

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from sslasr.data import (
+    Batch,
     CorpusConfig,
     domain_transform,
-    expected_mean_shift,
     load_corpus,
     make_corpus,
     pad_batch,
@@ -15,6 +15,14 @@ from sslasr.data import (
     write_corpus,
     write_wav,
 )
+
+
+def expected_mean_shift(cfg: CorpusConfig) -> np.ndarray:
+    """E[target frame] - E[source frame] = (A - I) mu_src + b for matched seeds."""
+    protos = token_prototypes(cfg.proto_seed, cfg.vocab_size, cfg.proto_len, cfg.d_feat)
+    a, b = domain_transform(cfg.proto_seed, cfg.d_feat)
+    mu = protos.mean(axis=(0, 1))
+    return (a - np.eye(cfg.d_feat)) @ mu + b
 
 
 class TestGeneration:
@@ -138,7 +146,7 @@ class TestDiskRoundTrip:
 
     def test_pad_batch_shapes(self):
         utts = make_corpus(CorpusConfig(n_utterances=4, seed=5))
-        feats, lengths, tokens = pad_batch(utts)
+        feats, lengths, tokens, _ = pad_batch(utts)
         tmax = max(u.feats.shape[0] for u in utts)
         assert feats.shape == (4, tmax, 8)
         for i, u in enumerate(utts):
@@ -147,3 +155,15 @@ class TestDiskRoundTrip:
             assert not feats[i, lengths[i]:].any()
         assert tokens == [u.tokens for u in utts]
 
+    def test_pad_batch_keeps_utterance_ids_in_batch_order(self):
+        utts = make_corpus(CorpusConfig(n_utterances=4, seed=5))[::-1]
+        batch = pad_batch(utts)
+        assert isinstance(batch, Batch)
+        assert list(batch.utt_ids) == [u.utt_id for u in utts]
+        assert list(batch.tokens) == [u.tokens for u in utts]
+
+    def test_batch_from_arrays_has_no_tokens_or_ids(self):
+        feats = np.zeros((2, 5, 3), dtype=np.float32)
+        batch = Batch(feats, np.array([5, 4]))
+        assert batch.tokens == () and batch.utt_ids == ()
+        assert batch.feats is feats

@@ -22,10 +22,16 @@ from sslasr.io import (
     read_jsonl,
     read_manifest,
     save_checkpoint,
-    write_config,
     write_feat,
     write_manifest,
 )
+
+
+def write_config(path, values: dict) -> None:
+    """The `key = value` layout read_config parses, one sorted key a line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for key in sorted(values):
+            fh.write(f"{key} = {values[key]}\n")
 
 
 class TestFeatFiles:

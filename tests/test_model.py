@@ -18,6 +18,12 @@ from sslasr.model import (
 SMALL = EncoderConfig(d_input=8, d_model=16, n_heads=2, n_blocks=2, d_ffn=32)
 
 
+def shares_storage(a: Module, b: Module) -> bool:
+    """Every parameter of `a` is the very tensor `b` holds under that name."""
+    mine, theirs = a.named_params(), b.named_params()
+    return all(mine[k] is theirs[k] for k in mine)
+
+
 def small_encoder(seed=0, **overrides):
     return build_encoder(replace(SMALL, **overrides), seed)
 
@@ -165,9 +171,9 @@ class TestSharingAndSerialization:
     def test_alias_shares_storage(self):
         a = small_encoder(seed=0)
         b = small_encoder(seed=1)
-        assert not a.shares_storage_with(b)
+        assert not shares_storage(a, b)
         b.alias_from(a)
-        assert b.shares_storage_with(a)
+        assert shares_storage(b, a)
         name = "block0.attn.wq"
         a.children["block0"].children["attn"].children["wq"].p["w"].data[0, 0] = 123.0
         assert b.named_params()[name + ".w"].data[0, 0] == 123.0

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sslasr import engine as E
+from sslasr.data import Batch, Utterance
 from sslasr.engine import Tape, Tensor
-from sslasr.model import EncoderConfig, build_encoder
+from sslasr.model import EncoderConfig, Module, build_encoder
 from sslasr.objectives import (
     APCConfig,
     BidirectionalAPC,
@@ -33,6 +34,12 @@ from sslasr.objectives import (
 )
 
 ENC = EncoderConfig(d_input=4, d_model=8, n_heads=2, n_blocks=1, d_ffn=16, causal=True)
+
+
+def shares_storage(a: Module, b: Module) -> bool:
+    """Every parameter of `a` is the very tensor `b` holds under that name."""
+    mine, theirs = a.named_params(), b.named_params()
+    return all(mine[k] is theirs[k] for k in mine)
 
 
 def batch(rng, b=2, t=16, d=4):
@@ -78,7 +85,7 @@ class TestFutureRegression:
         enc = build_encoder(ENC, seed=0)
         obj = EAPCObjective(APCConfig(shift=2, n_lags=1, p=1, d_feat=4), 8, 4, rng)
         feats, lengths = batch(rng)
-        got = obj.loss(enc, feats, lengths, normalize=False)
+        got = obj.loss(enc, Batch(feats, lengths), normalize=False)
 
         hidden, _ = enc(feats, lengths)
         stacked, valid = stack_targets(feats, lengths, 4)
@@ -101,8 +108,8 @@ class TestFutureRegression:
             s.children["gen0"].p["b"].data = multi.children[f"gen{i}"].p["b"].data.copy()
             singles.append(s)
         feats, lengths = batch(rng, t=24)
-        total = multi.loss(enc, feats, lengths, normalize=False)
-        parts = [s.loss(enc, feats, lengths, normalize=False) for s in singles]
+        total = multi.loss(enc, Batch(feats, lengths), normalize=False)
+        parts = [s.loss(enc, Batch(feats, lengths), normalize=False) for s in singles]
         assert total.data == np.float32(parts[0].data + parts[1].data)
 
     def test_normalization_divides_by_contributing_elements(self):
@@ -110,8 +117,8 @@ class TestFutureRegression:
         enc = build_encoder(ENC, seed=2)
         obj = EAPCObjective(APCConfig(shift=1, n_lags=2, p=1, d_feat=4), 8, 4, rng)
         feats, lengths = batch(rng)
-        raw = obj.loss(enc, feats, lengths, normalize=False).data
-        norm = obj.loss(enc, feats, lengths, normalize=True).data
+        raw = obj.loss(enc, Batch(feats, lengths), normalize=False).data
+        norm = obj.loss(enc, Batch(feats, lengths), normalize=True).data
         valid = valid_groups(lengths, 4)
         count = sum(int(np.maximum(valid - lag, 0).sum()) * 16 for lag in (1, 2))
         assert norm == pytest.approx(raw / count, rel=1e-6)
@@ -122,7 +129,7 @@ class TestFutureRegression:
         obj = EAPCObjective(APCConfig(shift=9, n_lags=1, d_feat=4), 8, 4, rng)
         feats, lengths = batch(rng)  # only 4 valid groups, lag 9 impossible
         with pytest.raises(ValueError, match="no valid prediction targets at any lag"):
-            obj.loss(enc, feats, lengths)
+            obj.loss(enc, Batch(feats, lengths))
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):
@@ -159,15 +166,15 @@ class TestBidirectional:
 
     def test_scheme_none_keeps_directions_independent(self):
         pair = BidirectionalAPC(ENC, APCConfig(d_feat=4), "none", seed=0)
-        assert not pair.rev_obj.shares_storage_with(pair.fwd_obj)
+        assert not shares_storage(pair.rev_obj, pair.fwd_obj)
         names = set(pair.named_params())
         assert any(n.startswith("rev.model.") for n in names)
         assert any(n.startswith("rev.gen.") for n in names)
 
     def test_share_generator_aliases_only_generators(self):
         pair = BidirectionalAPC(ENC, APCConfig(d_feat=4), "share_generator", seed=0)
-        assert pair.rev_obj.shares_storage_with(pair.fwd_obj)
-        assert not pair.rev.shares_storage_with(pair.fwd)
+        assert shares_storage(pair.rev_obj, pair.fwd_obj)
+        assert not shares_storage(pair.rev, pair.fwd)
         names = set(pair.named_params())
         assert not any(n.startswith("rev.gen.") for n in names)
         assert any(n.startswith("rev.model.") for n in names)
@@ -175,15 +182,15 @@ class TestBidirectional:
     def test_share_gen_encoder_aliases_blocks_not_conv(self):
         pair = BidirectionalAPC(ENC, APCConfig(d_feat=4), "share_gen_encoder", seed=0)
         f, r = pair.fwd.children, pair.rev.children
-        assert r["block0"].shares_storage_with(f["block0"])
-        assert r["final_ln"].shares_storage_with(f["final_ln"])
-        assert not r["conv"].shares_storage_with(f["conv"])
-        assert pair.rev_obj.shares_storage_with(pair.fwd_obj)
+        assert shares_storage(r["block0"], f["block0"])
+        assert shares_storage(r["final_ln"], f["final_ln"])
+        assert not shares_storage(r["conv"], f["conv"])
+        assert shares_storage(pair.rev_obj, pair.fwd_obj)
 
     def test_share_all_aliases_everything(self):
         pair = BidirectionalAPC(ENC, APCConfig(d_feat=4), "share_all", seed=0)
-        assert pair.rev.shares_storage_with(pair.fwd)
-        assert pair.rev_obj.shares_storage_with(pair.fwd_obj)
+        assert shares_storage(pair.rev, pair.fwd)
+        assert shares_storage(pair.rev_obj, pair.fwd_obj)
         names = set(pair.named_params())
         assert not any(n.startswith("rev.") for n in names)
 
@@ -196,8 +203,8 @@ class TestBidirectional:
         pair = BidirectionalAPC(ENC, APCConfig(d_feat=4), "share_gen_encoder", seed=0)
         pair.insert_adapters(4, np.random.default_rng(0), random_init=True)
         f, r = pair.fwd.children, pair.rev.children
-        assert r["adapter1"].shares_storage_with(f["adapter1"])
-        assert not r["adapter0"].shares_storage_with(f["adapter0"])
+        assert shares_storage(r["adapter1"], f["adapter1"])
+        assert not shares_storage(r["adapter0"], f["adapter0"])
 
     def test_share_all_loss_doubles_on_palindromic_input(self):
         pair = BidirectionalAPC(ENC, APCConfig(shift=1, n_lags=1, d_feat=4), "share_all", seed=0)
@@ -205,8 +212,8 @@ class TestBidirectional:
         g0 = rng.normal(size=(4, 4)).astype(np.float32)
         g1 = rng.normal(size=(4, 4)).astype(np.float32)
         feats = np.concatenate([g0, g1, g0], axis=0)[None]
-        total = pair.loss(feats, [12], normalize=False)
-        fwd_only = pair.fwd_obj.loss(pair.fwd, feats, [12], normalize=False)
+        total = pair.loss(pair.fwd, Batch(feats, [12]), normalize=False)
+        fwd_only = pair.fwd_obj.loss(pair.fwd, Batch(feats, [12]), normalize=False)
         assert total.data == np.float32(2.0) * fwd_only.data
 
     def test_average_directions_is_idempotent(self):
@@ -230,11 +237,6 @@ class TestSpanMasking:
             mask = sample_mask_spans(n, rng, mask_prob=0.0, span_len=3)
             assert mask.shape == (n,)
             assert mask.sum() >= 1
-
-    def test_min_spans_zero_allows_empty(self):
-        mask = sample_mask_spans(10, np.random.default_rng(0), mask_prob=0.0,
-                                 span_len=3, min_spans=0)
-        assert not mask.any()
 
     def test_zero_length(self):
         assert sample_mask_spans(0, np.random.default_rng(0)).shape == (0,)
@@ -323,7 +325,7 @@ class TestContrastive:
         )
         feats = rng.normal(size=(2, 20, 4)).astype(np.float32)
         with Tape() as tape:
-            loss = obj.loss(enc, feats, [20, 17], np.random.default_rng(1), step=5)
+            loss = obj.loss(enc, Batch(feats, [20, 17]), np.random.default_rng(1), step=5)
         assert loss.shape == ()
         assert np.isfinite(loss.data)
         E.backward(loss, tape)
@@ -341,7 +343,7 @@ class TestContrastive:
                               diversity_weight=0.0), 8, rng
         )
         feats = rng.normal(size=(2, 20, 4)).astype(np.float32)
-        loss = obj.loss(enc, feats, [20, 17], np.random.default_rng(2))
+        loss = obj.loss(enc, Batch(feats, [20, 17]), np.random.default_rng(2))
         assert loss.data == pytest.approx(np.log(k + 1), rel=1e-5)
 
     def test_no_anchors_raises(self):
@@ -354,7 +356,7 @@ class TestContrastive:
         # one valid group per utterance: a single forced span is never
         # enough for a distractor pool
         with pytest.raises(ValueError, match="no contrastive anchors"):
-            obj.loss(enc, feats, [4, 4], np.random.default_rng(3))
+            obj.loss(enc, Batch(feats, [4, 4]), np.random.default_rng(3))
 
     def test_deterministic_given_rng(self):
         rng = np.random.default_rng(3)
@@ -363,8 +365,8 @@ class TestContrastive:
             ContrastiveConfig(n_negatives=3, mask_prob=0.6, span_len=2, n_codes=4), 8, rng
         )
         feats = rng.normal(size=(2, 20, 4)).astype(np.float32)
-        a = obj.loss(enc, feats, [20, 17], np.random.default_rng(7), step=2)
-        b = obj.loss(enc, feats, [20, 17], np.random.default_rng(7), step=2)
+        a = obj.loss(enc, Batch(feats, [20, 17]), np.random.default_rng(7), step=2)
+        b = obj.loss(enc, Batch(feats, [20, 17]), np.random.default_rng(7), step=2)
         assert a.data == b.data
 
 
@@ -385,7 +387,7 @@ class TestKMeans:
         assert len(set.union(*mapping.values())) == 3
 
     def test_fewer_points_than_clusters(self):
-        with pytest.raises(ValueError, match="fewer points than clusters"):
+        with pytest.raises(ValueError, match="fewer points than clusters: 2 points, 5 clusters"):
             kmeans_fit(np.zeros((2, 3)), 5, np.random.default_rng(0))
 
     def test_deterministic(self):
@@ -415,36 +417,53 @@ class TestMaskedCluster:
             group_mean_features(feats[b], lengths[b], 4) for b in range(2)
         ])
         centers = kmeans_fit(rows, 3, np.random.default_rng(0))
-        labels = np.full((2, 4), -1, dtype=np.int64)
-        for b in range(2):
-            lab = kmeans_assign(cluster_features(feats[b], lengths[b], 4), centers)
-            labels[b, : len(lab)] = lab
-        return enc, obj, feats, lengths, labels
+        obj.targets = {f"u{b}": kmeans_assign(cluster_features(feats[b], lengths[b], 4), centers)
+                       for b in range(2)}
+        return enc, obj, Batch(feats, lengths, utt_ids=("u0", "u1"))
 
     def test_loss_runs_and_backprops(self):
-        enc, obj, feats, lengths, labels = self._setup(0)
+        enc, obj, batch = self._setup(0)
         with Tape() as tape:
-            loss = obj.loss(enc, feats, lengths, labels, np.random.default_rng(1))
+            loss = obj.loss(enc, batch, np.random.default_rng(1))
         assert np.isfinite(loss.data)
         E.backward(loss, tape)
         assert np.abs(obj.children["classifier"].p["w"].grad).sum() > 0
         assert np.abs(obj.p["mask_emb"].grad).sum() > 0
 
     def test_alpha_blends_masked_and_unmasked_terms(self):
-        enc, obj, feats, lengths, labels = self._setup(1, alpha=1.0)
+        enc, obj, batch = self._setup(1, alpha=1.0)
         rng_mask = lambda: np.random.default_rng(42)
-        masked_only = obj.loss(enc, feats, lengths, labels, rng_mask()).data
+        masked_only = obj.loss(enc, batch, rng_mask()).data
         obj.cfg.alpha = 0.0
-        unmasked_only = obj.loss(enc, feats, lengths, labels, rng_mask()).data
+        unmasked_only = obj.loss(enc, batch, rng_mask()).data
         obj.cfg.alpha = 0.25
-        blend = obj.loss(enc, feats, lengths, labels, rng_mask()).data
+        blend = obj.loss(enc, batch, rng_mask()).data
         assert blend == pytest.approx(0.25 * masked_only + 0.75 * unmasked_only, rel=1e-5)
 
     def test_all_labels_missing_raises(self):
-        enc, obj, feats, lengths, _ = self._setup(2)
-        labels = np.full((2, 4), -1, dtype=np.int64)
+        enc, obj, batch = self._setup(2)
+        obj.targets = {u: np.full(4, -1, dtype=np.int64) for u in obj.targets}
         with pytest.raises(ValueError, match="no labeled positions"):
-            obj.loss(enc, feats, lengths, labels, np.random.default_rng(0))
+            obj.loss(enc, batch, np.random.default_rng(0))
+
+    def test_prepare_labels_every_complete_group(self):
+        rng = np.random.default_rng(5)
+        corpus = [Utterance(f"u{i}", rng.normal(size=(n, 4)).astype(np.float32), [], "source")
+                  for i, n in enumerate((16, 13, 7, 3))]
+        obj = MaskedClusterObjective(MaskedClusterConfig(n_clusters=3), 8, rng)
+        obj.prepare(corpus, np.random.default_rng(6))
+        assert set(obj.targets) == {u.utt_id for u in corpus}
+        for u in corpus:
+            lab = obj.targets[u.utt_id]
+            assert lab.shape == (u.feats.shape[0] // 4,)
+            assert set(lab) <= {0, 1, 2}
+
+    def test_unprepared_id_raises_before_any_tape_node(self):
+        enc, obj, batch = self._setup(6)
+        with Tape() as tape:
+            with pytest.raises(RuntimeError, match=r"cluster targets not prepared .*'u9'"):
+                obj.loss(enc, batch._replace(utt_ids=("u0", "u9")), np.random.default_rng(0))
+        assert tape.nodes == []
 
     def test_fit_cluster_targets_shapes(self):
         rng = np.random.default_rng(3)

@@ -1,0 +1,33 @@
+"""The byte-identity matrix runs end to end and digests every file it writes."""
+
+import importlib.util
+import json
+import re
+from pathlib import Path
+
+from sslasr.training import FINETUNE_MODES, PIPELINES
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_matrix.py"
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("output_matrix", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_matrix_digests_every_written_file(tmp_path):
+    tool = _load_tool()
+    out = tmp_path / "matrix.json"
+    assert tool.main([str(out)]) == 0
+    table = json.loads(out.read_text())
+    assert all(re.fullmatch(r"[0-9a-f]{64}", d) for d in table.values())
+    for name in tool.recipes():
+        for variant in PIPELINES:
+            assert f"{name}/{variant}/finetune_full.ckpt" in table
+            assert f"{name}/{variant}/report.json" in table
+    for mode in FINETUNE_MODES:
+        assert f"chain/finetune_{mode}.ckpt" in table
+        assert f"chain/finetune_{mode}_metrics.jsonl" in table
+        assert f"chain/report_{mode}.json" in table

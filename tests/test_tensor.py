@@ -214,7 +214,6 @@ class TestBackwardSemantics:
 
 class TestVerificationMode:
     def test_overflow_raises_when_enabled(self):
-        T.set_verification(True)
         with pytest.raises(FloatingPointError, match="non-finite"):
             with np.errstate(over="ignore"):
                 T.exp(t64([1000.0]))
@@ -229,15 +228,6 @@ class TestVerificationMode:
         x = np.full(4, 3e38, dtype=np.float32)
         out = T.reshape(Tensor(x), (2, 2))
         np.testing.assert_array_equal(out.data.reshape(-1), x)
-
-    def test_overflow_passes_when_disabled(self):
-        T.set_verification(False)
-        try:
-            with np.errstate(over="ignore"):
-                out = T.exp(t64([1000.0]))
-            assert np.isinf(out.data[0])
-        finally:
-            T.set_verification(True)
 
 
 class TestGradcheckPrimitives:
@@ -298,7 +288,7 @@ class TestGradcheckPrimitives:
 
         def fn(x, w, b):
             z = T.conv1d(x, w, b, stride=stride, padding=padding)
-            return T.mean_(T.mul(z, z)) * Tensor(wt[0])
+            return T.mul(T.mean_(T.mul(z, z)), Tensor(wt[0]))
 
         assert finite_diff_gradcheck(fn, [x, w, b]) < 1e-6
 
@@ -327,7 +317,7 @@ class TestGradcheckPrimitives:
         def fn(a, b, logits):
             c = T.cosine_similarity(a, b, axis=-1)
             ce = T.cross_entropy(logits, targets)
-            return T.sum_(c) + T.sum_(ce)
+            return T.add(T.sum_(c), T.sum_(ce))
 
         assert finite_diff_gradcheck(fn, [a, b, logits]) < 1e-6
 

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from sslasr import engine as E
+from sslasr.data import pad_batch
 from sslasr.engine import Tape, Tensor, backward
 from sslasr.io import load_checkpoint, read_jsonl
+from sslasr.objectives import (
+    BidirectionalAPC,
+    ContrastiveObjective,
+    EAPCObjective,
+    MaskedClusterObjective,
+)
 from sslasr.training import (
     ADAPT_MODES,
     FINETUNE_MODES,
@@ -17,6 +24,7 @@ from sslasr.training import (
     _group,
     _train_loop,
     build_corpora,
+    build_objective,
     restore,
     run_adapt,
     run_evaluate,
@@ -345,8 +353,8 @@ class TestClusterTargets:
         for use_encoder in (False, True):
             bundle = SSLBundle(cfg, seed=0)
             bundle.prepare_cluster_targets(corpus, np.random.default_rng(0), use_encoder=use_encoder)
-            assert set(bundle.cluster_targets) == {u.utt_id for u in corpus}
-            labels[use_encoder] = np.concatenate([bundle.cluster_labels([u])[0] for u in corpus])
+            assert set(bundle.obj.targets) == {u.utt_id for u in corpus}
+            labels[use_encoder] = np.concatenate([bundle.obj.targets[u.utt_id] for u in corpus])
         assert labels[False].shape == labels[True].shape
         assert not np.array_equal(labels[False], labels[True])
 
@@ -363,7 +371,47 @@ class TestClusterTargets:
         bundle = SSLBundle(tiny_cfg(objective="masked_cluster"), seed=0)
         corpus = build_corpora(tiny_cfg(objective="masked_cluster"))["source_train"]
         with pytest.raises(RuntimeError, match="cluster targets not prepared"):
-            bundle.cluster_labels(corpus[:2])
+            bundle.obj.loss(bundle.encoder, pad_batch(corpus[:2]), np.random.default_rng(0), 1)
+
+
+class TestObjectiveContract:
+    def test_build_objective_maps_every_name(self):
+        classes = {"apc": EAPCObjective, "eapc": EAPCObjective, "biapc": BidirectionalAPC,
+                   "contrastive": ContrastiveObjective, "masked_cluster": MaskedClusterObjective}
+        assert set(classes) == set(OBJECTIVES)
+        for name, cls in classes.items():
+            assert type(build_objective(tiny_cfg(objective=name), seed=0)) is cls, name
+        assert len(build_objective(tiny_cfg(objective="apc"), 0).children) == 1
+        with pytest.raises(ValueError, match="unknown objective 'mlm'"):
+            build_objective(tiny_cfg(objective="mlm"), seed=0)
+
+
+class TestDegenerateInput:
+    # one token of proto_len frames per utterance: a single frame group
+    @pytest.mark.parametrize("overrides,match", [
+        (dict(objective="contrastive"),
+         r"stage 'pretrain' step 1: no contrastive anchors in batch"),
+        (dict(objective="eapc", apc_shift=2),
+         r"stage 'pretrain' step 1: no valid prediction targets at any lag"),
+        (dict(objective="masked_cluster", n_train=2, proto_len=8, n_clusters=16),
+         r"fewer points than clusters: 4 points, 16 clusters"),
+    ], ids=["contrastive", "eapc", "masked_cluster"])
+    def test_degenerate_batch_names_its_context(self, overrides, match, tmp_path):
+        cfg = tiny_cfg(**{**dict(min_tokens=1, max_tokens=1, proto_len=4, n_train=12),
+                          **overrides})
+        with pytest.raises(ValueError, match=match) as info:
+            run_pretrain(cfg, tmp_path)
+        if "step" in match:
+            assert isinstance(info.value.__cause__, ValueError)
+        assert not (tmp_path / "pretrain.ckpt").exists()
+
+    def test_empty_corpus_rejected_by_every_training_stage(self, tmp_path):
+        cfg = tiny_cfg()
+        with pytest.raises(ValueError, match="stage 'pretrain' has no utterances"):
+            run_pretrain(cfg, tmp_path, corpus=[])
+        pre = run_pretrain(cfg, tmp_path, steps=0)
+        with pytest.raises(ValueError, match="stage 'finetune' has no utterances"):
+            run_finetune(cfg, pre, tmp_path, corpus=[])
 
 
 def test_registry_constants():

@@ -1,0 +1,96 @@
+"""Digest every file the training pipeline writes, to compare two trees byte for byte.
+
+    python3 tools/output_matrix.py OUT.json
+
+Runs run_pipeline for each variant (draft, saft, no_adapt, scratch) and
+each objective, Bi-APC once per sharing scheme, plus one draft chain that
+finetunes under every finetune mode, all on tiny configs. Each run's
+evaluation report is written beside its checkpoints and metrics logs.
+OUT.json maps every written file, by its path relative to the run
+directory, to its sha256. A refactor that must not change outputs runs
+this script in both checkouts (the package is imported from the src/
+next to this file) and compares the two files with cmp.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from sslasr.objectives import BidirectionalAPC  # noqa: E402
+from sslasr.training import (  # noqa: E402
+    FINETUNE_MODES, PIPELINES, PipelineConfig, run_adapt, run_evaluate, run_finetune,
+    run_pipeline, run_pretrain,
+)
+
+
+def tiny_config() -> PipelineConfig:
+    return PipelineConfig(
+        vocab_size=5, d_feat=4, proto_len=8, min_tokens=3, max_tokens=4,
+        n_train=16, n_target=12, n_eval=6, d_model=16, n_heads=2, n_blocks=1, d_ffn=32,
+        apc_shift=1, apc_lags=2, mask_prob=0.5, span_len=2, n_negatives=3, n_codes=4,
+        n_clusters=4, batch_size=4, pretrain_steps=3, adapt_steps=2, finetune_steps=2,
+        noam_warmup=2, d_adapter=4, seed=0,
+    )
+
+
+def recipes() -> dict:
+    """Run name -> objective overrides: every objective, Bi-APC per scheme."""
+    out = {name: {"objective": name} for name in ("apc", "eapc", "contrastive", "masked_cluster")}
+    for scheme in BidirectionalAPC.SCHEMES:
+        out[f"biapc-{scheme}"] = {"objective": "biapc", "biapc_scheme": scheme}
+    return out
+
+
+def _write_report(report: dict, workdir: Path, name: str) -> None:
+    report = dict(report, checkpoint=Path(report["checkpoint"]).name)
+    (workdir / name).write_text(json.dumps(report, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def run_matrix(root) -> None:
+    """Write every run of the matrix under `root`, one directory per run."""
+    root = Path(root)
+    base = tiny_config()
+    for name, overrides in recipes().items():
+        cfg = replace(base, **overrides)
+        for variant in PIPELINES:
+            workdir = root / name / variant
+            _write_report(run_pipeline(cfg, workdir, variant=variant), workdir, "report.json")
+
+    workdir = root / "chain"
+    pre = run_pretrain(base, workdir)
+    ada = run_adapt(base, pre, workdir, mode="draft")
+    for mode in FINETUNE_MODES:
+        # plus_ra adds adapters, so it starts from the adapter-free checkpoint
+        fin = run_finetune(base, pre if mode == "plus_ra" else ada, workdir, mode=mode)
+        _write_report(run_evaluate(base, fin), workdir, f"report_{mode}.json")
+
+
+def digests(root) -> dict:
+    root = Path(root)
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", help="JSON file to write the digests to")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        run_matrix(tmp)
+        table = digests(tmp)
+    Path(args.out).write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"{len(table)} files digested -> {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
