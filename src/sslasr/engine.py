@@ -5,28 +5,38 @@ active. backward() replays the tape in reverse and accumulates gradients
 into leaf tensors that have requires_grad set. Gradients accumulate
 across repeated backward calls; reset .grad between steps. Every op
 output is checked for NaN/Inf right after the forward computation.
+
+Ops never write into their inputs, and parameter data is only ever
+written in place: optim.Adam moves its tensors' data into one flat
+buffer and updates it there, and gives each tensor a grad_slot that
+backward fills in place instead of allocating a gradient array.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_FLOAT_DTYPES = (np.float32, np.float64)
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 def _check_finite(op: str, data: np.ndarray) -> None:
-    if data.dtype in _FLOAT_DTYPES and not np.isfinite(data).all():
+    # logical_and.reduce is ndarray.all without its Python-level wrapper
+    if data.dtype in _FLOAT_DTYPES and not np.logical_and.reduce(np.isfinite(data), axis=None):
         raise FloatingPointError(f"non-finite values produced by op '{op}'")
 
 
 class Tensor:
-    """Dense array with optional gradient tracking.
+    """Dense C-contiguous float array with optional gradient tracking.
 
-    data is treated as immutable once wrapped; mutate via new ops, not
-    in place. grad is None until backward() deposits into it.
+    Ops treat data as immutable. An optimizer updates it in place (see
+    optim.Adam), and anyone else who writes weights must too, so that a
+    tensor keeps the storage its optimizer updates. grad is None until
+    backward() deposits into it. grad_slot, set by an optimizer, is the
+    view of its gradient buffer that backward writes the gradient into;
+    None otherwise.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "grad_slot")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -36,6 +46,7 @@ class Tensor:
         self.data = arr if arr.ndim == 0 else np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self.grad_slot = None
 
     @property
     def shape(self):
@@ -99,13 +110,28 @@ def _active_tape():
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _record(op: str, inputs, out_data: np.ndarray, backward_fn) -> Tensor:
+def _wrap(arr: np.ndarray) -> Tensor:
+    """Tensor(arr) for an op's float ndarray output, without the conversions."""
+    out = Tensor.__new__(Tensor)
+    out.data = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
+    out.requires_grad = False
+    out.grad = None
+    out.grad_slot = None
+    return out
+
+
+def _record(op: str, inputs: tuple, out_data: np.ndarray, backward_fn) -> Tensor:
     _check_finite(op, out_data)
-    tape = _active_tape()
-    out = Tensor(out_data)
-    if tape is not None and any(isinstance(t, Tensor) and t.requires_grad for t in inputs):
-        out.requires_grad = True
-        tape.nodes.append(_Node(op, tuple(inputs), out, backward_fn))
+    if type(out_data) is np.ndarray and out_data.dtype in _FLOAT_DTYPES:
+        out = _wrap(out_data)
+    else:
+        out = Tensor(out_data)
+    if _TAPE_STACK:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                _TAPE_STACK[-1].nodes.append(_Node(op, inputs, out, backward_fn))
+                break
     return out
 
 
@@ -137,7 +163,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
             continue
         in_grads = node.backward_fn(g)
         for t, ig in zip(node.inputs, in_grads):
-            if ig is None or not isinstance(t, Tensor) or not t.requires_grad:
+            if ig is None or not t.requires_grad:
                 continue
             ig = ig.astype(t.data.dtype, copy=False)
             if id(t) in produced:
@@ -150,11 +176,19 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
 
 def _leaf_accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add g (already in t's dtype) to t.grad.
+
+    The first deposit is 0.0 + g, the bits zeros_like + g gives (-0.0
+    becomes +0.0), written into t.grad_slot when t has one; later
+    deposits add in place into that slot."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad = t.grad + g.astype(t.data.dtype, copy=False)
+        t.grad = np.add(g, 0.0, out=t.grad_slot)
+    elif t.grad is t.grad_slot:
+        np.add(t.grad, g, out=t.grad)
+    else:
+        t.grad = t.grad + g
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +324,11 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     x = a.data
     if x.shape[-1] == 0:
         raise ValueError("layer_norm over an empty last axis")
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    # add.reduce / n is the last-axis mean without ndarray.mean's Python
+    # wrapper; the bits are the same (its float64 divide rounds back exactly)
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce((x - mu) ** 2, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x - mu) * inv
     out = gamma.data * xhat + beta.data
@@ -300,8 +337,8 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         ga = ggamma = gbeta = None
         if a.requires_grad:
             gx_hat = g * gamma.data
-            m1 = gx_hat.mean(axis=-1, keepdims=True)
-            m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+            m1 = np.add.reduce(gx_hat, axis=-1, keepdims=True) / n
+            m2 = np.add.reduce(gx_hat * xhat, axis=-1, keepdims=True) / n
             ga = inv * (gx_hat - m1 - xhat * m2)
         axes = tuple(range(g.ndim - 1))
         if gamma.requires_grad:
@@ -343,13 +380,10 @@ def conv1d(x: Tensor, w: Tensor, b=None, stride: int = 1, padding: str = "causal
     else:
         raise ValueError(f"unknown conv1d padding '{padding}'")
 
-    xp = np.pad(x.data, ((0, 0), (left, right), (0, 0)))
-    Tp = xp.shape[1]
-    # extra right pad so the last strided window fits
-    need = (t_out - 1) * stride + K
-    if need > Tp:
-        xp = np.pad(xp, ((0, 0), (0, need - Tp), (0, 0)))
-        Tp = need
+    # zero padding, with extra on the right when the last strided window needs it
+    Tp = max(left + T + right, (t_out - 1) * stride + K)
+    xp = np.zeros((B, Tp, Cin), dtype=x.dtype)
+    xp[:, left : left + T] = x.data
     # windows (B, t_out, K, Cin) via stride tricks; xp is contiguous, so the
     # tap and channel axes merge into one (B, t_out, K*Cin) view
     sB, sT, sC = xp.strides

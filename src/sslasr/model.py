@@ -50,7 +50,7 @@ class Module:
             arr = np.asarray(flat[name])
             if tuple(arr.shape) != t.shape:
                 raise ValueError(f"shape mismatch for '{name}': {arr.shape} vs {t.shape}")
-            t.data = np.ascontiguousarray(arr.astype(t.dtype))
+            t.data[...] = arr  # in place: the tensor may be a view into an optimizer's buffer
 
     def alias_from(self, other: "Module") -> None:
         """Share parameter storage with a structurally identical module."""
@@ -174,7 +174,7 @@ class ResidualAdapter(Module):
         self.children["down"] = Linear(rng, d_model, d_adapter)
         up = Linear(rng, d_adapter, d_model)
         if not random_init:
-            up.p["w"].data = np.zeros_like(up.p["w"].data)
+            up.p["w"].data[...] = 0.0
         self.children["up"] = up
 
     def __call__(self, x: Tensor) -> Tensor:

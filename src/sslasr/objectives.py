@@ -209,8 +209,8 @@ class BidirectionalAPC(Module):
             for k in f:
                 if f[k] is not r[k]:
                     avg = (f[k].data.astype(np.float64) + r[k].data.astype(np.float64)) / 2.0
-                    f[k].data = avg.astype(f[k].dtype)
-                    r[k].data = f[k].data.copy()
+                    f[k].data[...] = avg  # in place, as load_params writes
+                    r[k].data[...] = f[k].data
         return self.fwd
 
 

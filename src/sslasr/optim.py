@@ -13,61 +13,61 @@ class Adam:
     """Adam with bias correction over a named parameter dict.
 
     Only the parameters handed to the constructor are ever updated, so
-    freezing a module means leaving its tensors out of this dict.
+    freezing a module means leaving its tensors out of this dict. Their
+    .data and grad_slot become views into the flat `data` and `grad`
+    (see engine.Tensor); one whose .grad is None keeps data and moments.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = dict(params)
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.lr, self.beta1, self.beta2, self.eps, self.t = lr, beta1, beta2, eps, 0
+        tensors = list({id(p): p for p in params.values()}.values())
+        # one buffer, one dtype: a mix of dtypes fails to unpack with a ValueError
+        (dtype,) = {p.dtype for p in tensors} or {np.dtype(np.float32)}
+        ends = np.cumsum([0] + [p.size for p in tensors]).tolist()
+        self.layout = [(p, slice(a, b)) for p, a, b in zip(tensors, ends, ends[1:])]
+        self._rows = np.zeros((6, ends[-1]), dtype)
+        self.data, self.m, self.v, self.grad, self._s1, self._s2 = self._rows
+        for p, s in self.layout:
+            self.data[s] = p.data.reshape(-1)
+            p.data, p.grad_slot = self.data[s].reshape(p.shape), self.grad[s].reshape(p.shape)
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
+        for p, _ in self.layout:
             p.grad = None
 
     def step(self, lr: float | None = None) -> None:
-        if lr is None:
-            lr = self.lr
+        lr = self.lr if lr is None else lr
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        c1 = 1.0 - b1**self.t
-        c2 = 1.0 - b2**self.t
-        for k, p in self.params.items():
-            if p.grad is None:
-                continue
-            g = p.grad
-            m, v = self.m[k], self.v[k]
-            # in place, same operations in the same order as b1*m + (1-b1)*g
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            mhat = m / c1
-            vhat = v / c2
-            p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.eps)
+        c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
+        held = [(s, self._rows[:3, s].copy()) for p, s in self.layout if p.grad is None]
+        for p, s in self.layout:
+            if p.grad is not None and p.grad is not p.grad_slot:  # assigned from outside
+                p.grad_slot[...] = p.grad
+        g, m, v, s1, s2 = self.grad, self.m, self.v, self._s1, self._s2
+        # the per-tensor m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+        # data -= lr*(m/c1) / (sqrt(v/c2) + eps) op for op, allocating nothing
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=s1)
+        v *= b2
+        v += np.multiply(np.multiply(g, 1.0 - b2, out=s1), g, out=s1)
+        np.multiply(np.divide(m, c1, out=s1), lr, out=s1)
+        np.add(np.sqrt(np.divide(v, c2, out=s2), out=s2), self.eps, out=s2)
+        self.data -= np.divide(s1, s2, out=s1)
+        for s, kept in held:
+            self._rows[:3, s] = kept
 
 
 def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm.
-
-    Returns the pre-clip norm.
-    """
-    sq = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            sq += float((p.grad.astype(np.float64) ** 2).sum())
-    norm = math.sqrt(sq)
+    """Scale all gradients in place so that their joint L2 norm, from float64
+    per-tensor sums in parameter order, is at most max_norm; returns the
+    pre-clip norm."""
+    live = [p for p in params.values() if p.grad is not None]
+    norm = math.sqrt(sum(float((p.grad.astype(np.float64) ** 2).sum()) for p in live))
     if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad = p.grad * scale
+        for p in live:
+            p.grad *= max_norm / norm
     return norm
 
 

@@ -321,6 +321,18 @@ def _run_stage(stage: str, tag: str, cfg: PipelineConfig, workdir, corpus, model
     return str(out)
 
 
+def _prepare_clusters(stage: str, bundle: SSLBundle, corpus, rng, use_encoder: bool) -> None:
+    """Label the stage's corpus for masked_cluster, after checking, with
+    the stage named, that it has one point (complete frame group) per cluster."""
+    if not corpus:
+        raise ValueError(f"stage '{stage}' has no utterances")
+    points = sum(u.feats.shape[0] // Encoder.subsample_factor for u in corpus)
+    if points < bundle.cfg.n_clusters:
+        raise ValueError(f"stage '{stage}': fewer points than clusters: "
+                         f"{points} points, {bundle.cfg.n_clusters} clusters")
+    bundle.prepare_cluster_targets(corpus, rng, use_encoder=use_encoder)
+
+
 # ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
@@ -332,8 +344,8 @@ def run_pretrain(cfg: PipelineConfig, workdir, corpus=None, steps: int | None = 
     corpus = build_corpora(cfg)["source_train"] if corpus is None else corpus
     bundle = SSLBundle(cfg, seed=cfg.seed)
     if cfg.objective == "masked_cluster":
-        bundle.prepare_cluster_targets(corpus, np.random.default_rng([cfg.seed, 0x535]),
-                                       use_encoder=False)
+        _prepare_clusters("pretrain", bundle, corpus, np.random.default_rng([cfg.seed, 0x535]),
+                          use_encoder=False)
     lr_fn = lambda s: noam_lr(s, cfg.d_model, cfg.noam_warmup, cfg.noam_factor)
     return _run_stage("pretrain", "pretrain", cfg, workdir, corpus, bundle, bundle.loss,
                       bundle.named_params(), steps, lr_fn, {})
@@ -353,8 +365,8 @@ def run_adapt(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "draft",
     bundle, provenance = _restore_for("adapt", cfg, ckpt_path)
     if cfg.objective == "masked_cluster":
         # second-stage targets: refit clusters on the pretrained encoder's features
-        bundle.prepare_cluster_targets(corpus, np.random.default_rng([cfg.seed, 0x535, 2]),
-                                       use_encoder=True)
+        _prepare_clusters("adapt", bundle, corpus, np.random.default_rng([cfg.seed, 0x535, 2]),
+                          use_encoder=True)
     if mode == "draft":
         if bundle.encoder.adapters_inserted:
             if bundle.encoder.d_adapter != cfg.d_adapter:

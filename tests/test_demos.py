@@ -1,7 +1,8 @@
 """Each demo runs to completion as a standalone script.
 
 The quick ones take about a second each; 06_domain_adaptation.py, which
-trains all three pipelines on three seeds, takes 20-30 s on 2 CPUs.
+trains all three pipelines on three seeds and pretrains once per seed,
+takes about 9 s on 2 CPUs.
 """
 
 import os

@@ -45,6 +45,24 @@ class TestForwardOracles:
         out = T.layer_norm(t64([[5.0, 5.0, 5.0, 5.0]]), g, b, eps=1e-5)
         np.testing.assert_allclose(out.data, np.zeros((1, 4)), atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm_bits_match_the_mean_formula(self, dtype):
+        rng = np.random.default_rng(21)
+        x = (rng.normal(size=(64, 7, 12)) * 3.0 + 1.0).astype(dtype)
+        gamma, beta, g = (rng.normal(size=s).astype(dtype) for s in (12, 12, x.shape))
+        xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        with Tape() as tape:
+            out = T.layer_norm(xt, gt, bt)
+            backward(T.sum_(T.mul(out, Tensor(g))), tape)
+        mu = x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(((x - mu) ** 2).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat = (x - mu) * inv
+        gxh = g * gamma
+        gx = inv * (gxh - gxh.mean(axis=-1, keepdims=True)
+                    - xhat * (gxh * xhat).mean(axis=-1, keepdims=True))
+        assert out.data.tobytes() == (gamma * xhat + beta).tobytes()
+        assert xt.grad.tobytes() == gx.tobytes()
+
     def test_gelu_values(self):
         out = T.gelu(t64([1.0, -0.5]))
         np.testing.assert_allclose(
@@ -204,6 +222,23 @@ class TestBackwardSemantics:
         for i, (full, skipped) in enumerate(zip(grads[None], grads[frozen])):
             if i != frozen:
                 np.testing.assert_array_equal(skipped, full)
+
+    @pytest.mark.parametrize("in_arena", [False, True], ids=["plain", "arena"])
+    def test_first_deposit_matches_zeros_like_plus_g_bits(self, in_arena):
+        g = np.array([-0.0, 0.0, -1.5], dtype=np.float32)
+        t = Tensor(np.ones(3, np.float32), requires_grad=True)
+        if in_arena:
+            Adam({"t": t})
+        with Tape() as tape:
+            backward(T.sum_(T.mul(t, Tensor(g))), tape)
+        assert t.grad.tobytes() == (np.zeros_like(g) + g).tobytes()  # -0.0 deposits +0.0
+        assert (t.grad is t.grad_slot) == in_arena
+
+    def test_op_outputs_are_c_contiguous(self):
+        x = t64(np.arange(6.0).reshape(2, 3))
+        out = T.transpose(x)
+        assert out.data.flags.c_contiguous
+        np.testing.assert_array_equal(out.data, x.data.T)
 
     def test_grad_dtype_matches_data(self):
         x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
@@ -375,9 +410,48 @@ class TestOptim:
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
             ref = ref - 0.01 * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
-            np.testing.assert_array_equal(opt.m["p"], m)
-            np.testing.assert_array_equal(opt.v["p"], v)
+            np.testing.assert_array_equal(opt.m, m.reshape(-1))
+            np.testing.assert_array_equal(opt.v, v.reshape(-1))
             np.testing.assert_array_equal(p.data, ref)
+
+    def test_tensor_without_gradient_keeps_data_and_moments(self):
+        rng = np.random.default_rng(5)
+        a = Tensor(rng.normal(size=(2, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.normal(size=4).astype(np.float32), requires_grad=True)
+        opt = Adam({"a": a, "b": b}, lr=0.01)
+        a.grad, b.grad = np.ones((2, 3), np.float32), np.full(4, -2.0, np.float32)
+        opt.step()
+        sb = opt.layout[1][1]
+        kept = [x.tobytes() for x in (b.data, opt.m[sb], opt.v[sb])]
+        a_before = a.data.copy()
+        opt.zero_grad()
+        a.grad = np.ones((2, 3), np.float32)
+        opt.step()
+        assert [x.tobytes() for x in (b.data, opt.m[sb], opt.v[sb])] == kept
+        assert not np.array_equal(a.data, a_before)
+
+    def test_shared_tensor_takes_one_slot(self):
+        p = Tensor(np.arange(3.0, dtype=np.float32), requires_grad=True)
+        q = Tensor(np.ones(2, np.float32), requires_grad=True)
+        opt = Adam({"a": p, "b": q, "a_again": p})
+        assert [t for t, _ in opt.layout] == [p, q]
+        assert opt.data.size == 5
+        np.testing.assert_array_equal(opt.data, [0.0, 1.0, 2.0, 1.0, 1.0])
+        assert np.shares_memory(p.data, opt.data) and np.shares_memory(p.grad_slot, opt.grad)
+
+    def test_gradient_assigned_from_outside_replaces_the_deposit(self):
+        p = Tensor(np.ones(3, np.float32), requires_grad=True)
+        opt = Adam({"p": p}, lr=0.1)
+        with Tape() as tape:
+            backward(T.sum_(T.mul(p, Tensor(np.full(3, 5.0, np.float32)))), tape)
+        assert p.grad is p.grad_slot
+        p.grad = np.array([1.0, 0.0, -1.0], np.float32)
+        opt.step()
+        np.testing.assert_allclose(p.data, [0.9, 1.0, 1.1], rtol=1e-6)
+
+    def test_mixed_dtypes_rejected(self):
+        with pytest.raises(ValueError):
+            Adam({"a": Tensor(np.ones(2, np.float32)), "b": Tensor(np.ones(2))})
 
     def test_clip_global_norm(self):
         p1 = Tensor(np.zeros(2), requires_grad=True, dtype=np.float64)

@@ -1,5 +1,7 @@
 """Three-stage pipeline: freeze guarantees, provenance, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from sslasr.objectives import (
     EAPCObjective,
     MaskedClusterObjective,
 )
+from sslasr.optim import Adam, clip_global_norm, noam_lr
 from sslasr.training import (
     ADAPT_MODES,
     FINETUNE_MODES,
@@ -217,6 +220,99 @@ class TestFrozenGradients:
                 assert g is None, name
 
 
+class _ReferenceAdam:
+    """Adam one tensor at a time, with fresh arrays: the arena's oracle."""
+
+    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.b1, self.b2, self.eps, self.t = dict(params), beta1, beta2, eps, 0
+        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+
+    def step(self, lr):
+        self.t += 1
+        c1, c2 = 1.0 - self.b1**self.t, 1.0 - self.b2**self.t
+        for k, p in self.params.items():
+            if p.grad is not None:
+                self.m[k] = self.b1 * self.m[k] + (1.0 - self.b1) * p.grad
+                self.v[k] = self.b2 * self.v[k] + (1.0 - self.b2) * p.grad * p.grad
+                p.data = p.data - lr * (self.m[k] / c1) / (np.sqrt(self.v[k] / c2) + self.eps)
+
+
+def _reference_clip(params, max_norm):
+    sq = 0.0
+    for p in params.values():
+        if p.grad is not None:
+            sq += float((p.grad.astype(np.float64) ** 2).sum())
+    norm = math.sqrt(sq)
+    if norm > max_norm and norm > 0:
+        for p in params.values():
+            if p.grad is not None:
+                p.grad = p.grad * (max_norm / norm)
+    return norm
+
+
+class TestParameterArena:
+    """Adam's flat buffers reproduce the per-tensor update bit for bit."""
+
+    @pytest.mark.parametrize("objective,scheme", [("eapc", "share_generator"), ("biapc", "share_all")])
+    def test_steps_match_per_tensor_reference(self, objective, scheme):
+        cfg = tiny_cfg(objective=objective, biapc_scheme=scheme, apc_lags=2, clip_norm=0.5)
+        corpus = build_corpora(cfg)["source_train"]
+        runs = {}
+        for kind in ("arena", "reference"):
+            bundle = SSLBundle(cfg, seed=0)
+            # a trainable tensor that leaves the graph after step 2 and must then stay put
+            idle = Tensor(np.ones(3, np.float32), requires_grad=True)
+            params = {**bundle.named_params(), "idle": idle}
+            opt = Adam(params) if kind == "arena" else _ReferenceAdam(params)
+            clip = clip_global_norm if kind == "arena" else _reference_clip
+            trace = []
+            for step in range(1, 5):
+                rng = np.random.default_rng([cfg.seed, 1, step])
+                batch = [corpus[int(i)] for i in rng.choice(len(corpus), cfg.batch_size, replace=False)]
+                for t in params.values():
+                    t.grad = None
+                with Tape() as tape:
+                    loss = bundle.loss(batch, rng, step)
+                    if step <= 2:
+                        loss = E.add(loss, E.sum_(E.mul(idle, Tensor(np.full(3, 0.25, np.float32)))))
+                    backward(loss, tape)
+                norm = clip(params, cfg.clip_norm)
+                opt.step(noam_lr(step, cfg.d_model, cfg.noam_warmup, cfg.noam_factor))
+                if kind == "arena":
+                    slot = {id(p): s for p, s in opt.layout}
+                    m = {k: opt.m[slot[id(t)]] for k, t in params.items()}
+                    v = {k: opt.v[slot[id(t)]] for k, t in params.items()}
+                else:
+                    m, v = opt.m, opt.v
+                trace.append((norm, {k: (t.data.tobytes(), m[k].tobytes(), v[k].tobytes())
+                                     for k, t in params.items()}))
+            runs[kind] = trace
+        assert any(norm > cfg.clip_norm for norm, _ in runs["arena"])  # the clip scaled
+        for step, (got, want) in enumerate(zip(runs["arena"], runs["reference"]), 1):
+            assert got[0].hex() == want[0].hex(), step
+            for k in want[1]:
+                assert got[1][k] == want[1][k], (step, k)
+        assert runs["arena"][1][1]["idle"] == runs["arena"][3][1]["idle"]
+        assert runs["arena"][1][1]["idle"][0] != np.ones(3, np.float32).tobytes()
+
+    def test_weight_writers_keep_tensors_in_the_arena(self):
+        bundle = SSLBundle(tiny_cfg(objective="biapc", biapc_scheme="share_generator"), seed=0)
+        params = bundle.named_params()
+        opt = Adam(params)
+        views = {k: t.data for k, t in params.items()}
+        stored = {k: np.full(t.shape, i, np.float32) for i, (k, t) in enumerate(params.items())}
+        stored["rev.model.final_ln.g"] = np.full(params["rev.model.final_ln.g"].shape, 7.0)
+        bundle.load_params(stored)
+        bundle.pair.average_directions()
+        assert all(t.data is views[k] for k, t in params.items())
+        np.testing.assert_array_equal(params["fwd.model.final_ln.g"].data,
+                                      (stored["fwd.model.final_ln.g"] + 7.0) / 2)
+        for p, s in opt.layout:
+            assert np.shares_memory(p.data, opt.data)
+            np.testing.assert_array_equal(opt.data[s], p.data.reshape(-1))
+
+
 class TestBundleRoundTrip:
     def test_load_bundle_restores_params(self, draft_chain):
         cfg, _, pre, _, _, _ = draft_chain
@@ -394,7 +490,7 @@ class TestDegenerateInput:
         (dict(objective="eapc", apc_shift=2),
          r"stage 'pretrain' step 1: no valid prediction targets at any lag"),
         (dict(objective="masked_cluster", n_train=2, proto_len=8, n_clusters=16),
-         r"fewer points than clusters: 4 points, 16 clusters"),
+         r"stage 'pretrain': fewer points than clusters: 4 points, 16 clusters"),
     ], ids=["contrastive", "eapc", "masked_cluster"])
     def test_degenerate_batch_names_its_context(self, overrides, match, tmp_path):
         cfg = tiny_cfg(**{**dict(min_tokens=1, max_tokens=1, proto_len=4, n_train=12),
@@ -404,6 +500,25 @@ class TestDegenerateInput:
         if "step" in match:
             assert isinstance(info.value.__cause__, ValueError)
         assert not (tmp_path / "pretrain.ckpt").exists()
+
+    def test_masked_cluster_corpus_checked_before_labelling(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(objective="masked_cluster", n_clusters=16)
+        pre = run_pretrain(cfg, tmp_path)
+        one = build_corpora(cfg)["source_train"][:1]
+        points = one[0].feats.shape[0] // 4
+        assert points < 16
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("cluster targets prepared")
+
+        monkeypatch.setattr(SSLBundle, "prepare_cluster_targets", unreachable)
+        for stage, run in (("pretrain", lambda c: run_pretrain(cfg, tmp_path, corpus=c)),
+                           ("adapt", lambda c: run_adapt(cfg, pre, tmp_path, corpus=c))):
+            with pytest.raises(ValueError, match=f"stage '{stage}' has no utterances"):
+                run([])
+            with pytest.raises(ValueError, match=f"stage '{stage}': fewer points than clusters: "
+                                                 f"{points} points, 16 clusters"):
+                run(one)
 
     def test_empty_corpus_rejected_by_every_training_stage(self, tmp_path):
         cfg = tiny_cfg()
