@@ -35,9 +35,9 @@ batch = Batch(feats, lengths, utt_ids=("a", "b", "c", "d"))
 
 print("== future-frame regression (APC and its multi-lag extension) ==")
 enc = build_encoder(cfg, seed=1)
-apc = EAPCObjective(APCConfig(shift=1, n_lags=1, p=1, d_feat=8), 16, 4,
+apc = EAPCObjective(APCConfig(shift=1, n_lags=1, p=1, d_feat=8), 16,
                     np.random.default_rng(2))
-eapc = EAPCObjective(APCConfig(shift=1, n_lags=3, p=1, d_feat=8), 16, 4,
+eapc = EAPCObjective(APCConfig(shift=1, n_lags=3, p=1, d_feat=8), 16,
                      np.random.default_rng(3))
 print(f"APC   (predict 1 group ahead)        loss {float(apc.loss(enc, batch).data):.4f}")
 print(f"E-APC (predict lags 1..3, one generator each) "
@@ -75,7 +75,7 @@ mc = MaskedClusterObjective(
     MaskedClusterConfig(n_clusters=6, mask_prob=0.3, span_len=2, alpha=1.0),
     16, np.random.default_rng(9))
 # unit discovery: k-means over group-averaged input features
-groups = [group_mean_features(feats[i], int(lengths[i]), 4)
+groups = [group_mean_features(feats[i], int(lengths[i]))
           for i in range(len(feats))]
 centers = kmeans_fit(np.concatenate(groups).astype(np.float32), 6,
                      np.random.default_rng(10))

@@ -75,14 +75,15 @@ def _pipeline_config(values: dict, **overrides) -> PipelineConfig:
     return PipelineConfig.from_dict(picked)
 
 
-def _disk_corpus(manifest_path, cfg: PipelineConfig, featurizer_cfg=None):
-    corpus = load_corpus(manifest_path, featurizer_cfg)
+def _disk_corpus(manifest_path, cfg: PipelineConfig):
+    corpus = load_corpus(manifest_path)
     if not corpus:
         raise ValueError("no utterances")
-    d = corpus[0].feats.shape[1]
-    if d != cfg.d_feat:
-        raise ValueError(
-            f"manifest features have dim {d} but config d_feat={cfg.d_feat}")
+    for u in corpus:
+        d = u.feats.shape[1]
+        if d != cfg.d_feat:
+            raise ValueError(f"{manifest_path}: utterance '{u.utt_id}' has feature dim {d} "
+                             f"but config d_feat={cfg.d_feat}")
     return corpus
 
 

@@ -17,11 +17,13 @@ from . import engine as E
 from .engine import Tensor
 from .model import Linear, Module
 
+BLANK = 0  # output index of the CTC blank; token ids start at 1
+
 
 class CTCHead(Module):
     """Linear generator from hidden states to per-frame token logits.
 
-    Output dim is vocab_size + 1; index 0 is the blank.
+    Output dim is vocab_size + 1; index BLANK = 0 is the blank.
     """
 
     def __init__(self, rng, d_model: int, vocab_size: int):
@@ -33,11 +35,11 @@ class CTCHead(Module):
         return self.children["out"](hidden)
 
 
-def extended_labels(target, blank: int = 0) -> list:
-    ext = [blank]
+def extended_labels(target) -> list:
+    ext = [BLANK]
     for y in target:
         ext.append(int(y))
-        ext.append(blank)
+        ext.append(BLANK)
     return ext
 
 
@@ -48,8 +50,7 @@ def min_input_length(target) -> int:
     return len(target) + repeats
 
 
-def ctc_loss_batch(logits: Tensor, out_lengths, targets, blank: int = 0,
-                   normalize: bool = True) -> Tensor:
+def ctc_loss_batch(logits: Tensor, out_lengths, targets, normalize: bool = True) -> Tensor:
     """Mean per-utterance CTC loss over the feasible part of a batch.
 
     logits: (B, T, V); out_lengths gives each utterance's valid frame
@@ -68,7 +69,7 @@ def ctc_loss_batch(logits: Tensor, out_lengths, targets, blank: int = 0,
         if not 0 <= n <= T:
             raise ValueError(f"utterance {b}: out_length {n} outside [0, {T}]")
         target = [int(y) for y in target]
-        if any(y == blank or not 0 <= y < V for y in target):
+        if any(y == BLANK or not 0 <= y < V for y in target):
             raise ValueError(f"utterance {b}: target tokens must be non-blank vocabulary indices")
         if not target:
             raise ValueError(f"utterance {b}: empty CTC target")
@@ -83,12 +84,12 @@ def ctc_loss_batch(logits: Tensor, out_lengths, targets, blank: int = 0,
     K = len(kept)
     n_lab = np.array([len(y) for y in labels])
     S = 2 * int(n_lab.max()) + 1
-    ext = np.full((K, S), blank)
+    ext = np.full((K, S), BLANK)
     for k, y in enumerate(labels):
-        ext[k, : 2 * len(y) + 1] = extended_labels(y, blank)
+        ext[k, : 2 * len(y) + 1] = extended_labels(y)
     # the skip s-2 -> s is open only between distinct labels
     skip = np.full((K, S - 2), -np.inf)
-    skip[(ext[:, 2:] != blank) & (ext[:, 2:] != ext[:, :-2])] = 0.0
+    skip[(ext[:, 2:] != BLANK) & (ext[:, 2:] != ext[:, :-2])] = 0.0
     ks = np.arange(K)
     t_last = np.array([lengths[b] for b in kept]) - 1
     s_last = 2 * n_lab
@@ -135,7 +136,7 @@ def ctc_loss_batch(logits: Tensor, out_lengths, targets, blank: int = 0,
     return E._record("ctc_loss", (logits,), loss, bwd)
 
 
-def greedy_decode(log_probs: np.ndarray, blank: int = 0) -> list:
+def greedy_decode(log_probs: np.ndarray) -> list:
     """Best path decoding: framewise argmax (ties -> lowest index),
     collapse repeats, drop blanks."""
     best = np.argmax(np.asarray(log_probs), axis=-1)
@@ -143,7 +144,7 @@ def greedy_decode(log_probs: np.ndarray, blank: int = 0) -> list:
     prev = None
     for b in best:
         b = int(b)
-        if b != prev and b != blank:
+        if b != prev and b != BLANK:
             out.append(b)
         prev = b
     return out

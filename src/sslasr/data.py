@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .features import Featurizer, FeaturizerConfig
 from .io import ManifestEntry, read_feat, read_manifest, write_feat, write_manifest
 
 DOMAINS = ("source", "target")
@@ -139,8 +138,7 @@ def read_wav(path):
 # ---------------------------------------------------------------------------
 
 
-def write_corpus(out_dir, cfg: CorpusConfig, emit: str = "features",
-                 featurizer_cfg: FeaturizerConfig | None = None) -> str:
+def write_corpus(out_dir, cfg: CorpusConfig, emit: str = "features") -> str:
     """Write utterance files plus a manifest.tsv; returns the manifest path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -167,22 +165,21 @@ def write_corpus(out_dir, cfg: CorpusConfig, emit: str = "features",
     return str(manifest)
 
 
-def load_corpus(manifest_path, featurizer_cfg: FeaturizerConfig | None = None) -> list:
-    """Load a manifest back into Utterances; .wav entries are featurized."""
+def load_corpus(manifest_path) -> list:
+    """Load a feature manifest back into Utterances.
+
+    Audio is featurized on one path, `sslasr featurize`, so a .wav entry
+    is rejected rather than featurized here with settings of its own."""
     root = Path(manifest_path).parent
     utts = []
-    featurizer = None
     for e in read_manifest(manifest_path):
         path = root / e.path
-        if path.suffix == ".feat":
-            feats, _, _ = read_feat(path)
-        elif path.suffix == ".wav":
-            if featurizer is None:
-                featurizer = Featurizer(featurizer_cfg or FeaturizerConfig())
-            samples, _ = read_wav(path)
-            feats = featurizer(samples)
-        else:
+        if path.suffix == ".wav":
+            raise ValueError(f"{manifest_path}: entry '{e.utt_id}' is audio ('{e.path}'); "
+                             f"run `sslasr featurize` on this manifest first")
+        if path.suffix != ".feat":
             raise ValueError(f"unknown utterance file type '{path.suffix}'")
+        feats, _, _ = read_feat(path)
         tokens = [int(t) for t in e.transcript.split()] if e.transcript.strip() else []
         utts.append(Utterance(e.utt_id, feats, tokens, e.domain))
     return utts

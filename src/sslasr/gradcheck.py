@@ -245,8 +245,7 @@ def loss_gradcheck_battery(seed: int) -> float:
 
     # APC (single lag, squared error)
     enc = build_encoder(enc_cfg, seed)
-    obj = EAPCObjective(APCConfig(shift=2, n_lags=1, p=2, d_feat=4), 8,
-                        enc.subsample_factor, rng)
+    obj = EAPCObjective(APCConfig(shift=2, n_lags=1, p=2, d_feat=4), 8, rng)
     named = _float64_params({"enc": enc, "obj": obj})
     worst = max(worst, check(
         lambda *_: obj.loss(enc, batch),
@@ -257,8 +256,7 @@ def loss_gradcheck_battery(seed: int) -> float:
 
     # E-APC (two lags, absolute error)
     enc2 = build_encoder(enc_cfg, seed + 1)
-    obj2 = EAPCObjective(APCConfig(shift=1, n_lags=2, p=1, d_feat=4), 8,
-                         enc2.subsample_factor, rng)
+    obj2 = EAPCObjective(APCConfig(shift=1, n_lags=2, p=1, d_feat=4), 8, rng)
     named = _float64_params({"enc": enc2, "obj": obj2})
     worst = max(worst, check(
         lambda *_: obj2.loss(enc2, batch),
@@ -317,8 +315,7 @@ def loss_gradcheck_battery(seed: int) -> float:
     mobj = MaskedClusterObjective(
         MaskedClusterConfig(n_clusters=3, mask_prob=0.5, span_len=2, alpha=0.5),
         8, rng)
-    gm = [group_mean_features(feats[i], int(lengths[i]), enc4.subsample_factor)
-          for i in range(2)]
+    gm = [group_mean_features(feats[i], int(lengths[i])) for i in range(2)]
     centers = kmeans_fit(np.concatenate(gm).astype(np.float32), 3, rng)
     mobj.targets = {f"u{i}": kmeans_assign(gm[i].astype(np.float32), centers) for i in range(2)}
     named = _float64_params({"enc": enc4, "obj": mobj})

@@ -39,9 +39,9 @@ class Module:
                        if id(t) not in seen)
         return out
 
-    def load_params(self, flat: dict, prefix: str = "") -> None:
+    def load_params(self, flat: dict) -> None:
         """Copy values into existing tensors; names must match exactly."""
-        mine = self.named_params(prefix)
+        mine = self.named_params()
         if set(mine) != set(flat):
             missing = sorted(set(mine) - set(flat))
             extra = sorted(set(flat) - set(mine))
@@ -63,28 +63,23 @@ class Module:
 
 
 class Linear(Module):
-    def __init__(self, rng, d_in: int, d_out: int, bias: bool = True):
+    def __init__(self, rng, d_in: int, d_out: int):
         super().__init__()
         self.p["w"] = Tensor(xavier_uniform(rng, (d_in, d_out), d_in, d_out), requires_grad=True)
-        if bias:
-            self.p["b"] = Tensor(np.zeros(d_out, dtype=np.float32), requires_grad=True)
+        self.p["b"] = Tensor(np.zeros(d_out, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = E.matmul(x, self.p["w"])
-        if "b" in self.p:
-            out = E.add(out, self.p["b"])
-        return out
+        return E.add(E.matmul(x, self.p["w"]), self.p["b"])
 
 
 class LayerNorm(Module):
-    def __init__(self, d: int, eps: float = 1e-5):
+    def __init__(self, d: int):
         super().__init__()
-        self.eps = eps
         self.p["g"] = Tensor(np.ones(d, dtype=np.float32), requires_grad=True)
         self.p["b"] = Tensor(np.zeros(d, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return E.layer_norm(x, self.p["g"], self.p["b"], eps=self.eps)
+        return E.layer_norm(x, self.p["g"], self.p["b"])
 
 
 class Conv1d(Module):
@@ -150,11 +145,11 @@ class FeedForward(Module):
 class TransformerBlock(Module):
     """Pre-norm: x + attn(LN(x)), then x + ffn(LN(x))."""
 
-    def __init__(self, rng, d_model: int, n_heads: int, d_ffn: int, ln_eps: float):
+    def __init__(self, rng, d_model: int, n_heads: int, d_ffn: int):
         super().__init__()
-        self.children["ln1"] = LayerNorm(d_model, ln_eps)
+        self.children["ln1"] = LayerNorm(d_model)
         self.children["attn"] = MultiHeadAttention(rng, d_model, n_heads)
-        self.children["ln2"] = LayerNorm(d_model, ln_eps)
+        self.children["ln2"] = LayerNorm(d_model)
         self.children["ffn"] = FeedForward(rng, d_model, d_ffn)
 
     def __call__(self, x: Tensor, allowed: np.ndarray) -> Tensor:
@@ -187,12 +182,12 @@ class ResidualAdapter(Module):
 
 
 class ConvSubsampler(Module):
-    """Two stride-2 convs with GELU; total time subsampling of 4."""
+    """Two kernel-3 stride-2 convs with GELU; total time subsampling of 4."""
 
-    def __init__(self, rng, d_in: int, d_model: int, kernel: int, padding: str):
+    def __init__(self, rng, d_in: int, d_model: int, padding: str):
         super().__init__()
-        self.children["conv1"] = Conv1d(rng, kernel, d_in, d_model, stride=2, padding=padding)
-        self.children["conv2"] = Conv1d(rng, kernel, d_model, d_model, stride=2, padding=padding)
+        self.children["conv1"] = Conv1d(rng, 3, d_in, d_model, stride=2, padding=padding)
+        self.children["conv2"] = Conv1d(rng, 3, d_model, d_model, stride=2, padding=padding)
 
     def __call__(self, x: Tensor) -> Tensor:
         return E.gelu(self.children["conv2"](E.gelu(self.children["conv1"](x))))
@@ -218,8 +213,6 @@ class EncoderConfig:
     n_blocks: int = 2
     d_ffn: int = 128
     causal: bool = True
-    conv_kernel: int = 3
-    ln_eps: float = 1e-5
 
 
 class Encoder(Module):
@@ -235,12 +228,10 @@ class Encoder(Module):
         super().__init__()
         self.config = config
         pad = "causal" if config.causal else "same"
-        self.children["conv"] = ConvSubsampler(rng, config.d_input, config.d_model, config.conv_kernel, pad)
+        self.children["conv"] = ConvSubsampler(rng, config.d_input, config.d_model, pad)
         for i in range(config.n_blocks):
-            self.children[f"block{i}"] = TransformerBlock(
-                rng, config.d_model, config.n_heads, config.d_ffn, config.ln_eps
-            )
-        self.children["final_ln"] = LayerNorm(config.d_model, config.ln_eps)
+            self.children[f"block{i}"] = TransformerBlock(rng, config.d_model, config.n_heads, config.d_ffn)
+        self.children["final_ln"] = LayerNorm(config.d_model)
         self.adapters_inserted = False
         self.d_adapter = 0
 

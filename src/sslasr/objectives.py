@@ -19,46 +19,41 @@ from .data import Batch
 from .engine import Tensor
 from .model import Encoder, EncoderConfig, Linear, Module, build_encoder
 
-
-def valid_groups(lengths, factor: int) -> np.ndarray:
-    """Number of complete length-`factor` frame groups per utterance."""
-    return np.asarray(lengths) // factor
+GROUP = Encoder.subsample_factor  # frames per encoder output step
 
 
-def stack_targets(feats: np.ndarray, lengths, factor: int):
-    """Concatenate each group of `factor` consecutive frames into one target row.
+def valid_groups(lengths) -> np.ndarray:
+    """Number of complete GROUP-frame groups per utterance."""
+    return np.asarray(lengths) // GROUP
 
-    Returns (stacked (B, G, factor*D), valid (B,)) where G = ceil(T/factor);
+
+def stack_targets(feats: np.ndarray, lengths):
+    """Concatenate each group of GROUP consecutive frames into one target row.
+
+    Returns (stacked (B, G, GROUP*D), valid (B,)) where G = ceil(T/GROUP);
     trailing partial groups are zero-padded and not counted as valid.
     """
     x = np.asarray(feats)
     B, T, D = x.shape
-    G = -(-T // factor)
-    padded = np.zeros((B, G * factor, D), dtype=x.dtype)
+    G = -(-T // GROUP)
+    padded = np.zeros((B, G * GROUP, D), dtype=x.dtype)
     padded[:, :T] = x
-    stacked = padded.reshape(B, G, factor * D)
-    return stacked, valid_groups(lengths, factor)
+    stacked = padded.reshape(B, G, GROUP * D)
+    return stacked, valid_groups(lengths)
 
 
-def apc_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray,
-             p: int = 1, normalize: bool = False) -> Tensor:
+def apc_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray, p: int = 1) -> Tensor:
     """Sum of |pred - target|^p over positions where mask is True.
 
     pred (B, G, D) on the tape, target and boolean mask (B, G) plain
-    arrays. normalize divides by the number of contributing elements.
+    arrays.
     """
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
     diff = E.sub(pred, Tensor(np.asarray(target, dtype=pred.dtype)))
     err = E.abs_(diff) if p == 1 else E.mul(diff, diff)
     weights = np.asarray(mask, dtype=pred.dtype)[..., None]
-    total = E.sum_(E.mul(err, Tensor(weights)))
-    if normalize:
-        count = int(mask.sum()) * pred.shape[-1]
-        if count == 0:
-            raise ValueError("no valid prediction targets")
-        total = E.mul(total, Tensor(np.asarray(1.0 / count, dtype=pred.dtype)))
-    return total
+    return E.sum_(E.mul(err, Tensor(weights)))
 
 
 @dataclass
@@ -66,7 +61,7 @@ class APCConfig:
     shift: int = 2       # first prediction lag, in subsampled groups
     n_lags: int = 1      # lags {shift, ..., shift + n_lags - 1}
     p: int = 1           # L1 or squared-L2 regression
-    d_feat: int = 8      # raw feature dim (target dim = factor * d_feat)
+    d_feat: int = 8      # raw feature dim (target dim = GROUP * d_feat)
 
 
 class EAPCObjective(Module):
@@ -76,13 +71,12 @@ class EAPCObjective(Module):
     same loss over consecutive lags starting at `shift`.
     """
 
-    def __init__(self, cfg: APCConfig, d_model: int, factor: int, rng: np.random.Generator):
+    def __init__(self, cfg: APCConfig, d_model: int, rng: np.random.Generator):
         super().__init__()
         if cfg.shift < 1 or cfg.n_lags < 1:
             raise ValueError("shift and n_lags must be >= 1")
         self.cfg = cfg
-        self.factor = factor
-        self.d_target = factor * cfg.d_feat
+        self.d_target = GROUP * cfg.d_feat
         for i in range(cfg.n_lags):
             self.children[f"gen{i}"] = Linear(rng, d_model, self.d_target)
 
@@ -94,7 +88,7 @@ class EAPCObjective(Module):
         """rng and step are unused; normalize=False returns the raw sum over lags."""
         feats, lengths = batch.feats, batch.lengths
         hidden, out_lengths = encoder(feats, lengths)
-        stacked, valid = stack_targets(feats, lengths, self.factor)
+        stacked, valid = stack_targets(feats, lengths)
         # cap at the longest valid row so trailing padding cannot change
         # the reduction, not even in the last bit
         G = min(hidden.shape[1], stacked.shape[1], int(np.max(valid, initial=0)))
@@ -109,9 +103,7 @@ class EAPCObjective(Module):
             if not mask.any():
                 continue
             count += int(mask.sum()) * self.d_target
-            term = apc_loss(
-                E.slice_axis(pred, 1, 0, G), target[:, :G], mask, p=self.cfg.p, normalize=False
-            )
+            term = apc_loss(E.slice_axis(pred, 1, 0, G), target[:, :G], mask, p=self.cfg.p)
             total = term if total is None else E.add(total, term)
         if total is None:
             raise ValueError("no valid prediction targets at any lag")
@@ -120,7 +112,7 @@ class EAPCObjective(Module):
         return total
 
 
-def reverse_group_blocks(feats: np.ndarray, lengths, factor: int) -> np.ndarray:
+def reverse_group_blocks(feats: np.ndarray, lengths) -> np.ndarray:
     """Reverse the order of complete frame groups per utterance.
 
     Frames inside a group keep their order; the trailing partial group
@@ -129,11 +121,11 @@ def reverse_group_blocks(feats: np.ndarray, lengths, factor: int) -> np.ndarray:
     """
     out = np.array(feats, copy=True)
     for b, n in enumerate(np.asarray(lengths)):
-        g = int(n) // factor
+        g = int(n) // GROUP
         if g == 0:
             continue
-        blocks = out[b, : g * factor].reshape(g, factor, -1)
-        out[b, : g * factor] = blocks[::-1].reshape(g * factor, -1)
+        blocks = out[b, : g * GROUP].reshape(g, GROUP, -1)
+        out[b, : g * GROUP] = blocks[::-1].reshape(g * GROUP, -1)
     return out
 
 
@@ -160,8 +152,8 @@ class BidirectionalAPC(Module):
         self.rev = build_encoder(enc_cfg, seed + 1)
         rng_f = np.random.default_rng([seed, 0x0B1])
         rng_r = np.random.default_rng([seed + 1, 0x0B1])
-        self.fwd_obj = EAPCObjective(apc_cfg, enc_cfg.d_model, self.fwd.subsample_factor, rng_f)
-        self.rev_obj = EAPCObjective(apc_cfg, enc_cfg.d_model, self.rev.subsample_factor, rng_r)
+        self.fwd_obj = EAPCObjective(apc_cfg, enc_cfg.d_model, rng_f)
+        self.rev_obj = EAPCObjective(apc_cfg, enc_cfg.d_model, rng_r)
         for name, enc, obj in (("fwd", self.fwd, self.fwd_obj), ("rev", self.rev, self.rev_obj)):
             self.children[name] = Module()
             self.children[name].children.update(model=enc, gen=obj)
@@ -193,7 +185,7 @@ class BidirectionalAPC(Module):
              normalize: bool = True) -> Tensor:
         """Forward term on `encoder` (the pair's 'fwd'), reverse term on 'rev'."""
         fwd_loss = self.fwd_obj.loss(encoder, batch, normalize=normalize)
-        rev_feats = reverse_group_blocks(np.asarray(batch.feats), batch.lengths, encoder.subsample_factor)
+        rev_feats = reverse_group_blocks(np.asarray(batch.feats), batch.lengths)
         rev_loss = self.rev_obj.loss(self.rev, batch._replace(feats=rev_feats), normalize=normalize)
         return E.add(fwd_loss, rev_loss)
 
@@ -257,24 +249,21 @@ def apply_mask_embedding(latents: Tensor, mask: np.ndarray, mask_emb: Tensor) ->
 # ---------------------------------------------------------------------------
 
 
-def gumbel_tau(step: int, start: float = 2.0, end: float = 0.5, anneal_steps: int = 1000) -> float:
-    """Linear anneal from start to end over anneal_steps, then constant."""
-    if anneal_steps <= 0:
-        return end
-    frac = min(max(step, 0) / anneal_steps, 1.0)
-    return start + (end - start) * frac
+def gumbel_tau(step: int) -> float:
+    """Linear anneal from 2.0 to 0.5 over 1000 steps, then constant."""
+    return 2.0 - 1.5 * min(max(step, 0) / 1000, 1.0)
 
 
 class GumbelQuantizer(Module):
     """Latents -> nearest of V learned codes, hard forward / soft backward."""
 
-    def __init__(self, rng, d_latent: int, n_codes: int, d_code: int):
+    def __init__(self, rng, d_latent: int, n_codes: int):
         super().__init__()
         self.n_codes = n_codes
         self.children["proj"] = Linear(rng, d_latent, n_codes)
-        limit = math.sqrt(6.0 / (n_codes + d_code))
+        limit = math.sqrt(6.0 / (n_codes + d_latent))
         self.p["codebook"] = Tensor(
-            rng.uniform(-limit, limit, size=(n_codes, d_code)).astype(np.float32),
+            rng.uniform(-limit, limit, size=(n_codes, d_latent)).astype(np.float32),
             requires_grad=True,
         )
 
@@ -317,9 +306,6 @@ class ContrastiveConfig:
     span_len: int = 10
     n_codes: int = 32
     diversity_weight: float = 0.1
-    tau_start: float = 2.0
-    tau_end: float = 0.5
-    tau_anneal_steps: int = 1000
 
 
 class ContrastiveObjective(Module):
@@ -330,7 +316,7 @@ class ContrastiveObjective(Module):
     def __init__(self, cfg: ContrastiveConfig, d_model: int, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
-        self.children["quantizer"] = GumbelQuantizer(rng, d_model, cfg.n_codes, d_model)
+        self.children["quantizer"] = GumbelQuantizer(rng, d_model, cfg.n_codes)
         self.p["mask_emb"] = Tensor(
             rng.uniform(-0.5, 0.5, size=d_model).astype(np.float32), requires_grad=True
         )
@@ -340,12 +326,12 @@ class ContrastiveObjective(Module):
         feats, lengths = batch.feats, batch.lengths
         latents, out_lengths = encoder.encode_latents(feats, lengths)
         B, G, D = latents.shape
-        valid = np.minimum(valid_groups(lengths, encoder.subsample_factor), G)
+        valid = np.minimum(valid_groups(lengths), G)
         mask = batch_mask(valid, G, rng, cfg.mask_prob, cfg.span_len)
         context = encoder.contextualize(
             apply_mask_embedding(latents, mask, self.p["mask_emb"]), out_lengths
         )
-        tau = gumbel_tau(step, cfg.tau_start, cfg.tau_end, cfg.tau_anneal_steps)
+        tau = gumbel_tau(step)
 
         # quantize only the valid positions, packed row-wise, so the gumbel
         # noise and negative draws cannot depend on how much padding the
@@ -388,9 +374,9 @@ class ContrastiveObjective(Module):
 # ---------------------------------------------------------------------------
 
 
-def kmeans_fit(x: np.ndarray, k: int, rng: np.random.Generator, n_iters: int = 25) -> np.ndarray:
-    """k-means++ seeding then Lloyd iterations; empty clusters are reseeded
-    to the point farthest from its assigned center."""
+def kmeans_fit(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding then 25 Lloyd iterations; empty clusters are
+    reseeded to the point farthest from its assigned center."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if n < k:
@@ -402,7 +388,7 @@ def kmeans_fit(x: np.ndarray, k: int, rng: np.random.Generator, n_iters: int = 2
         probs = d2 / d2.sum() if d2.sum() > 0 else np.full(n, 1.0 / n)
         centers[i] = x[int(rng.choice(n, p=probs))]
         d2 = np.minimum(d2, ((x - centers[i]) ** 2).sum(axis=1))
-    for _ in range(n_iters):
+    for _ in range(25):
         dists = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = dists.argmin(axis=1)
         for i in range(k):
@@ -421,10 +407,10 @@ def kmeans_assign(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return d.argmin(axis=1)
 
 
-def group_mean_features(feats: np.ndarray, length: int, factor: int) -> np.ndarray:
+def group_mean_features(feats: np.ndarray, length: int) -> np.ndarray:
     """Mean feature vector of each complete frame group in one utterance."""
-    g = int(length) // factor
-    return np.asarray(feats)[: g * factor].reshape(g, factor, np.shape(feats)[-1]).mean(axis=1)
+    g = int(length) // GROUP
+    return np.asarray(feats)[: g * GROUP].reshape(g, GROUP, np.shape(feats)[-1]).mean(axis=1)
 
 
 @dataclass
@@ -453,8 +439,7 @@ class MaskedClusterObjective(Module):
     def prepare(self, corpus, rng: np.random.Generator, encoder: Encoder | None = None) -> None:
         """Fit k-means centers on the corpus and label every utterance of it,
         from group-mean features or, given an encoder, its hidden states."""
-        rows = [cluster_features(u.feats, u.feats.shape[0], Encoder.subsample_factor, encoder)
-                for u in corpus]
+        rows = [cluster_features(u.feats, u.feats.shape[0], encoder) for u in corpus]
         centers = kmeans_fit(np.concatenate(rows, axis=0), self.cfg.n_clusters, rng)
         self.targets = {u.utt_id: kmeans_assign(r, centers) for u, r in zip(corpus, rows)}
 
@@ -492,11 +477,10 @@ class MaskedClusterObjective(Module):
         return total
 
 
-def cluster_features(feats: np.ndarray, length: int, factor: int,
-                     encoder: Encoder | None = None) -> np.ndarray:
+def cluster_features(feats: np.ndarray, length: int, encoder: Encoder | None = None) -> np.ndarray:
     """One k-means input row per complete frame group of an utterance:
     the group's mean feature vector, or with an encoder its hidden state."""
     if encoder is None:
-        return group_mean_features(feats, length, factor)
+        return group_mean_features(feats, length)
     hidden, _ = encoder(feats[None, :, :], np.array([length]))
-    return hidden.data[0, : int(length) // factor]
+    return hidden.data[0, : int(length) // GROUP]

@@ -8,6 +8,8 @@ import numpy as np
 
 from .engine import Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Adam with bias correction over a named parameter dict.
@@ -18,9 +20,8 @@ class Adam:
     (see engine.Tensor); one whose .grad is None keeps data and moments.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps, self.t = lr, beta1, beta2, eps, 0
+    def __init__(self, params: dict[str, Tensor]):
+        self.t = 0
         tensors = list({id(p): p for p in params.values()}.values())
         # one buffer, one dtype: a mix of dtypes fails to unpack with a ValueError
         (dtype,) = {p.dtype for p in tensors} or {np.dtype(np.float32)}
@@ -36,10 +37,9 @@ class Adam:
         for p, _ in self.layout:
             p.grad = None
 
-    def step(self, lr: float | None = None) -> None:
-        lr = self.lr if lr is None else lr
+    def step(self, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
         held = [(s, self._rows[:3, s].copy()) for p, s in self.layout if p.grad is None]
         for p, s in self.layout:
@@ -53,7 +53,7 @@ class Adam:
         v *= b2
         v += np.multiply(np.multiply(g, 1.0 - b2, out=s1), g, out=s1)
         np.multiply(np.divide(m, c1, out=s1), lr, out=s1)
-        np.add(np.sqrt(np.divide(v, c2, out=s2), out=s2), self.eps, out=s2)
+        np.add(np.sqrt(np.divide(v, c2, out=s2), out=s2), EPS, out=s2)
         self.data -= np.divide(s1, s2, out=s1)
         for s, kept in held:
             self._rows[:3, s] = kept
@@ -64,7 +64,7 @@ def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
     per-tensor sums in parameter order, is at most max_norm; returns the
     pre-clip norm."""
     live = [p for p in params.values() if p.grad is not None]
-    norm = math.sqrt(sum(float((p.grad.astype(np.float64) ** 2).sum()) for p in live))
+    norm = math.sqrt(sum(float(np.square(p.grad, dtype=np.float64).sum()) for p in live))
     if norm > max_norm and norm > 0:
         for p in live:
             p.grad *= max_norm / norm

@@ -29,6 +29,7 @@ from .objectives import (
     EAPCObjective,
     MaskedClusterConfig,
     MaskedClusterObjective,
+    valid_groups,
 )
 from .optim import Adam, clip_global_norm, noam_lr, tri_stage_lr
 
@@ -149,7 +150,7 @@ def build_objective(cfg: PipelineConfig, seed: int) -> Module:
         apc = APCConfig(shift=cfg.apc_shift, n_lags=n_lags, p=cfg.apc_p, d_feat=cfg.d_feat)
         if name == "biapc":
             return BidirectionalAPC(cfg.encoder_config(), apc, cfg.biapc_scheme, seed)
-        return EAPCObjective(apc, cfg.d_model, Encoder.subsample_factor, rng)
+        return EAPCObjective(apc, cfg.d_model, rng)
     if name == "contrastive":
         return ContrastiveObjective(ContrastiveConfig(
             n_negatives=cfg.n_negatives, tau_cos=cfg.tau_cos, mask_prob=cfg.mask_prob,
@@ -326,7 +327,7 @@ def _prepare_clusters(stage: str, bundle: SSLBundle, corpus, rng, use_encoder: b
     the stage named, that it has one point (complete frame group) per cluster."""
     if not corpus:
         raise ValueError(f"stage '{stage}' has no utterances")
-    points = sum(u.feats.shape[0] // Encoder.subsample_factor for u in corpus)
+    points = int(valid_groups([u.feats.shape[0] for u in corpus]).sum())
     if points < bundle.cfg.n_clusters:
         raise ValueError(f"stage '{stage}': fewer points than clusters: "
                          f"{points} points, {bundle.cfg.n_clusters} clusters")
@@ -446,7 +447,7 @@ def run_evaluate(cfg: PipelineConfig, ckpt_path, corpus=None) -> dict:
         logits, out_lengths = model(batch.feats, batch.lengths)
         for j, target in enumerate(batch.tokens):
             t_j = int(out_lengths[j])
-            hyp = greedy_decode(logits.data[j, :t_j], blank=0)
+            hyp = greedy_decode(logits.data[j, :t_j])
             refs.append(target)
             hyps.append([t - 1 for t in hyp])  # undo the blank offset
     ter = error_rate(refs, hyps)

@@ -156,10 +156,10 @@ def test_04_every_loss_is_invariant_to_extra_padding():
     padded = np.concatenate([feats, np.zeros((2, 10, 4), np.float32)], axis=1)
 
     enc_a = build_encoder(cfg, seed=40)
-    apc = EAPCObjective(APCConfig(shift=2, n_lags=1, p=1, d_feat=4), 8, 4,
+    apc = EAPCObjective(APCConfig(shift=2, n_lags=1, p=1, d_feat=4), 8,
                         np.random.default_rng(41))
     enc_e = build_encoder(cfg, seed=42)
-    eapc = EAPCObjective(APCConfig(shift=1, n_lags=2, p=1, d_feat=4), 8, 4,
+    eapc = EAPCObjective(APCConfig(shift=1, n_lags=2, p=1, d_feat=4), 8,
                          np.random.default_rng(43))
     pair = BidirectionalAPC(cfg, APCConfig(shift=1, n_lags=1, p=1, d_feat=4),
                             "share_generator", seed=44)
@@ -171,8 +171,8 @@ def test_04_every_loss_is_invariant_to_extra_padding():
     mc = MaskedClusterObjective(
         MaskedClusterConfig(n_clusters=3, mask_prob=0.5, span_len=2, alpha=0.5),
         8, np.random.default_rng(48))
-    gm0 = group_mean_features(feats[0], 33, 4)
-    gm1 = group_mean_features(feats[1], 26, 4)
+    gm0 = group_mean_features(feats[0], 33)
+    gm1 = group_mean_features(feats[1], 26)
     centers = kmeans_fit(np.concatenate([gm0, gm1]).astype(np.float32), 3,
                          np.random.default_rng(49))
     labels = np.full((2, gm0.shape[0]), -1)
@@ -217,11 +217,11 @@ def test_05_single_lag_objective_reduces_to_plain_reconstruction():
 
     # k=1 equals the plain shifted-reconstruction loss at lag s
     enc = build_encoder(cfg, seed=55)
-    single = EAPCObjective(APCConfig(shift=2, n_lags=1, p=1, d_feat=4), 8, 4,
+    single = EAPCObjective(APCConfig(shift=2, n_lags=1, p=1, d_feat=4), 8,
                            np.random.default_rng(56))
     got = float(single.loss(enc, Batch(feats, lengths), normalize=False).data)
     hidden, _ = enc(feats, lengths)
-    stacked, valid = stack_targets(feats, lengths, 4)
+    stacked, valid = stack_targets(feats, lengths)
     g = stacked.shape[1]
     target = np.zeros_like(stacked)
     target[:, : g - 2] = stacked[:, 2:]
@@ -232,11 +232,11 @@ def test_05_single_lag_objective_reduces_to_plain_reconstruction():
 
     # shift=2 with two lags equals the sum of its per-lag terms
     enc2 = build_encoder(cfg, seed=57)
-    multi = EAPCObjective(APCConfig(shift=2, n_lags=2, p=2, d_feat=4), 8, 4,
+    multi = EAPCObjective(APCConfig(shift=2, n_lags=2, p=2, d_feat=4), 8,
                           np.random.default_rng(58))
     parts = []
     for i, shift in enumerate((2, 3)):
-        s = EAPCObjective(APCConfig(shift=shift, n_lags=1, p=2, d_feat=4), 8, 4,
+        s = EAPCObjective(APCConfig(shift=shift, n_lags=1, p=2, d_feat=4), 8,
                           np.random.default_rng(59))
         s.children["gen0"].p["w"].data = multi.children[f"gen{i}"].p["w"].data.copy()
         s.children["gen0"].p["b"].data = multi.children[f"gen{i}"].p["b"].data.copy()

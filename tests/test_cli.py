@@ -7,7 +7,7 @@ import pytest
 
 from sslasr.cli import main
 from sslasr.data import load_corpus
-from sslasr.io import load_checkpoint, read_jsonl, read_manifest
+from sslasr.io import load_checkpoint, read_jsonl, read_manifest, write_feat
 
 TINY = """\
 n_train = 16
@@ -136,6 +136,28 @@ class TestTrainingCommands:
                    str(tmp_path / "run"), "--manifest", manifest])
         assert rc == 1
         assert "d_feat" in capsys.readouterr().err
+
+    def test_mixed_feature_widths_name_the_utterance(self, tmp_path, tiny_config, capsys):
+        main(["gen-corpus", "--out", str(tmp_path / "c"), "--n", "3", "--set", "d_feat=4"])
+        manifest = last_line(capsys)
+        # the first utterance has the configured width; a later one does not
+        write_feat(tmp_path / "c" / "feats" / "source_00001.feat",
+                   np.zeros((20, 5), np.float32), shift_ms=0.0, window_ms=0.0)
+        rc = main(["pretrain", "--config", tiny_config, "--out",
+                   str(tmp_path / "run"), "--manifest", manifest])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "manifest.tsv" in err and "utterance 'source_00001'" in err
+        assert "feature dim 5" in err and "d_feat=4" in err
+
+    def test_wav_manifest_needs_featurize(self, tmp_path, tiny_config, capsys):
+        main(["gen-corpus", "--out", str(tmp_path / "w"), "--n", "2", "--emit", "waveform"])
+        manifest = last_line(capsys)
+        rc = main(["pretrain", "--config", tiny_config, "--out",
+                   str(tmp_path / "run"), "--manifest", manifest])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "run `sslasr featurize`" in err and "source_00000" in err
 
     def test_evaluate_empty_manifest(self, tmp_path, tiny_config, capsys):
         work = str(tmp_path / "run")

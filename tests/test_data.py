@@ -116,15 +116,14 @@ class TestWaveforms:
         assert rate == 16000
         assert np.max(np.abs(back - samples)) <= 1.0 / 32767.0 + 1e-12
 
-    def test_waveform_corpus_loads_through_featurizer(self, tmp_path):
+    def test_waveform_corpus_is_rejected_until_featurized(self, tmp_path):
+        # audio reaches a stage only through `sslasr featurize`, whose 40-mel
+        # output test_cli's test_featurize_wav_corpus checks
         cfg = CorpusConfig(n_utterances=3, seed=1, min_tokens=8, max_tokens=10)
         manifest = write_corpus(tmp_path, cfg, emit="waveform")
-        utts = load_corpus(manifest)
-        assert len(utts) == 3
-        for u in utts:
-            assert u.feats.ndim == 2 and u.feats.shape[1] == 40
-            assert u.feats.dtype == np.float32
-            assert len(u.tokens) >= 8
+        with pytest.raises(ValueError, match=r"manifest\.tsv: entry 'source_00000' is audio "
+                                             r"\('wavs/source_00000\.wav'\); run `sslasr featurize`"):
+            load_corpus(manifest)
 
     def test_unknown_emit_mode(self, tmp_path):
         with pytest.raises(ValueError, match="unknown emit mode"):

@@ -50,16 +50,16 @@ def batch(rng, b=2, t=16, d=4):
 
 class TestTargets:
     def test_stack_targets_hand_case(self):
-        feats = np.arange(10, dtype=np.float32).reshape(1, 5, 2)
-        stacked, valid = stack_targets(feats, [5], factor=2)
-        assert stacked.shape == (1, 3, 4)
-        assert np.array_equal(stacked[0, 0], [0, 1, 2, 3])
-        assert np.array_equal(stacked[0, 1], [4, 5, 6, 7])
-        assert np.array_equal(stacked[0, 2], [8, 9, 0, 0])  # padded partial group
+        feats = np.arange(20, dtype=np.float32).reshape(1, 10, 2)
+        stacked, valid = stack_targets(feats, [10])
+        assert stacked.shape == (1, 3, 8)
+        assert np.array_equal(stacked[0, 0], [0, 1, 2, 3, 4, 5, 6, 7])
+        assert np.array_equal(stacked[0, 1], [8, 9, 10, 11, 12, 13, 14, 15])
+        assert np.array_equal(stacked[0, 2], [16, 17, 18, 19, 0, 0, 0, 0])  # padded partial group
         assert list(valid) == [2]
 
     def test_valid_groups(self):
-        assert list(valid_groups([16, 13, 3], 4)) == [4, 3, 0]
+        assert list(valid_groups([16, 13, 3])) == [4, 3, 0]
 
     def test_apc_loss_hand_values(self):
         pred = Tensor(np.array([[[1.0, 2.0], [3.0, 5.0]]], dtype=np.float32))
@@ -69,26 +69,23 @@ class TestTargets:
         assert apc_loss(pred, target, mask, p=2).data == pytest.approx(1 + 4 + 4 + 16)
         half = np.array([[False, True]])
         assert apc_loss(pred, target, half, p=1).data == pytest.approx(6.0)
-        assert apc_loss(pred, target, half, p=1, normalize=True).data == pytest.approx(3.0)
 
     def test_apc_loss_errors(self):
         pred = Tensor(np.zeros((1, 2, 2), dtype=np.float32))
         with pytest.raises(ValueError, match="p must be"):
             apc_loss(pred, np.zeros((1, 2, 2)), np.ones((1, 2), dtype=bool), p=3)
-        with pytest.raises(ValueError, match="no valid prediction targets"):
-            apc_loss(pred, np.zeros((1, 2, 2)), np.zeros((1, 2), dtype=bool), normalize=True)
 
 
 class TestFutureRegression:
     def test_single_lag_matches_manual_apc(self):
         rng = np.random.default_rng(0)
         enc = build_encoder(ENC, seed=0)
-        obj = EAPCObjective(APCConfig(shift=2, n_lags=1, p=1, d_feat=4), 8, 4, rng)
+        obj = EAPCObjective(APCConfig(shift=2, n_lags=1, p=1, d_feat=4), 8, rng)
         feats, lengths = batch(rng)
         got = obj.loss(enc, Batch(feats, lengths), normalize=False)
 
         hidden, _ = enc(feats, lengths)
-        stacked, valid = stack_targets(feats, lengths, 4)
+        stacked, valid = stack_targets(feats, lengths)
         g = stacked.shape[1]
         target = np.zeros_like(stacked)
         target[:, : g - 2] = stacked[:, 2:]
@@ -99,10 +96,10 @@ class TestFutureRegression:
     def test_multi_lag_sum_matches_independent_single_lags(self):
         rng = np.random.default_rng(1)
         enc = build_encoder(ENC, seed=1)
-        multi = EAPCObjective(APCConfig(shift=2, n_lags=2, p=2, d_feat=4), 8, 4, rng)
+        multi = EAPCObjective(APCConfig(shift=2, n_lags=2, p=2, d_feat=4), 8, rng)
         singles = []
         for i, shift in enumerate((2, 3)):
-            s = EAPCObjective(APCConfig(shift=shift, n_lags=1, p=2, d_feat=4), 8, 4,
+            s = EAPCObjective(APCConfig(shift=shift, n_lags=1, p=2, d_feat=4), 8,
                               np.random.default_rng(99))
             s.children["gen0"].p["w"].data = multi.children[f"gen{i}"].p["w"].data.copy()
             s.children["gen0"].p["b"].data = multi.children[f"gen{i}"].p["b"].data.copy()
@@ -115,40 +112,41 @@ class TestFutureRegression:
     def test_normalization_divides_by_contributing_elements(self):
         rng = np.random.default_rng(2)
         enc = build_encoder(ENC, seed=2)
-        obj = EAPCObjective(APCConfig(shift=1, n_lags=2, p=1, d_feat=4), 8, 4, rng)
+        obj = EAPCObjective(APCConfig(shift=1, n_lags=2, p=1, d_feat=4), 8, rng)
         feats, lengths = batch(rng)
         raw = obj.loss(enc, Batch(feats, lengths), normalize=False).data
         norm = obj.loss(enc, Batch(feats, lengths), normalize=True).data
-        valid = valid_groups(lengths, 4)
+        valid = valid_groups(lengths)
         count = sum(int(np.maximum(valid - lag, 0).sum()) * 16 for lag in (1, 2))
         assert norm == pytest.approx(raw / count, rel=1e-6)
 
     def test_all_lags_out_of_range_rejected(self):
         rng = np.random.default_rng(3)
         enc = build_encoder(ENC, seed=3)
-        obj = EAPCObjective(APCConfig(shift=9, n_lags=1, d_feat=4), 8, 4, rng)
+        obj = EAPCObjective(APCConfig(shift=9, n_lags=1, d_feat=4), 8, rng)
         feats, lengths = batch(rng)  # only 4 valid groups, lag 9 impossible
         with pytest.raises(ValueError, match="no valid prediction targets at any lag"):
             obj.loss(enc, Batch(feats, lengths))
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):
-            EAPCObjective(APCConfig(shift=0), 8, 4, np.random.default_rng(0))
+            EAPCObjective(APCConfig(shift=0), 8, np.random.default_rng(0))
 
 
 class TestReversal:
     def test_reverse_group_blocks_hand_case(self):
-        feats = np.arange(7, dtype=np.float32).reshape(1, 7, 1)
-        out = reverse_group_blocks(feats, [6], factor=2)
-        assert out[0, :, 0].tolist() == [4, 5, 2, 3, 0, 1, 6]
+        feats = np.arange(15, dtype=np.float32).reshape(1, 15, 1)
+        out = reverse_group_blocks(feats, [14])
+        # three groups reversed; the partial group (12, 13) and padding (14) stay
+        assert out[0, :, 0].tolist() == [8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3, 12, 13, 14]
         assert feats[0, 0, 0] == 0  # input untouched
 
     def test_double_reverse_is_identity(self):
         rng = np.random.default_rng(4)
         feats = rng.normal(size=(3, 13, 2)).astype(np.float32)
         lengths = [13, 8, 3]
-        once = reverse_group_blocks(feats, lengths, 4)
-        twice = reverse_group_blocks(once, lengths, 4)
+        once = reverse_group_blocks(feats, lengths)
+        twice = reverse_group_blocks(once, lengths)
         assert np.array_equal(twice, feats)
 
     def test_palindromic_groups_are_fixed_points(self):
@@ -156,7 +154,7 @@ class TestReversal:
         g0 = rng.normal(size=(4, 2)).astype(np.float32)
         g1 = rng.normal(size=(4, 2)).astype(np.float32)
         feats = np.concatenate([g0, g1, g0], axis=0)[None]
-        assert np.array_equal(reverse_group_blocks(feats, [12], 4), feats)
+        assert np.array_equal(reverse_group_blocks(feats, [12]), feats)
 
 
 class TestBidirectional:
@@ -277,11 +275,10 @@ class TestQuantizer:
         assert gumbel_tau(1000) == 0.5
         assert gumbel_tau(5000) == 0.5
         assert gumbel_tau(-3) == 2.0
-        assert gumbel_tau(7, anneal_steps=0) == 0.5
 
     def test_hard_rows_come_from_codebook(self):
         rng = np.random.default_rng(0)
-        quant = GumbelQuantizer(rng, d_latent=6, n_codes=5, d_code=6)
+        quant = GumbelQuantizer(rng, d_latent=6, n_codes=5)
         z = Tensor(rng.normal(size=(2, 7, 6)).astype(np.float32))
         quantized, soft = quant(z, np.random.default_rng(1), tau=1.0)
         codes = quant.p["codebook"].data
@@ -291,7 +288,7 @@ class TestQuantizer:
 
     def test_straight_through_reaches_projection(self):
         rng = np.random.default_rng(2)
-        quant = GumbelQuantizer(rng, d_latent=6, n_codes=5, d_code=6)
+        quant = GumbelQuantizer(rng, d_latent=6, n_codes=5)
         z = Tensor(rng.normal(size=(1, 4, 6)).astype(np.float32))
         with Tape() as tape:
             quantized, _ = quant(z, np.random.default_rng(3), tau=1.0)
@@ -398,10 +395,10 @@ class TestKMeans:
         assert np.array_equal(a, b)
 
     def test_group_mean_features(self):
-        feats = np.arange(12, dtype=np.float32).reshape(6, 2)
-        rows = group_mean_features(feats, length=5, factor=2)
+        feats = np.arange(24, dtype=np.float32).reshape(12, 2)
+        rows = group_mean_features(feats, length=11)
         assert rows.shape == (2, 2)
-        assert np.array_equal(rows, [[1, 2], [5, 6]])
+        assert np.array_equal(rows, [[3, 4], [11, 12]])
 
 
 class TestMaskedCluster:
@@ -414,10 +411,10 @@ class TestMaskedCluster:
         feats = rng.normal(size=(2, 16, 4)).astype(np.float32)
         lengths = [16, 13]
         rows = np.concatenate([
-            group_mean_features(feats[b], lengths[b], 4) for b in range(2)
+            group_mean_features(feats[b], lengths[b]) for b in range(2)
         ])
         centers = kmeans_fit(rows, 3, np.random.default_rng(0))
-        obj.targets = {f"u{b}": kmeans_assign(cluster_features(feats[b], lengths[b], 4), centers)
+        obj.targets = {f"u{b}": kmeans_assign(cluster_features(feats[b], lengths[b]), centers)
                        for b in range(2)}
         return enc, obj, Batch(feats, lengths, utt_ids=("u0", "u1"))
 
@@ -468,8 +465,8 @@ class TestMaskedCluster:
     def test_fit_cluster_targets_shapes(self):
         rng = np.random.default_rng(3)
         utts = [rng.normal(size=(16, 4)).astype(np.float32) for _ in range(4)]
-        rows = [cluster_features(u, 15, factor=4) for u in utts]
-        assert np.array_equal(rows[0], group_mean_features(utts[0], 15, 4))
+        rows = [cluster_features(u, 15) for u in utts]
+        assert np.array_equal(rows[0], group_mean_features(utts[0], 15))
         centers = kmeans_fit(np.concatenate(rows), 3, np.random.default_rng(1))
         assert centers.shape == (3, 4)
         labels = kmeans_assign(rows[0], centers)
@@ -479,7 +476,7 @@ class TestMaskedCluster:
         rng = np.random.default_rng(4)
         enc = build_encoder(ENC, seed=4)
         utts = [rng.normal(size=(16, 4)).astype(np.float32) for _ in range(3)]
-        rows = [cluster_features(u, 15, factor=4, encoder=enc) for u in utts]
+        rows = [cluster_features(u, 15, encoder=enc) for u in utts]
         assert rows[0].shape == (3, 8)  # hidden-state space, d_model wide
         hidden, _ = enc(utts[0][None], [15])
         assert np.array_equal(rows[0], hidden.data[0, :3])

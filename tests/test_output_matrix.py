@@ -31,3 +31,4 @@ def test_matrix_digests_every_written_file(tmp_path):
         assert f"chain/finetune_{mode}.ckpt" in table
         assert f"chain/finetune_{mode}_metrics.jsonl" in table
         assert f"chain/report_{mode}.json" in table
+    assert "gradcheck.json" in table

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sslasr import engine as T
 from sslasr.gradcheck import finite_diff_gradcheck, gradcheck_battery
-from sslasr.optim import Adam, clip_global_norm, noam_lr, tri_stage_lr
+from sslasr.optim import BETA1, BETA2, EPS, Adam, clip_global_norm, noam_lr, tri_stage_lr
 from sslasr.engine import Tape, Tensor, backward
 
 
@@ -380,20 +380,20 @@ class TestGradcheckPrimitives:
 class TestOptim:
     def test_adam_first_step_magnitude(self):
         p = Tensor(np.zeros(1), requires_grad=True, dtype=np.float64)
-        opt = Adam({"p": p}, lr=0.1)
+        opt = Adam({"p": p})
         p.grad = np.ones(1)
-        opt.step()
+        opt.step(lr=0.1)
         np.testing.assert_allclose(p.data, [-0.1], atol=1e-8)
 
     def test_adam_is_scale_invariant_in_the_limit(self):
         # two params with grads of very different scale move by similar amounts
         p1 = Tensor(np.zeros(1), requires_grad=True, dtype=np.float64)
         p2 = Tensor(np.zeros(1), requires_grad=True, dtype=np.float64)
-        opt = Adam({"a": p1, "b": p2}, lr=0.1)
+        opt = Adam({"a": p1, "b": p2})
         for _ in range(50):
             p1.grad = np.full(1, 1e-3)
             p2.grad = np.full(1, 1e3)
-            opt.step()
+            opt.step(lr=0.1)
         assert abs(p1.data[0] - p2.data[0]) < 1e-4
 
     def test_adam_in_place_update_matches_out_of_place_formula(self):
@@ -401,12 +401,12 @@ class TestOptim:
         p0 = rng.normal(size=(3, 4)).astype(np.float32)
         grads = [rng.normal(size=(3, 4)).astype(np.float32) for _ in range(3)]
         p = Tensor(p0, requires_grad=True)
-        opt = Adam({"p": p}, lr=0.01)
+        opt = Adam({"p": p})
         ref, m, v = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
-        b1, b2, eps = opt.beta1, opt.beta2, opt.eps
+        b1, b2, eps = BETA1, BETA2, EPS
         for t, g in enumerate(grads, 1):
             p.grad = g
-            opt.step()
+            opt.step(lr=0.01)
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
             ref = ref - 0.01 * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
@@ -418,15 +418,15 @@ class TestOptim:
         rng = np.random.default_rng(5)
         a = Tensor(rng.normal(size=(2, 3)).astype(np.float32), requires_grad=True)
         b = Tensor(rng.normal(size=4).astype(np.float32), requires_grad=True)
-        opt = Adam({"a": a, "b": b}, lr=0.01)
+        opt = Adam({"a": a, "b": b})
         a.grad, b.grad = np.ones((2, 3), np.float32), np.full(4, -2.0, np.float32)
-        opt.step()
+        opt.step(lr=0.01)
         sb = opt.layout[1][1]
         kept = [x.tobytes() for x in (b.data, opt.m[sb], opt.v[sb])]
         a_before = a.data.copy()
         opt.zero_grad()
         a.grad = np.ones((2, 3), np.float32)
-        opt.step()
+        opt.step(lr=0.01)
         assert [x.tobytes() for x in (b.data, opt.m[sb], opt.v[sb])] == kept
         assert not np.array_equal(a.data, a_before)
 
@@ -441,12 +441,12 @@ class TestOptim:
 
     def test_gradient_assigned_from_outside_replaces_the_deposit(self):
         p = Tensor(np.ones(3, np.float32), requires_grad=True)
-        opt = Adam({"p": p}, lr=0.1)
+        opt = Adam({"p": p})
         with Tape() as tape:
             backward(T.sum_(T.mul(p, Tensor(np.full(3, 5.0, np.float32)))), tape)
         assert p.grad is p.grad_slot
         p.grad = np.array([1.0, 0.0, -1.0], np.float32)
-        opt.step()
+        opt.step(lr=0.1)
         np.testing.assert_allclose(p.data, [0.9, 1.0, 1.1], rtol=1e-6)
 
     def test_mixed_dtypes_rejected(self):

@@ -6,6 +6,8 @@ Runs run_pipeline for each variant (draft, saft, no_adapt, scratch) and
 each objective, Bi-APC once per sharing scheme, plus one draft chain that
 finetunes under every finetune mode, all on tiny configs. Each run's
 evaluation report is written beside its checkpoints and metrics logs.
+gradcheck.json holds the gradient oracle's worst errors, as float.hex,
+for both batteries over seeds 0-1.
 OUT.json maps every written file, by its path relative to the run
 directory, to its sha256. A refactor that must not change outputs runs
 this script in both checkouts (the package is imported from the src/
@@ -25,11 +27,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from sslasr.gradcheck import gradcheck_battery, loss_gradcheck_battery  # noqa: E402
 from sslasr.objectives import BidirectionalAPC  # noqa: E402
 from sslasr.training import (  # noqa: E402
     FINETUNE_MODES, PIPELINES, PipelineConfig, run_adapt, run_evaluate, run_finetune,
     run_pipeline, run_pretrain,
 )
+
+
+GRADCHECK_SEEDS = (0, 1)
 
 
 def tiny_config() -> PipelineConfig:
@@ -72,6 +78,10 @@ def run_matrix(root) -> None:
         # plus_ra adds adapters, so it starts from the adapter-free checkpoint
         fin = run_finetune(base, pre if mode == "plus_ra" else ada, workdir, mode=mode)
         _write_report(run_evaluate(base, fin), workdir, f"report_{mode}.json")
+
+    oracle = {f"{fn.__name__}/{seed}": float(fn(seed)).hex()
+              for fn in (gradcheck_battery, loss_gradcheck_battery) for seed in GRADCHECK_SEEDS}
+    (root / "gradcheck.json").write_text(json.dumps(oracle, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def digests(root) -> dict:
