@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields as dataclass_fields
+from dataclasses import asdict
 from pathlib import Path
 
 from .data import CorpusConfig, load_corpus, read_wav, write_corpus
@@ -44,9 +44,11 @@ from .training import (
 )
 
 _PIPELINE_KEYS = set(PipelineConfig().to_dict())
-_CORPUS_KEYS = {f.name for f in dataclass_fields(CorpusConfig)}
-_FEATURIZER_KEYS = {f.name for f in dataclass_fields(FeaturizerConfig)}
-_ALL_KEYS = _PIPELINE_KEYS | _CORPUS_KEYS | _FEATURIZER_KEYS | {"emit"}
+_CORPUS_KEYS = set(asdict(CorpusConfig()))
+_FEATURIZER_KEYS = set(asdict(FeaturizerConfig()))
+# every setting's default; a value must have its default's type
+_DEFAULTS = {**asdict(FeaturizerConfig()), **asdict(CorpusConfig()), **PipelineConfig().to_dict(),
+             "emit": "features"}
 
 
 def _parse_override(text: str):
@@ -57,22 +59,32 @@ def _parse_override(text: str):
 
 
 def _load_settings(args) -> dict:
-    """Merge the --config file with --set overrides; reject unknown keys."""
+    """Merge the --config file with --set overrides; reject unknown keys
+    and values of the wrong type."""
     values = read_config(args.config) if getattr(args, "config", None) else {}
-    unknown = set(values) - _ALL_KEYS
+    unknown = set(values) - set(_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     for key, val in getattr(args, "set", None) or []:
-        if key not in _ALL_KEYS:
+        if key not in _DEFAULTS:
             raise ValueError(f"unknown config key '{key}'")
         values[key] = val
+    for key, val in values.items():
+        _check_type(key, val)
     return values
+
+
+def _check_type(key: str, val) -> None:
+    default = _DEFAULTS[key]  # fmax's is None; it takes a number
+    kinds = (int, float) if default is None or type(default) is float else (type(default),)
+    if type(val) not in kinds:
+        raise ValueError(f"setting '{key}' expects {kinds[-1].__name__}, got {val!r}")
 
 
 def _pipeline_config(values: dict, **overrides) -> PipelineConfig:
     picked = {k: v for k, v in values.items() if k in _PIPELINE_KEYS}
     picked.update({k: v for k, v in overrides.items() if v is not None})
-    return PipelineConfig.from_dict(picked)
+    return PipelineConfig(**picked)
 
 
 def _disk_corpus(manifest_path, cfg: PipelineConfig):
@@ -202,6 +214,8 @@ def _cmd_sweep(args) -> int:
     points = [parse_value(v) for v in args.values.split(",") if v.strip()]
     if not points:
         raise ValueError("sweep needs at least one value")
+    for val in points:
+        _check_type(args.key, val)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results_path = out / "sweep.jsonl"

@@ -85,25 +85,17 @@ class Tape:
         self.nodes: list[_Node] = []
 
     def __enter__(self) -> "Tape":
-        _push_tape(self)
+        _TAPE_STACK.append(self)
         return self
 
     def __exit__(self, *exc):
-        _pop_tape(self)
+        if not _TAPE_STACK or _TAPE_STACK[-1] is not self:
+            raise RuntimeError("tape exit order violated")
+        _TAPE_STACK.pop()
         return False
 
 
 _TAPE_STACK: list[Tape] = []
-
-
-def _push_tape(tape: Tape) -> None:
-    _TAPE_STACK.append(tape)
-
-
-def _pop_tape(tape: Tape) -> None:
-    if not _TAPE_STACK or _TAPE_STACK[-1] is not tape:
-        raise RuntimeError("tape exit order violated")
-    _TAPE_STACK.pop()
 
 
 def _active_tape():
@@ -149,46 +141,29 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Accumulate d(loss)/d(leaf) into .grad of every requiring leaf."""
+    """Accumulate d(loss)/d(leaf) into .grad of every requiring leaf.
+
+    grads maps a tensor to its gradient so far. An op output's entry is
+    popped when its node is reached: its consumers come later on the
+    tape, so it is complete. The entries left at the end are leaves'.
+    Each leaf gets one deposit of its summed gradient g, written into its
+    grad_slot when it has one: .grad + g, or 0.0 + g when .grad is None
+    (the bits of zeros_like + g: -0.0 becomes +0.0)."""
     if loss.size != 1:
         raise ValueError("backward requires a scalar loss")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    produced = {id(n.output) for n in tape.nodes}
-    if id(loss) not in produced:
-        _leaf_accumulate(loss, grads[id(loss)])
-        return
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
-        g = grads.pop(id(node.output), None)
+        g = grads.pop(node.output, None)
         if g is None:
             continue
-        in_grads = node.backward_fn(g)
-        for t, ig in zip(node.inputs, in_grads):
+        for t, ig in zip(node.inputs, node.backward_fn(g)):
             if ig is None or not t.requires_grad:
                 continue
             ig = ig.astype(t.data.dtype, copy=False)
-            if id(t) in produced:
-                if id(t) in grads:
-                    grads[id(t)] = grads[id(t)] + ig
-                else:
-                    grads[id(t)] = ig
-            else:
-                _leaf_accumulate(t, ig)
-
-
-def _leaf_accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add g (already in t's dtype) to t.grad.
-
-    The first deposit is 0.0 + g, the bits zeros_like + g gives (-0.0
-    becomes +0.0), written into t.grad_slot when t has one; later
-    deposits add in place into that slot."""
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.add(g, 0.0, out=t.grad_slot)
-    elif t.grad is t.grad_slot:
-        np.add(t.grad, g, out=t.grad)
-    else:
-        t.grad = t.grad + g
+            grads[t] = grads[t] + ig if t in grads else ig
+    for t, g in grads.items():
+        if t.requires_grad:
+            t.grad = np.add(0.0 if t.grad is None else t.grad, g, out=t.grad_slot)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +217,12 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _record("reshape", (a,), out, lambda g: (g.reshape(orig),))
 
 
-def take(a: Tensor, key) -> Tensor:
-    """Basic slicing (tuple of slices / ints, non-negative steps)."""
-    out = a.data[key]
+def slice_axis(a: Tensor, axis: int, start: int, stop: int, step: int = 1) -> Tensor:
+    if step <= 0:
+        raise ValueError("slice_axis requires a positive step")
+    key = [slice(None)] * a.ndim
+    key[axis] = slice(start, stop, step)
+    key = tuple(key)
     shape = a.shape
 
     def bwd(g):
@@ -252,15 +230,7 @@ def take(a: Tensor, key) -> Tensor:
         full[key] = g
         return (full,)
 
-    return _record("slice", (a,), out, bwd)
-
-
-def slice_axis(a: Tensor, axis: int, start: int, stop: int, step: int = 1) -> Tensor:
-    if step <= 0:
-        raise ValueError("slice_axis requires a positive step")
-    key = [slice(None)] * a.ndim
-    key[axis] = slice(start, stop, step)
-    return take(a, tuple(key))
+    return _record("slice", (a,), a.data[key], bwd)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -456,8 +426,6 @@ def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def _norm_axes(axis, ndim):
-    if axis is None:
-        return tuple(range(ndim))
     if isinstance(axis, int):
         axis = (axis,)
     return tuple(a % ndim for a in axis)

@@ -121,12 +121,7 @@ class MultiHeadAttention(Module):
         v = split(self.children["wv"](x))
         scores = E.matmul(q, E.transpose(k, (0, 1, 3, 2)))
         scores = E.mul(scores, Tensor(np.asarray(1.0 / math.sqrt(dh), dtype=x.dtype)))
-        mask = np.broadcast_to(allowed[:, None, :, :], (B, H, T, T)).copy()
-        empty = ~mask.any(axis=-1)  # pad query rows; give them the diagonal
-        if empty.any():
-            bi, hi, ti = np.nonzero(empty)
-            mask[bi, hi, ti, ti] = True
-        attn = E.softmax(scores, axis=-1, mask=mask)
+        attn = E.softmax(scores, axis=-1, mask=allowed)
         ctx = E.matmul(attn, v)
         ctx = E.reshape(E.transpose(ctx, (0, 2, 1, 3)), (B, T, D))
         return self.children["wo"](ctx)
@@ -232,25 +227,25 @@ class Encoder(Module):
         for i in range(config.n_blocks):
             self.children[f"block{i}"] = TransformerBlock(rng, config.d_model, config.n_heads, config.d_ffn)
         self.children["final_ln"] = LayerNorm(config.d_model)
-        self.adapters_inserted = False
-        self.d_adapter = 0
+        self.d_adapter = 0  # adapter width; 0 means no adapters
 
     # -- adapters ----------------------------------------------------------
 
     def insert_adapters(self, d_adapter: int, rng: np.random.Generator,
                         random_init: bool = False) -> None:
         """One adapter after the conv block plus one after each transformer block."""
-        if self.adapters_inserted:
+        if self.d_adapter:
             raise RuntimeError("adapters already present")
+        if d_adapter < 1:
+            raise ValueError(f"adapter width must be positive, got {d_adapter}")
         for i in range(self.config.n_blocks + 1):
             self.children[f"adapter{i}"] = ResidualAdapter(
                 rng, self.config.d_model, d_adapter, random_init=random_init
             )
-        self.adapters_inserted = True
         self.d_adapter = d_adapter
 
     def reinit_adapters(self, rng: np.random.Generator) -> None:
-        if not self.adapters_inserted:
+        if not self.d_adapter:
             raise RuntimeError("no adapters to reinitialize")
         for i in range(self.config.n_blocks + 1):
             self.children[f"adapter{i}"] = ResidualAdapter(
@@ -274,14 +269,14 @@ class Encoder(Module):
     def contextualize(self, latents: Tensor, out_lengths: np.ndarray) -> Tensor:
         """Conv adapter, positions, transformer blocks (+adapters), final LN."""
         z = latents
-        if self.adapters_inserted:
+        if self.d_adapter:
             z = self.children["adapter0"](z)
         B, T, D = z.shape
         z = E.add(z, Tensor(sinusoidal_positions(T, D, dtype=z.dtype)))
         allowed = self.attention_mask(T, out_lengths)
         for i in range(self.config.n_blocks):
             z = self.children[f"block{i}"](z, allowed)
-            if self.adapters_inserted:
+            if self.d_adapter:
                 z = self.children[f"adapter{i + 1}"](z)
         return self.children["final_ln"](z)
 
@@ -290,12 +285,14 @@ class Encoder(Module):
         return self.contextualize(z, out_lengths), out_lengths
 
     def attention_mask(self, t: int, out_lengths: np.ndarray) -> np.ndarray:
-        """allowed[b, i, j]: query i may attend key j (True = allowed)."""
-        key_ok = np.arange(t)[None, None, :] < np.asarray(out_lengths)[:, None, None]
-        if self.config.causal:
-            tri = np.tril(np.ones((t, t), dtype=bool))
-            return key_ok & tri[None, :, :]
-        return np.broadcast_to(key_ok, (len(out_lengths), t, t)).copy()
+        """allowed[b, 0, i, j]: query i may attend key j (True = allowed),
+        one row set for every head. A query row with no valid key (a
+        zero-length utterance) gets its diagonal, so its softmax is defined."""
+        pattern = np.tri(t, dtype=bool) if self.config.causal else np.ones((t, t), dtype=bool)
+        allowed = (np.arange(t) < np.asarray(out_lengths)[:, None, None, None]) & pattern
+        bi, hi, ti = np.nonzero(~allowed.any(axis=-1))
+        allowed[bi, hi, ti, ti] = True
+        return allowed
 
 
 def build_encoder(config: EncoderConfig, seed: int) -> Encoder:

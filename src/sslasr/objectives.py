@@ -167,12 +167,12 @@ class BidirectionalAPC(Module):
         if self.scheme in ("share_gen_encoder", "share_all"):
             for i in range(self.enc_cfg.n_blocks):
                 self.rev.children[f"block{i}"].alias_from(self.fwd.children[f"block{i}"])
-                if self.fwd.adapters_inserted:
+                if self.fwd.d_adapter:
                     self.rev.children[f"adapter{i + 1}"].alias_from(self.fwd.children[f"adapter{i + 1}"])
             self.rev.children["final_ln"].alias_from(self.fwd.children["final_ln"])
         if self.scheme == "share_all":
             self.rev.children["conv"].alias_from(self.fwd.children["conv"])
-            if self.fwd.adapters_inserted:
+            if self.fwd.d_adapter:
                 self.rev.children["adapter0"].alias_from(self.fwd.children["adapter0"])
 
     def insert_adapters(self, d_adapter: int, rng: np.random.Generator,

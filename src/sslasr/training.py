@@ -100,11 +100,6 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PipelineConfig":
-        known = {k: v for k, v in d.items() if k in cls().__dict__}
-        return cls(**known)
-
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(
             d_input=self.d_feat, d_model=self.d_model, n_heads=self.n_heads,
@@ -172,7 +167,6 @@ class SSLBundle(Module):
 
     def __init__(self, cfg: PipelineConfig, seed: int):
         super().__init__()
-        self.cfg = cfg
         self.obj = build_objective(cfg, seed)
         self.pair = self.obj if isinstance(self.obj, BidirectionalAPC) else None
         if self.pair:  # Bi-APC trains its own encoder pair
@@ -220,24 +214,23 @@ def restore(cfg: PipelineConfig, ckpt_path) -> tuple:
 
     A pretrain or adapt checkpoint gives an SSLBundle (masked-cluster
     targets are not stored; each stage prepares its own), a finetune
-    checkpoint a CTCModel. Both are rebuilt from the checkpoint's config
-    snapshot, get adapters at the recorded width, and take every weight
-    through Module.load_params."""
+    checkpoint a CTCModel. Both are built from the caller's cfg, which
+    must match the checkpoint's on every _STRUCTURAL field; the
+    checkpoint supplies the stage, the adapter width and every weight
+    (through Module.load_params)."""
     ckpt = load_checkpoint(ckpt_path)
-    mine = cfg.to_dict()
-    bad = [k for k in _STRUCTURAL if k in ckpt.config and ckpt.config[k] != mine[k]]
+    bad = [k for k in _STRUCTURAL if k in ckpt.config and ckpt.config[k] != getattr(cfg, k)]
     if bad:
         raise ValueError(f"config mismatch with checkpoint on fields {bad}")
-    snap = PipelineConfig.from_dict(ckpt.config)
     if ckpt.config.get("stage") == "finetune":
-        head = CTCHead(np.random.default_rng([snap.seed, 0xC7C]), snap.d_model, snap.vocab_size)
-        model = CTCModel(build_encoder(snap.encoder_config(), snap.seed), head)
+        head = CTCHead(np.random.default_rng([cfg.seed, 0xC7C]), cfg.d_model, cfg.vocab_size)
+        model = CTCModel(build_encoder(cfg.encoder_config(), cfg.seed), head)
         host = model.encoder
     else:
-        model = host = SSLBundle(snap, seed=snap.seed)
+        model = host = SSLBundle(cfg, seed=cfg.seed)
     d_ada = int(ckpt.config.get("adapters_d", 0))
     if d_ada:
-        host.insert_adapters(d_ada, np.random.default_rng([snap.seed, 0xADA]))
+        host.insert_adapters(d_ada, np.random.default_rng([cfg.seed, 0xADA]))
     model.load_params(ckpt.params)
     return model, dict(ckpt.provenance)
 
@@ -322,15 +315,16 @@ def _run_stage(stage: str, tag: str, cfg: PipelineConfig, workdir, corpus, model
     return str(out)
 
 
-def _prepare_clusters(stage: str, bundle: SSLBundle, corpus, rng, use_encoder: bool) -> None:
+def _prepare_clusters(stage: str, cfg: PipelineConfig, bundle: SSLBundle, corpus, rng,
+                      use_encoder: bool) -> None:
     """Label the stage's corpus for masked_cluster, after checking, with
     the stage named, that it has one point (complete frame group) per cluster."""
     if not corpus:
         raise ValueError(f"stage '{stage}' has no utterances")
     points = int(valid_groups([u.feats.shape[0] for u in corpus]).sum())
-    if points < bundle.cfg.n_clusters:
+    if points < cfg.n_clusters:
         raise ValueError(f"stage '{stage}': fewer points than clusters: "
-                         f"{points} points, {bundle.cfg.n_clusters} clusters")
+                         f"{points} points, {cfg.n_clusters} clusters")
     bundle.prepare_cluster_targets(corpus, rng, use_encoder=use_encoder)
 
 
@@ -345,7 +339,7 @@ def run_pretrain(cfg: PipelineConfig, workdir, corpus=None, steps: int | None = 
     corpus = build_corpora(cfg)["source_train"] if corpus is None else corpus
     bundle = SSLBundle(cfg, seed=cfg.seed)
     if cfg.objective == "masked_cluster":
-        _prepare_clusters("pretrain", bundle, corpus, np.random.default_rng([cfg.seed, 0x535]),
+        _prepare_clusters("pretrain", cfg, bundle, corpus, np.random.default_rng([cfg.seed, 0x535]),
                           use_encoder=False)
     lr_fn = lambda s: noam_lr(s, cfg.d_model, cfg.noam_warmup, cfg.noam_factor)
     return _run_stage("pretrain", "pretrain", cfg, workdir, corpus, bundle, bundle.loss,
@@ -366,18 +360,17 @@ def run_adapt(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "draft",
     bundle, provenance = _restore_for("adapt", cfg, ckpt_path)
     if cfg.objective == "masked_cluster":
         # second-stage targets: refit clusters on the pretrained encoder's features
-        _prepare_clusters("adapt", bundle, corpus, np.random.default_rng([cfg.seed, 0x535, 2]),
+        _prepare_clusters("adapt", cfg, bundle, corpus, np.random.default_rng([cfg.seed, 0x535, 2]),
                           use_encoder=True)
     if mode == "draft":
-        if bundle.encoder.adapters_inserted:
-            if bundle.encoder.d_adapter != cfg.d_adapter:
-                raise ValueError("checkpoint already has adapters of a different size")
-        else:
+        if not bundle.encoder.d_adapter:
             bundle.insert_adapters(cfg.d_adapter, np.random.default_rng([cfg.seed, 0xADA]))
+        elif bundle.encoder.d_adapter != cfg.d_adapter:
+            raise ValueError("checkpoint already has adapters of a different size")
         factor = cfg.noam_factor
         trainable = {k: v for k, v in bundle.named_params().items() if _group(k) == "ada"}
     else:
-        if bundle.encoder.adapters_inserted:
+        if bundle.encoder.d_adapter:
             raise ValueError("saft does not apply to a model with adapters")
         factor = cfg.noam_factor * cfg.saft_lr_scale
         trainable = bundle.named_params()
@@ -396,12 +389,12 @@ def run_finetune(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "full",
     bundle, provenance = _restore_for("finetune", cfg, ckpt_path)
     encoder = bundle.encoder_for_finetune()
 
-    if mode in ("adapters_frozen", "adapters_only", "random_adapters") and not encoder.adapters_inserted:
+    if mode in ("adapters_frozen", "adapters_only", "random_adapters") and not encoder.d_adapter:
         raise ValueError(f"finetune mode '{mode}' requires a checkpoint with adapters")
     if mode == "random_adapters":
         encoder.reinit_adapters(np.random.default_rng([cfg.seed, 0xF00D]))
     if mode == "plus_ra":
-        if encoder.adapters_inserted:
+        if encoder.d_adapter:
             raise ValueError("finetune mode 'plus_ra' requires a checkpoint without adapters")
         encoder.insert_adapters(cfg.d_adapter, np.random.default_rng([cfg.seed, 0xF00D]))
 

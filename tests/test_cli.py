@@ -212,6 +212,28 @@ class TestErrorHandling:
         assert rc == 1
         assert "unknown config key 'volume'" in capsys.readouterr().err
 
+    def test_ill_typed_setting_names_the_setting(self, tmp_path, capsys):
+        cases = [
+            (["pretrain", "--set", "d_model=abc"], "setting 'd_model' expects int, got 'abc'"),
+            (["gen-corpus", "--set", "n_utterances=abc"], "'n_utterances' expects int, got 'abc'"),
+            (["gen-corpus", "--set", "n_utterances=true"], "'n_utterances' expects int, got True"),
+            (["pretrain", "--set", "causal=1"], "setting 'causal' expects bool, got 1"),
+            (["pretrain", "--set", "noise_sigma=false"], "'noise_sigma' expects float, got False"),
+            (["gen-corpus", "--set", "emit=3"], "setting 'emit' expects str, got 3"),
+            (["featurize", "--manifest", "m.tsv", "--set", "fmax=high"],
+             "setting 'fmax' expects float, got 'high'"),
+            (["sweep", "--key", "d_model", "--values", "16,abc"],
+             "setting 'd_model' expects int, got 'abc'"),
+        ]
+        for argv, message in cases:
+            assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+            assert message in capsys.readouterr().err
+        # a float setting (and fmax) takes an int, and the run goes ahead
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("noise_sigma = 0\nfmax = 4000\n")
+        assert main(["gen-corpus", "--out", str(tmp_path / "c"), "--n", "2",
+                     "--config", str(cfg)]) == 0
+
     def test_missing_checkpoint(self, tmp_path, capsys):
         rc = main(["adapt", "--init", str(tmp_path / "nope.ckpt"),
                    "--out", str(tmp_path)])

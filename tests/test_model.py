@@ -106,12 +106,12 @@ class TestShapes:
     def test_attention_mask_semantics(self):
         enc = small_encoder(causal=True)
         mask = enc.attention_mask(4, np.array([3, 4]))
-        assert mask.shape == (2, 4, 4)
-        assert mask[0, 2, 2] and not mask[0, 2, 3]  # causal cut
-        assert not mask[0, 3, 3]  # key 3 beyond length 3
-        assert mask[1, 3, 3]
+        assert mask.shape == (2, 1, 4, 4)
+        assert mask[0, 0, 2, 2] and not mask[0, 0, 2, 3]  # causal cut
+        assert not mask[0, 0, 3, 3]  # key 3 beyond length 3
+        assert mask[1, 0, 3, 3]
         flat = enc.attention_mask(3, np.array([3]))
-        assert np.array_equal(flat[0], np.tril(np.ones((3, 3), dtype=bool)))
+        assert np.array_equal(flat[0, 0], np.tril(np.ones((3, 3), dtype=bool)))
 
 
 class TestAdapters:
@@ -152,6 +152,15 @@ class TestAdapters:
         enc.insert_adapters(4, np.random.default_rng(0))
         with pytest.raises(RuntimeError, match="already present"):
             enc.insert_adapters(4, np.random.default_rng(0))
+
+    def test_zero_width_rejected(self):
+        # d_adapter 0 means "no adapters", so a zero-width insert would leave
+        # adapter modules the encoder and its checkpoint do not know about
+        enc = small_encoder()
+        names = set(enc.named_params())
+        with pytest.raises(ValueError, match="adapter width must be positive, got 0"):
+            enc.insert_adapters(0, np.random.default_rng(0))
+        assert enc.d_adapter == 0 and set(enc.named_params()) == names
 
     def test_reinit_requires_adapters(self):
         enc = small_encoder()

@@ -1,6 +1,7 @@
 """Three-stage pipeline: freeze guarantees, provenance, determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from sslasr.engine import Tape, Tensor, backward
 from sslasr.io import load_checkpoint, read_jsonl
 from sslasr.objectives import (
     BidirectionalAPC,
+    ContrastiveConfig,
     ContrastiveObjective,
     EAPCObjective,
+    MaskedClusterConfig,
     MaskedClusterObjective,
 )
 from sslasr.optim import Adam, clip_global_norm, noam_lr
@@ -330,6 +333,33 @@ class TestBundleRoundTrip:
             restore(tiny_cfg(d_model=32), pre)
         with pytest.raises(ValueError, match="config mismatch"):
             restore(tiny_cfg(objective="apc"), pre)
+
+    def test_restored_objective_takes_the_callers_settings(self, tmp_path):
+        # the checkpoint holds weights; non-structural objective settings
+        # come from the config of the stage that restores it
+        cfg = tiny_cfg(objective="contrastive", pretrain_steps=1)
+        pre = run_pretrain(cfg, tmp_path / "c")
+        changed = replace(cfg, mask_prob=0.9, span_len=7, n_negatives=2, tau_cos=0.5,
+                          diversity_weight=0.3)
+        bundle, _ = restore(changed, pre)
+        assert bundle.obj.cfg == ContrastiveConfig(n_negatives=2, tau_cos=0.5, mask_prob=0.9,
+                                                   span_len=7, n_codes=4, diversity_weight=0.3)
+        cfg = tiny_cfg(objective="masked_cluster", pretrain_steps=1)
+        pre = run_pretrain(cfg, tmp_path / "m")
+        bundle, _ = restore(replace(cfg, mask_prob=0.9, span_len=3, cluster_alpha=0.25), pre)
+        assert bundle.obj.cfg == MaskedClusterConfig(n_clusters=4, mask_prob=0.9, span_len=3,
+                                                     alpha=0.25)
+
+    def test_adapt_stage_uses_the_callers_objective_settings(self, tmp_path):
+        cfg = tiny_cfg(objective="contrastive", pretrain_steps=1, adapt_steps=2)
+        pre = run_pretrain(cfg, tmp_path)
+        logs = []
+        for mask_prob in (0.2, 0.9):
+            work = tmp_path / f"p{mask_prob}"
+            ada = run_adapt(replace(cfg, mask_prob=mask_prob), pre, work)
+            assert load_checkpoint(ada).config["mask_prob"] == mask_prob
+            logs.append((work / "adapt_draft_metrics.jsonl").read_bytes())
+        assert logs[0] != logs[1]
 
     def test_wrong_stage_checkpoint_rejected(self, draft_chain, tmp_path):
         cfg, _, pre, _, fin, _ = draft_chain
