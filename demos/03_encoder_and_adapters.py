@@ -9,10 +9,11 @@ dropping them in never disturbs a trained model.
 import numpy as np
 
 from sslasr.engine import Tensor
-from sslasr.model import EncoderConfig, ResidualAdapter, build_encoder
+from sslasr.model import ResidualAdapter, build_encoder
+from sslasr.training import PipelineConfig
 
-cfg = EncoderConfig(d_input=8, d_model=32, n_heads=4, n_blocks=2,
-                    d_ffn=64, causal=True)
+cfg = PipelineConfig(d_feat=8, d_model=32, n_heads=4, n_blocks=2,
+                     d_ffn=64, causal=True)
 enc = build_encoder(cfg, seed=0)
 
 print("== shapes and subsampling ==")

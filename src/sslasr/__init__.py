@@ -24,14 +24,11 @@ from .io import (
     write_feat,
     write_manifest,
 )
-from .model import Encoder, EncoderConfig, ResidualAdapter, build_encoder
+from .model import Encoder, ResidualAdapter, build_encoder
 from .objectives import (
-    APCConfig,
     BidirectionalAPC,
-    ContrastiveConfig,
     ContrastiveObjective,
     EAPCObjective,
-    MaskedClusterConfig,
     MaskedClusterObjective,
     apc_loss,
 )
@@ -46,20 +43,16 @@ from .training import (
 )
 
 __all__ = [
-    "APCConfig",
     "Adam",
     "Batch",
     "BidirectionalAPC",
     "CTCHead",
-    "ContrastiveConfig",
     "ContrastiveObjective",
     "CorpusConfig",
     "EAPCObjective",
     "Encoder",
-    "EncoderConfig",
     "Featurizer",
     "FeaturizerConfig",
-    "MaskedClusterConfig",
     "MaskedClusterObjective",
     "PipelineConfig",
     "ResidualAdapter",

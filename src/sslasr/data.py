@@ -35,6 +35,19 @@ class CorpusConfig:
     seed: int = 0
     proto_seed: int = 7
 
+    def __post_init__(self):
+        require_positive(self, ("proto_len", "min_tokens"))
+        if self.max_tokens < self.min_tokens:
+            raise ValueError(f"setting 'max_tokens' must be >= min_tokens ({self.min_tokens}), "
+                             f"got {self.max_tokens}")
+
+
+def require_positive(cfg, names) -> None:
+    """Reject a setting below 1 by name, before it fails deep inside NumPy."""
+    for name in names:
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"setting '{name}' must be >= 1, got {getattr(cfg, name)}")
+
 
 @dataclass
 class Utterance:

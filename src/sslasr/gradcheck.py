@@ -2,26 +2,26 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import engine as E
 from .ctc import CTCHead, ctc_loss_batch
 from .data import Batch
 from .engine import Tape, Tensor, backward
-from .model import EncoderConfig, ResidualAdapter, build_encoder
+from .model import ResidualAdapter, build_encoder
 from .objectives import (
-    GumbelQuantizer,
-    APCConfig,
     BidirectionalAPC,
-    ContrastiveConfig,
     ContrastiveObjective,
     EAPCObjective,
-    MaskedClusterConfig,
+    GumbelQuantizer,
     MaskedClusterObjective,
     group_mean_features,
     kmeans_assign,
     kmeans_fit,
 )
+from .training import PipelineConfig
 
 
 def finite_diff_gradcheck(fn, inputs, eps: float = 1e-5) -> float:
@@ -231,8 +231,7 @@ def loss_gradcheck_battery(seed: int) -> float:
     classifier, CTC head, and residual adapters.
     """
     rng = np.random.default_rng([seed, 0x6D])
-    enc_cfg = EncoderConfig(d_input=4, d_model=8, n_heads=2, n_blocks=1,
-                            d_ffn=16, causal=True)
+    cfg = PipelineConfig(d_feat=4, d_model=8, n_heads=2, n_blocks=1, d_ffn=16, causal=True)
     feats = rng.normal(size=(2, 14, 4))
     lengths = np.array([14, 11])
     batch = Batch(feats, lengths, utt_ids=("u0", "u1"))
@@ -244,8 +243,8 @@ def loss_gradcheck_battery(seed: int) -> float:
                                   _param_draw(specs), rng)
 
     # APC (single lag, squared error)
-    enc = build_encoder(enc_cfg, seed)
-    obj = EAPCObjective(APCConfig(shift=2, n_lags=1, p=2, d_feat=4), 8, rng)
+    enc = build_encoder(cfg, seed)
+    obj = EAPCObjective(replace(cfg, apc_shift=2, apc_lags=1, apc_p=2), rng)
     named = _float64_params({"enc": enc, "obj": obj})
     worst = max(worst, check(
         lambda *_: obj.loss(enc, batch),
@@ -255,8 +254,8 @@ def loss_gradcheck_battery(seed: int) -> float:
          (named["obj.gen0.b"], 0.0, 0.5)]))
 
     # E-APC (two lags, absolute error)
-    enc2 = build_encoder(enc_cfg, seed + 1)
-    obj2 = EAPCObjective(APCConfig(shift=1, n_lags=2, p=1, d_feat=4), 8, rng)
+    enc2 = build_encoder(cfg, seed + 1)
+    obj2 = EAPCObjective(replace(cfg, apc_shift=1, apc_lags=2, apc_p=1), rng)
     named = _float64_params({"enc": enc2, "obj": obj2})
     worst = max(worst, check(
         lambda *_: obj2.loss(enc2, batch),
@@ -266,8 +265,8 @@ def loss_gradcheck_battery(seed: int) -> float:
          (named["enc.block0.attn.wq.b"], 0.0, 0.5)]))
 
     # bidirectional APC with a shared generator
-    pair = BidirectionalAPC(enc_cfg, APCConfig(shift=1, n_lags=1, p=1, d_feat=4),
-                            "share_generator", seed)
+    pair = BidirectionalAPC(replace(cfg, apc_shift=1, apc_lags=1, apc_p=1,
+                                    biapc_scheme="share_generator"), seed)
     named = _float64_params({"pair": pair})
     worst = max(worst, check(
         lambda *_: pair.loss(pair.fwd, batch),
@@ -281,10 +280,9 @@ def loss_gradcheck_battery(seed: int) -> float:
     # biased there by design), so the check targets parameters the loss
     # is genuinely differentiable in: the mask embedding and context
     # blocks, and the codebook, which enters linearly after assignment.
-    enc3 = build_encoder(enc_cfg, seed + 2)
+    enc3 = build_encoder(cfg, seed + 2)
     cobj = ContrastiveObjective(
-        ContrastiveConfig(n_negatives=3, mask_prob=0.6, span_len=2, n_codes=4),
-        8, rng)
+        replace(cfg, n_negatives=3, mask_prob=0.6, span_len=2, n_codes=4), rng)
     feats_c = rng.normal(size=(2, 20, 4))
     lengths_c = np.array([20, 17])
     named = _float64_params({"enc": enc3, "obj": cobj})
@@ -311,10 +309,9 @@ def loss_gradcheck_battery(seed: int) -> float:
          (named["obj.quantizer.proj.b"], 0.0, 0.5)]))
 
     # masked cluster prediction on k-means targets
-    enc4 = build_encoder(enc_cfg, seed + 3)
+    enc4 = build_encoder(cfg, seed + 3)
     mobj = MaskedClusterObjective(
-        MaskedClusterConfig(n_clusters=3, mask_prob=0.5, span_len=2, alpha=0.5),
-        8, rng)
+        replace(cfg, n_clusters=3, mask_prob=0.5, span_len=2, cluster_alpha=0.5), rng)
     gm = [group_mean_features(feats[i], int(lengths[i])) for i in range(2)]
     centers = kmeans_fit(np.concatenate(gm).astype(np.float32), 3, rng)
     mobj.targets = {f"u{i}": kmeans_assign(gm[i].astype(np.float32), centers) for i in range(2)}
@@ -327,7 +324,7 @@ def loss_gradcheck_battery(seed: int) -> float:
          (named["enc.block0.attn.wk.b"], 0.0, 0.5)]))
 
     # CTC through an encoder carrying random-initialized adapters
-    enc5 = build_encoder(enc_cfg, seed + 4)
+    enc5 = build_encoder(cfg, seed + 4)
     enc5.insert_adapters(2, np.random.default_rng([seed, 0x79]), random_init=True)
     head = CTCHead(np.random.default_rng([seed, 0x7A]), 8, vocab_size=3)
     named = _float64_params({"enc": enc5, "head": head})

@@ -178,10 +178,9 @@ class ManifestEntry:
 
 
 def write_manifest(path, entries) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# id\tpath\ttranscript\tdomain\n")
-        for e in entries:
-            fh.write(f"{e.utt_id}\t{e.path}\t{e.transcript}\t{e.domain}\n")
+    lines = ["# id\tpath\ttranscript\tdomain\n"]
+    lines += [f"{e.utt_id}\t{e.path}\t{e.transcript}\t{e.domain}\n" for e in entries]
+    _write_atomic(path, ["".join(lines).encode("utf-8")])
 
 
 def _text_lines(path) -> list:

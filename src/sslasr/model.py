@@ -8,12 +8,15 @@ sit after the conv block and after every transformer block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import engine as E
 from .engine import Tensor
+
+if TYPE_CHECKING:
+    from .training import PipelineConfig
 
 
 def xavier_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
@@ -200,33 +203,23 @@ def sinusoidal_positions(t: int, d: int, dtype=np.float32) -> np.ndarray:
     return pe.astype(dtype)
 
 
-@dataclass
-class EncoderConfig:
-    d_input: int = 8
-    d_model: int = 64
-    n_heads: int = 4
-    n_blocks: int = 2
-    d_ffn: int = 128
-    causal: bool = True
-
-
 class Encoder(Module):
-    """Backbone f: features (B, T, d_input) -> hidden states (B, T', d_model).
+    """Backbone f: features (B, T, d_feat) -> hidden states (B, T', d_model).
 
     T' = ceil(T / 4); valid output lengths follow the same rule per
-    utterance.
+    utterance. Built from a PipelineConfig's model settings.
     """
 
     subsample_factor = 4  # two stride-2 convs
 
-    def __init__(self, config: EncoderConfig, rng: np.random.Generator):
+    def __init__(self, cfg: PipelineConfig, rng: np.random.Generator):
         super().__init__()
-        self.config = config
-        pad = "causal" if config.causal else "same"
-        self.children["conv"] = ConvSubsampler(rng, config.d_input, config.d_model, pad)
-        for i in range(config.n_blocks):
-            self.children[f"block{i}"] = TransformerBlock(rng, config.d_model, config.n_heads, config.d_ffn)
-        self.children["final_ln"] = LayerNorm(config.d_model)
+        self.cfg = cfg
+        pad = "causal" if cfg.causal else "same"
+        self.children["conv"] = ConvSubsampler(rng, cfg.d_feat, cfg.d_model, pad)
+        for i in range(cfg.n_blocks):
+            self.children[f"block{i}"] = TransformerBlock(rng, cfg.d_model, cfg.n_heads, cfg.d_ffn)
+        self.children["final_ln"] = LayerNorm(cfg.d_model)
         self.d_adapter = 0  # adapter width; 0 means no adapters
 
     # -- adapters ----------------------------------------------------------
@@ -238,18 +231,18 @@ class Encoder(Module):
             raise RuntimeError("adapters already present")
         if d_adapter < 1:
             raise ValueError(f"adapter width must be positive, got {d_adapter}")
-        for i in range(self.config.n_blocks + 1):
+        for i in range(self.cfg.n_blocks + 1):
             self.children[f"adapter{i}"] = ResidualAdapter(
-                rng, self.config.d_model, d_adapter, random_init=random_init
+                rng, self.cfg.d_model, d_adapter, random_init=random_init
             )
         self.d_adapter = d_adapter
 
     def reinit_adapters(self, rng: np.random.Generator) -> None:
         if not self.d_adapter:
             raise RuntimeError("no adapters to reinitialize")
-        for i in range(self.config.n_blocks + 1):
+        for i in range(self.cfg.n_blocks + 1):
             self.children[f"adapter{i}"] = ResidualAdapter(
-                rng, self.config.d_model, self.d_adapter, random_init=True
+                rng, self.cfg.d_model, self.d_adapter, random_init=True
             )
 
     # -- forward -----------------------------------------------------------
@@ -274,7 +267,7 @@ class Encoder(Module):
         B, T, D = z.shape
         z = E.add(z, Tensor(sinusoidal_positions(T, D, dtype=z.dtype)))
         allowed = self.attention_mask(T, out_lengths)
-        for i in range(self.config.n_blocks):
+        for i in range(self.cfg.n_blocks):
             z = self.children[f"block{i}"](z, allowed)
             if self.d_adapter:
                 z = self.children[f"adapter{i + 1}"](z)
@@ -288,12 +281,12 @@ class Encoder(Module):
         """allowed[b, 0, i, j]: query i may attend key j (True = allowed),
         one row set for every head. A query row with no valid key (a
         zero-length utterance) gets its diagonal, so its softmax is defined."""
-        pattern = np.tri(t, dtype=bool) if self.config.causal else np.ones((t, t), dtype=bool)
+        pattern = np.tri(t, dtype=bool) if self.cfg.causal else np.ones((t, t), dtype=bool)
         allowed = (np.arange(t) < np.asarray(out_lengths)[:, None, None, None]) & pattern
         bi, hi, ti = np.nonzero(~allowed.any(axis=-1))
         allowed[bi, hi, ti, ti] = True
         return allowed
 
 
-def build_encoder(config: EncoderConfig, seed: int) -> Encoder:
-    return Encoder(config, np.random.default_rng([seed, 0xE0C0DE]))
+def build_encoder(cfg: PipelineConfig, seed: int) -> Encoder:
+    return Encoder(cfg, np.random.default_rng([seed, 0xE0C0DE]))

@@ -4,20 +4,24 @@ Five objectives share one call shape, loss(encoder, batch, rng, step),
 with batch a padded data.Batch: autoregressive prediction (single lag),
 its multi-lag extension, a bidirectional pair with weight sharing,
 masked contrastive prediction with a Gumbel-softmax codebook, and masked
-cluster-id prediction with k-means targets.
+cluster-id prediction with k-means targets. Each is built from a
+PipelineConfig and reads its settings under their PipelineConfig names.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import engine as E
 from .data import Batch
 from .engine import Tensor
-from .model import Encoder, EncoderConfig, Linear, Module, build_encoder
+from .model import Encoder, Linear, Module, build_encoder
+
+if TYPE_CHECKING:
+    from .training import PipelineConfig
 
 GROUP = Encoder.subsample_factor  # frames per encoder output step
 
@@ -56,32 +60,23 @@ def apc_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray, p: int = 1) -> 
     return E.sum_(E.mul(err, Tensor(weights)))
 
 
-@dataclass
-class APCConfig:
-    shift: int = 2       # first prediction lag, in subsampled groups
-    n_lags: int = 1      # lags {shift, ..., shift + n_lags - 1}
-    p: int = 1           # L1 or squared-L2 regression
-    d_feat: int = 8      # raw feature dim (target dim = GROUP * d_feat)
-
-
 class EAPCObjective(Module):
     """Future-frame regression with one linear generator per lag.
 
-    n_lags = 1 is plain autoregressive prediction; n_lags > 1 sums the
-    same loss over consecutive lags starting at `shift`.
+    Lags run from apc_shift (in frame groups): one lag for the 'apc'
+    objective, which is plain autoregressive prediction, else apc_lags
+    consecutive lags whose losses are summed. Targets are GROUP * d_feat
+    wide; apc_p picks L1 or squared-L2 regression.
     """
 
-    def __init__(self, cfg: APCConfig, d_model: int, rng: np.random.Generator):
+    def __init__(self, cfg: PipelineConfig, rng: np.random.Generator):
         super().__init__()
-        if cfg.shift < 1 or cfg.n_lags < 1:
-            raise ValueError("shift and n_lags must be >= 1")
         self.cfg = cfg
+        n_lags = 1 if cfg.objective == "apc" else cfg.apc_lags
+        self.lags = range(cfg.apc_shift, cfg.apc_shift + n_lags)
         self.d_target = GROUP * cfg.d_feat
-        for i in range(cfg.n_lags):
-            self.children[f"gen{i}"] = Linear(rng, d_model, self.d_target)
-
-    def lags(self):
-        return range(self.cfg.shift, self.cfg.shift + self.cfg.n_lags)
+        for i in range(n_lags):
+            self.children[f"gen{i}"] = Linear(rng, cfg.d_model, self.d_target)
 
     def loss(self, encoder: Encoder, batch: Batch, rng=None, step: int = 0,
              normalize: bool = True) -> Tensor:
@@ -94,7 +89,7 @@ class EAPCObjective(Module):
         G = min(hidden.shape[1], stacked.shape[1], int(np.max(valid, initial=0)))
         total = None
         count = 0
-        for i, lag in enumerate(self.lags()):
+        for i, lag in enumerate(self.lags):
             pred = self.children[f"gen{i}"](hidden)
             target = np.zeros_like(stacked)
             if lag < stacked.shape[1]:
@@ -103,7 +98,7 @@ class EAPCObjective(Module):
             if not mask.any():
                 continue
             count += int(mask.sum()) * self.d_target
-            term = apc_loss(E.slice_axis(pred, 1, 0, G), target[:, :G], mask, p=self.cfg.p)
+            term = apc_loss(E.slice_axis(pred, 1, 0, G), target[:, :G], mask, p=self.cfg.apc_p)
             total = term if total is None else E.add(total, term)
         if total is None:
             raise ValueError("no valid prediction targets at any lag")
@@ -133,7 +128,8 @@ class BidirectionalAPC(Module):
     """Forward and time-reversed autoregressive models with weight sharing.
 
     Children 'fwd' and 'rev' each hold an encoder 'model' and its
-    generator 'gen'. Schemes: 'none' (two independent models),
+    generator 'gen'. cfg.biapc_scheme picks the sharing: 'none' (two
+    independent models),
     'share_generator', 'share_gen_encoder' (generator + transformer
     blocks + final norm), 'share_all' (every parameter aliased). A shared
     tensor is named once, under 'fwd'.
@@ -141,19 +137,15 @@ class BidirectionalAPC(Module):
 
     SCHEMES = ("none", "share_generator", "share_gen_encoder", "share_all")
 
-    def __init__(self, enc_cfg: EncoderConfig, apc_cfg: APCConfig, scheme: str, seed: int):
+    def __init__(self, cfg: PipelineConfig, seed: int):
         super().__init__()
-        if scheme not in self.SCHEMES:
-            raise ValueError(f"unknown sharing scheme '{scheme}'")
-        self.scheme = scheme
-        self.enc_cfg = enc_cfg
-        self.apc_cfg = apc_cfg
-        self.fwd = build_encoder(enc_cfg, seed)
-        self.rev = build_encoder(enc_cfg, seed + 1)
-        rng_f = np.random.default_rng([seed, 0x0B1])
-        rng_r = np.random.default_rng([seed + 1, 0x0B1])
-        self.fwd_obj = EAPCObjective(apc_cfg, enc_cfg.d_model, rng_f)
-        self.rev_obj = EAPCObjective(apc_cfg, enc_cfg.d_model, rng_r)
+        if cfg.biapc_scheme not in self.SCHEMES:
+            raise ValueError(f"unknown sharing scheme '{cfg.biapc_scheme}'")
+        self.scheme = cfg.biapc_scheme
+        self.fwd = build_encoder(cfg, seed)
+        self.rev = build_encoder(cfg, seed + 1)
+        self.fwd_obj = EAPCObjective(cfg, np.random.default_rng([seed, 0x0B1]))
+        self.rev_obj = EAPCObjective(cfg, np.random.default_rng([seed + 1, 0x0B1]))
         for name, enc, obj in (("fwd", self.fwd, self.fwd_obj), ("rev", self.rev, self.rev_obj)):
             self.children[name] = Module()
             self.children[name].children.update(model=enc, gen=obj)
@@ -165,7 +157,7 @@ class BidirectionalAPC(Module):
         if self.scheme in ("share_generator", "share_gen_encoder", "share_all"):
             self.rev_obj.alias_from(self.fwd_obj)
         if self.scheme in ("share_gen_encoder", "share_all"):
-            for i in range(self.enc_cfg.n_blocks):
+            for i in range(self.fwd.cfg.n_blocks):
                 self.rev.children[f"block{i}"].alias_from(self.fwd.children[f"block{i}"])
                 if self.fwd.d_adapter:
                     self.rev.children[f"adapter{i + 1}"].alias_from(self.fwd.children[f"adapter{i + 1}"])
@@ -212,7 +204,7 @@ class BidirectionalAPC(Module):
 
 
 def sample_mask_spans(valid_len: int, rng: np.random.Generator,
-                      mask_prob: float = 0.065, span_len: int = 10) -> np.ndarray:
+                      mask_prob: float, span_len: int) -> np.ndarray:
     """Boolean mask over [0, valid_len): union of spans with random starts.
 
     Each position starts a span with probability mask_prob; if none fires,
@@ -298,27 +290,17 @@ class GumbelQuantizer(Module):
                      Tensor(np.asarray(1.0 / v, dtype=soft.dtype)))
 
 
-@dataclass
-class ContrastiveConfig:
-    n_negatives: int = 10
-    tau_cos: float = 0.1
-    mask_prob: float = 0.065
-    span_len: int = 10
-    n_codes: int = 32
-    diversity_weight: float = 0.1
-
-
 class ContrastiveObjective(Module):
     """Identify the quantized latent behind each masked position among
     distractors sampled from the other masked positions of the same
     utterance."""
 
-    def __init__(self, cfg: ContrastiveConfig, d_model: int, rng: np.random.Generator):
+    def __init__(self, cfg: PipelineConfig, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
-        self.children["quantizer"] = GumbelQuantizer(rng, d_model, cfg.n_codes)
+        self.children["quantizer"] = GumbelQuantizer(rng, cfg.d_model, cfg.n_codes)
         self.p["mask_emb"] = Tensor(
-            rng.uniform(-0.5, 0.5, size=d_model).astype(np.float32), requires_grad=True
+            rng.uniform(-0.5, 0.5, size=cfg.d_model).astype(np.float32), requires_grad=True
         )
 
     def loss(self, encoder: Encoder, batch: Batch, rng: np.random.Generator, step: int = 0) -> Tensor:
@@ -413,27 +395,20 @@ def group_mean_features(feats: np.ndarray, length: int) -> np.ndarray:
     return np.asarray(feats)[: g * GROUP].reshape(g, GROUP, np.shape(feats)[-1]).mean(axis=1)
 
 
-@dataclass
-class MaskedClusterConfig:
-    n_clusters: int = 16
-    mask_prob: float = 0.065
-    span_len: int = 10
-    alpha: float = 1.0  # weight of the masked term; 1 - alpha goes to unmasked
-
-
 class MaskedClusterObjective(Module):
     """Predict the k-means cluster of each masked group from context.
 
     targets (utt_id -> one label per complete frame group, -1 for none)
-    is filled by prepare() and is not checkpointed."""
+    is filled by prepare() and is not checkpointed. cluster_alpha weighs
+    the masked term; 1 - cluster_alpha goes to the unmasked one."""
 
-    def __init__(self, cfg: MaskedClusterConfig, d_model: int, rng: np.random.Generator):
+    def __init__(self, cfg: PipelineConfig, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
         self.targets = {}
-        self.children["classifier"] = Linear(rng, d_model, cfg.n_clusters)
+        self.children["classifier"] = Linear(rng, cfg.d_model, cfg.n_clusters)
         self.p["mask_emb"] = Tensor(
-            rng.uniform(-0.5, 0.5, size=d_model).astype(np.float32), requires_grad=True
+            rng.uniform(-0.5, 0.5, size=cfg.d_model).astype(np.float32), requires_grad=True
         )
 
     def prepare(self, corpus, rng: np.random.Generator, encoder: Encoder | None = None) -> None:
@@ -463,7 +438,8 @@ class MaskedClusterObjective(Module):
         safe_labels = np.maximum(lab, 0)
         ce = E.cross_entropy(logits, safe_labels)  # (B, G)
         terms = []
-        for weight, sel in ((cfg.alpha, mask & (lab >= 0)), (1.0 - cfg.alpha, ~mask & (lab >= 0))):
+        alpha = cfg.cluster_alpha
+        for weight, sel in ((alpha, mask & (lab >= 0)), (1.0 - alpha, ~mask & (lab >= 0))):
             count = int(sel.sum())
             if weight == 0.0 or count == 0:
                 continue

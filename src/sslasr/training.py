@@ -16,18 +16,15 @@ from pathlib import Path
 import numpy as np
 
 from .ctc import CTCHead, ctc_loss_batch, edit_distance, error_rate, greedy_decode
-from .data import CorpusConfig, make_corpus, pad_batch
+from .data import CorpusConfig, make_corpus, pad_batch, require_positive
 from .engine import Tape, Tensor, backward
 from .features import spec_augment
 from .io import append_jsonl, load_checkpoint, save_checkpoint
-from .model import Encoder, EncoderConfig, Module, build_encoder
+from .model import Encoder, Module, build_encoder
 from .objectives import (
-    APCConfig,
     BidirectionalAPC,
-    ContrastiveConfig,
     ContrastiveObjective,
     EAPCObjective,
-    MaskedClusterConfig,
     MaskedClusterObjective,
     valid_groups,
 )
@@ -97,14 +94,12 @@ class PipelineConfig:
     d_adapter: int = 8
     spec_augment: bool = False
 
+    def __post_init__(self):
+        require_positive(self, ("batch_size", "n_heads", "noam_warmup", "n_codes", "n_clusters",
+                                "apc_shift", "apc_lags"))
+
     def to_dict(self) -> dict:
         return dict(self.__dict__)
-
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            d_input=self.d_feat, d_model=self.d_model, n_heads=self.n_heads,
-            n_blocks=self.n_blocks, d_ffn=self.d_ffn, causal=self.causal,
-        )
 
 
 def build_corpora(cfg: PipelineConfig) -> dict:
@@ -134,27 +129,17 @@ def _group(name: str) -> str:
     return "f"
 
 
+_OBJECTIVE_TYPES = {"apc": EAPCObjective, "eapc": EAPCObjective,
+                    "contrastive": ContrastiveObjective, "masked_cluster": MaskedClusterObjective}
+
+
 def build_objective(cfg: PipelineConfig, seed: int) -> Module:
     """The objective cfg.objective names; apc is E-APC at one lag."""
-    name = cfg.objective
-    if name not in OBJECTIVES:
-        raise ValueError(f"unknown objective '{name}'")
-    rng = np.random.default_rng([seed, 0x0B1])
-    if name in ("apc", "eapc", "biapc"):
-        n_lags = 1 if name == "apc" else cfg.apc_lags
-        apc = APCConfig(shift=cfg.apc_shift, n_lags=n_lags, p=cfg.apc_p, d_feat=cfg.d_feat)
-        if name == "biapc":
-            return BidirectionalAPC(cfg.encoder_config(), apc, cfg.biapc_scheme, seed)
-        return EAPCObjective(apc, cfg.d_model, rng)
-    if name == "contrastive":
-        return ContrastiveObjective(ContrastiveConfig(
-            n_negatives=cfg.n_negatives, tau_cos=cfg.tau_cos, mask_prob=cfg.mask_prob,
-            span_len=cfg.span_len, n_codes=cfg.n_codes, diversity_weight=cfg.diversity_weight,
-        ), cfg.d_model, rng)
-    return MaskedClusterObjective(MaskedClusterConfig(
-        n_clusters=cfg.n_clusters, mask_prob=cfg.mask_prob,
-        span_len=cfg.span_len, alpha=cfg.cluster_alpha,
-    ), cfg.d_model, rng)
+    if cfg.objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective '{cfg.objective}'")
+    if cfg.objective == "biapc":
+        return BidirectionalAPC(cfg, seed)
+    return _OBJECTIVE_TYPES[cfg.objective](cfg, np.random.default_rng([seed, 0x0B1]))
 
 
 class SSLBundle(Module):
@@ -173,7 +158,7 @@ class SSLBundle(Module):
             self.encoder = self.pair.fwd
             self.children.update(self.pair.children)
         else:
-            self.encoder = build_encoder(cfg.encoder_config(), seed)
+            self.encoder = build_encoder(cfg, seed)
             self.children.update(model=self.encoder, obj=self.obj)
 
     def insert_adapters(self, d_adapter: int, rng, random_init: bool = False) -> None:
@@ -191,11 +176,12 @@ class SSLBundle(Module):
 
 
 class CTCModel(Module):
-    """The finetuned recognizer: encoder 'model.*' plus CTC head 'ctc.*'."""
+    """The finetuned recognizer: encoder 'model.*' plus a fresh CTC head 'ctc.*'."""
 
-    def __init__(self, encoder: Encoder, head: CTCHead):
+    def __init__(self, cfg: PipelineConfig, encoder: Encoder):
         super().__init__()
         self.encoder = encoder
+        head = CTCHead(np.random.default_rng([cfg.seed, 0xC7C]), cfg.d_model, cfg.vocab_size)
         self.children.update(model=encoder, ctc=head)
 
     def __call__(self, feats, lengths):
@@ -223,8 +209,7 @@ def restore(cfg: PipelineConfig, ckpt_path) -> tuple:
     if bad:
         raise ValueError(f"config mismatch with checkpoint on fields {bad}")
     if ckpt.config.get("stage") == "finetune":
-        head = CTCHead(np.random.default_rng([cfg.seed, 0xC7C]), cfg.d_model, cfg.vocab_size)
-        model = CTCModel(build_encoder(cfg.encoder_config(), cfg.seed), head)
+        model = CTCModel(cfg, build_encoder(cfg, cfg.seed))
         host = model.encoder
     else:
         model = host = SSLBundle(cfg, seed=cfg.seed)
@@ -398,8 +383,7 @@ def run_finetune(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "full",
             raise ValueError("finetune mode 'plus_ra' requires a checkpoint without adapters")
         encoder.insert_adapters(cfg.d_adapter, np.random.default_rng([cfg.seed, 0xF00D]))
 
-    model = CTCModel(encoder, CTCHead(np.random.default_rng([cfg.seed, 0xC7C]),
-                                      cfg.d_model, cfg.vocab_size))
+    model = CTCModel(cfg, encoder)
     trainable = model.named_params()
     if mode != "full":
         # adapters_frozen trains backbone + head; the adapter modes adapters + head
@@ -434,9 +418,8 @@ def run_evaluate(cfg: PipelineConfig, ckpt_path, corpus=None) -> dict:
         raise ValueError("no utterances")
     model, provenance = _restore_for("evaluate", cfg, ckpt_path)
     refs, hyps = [], []
-    b = max(1, cfg.batch_size)
-    for i in range(0, len(corpus), b):
-        batch = pad_batch(corpus[i : i + b])
+    for i in range(0, len(corpus), cfg.batch_size):
+        batch = pad_batch(corpus[i : i + cfg.batch_size])
         logits, out_lengths = model(batch.feats, batch.lengths)
         for j, target in enumerate(batch.tokens):
             t_j = int(out_lengths[j])

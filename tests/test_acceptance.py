@@ -9,6 +9,7 @@ five-seed end-to-end comparison.
 import itertools
 import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,14 +20,11 @@ from sslasr.engine import Tensor
 from sslasr.features import Featurizer, FeaturizerConfig
 from sslasr.gradcheck import gradcheck_battery, loss_gradcheck_battery
 from sslasr.io import load_checkpoint, read_feat, write_feat
-from sslasr.model import EncoderConfig, ResidualAdapter, build_encoder
+from sslasr.model import ResidualAdapter, build_encoder
 from sslasr.objectives import (
-    APCConfig,
     BidirectionalAPC,
-    ContrastiveConfig,
     ContrastiveObjective,
     EAPCObjective,
-    MaskedClusterConfig,
     MaskedClusterObjective,
     apc_loss,
     group_mean_features,
@@ -125,8 +123,8 @@ def test_02_ctc_matches_brute_force_and_is_a_distribution():
 
 
 def test_03_causal_outputs_ignore_future_frames():
-    enc = build_encoder(EncoderConfig(d_input=8, d_model=16, n_heads=2,
-                                      n_blocks=2, d_ffn=32, causal=True), seed=3)
+    enc = build_encoder(PipelineConfig(d_feat=8, d_model=16, n_heads=2,
+                                       n_blocks=2, d_ffn=32, causal=True), seed=3)
     rng = np.random.default_rng(3)
     lengths = [24, 21]
     worst = 0.0
@@ -148,29 +146,29 @@ def test_03_causal_outputs_ignore_future_frames():
 
 
 def test_04_every_loss_is_invariant_to_extra_padding():
-    cfg = EncoderConfig(d_input=4, d_model=8, n_heads=2, n_blocks=1,
-                        d_ffn=16, causal=True)
+    cfg = PipelineConfig(d_feat=4, d_model=8, n_heads=2, n_blocks=1,
+                         d_ffn=16, causal=True)
     rng = np.random.default_rng(4)
     feats = rng.normal(size=(2, 33, 4)).astype(np.float32)
     lengths = np.array([33, 26])
     padded = np.concatenate([feats, np.zeros((2, 10, 4), np.float32)], axis=1)
 
     enc_a = build_encoder(cfg, seed=40)
-    apc = EAPCObjective(APCConfig(shift=2, n_lags=1, p=1, d_feat=4), 8,
+    apc = EAPCObjective(replace(cfg, apc_shift=2, apc_lags=1, apc_p=1),
                         np.random.default_rng(41))
     enc_e = build_encoder(cfg, seed=42)
-    eapc = EAPCObjective(APCConfig(shift=1, n_lags=2, p=1, d_feat=4), 8,
+    eapc = EAPCObjective(replace(cfg, apc_shift=1, apc_lags=2, apc_p=1),
                          np.random.default_rng(43))
-    pair = BidirectionalAPC(cfg, APCConfig(shift=1, n_lags=1, p=1, d_feat=4),
-                            "share_generator", seed=44)
+    pair = BidirectionalAPC(replace(cfg, apc_shift=1, apc_lags=1, apc_p=1,
+                                    biapc_scheme="share_generator"), seed=44)
     enc_c = build_encoder(cfg, seed=45)
     contr = ContrastiveObjective(
-        ContrastiveConfig(n_negatives=3, mask_prob=0.5, span_len=2, n_codes=4),
-        8, np.random.default_rng(46))
+        replace(cfg, n_negatives=3, mask_prob=0.5, span_len=2, n_codes=4),
+        np.random.default_rng(46))
     enc_m = build_encoder(cfg, seed=47)
     mc = MaskedClusterObjective(
-        MaskedClusterConfig(n_clusters=3, mask_prob=0.5, span_len=2, alpha=0.5),
-        8, np.random.default_rng(48))
+        replace(cfg, n_clusters=3, mask_prob=0.5, span_len=2, cluster_alpha=0.5),
+        np.random.default_rng(48))
     gm0 = group_mean_features(feats[0], 33)
     gm1 = group_mean_features(feats[1], 26)
     centers = kmeans_fit(np.concatenate([gm0, gm1]).astype(np.float32), 3,
@@ -210,14 +208,14 @@ def test_04_every_loss_is_invariant_to_extra_padding():
 def test_05_single_lag_objective_reduces_to_plain_reconstruction():
     eps32 = float(np.finfo(np.float32).eps)
     rng = np.random.default_rng(5)
-    cfg = EncoderConfig(d_input=4, d_model=8, n_heads=2, n_blocks=1,
-                        d_ffn=16, causal=True)
+    cfg = PipelineConfig(d_feat=4, d_model=8, n_heads=2, n_blocks=1,
+                         d_ffn=16, causal=True)
     feats = rng.normal(size=(2, 16, 4)).astype(np.float32)
     lengths = np.array([16, 13])
 
     # k=1 equals the plain shifted-reconstruction loss at lag s
     enc = build_encoder(cfg, seed=55)
-    single = EAPCObjective(APCConfig(shift=2, n_lags=1, p=1, d_feat=4), 8,
+    single = EAPCObjective(replace(cfg, apc_shift=2, apc_lags=1, apc_p=1),
                            np.random.default_rng(56))
     got = float(single.loss(enc, Batch(feats, lengths), normalize=False).data)
     hidden, _ = enc(feats, lengths)
@@ -232,11 +230,11 @@ def test_05_single_lag_objective_reduces_to_plain_reconstruction():
 
     # shift=2 with two lags equals the sum of its per-lag terms
     enc2 = build_encoder(cfg, seed=57)
-    multi = EAPCObjective(APCConfig(shift=2, n_lags=2, p=2, d_feat=4), 8,
+    multi = EAPCObjective(replace(cfg, apc_shift=2, apc_lags=2, apc_p=2),
                           np.random.default_rng(58))
     parts = []
     for i, shift in enumerate((2, 3)):
-        s = EAPCObjective(APCConfig(shift=shift, n_lags=1, p=2, d_feat=4), 8,
+        s = EAPCObjective(replace(cfg, apc_shift=shift, apc_lags=1, apc_p=2),
                           np.random.default_rng(59))
         s.children["gen0"].p["w"].data = multi.children[f"gen{i}"].p["w"].data.copy()
         s.children["gen0"].p["b"].data = multi.children[f"gen{i}"].p["b"].data.copy()
@@ -249,19 +247,18 @@ def test_05_single_lag_objective_reduces_to_plain_reconstruction():
 
 
 def test_06_direction_averaging_honors_weight_sharing():
-    apc = APCConfig(shift=1, n_lags=1, p=1, d_feat=4)
-    cfg = EncoderConfig(d_input=4, d_model=8, n_heads=2, n_blocks=1,
-                        d_ffn=16, causal=True)
+    cfg = PipelineConfig(d_feat=4, d_model=8, n_heads=2, n_blocks=1,
+                         d_ffn=16, causal=True, apc_shift=1, apc_lags=1, apc_p=1)
 
     # fully shared directions: averaging must not move a single bit
-    pair = BidirectionalAPC(cfg, apc, "share_all", seed=6)
+    pair = BidirectionalAPC(replace(cfg, biapc_scheme="share_all"), seed=6)
     before = {k: t.data.copy() for k, t in pair.named_params().items()}
     pair.average_directions()
     for k, t in pair.named_params().items():
         assert np.array_equal(t.data, before[k]), f"share_all moved {k}"
 
     # independent directions: every averaged tensor equals the f64 mean
-    pair = BidirectionalAPC(cfg, apc, "none", seed=7)
+    pair = BidirectionalAPC(replace(cfg, biapc_scheme="none"), seed=7)
     snap = {k: t.data.copy() for k, t in pair.named_params().items()}
     pair.average_directions()
     n_avg = 0

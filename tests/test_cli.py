@@ -234,6 +234,23 @@ class TestErrorHandling:
         assert main(["gen-corpus", "--out", str(tmp_path / "c"), "--n", "2",
                      "--config", str(cfg)]) == 0
 
+    @pytest.mark.parametrize("setting, objective", [
+        ("batch_size=0", "eapc"),
+        ("n_heads=0", "eapc"),
+        ("noam_warmup=0", "eapc"),
+        ("n_clusters=0", "masked_cluster"),
+        ("n_codes=0", "contrastive"),
+        ("proto_len=0", "eapc"),
+        ("min_tokens=0", "eapc"),
+        ("max_tokens=2", "eapc"),  # below the tiny config's min_tokens = 3
+    ])
+    def test_out_of_range_setting_names_the_setting(self, tmp_path, tiny_config, capsys,
+                                                    setting, objective):
+        rc = main(["pretrain", "--config", tiny_config, "--set", setting,
+                   "--objective", objective, "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert f"setting '{setting.partition('=')[0]}' must be >= " in capsys.readouterr().err
+
     def test_missing_checkpoint(self, tmp_path, capsys):
         rc = main(["adapt", "--init", str(tmp_path / "nope.ckpt"),
                    "--out", str(tmp_path)])

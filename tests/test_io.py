@@ -338,7 +338,8 @@ class TestAtomicWrites:
     @pytest.mark.parametrize("write", [
         lambda p, v: write_feat(p, np.full((3, 4), v, dtype=np.float32), 10.0, 25.0),
         lambda p, v: save_checkpoint(p, {"w": np.full(6, v, dtype=np.float32)}, {"v": v}, {}),
-    ], ids=["feat", "checkpoint"])
+        lambda p, v: write_manifest(p, [ManifestEntry("u0", f"feats/{v}.feat", "1 2", "target")]),
+    ], ids=["feat", "checkpoint", "manifest"])
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, write):
         p = tmp_path / "x.bin"
         write(p, 1.0)

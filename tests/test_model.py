@@ -8,14 +8,14 @@ import pytest
 from sslasr.engine import Tensor
 from sslasr.model import (
     Encoder,
-    EncoderConfig,
     Module,
     ResidualAdapter,
     build_encoder,
     sinusoidal_positions,
 )
+from sslasr.training import PipelineConfig
 
-SMALL = EncoderConfig(d_input=8, d_model=16, n_heads=2, n_blocks=2, d_ffn=32)
+SMALL = PipelineConfig(d_feat=8, d_model=16, n_heads=2, n_blocks=2, d_ffn=32, causal=True)
 
 
 def shares_storage(a: Module, b: Module) -> bool:

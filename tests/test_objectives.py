@@ -1,6 +1,8 @@
 """Five self-supervised objectives: exact reductions, sharing schemes,
 masking, quantization, and k-means targets."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,15 +11,12 @@ from hypothesis import strategies as st
 from sslasr import engine as E
 from sslasr.data import Batch, Utterance
 from sslasr.engine import Tape, Tensor
-from sslasr.model import EncoderConfig, Module, build_encoder
+from sslasr.model import Module, build_encoder
 from sslasr.objectives import (
-    APCConfig,
     BidirectionalAPC,
-    ContrastiveConfig,
     ContrastiveObjective,
     EAPCObjective,
     GumbelQuantizer,
-    MaskedClusterConfig,
     MaskedClusterObjective,
     apc_loss,
     apply_mask_embedding,
@@ -32,8 +31,10 @@ from sslasr.objectives import (
     stack_targets,
     valid_groups,
 )
+from sslasr.training import PipelineConfig
 
-ENC = EncoderConfig(d_input=4, d_model=8, n_heads=2, n_blocks=1, d_ffn=16, causal=True)
+CFG = PipelineConfig(d_feat=4, d_model=8, n_heads=2, n_blocks=1, d_ffn=16, causal=True)
+LAG2 = replace(CFG, apc_shift=2, apc_lags=1, apc_p=1)  # one generator, predicting 2 groups ahead
 
 
 def shares_storage(a: Module, b: Module) -> bool:
@@ -79,8 +80,8 @@ class TestTargets:
 class TestFutureRegression:
     def test_single_lag_matches_manual_apc(self):
         rng = np.random.default_rng(0)
-        enc = build_encoder(ENC, seed=0)
-        obj = EAPCObjective(APCConfig(shift=2, n_lags=1, p=1, d_feat=4), 8, rng)
+        enc = build_encoder(CFG, seed=0)
+        obj = EAPCObjective(replace(CFG, apc_shift=2, apc_lags=1, apc_p=1), rng)
         feats, lengths = batch(rng)
         got = obj.loss(enc, Batch(feats, lengths), normalize=False)
 
@@ -95,11 +96,11 @@ class TestFutureRegression:
 
     def test_multi_lag_sum_matches_independent_single_lags(self):
         rng = np.random.default_rng(1)
-        enc = build_encoder(ENC, seed=1)
-        multi = EAPCObjective(APCConfig(shift=2, n_lags=2, p=2, d_feat=4), 8, rng)
+        enc = build_encoder(CFG, seed=1)
+        multi = EAPCObjective(replace(CFG, apc_shift=2, apc_lags=2, apc_p=2), rng)
         singles = []
         for i, shift in enumerate((2, 3)):
-            s = EAPCObjective(APCConfig(shift=shift, n_lags=1, p=2, d_feat=4), 8,
+            s = EAPCObjective(replace(CFG, apc_shift=shift, apc_lags=1, apc_p=2),
                               np.random.default_rng(99))
             s.children["gen0"].p["w"].data = multi.children[f"gen{i}"].p["w"].data.copy()
             s.children["gen0"].p["b"].data = multi.children[f"gen{i}"].p["b"].data.copy()
@@ -111,8 +112,8 @@ class TestFutureRegression:
 
     def test_normalization_divides_by_contributing_elements(self):
         rng = np.random.default_rng(2)
-        enc = build_encoder(ENC, seed=2)
-        obj = EAPCObjective(APCConfig(shift=1, n_lags=2, p=1, d_feat=4), 8, rng)
+        enc = build_encoder(CFG, seed=2)
+        obj = EAPCObjective(replace(CFG, apc_shift=1, apc_lags=2, apc_p=1), rng)
         feats, lengths = batch(rng)
         raw = obj.loss(enc, Batch(feats, lengths), normalize=False).data
         norm = obj.loss(enc, Batch(feats, lengths), normalize=True).data
@@ -122,15 +123,15 @@ class TestFutureRegression:
 
     def test_all_lags_out_of_range_rejected(self):
         rng = np.random.default_rng(3)
-        enc = build_encoder(ENC, seed=3)
-        obj = EAPCObjective(APCConfig(shift=9, n_lags=1, d_feat=4), 8, rng)
+        enc = build_encoder(CFG, seed=3)
+        obj = EAPCObjective(replace(CFG, apc_shift=9, apc_lags=1, apc_p=1), rng)
         feats, lengths = batch(rng)  # only 4 valid groups, lag 9 impossible
         with pytest.raises(ValueError, match="no valid prediction targets at any lag"):
             obj.loss(enc, Batch(feats, lengths))
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):
-            EAPCObjective(APCConfig(shift=0), 8, np.random.default_rng(0))
+            PipelineConfig(apc_shift=0)
 
 
 class TestReversal:
@@ -160,17 +161,17 @@ class TestReversal:
 class TestBidirectional:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="unknown sharing scheme"):
-            BidirectionalAPC(ENC, APCConfig(d_feat=4), "share_everything", seed=0)
+            BidirectionalAPC(replace(LAG2, biapc_scheme="share_everything"), seed=0)
 
     def test_scheme_none_keeps_directions_independent(self):
-        pair = BidirectionalAPC(ENC, APCConfig(d_feat=4), "none", seed=0)
+        pair = BidirectionalAPC(replace(LAG2, biapc_scheme="none"), seed=0)
         assert not shares_storage(pair.rev_obj, pair.fwd_obj)
         names = set(pair.named_params())
         assert any(n.startswith("rev.model.") for n in names)
         assert any(n.startswith("rev.gen.") for n in names)
 
     def test_share_generator_aliases_only_generators(self):
-        pair = BidirectionalAPC(ENC, APCConfig(d_feat=4), "share_generator", seed=0)
+        pair = BidirectionalAPC(replace(LAG2, biapc_scheme="share_generator"), seed=0)
         assert shares_storage(pair.rev_obj, pair.fwd_obj)
         assert not shares_storage(pair.rev, pair.fwd)
         names = set(pair.named_params())
@@ -178,7 +179,7 @@ class TestBidirectional:
         assert any(n.startswith("rev.model.") for n in names)
 
     def test_share_gen_encoder_aliases_blocks_not_conv(self):
-        pair = BidirectionalAPC(ENC, APCConfig(d_feat=4), "share_gen_encoder", seed=0)
+        pair = BidirectionalAPC(replace(LAG2, biapc_scheme="share_gen_encoder"), seed=0)
         f, r = pair.fwd.children, pair.rev.children
         assert shares_storage(r["block0"], f["block0"])
         assert shares_storage(r["final_ln"], f["final_ln"])
@@ -186,26 +187,27 @@ class TestBidirectional:
         assert shares_storage(pair.rev_obj, pair.fwd_obj)
 
     def test_share_all_aliases_everything(self):
-        pair = BidirectionalAPC(ENC, APCConfig(d_feat=4), "share_all", seed=0)
+        pair = BidirectionalAPC(replace(LAG2, biapc_scheme="share_all"), seed=0)
         assert shares_storage(pair.rev, pair.fwd)
         assert shares_storage(pair.rev_obj, pair.fwd_obj)
         names = set(pair.named_params())
         assert not any(n.startswith("rev.") for n in names)
 
     def test_update_through_shared_tensor_is_visible_both_ways(self):
-        pair = BidirectionalAPC(ENC, APCConfig(d_feat=4), "share_generator", seed=0)
+        pair = BidirectionalAPC(replace(LAG2, biapc_scheme="share_generator"), seed=0)
         pair.fwd_obj.children["gen0"].p["b"].data[:] = 7.0
         assert np.all(pair.rev_obj.children["gen0"].p["b"].data == 7.0)
 
     def test_adapters_follow_host_sharing(self):
-        pair = BidirectionalAPC(ENC, APCConfig(d_feat=4), "share_gen_encoder", seed=0)
+        pair = BidirectionalAPC(replace(LAG2, biapc_scheme="share_gen_encoder"), seed=0)
         pair.insert_adapters(4, np.random.default_rng(0), random_init=True)
         f, r = pair.fwd.children, pair.rev.children
         assert shares_storage(r["adapter1"], f["adapter1"])
         assert not shares_storage(r["adapter0"], f["adapter0"])
 
     def test_share_all_loss_doubles_on_palindromic_input(self):
-        pair = BidirectionalAPC(ENC, APCConfig(shift=1, n_lags=1, d_feat=4), "share_all", seed=0)
+        pair = BidirectionalAPC(replace(CFG, apc_shift=1, apc_lags=1, apc_p=1, biapc_scheme="share_all"),
+                                seed=0)
         rng = np.random.default_rng(6)
         g0 = rng.normal(size=(4, 4)).astype(np.float32)
         g1 = rng.normal(size=(4, 4)).astype(np.float32)
@@ -215,7 +217,7 @@ class TestBidirectional:
         assert total.data == np.float32(2.0) * fwd_only.data
 
     def test_average_directions_is_idempotent(self):
-        pair = BidirectionalAPC(ENC, APCConfig(d_feat=4), "share_generator", seed=0)
+        pair = BidirectionalAPC(replace(LAG2, biapc_scheme="share_generator"), seed=0)
         f_w = pair.fwd.children["conv"].children["conv1"].p["w"]
         r_w = pair.rev.children["conv"].children["conv1"].p["w"]
         mean = (f_w.data.astype(np.float64) + r_w.data.astype(np.float64)) / 2
@@ -237,7 +239,7 @@ class TestSpanMasking:
             assert mask.sum() >= 1
 
     def test_zero_length(self):
-        assert sample_mask_spans(0, np.random.default_rng(0)).shape == (0,)
+        assert sample_mask_spans(0, np.random.default_rng(0), 0.065, 10).shape == (0,)
 
     def test_forced_span_shape(self):
         # exactly one span when nothing fires: a run of span_len (clipped)
@@ -316,9 +318,9 @@ class TestQuantizer:
 class TestContrastive:
     def test_loss_runs_and_backprops(self):
         rng = np.random.default_rng(0)
-        enc = build_encoder(ENC, seed=0)
+        enc = build_encoder(CFG, seed=0)
         obj = ContrastiveObjective(
-            ContrastiveConfig(n_negatives=3, mask_prob=0.6, span_len=2, n_codes=4), 8, rng
+            replace(CFG, n_negatives=3, mask_prob=0.6, span_len=2, n_codes=4), rng
         )
         feats = rng.normal(size=(2, 20, 4)).astype(np.float32)
         with Tape() as tape:
@@ -333,11 +335,11 @@ class TestContrastive:
         # one codebook entry: every candidate is the positive, so the
         # cross entropy is exactly ln(K+1) and diversity is zero
         rng = np.random.default_rng(1)
-        enc = build_encoder(ENC, seed=1)
+        enc = build_encoder(CFG, seed=1)
         k = 3
         obj = ContrastiveObjective(
-            ContrastiveConfig(n_negatives=k, mask_prob=0.6, span_len=2, n_codes=1,
-                              diversity_weight=0.0), 8, rng
+            replace(CFG, n_negatives=k, mask_prob=0.6, span_len=2, n_codes=1,
+                    diversity_weight=0.0), rng
         )
         feats = rng.normal(size=(2, 20, 4)).astype(np.float32)
         loss = obj.loss(enc, Batch(feats, [20, 17]), np.random.default_rng(2))
@@ -345,9 +347,9 @@ class TestContrastive:
 
     def test_no_anchors_raises(self):
         rng = np.random.default_rng(2)
-        enc = build_encoder(ENC, seed=2)
+        enc = build_encoder(CFG, seed=2)
         obj = ContrastiveObjective(
-            ContrastiveConfig(n_negatives=2, mask_prob=0.0, span_len=1, n_codes=4), 8, rng
+            replace(CFG, n_negatives=2, mask_prob=0.0, span_len=1, n_codes=4), rng
         )
         feats = rng.normal(size=(2, 4, 4)).astype(np.float32)
         # one valid group per utterance: a single forced span is never
@@ -357,9 +359,9 @@ class TestContrastive:
 
     def test_deterministic_given_rng(self):
         rng = np.random.default_rng(3)
-        enc = build_encoder(ENC, seed=3)
+        enc = build_encoder(CFG, seed=3)
         obj = ContrastiveObjective(
-            ContrastiveConfig(n_negatives=3, mask_prob=0.6, span_len=2, n_codes=4), 8, rng
+            replace(CFG, n_negatives=3, mask_prob=0.6, span_len=2, n_codes=4), rng
         )
         feats = rng.normal(size=(2, 20, 4)).astype(np.float32)
         a = obj.loss(enc, Batch(feats, [20, 17]), np.random.default_rng(7), step=2)
@@ -404,9 +406,9 @@ class TestKMeans:
 class TestMaskedCluster:
     def _setup(self, seed, alpha=1.0):
         rng = np.random.default_rng(seed)
-        enc = build_encoder(ENC, seed=seed)
+        enc = build_encoder(CFG, seed=seed)
         obj = MaskedClusterObjective(
-            MaskedClusterConfig(n_clusters=3, mask_prob=0.5, span_len=2, alpha=alpha), 8, rng
+            replace(CFG, n_clusters=3, mask_prob=0.5, span_len=2, cluster_alpha=alpha), rng
         )
         feats = rng.normal(size=(2, 16, 4)).astype(np.float32)
         lengths = [16, 13]
@@ -431,9 +433,9 @@ class TestMaskedCluster:
         enc, obj, batch = self._setup(1, alpha=1.0)
         rng_mask = lambda: np.random.default_rng(42)
         masked_only = obj.loss(enc, batch, rng_mask()).data
-        obj.cfg.alpha = 0.0
+        obj.cfg.cluster_alpha = 0.0
         unmasked_only = obj.loss(enc, batch, rng_mask()).data
-        obj.cfg.alpha = 0.25
+        obj.cfg.cluster_alpha = 0.25
         blend = obj.loss(enc, batch, rng_mask()).data
         assert blend == pytest.approx(0.25 * masked_only + 0.75 * unmasked_only, rel=1e-5)
 
@@ -447,7 +449,8 @@ class TestMaskedCluster:
         rng = np.random.default_rng(5)
         corpus = [Utterance(f"u{i}", rng.normal(size=(n, 4)).astype(np.float32), [], "source")
                   for i, n in enumerate((16, 13, 7, 3))]
-        obj = MaskedClusterObjective(MaskedClusterConfig(n_clusters=3), 8, rng)
+        obj = MaskedClusterObjective(
+            replace(CFG, n_clusters=3, mask_prob=0.065, span_len=10, cluster_alpha=1.0), rng)
         obj.prepare(corpus, np.random.default_rng(6))
         assert set(obj.targets) == {u.utt_id for u in corpus}
         for u in corpus:
@@ -474,7 +477,7 @@ class TestMaskedCluster:
 
     def test_fit_cluster_targets_with_encoder(self):
         rng = np.random.default_rng(4)
-        enc = build_encoder(ENC, seed=4)
+        enc = build_encoder(CFG, seed=4)
         utts = [rng.normal(size=(16, 4)).astype(np.float32) for _ in range(3)]
         rows = [cluster_features(u, 15, encoder=enc) for u in utts]
         assert rows[0].shape == (3, 8)  # hidden-state space, d_model wide

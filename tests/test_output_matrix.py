@@ -31,4 +31,6 @@ def test_matrix_digests_every_written_file(tmp_path):
         assert f"chain/finetune_{mode}.ckpt" in table
         assert f"chain/finetune_{mode}_metrics.jsonl" in table
         assert f"chain/report_{mode}.json" in table
+    assert "spec_augment/finetune_full_metrics.jsonl" in table
+    assert "spec_augment/report.json" in table
     assert "gradcheck.json" in table

@@ -12,10 +12,8 @@ from sslasr.engine import Tape, Tensor, backward
 from sslasr.io import load_checkpoint, read_jsonl
 from sslasr.objectives import (
     BidirectionalAPC,
-    ContrastiveConfig,
     ContrastiveObjective,
     EAPCObjective,
-    MaskedClusterConfig,
     MaskedClusterObjective,
 )
 from sslasr.optim import Adam, clip_global_norm, noam_lr
@@ -342,13 +340,12 @@ class TestBundleRoundTrip:
         changed = replace(cfg, mask_prob=0.9, span_len=7, n_negatives=2, tau_cos=0.5,
                           diversity_weight=0.3)
         bundle, _ = restore(changed, pre)
-        assert bundle.obj.cfg == ContrastiveConfig(n_negatives=2, tau_cos=0.5, mask_prob=0.9,
-                                                   span_len=7, n_codes=4, diversity_weight=0.3)
+        assert bundle.obj.cfg == changed
         cfg = tiny_cfg(objective="masked_cluster", pretrain_steps=1)
         pre = run_pretrain(cfg, tmp_path / "m")
-        bundle, _ = restore(replace(cfg, mask_prob=0.9, span_len=3, cluster_alpha=0.25), pre)
-        assert bundle.obj.cfg == MaskedClusterConfig(n_clusters=4, mask_prob=0.9, span_len=3,
-                                                     alpha=0.25)
+        changed = replace(cfg, mask_prob=0.9, span_len=3, cluster_alpha=0.25)
+        bundle, _ = restore(changed, pre)
+        assert bundle.obj.cfg == changed
 
     def test_adapt_stage_uses_the_callers_objective_settings(self, tmp_path):
         cfg = tiny_cfg(objective="contrastive", pretrain_steps=1, adapt_steps=2)

@@ -4,8 +4,10 @@
 
 Runs run_pipeline for each variant (draft, saft, no_adapt, scratch) and
 each objective, Bi-APC once per sharing scheme, plus one draft chain that
-finetunes under every finetune mode, all on tiny configs. Each run's
-evaluation report is written beside its checkpoints and metrics logs.
+finetunes under every finetune mode, all on tiny configs. spec_augment/
+finetunes the chain's adapt checkpoint once more with SpecAugment on and
+enough steps to reach the learning-rate decay. Each run's evaluation
+report is written beside its checkpoints and metrics logs.
 gradcheck.json holds the gradient oracle's worst errors, as float.hex,
 for both batteries over seeds 0-1.
 OUT.json maps every written file, by its path relative to the run
@@ -78,6 +80,12 @@ def run_matrix(root) -> None:
         # plus_ra adds adapters, so it starts from the adapter-free checkpoint
         fin = run_finetune(base, pre if mode == "plus_ra" else ada, workdir, mode=mode)
         _write_report(run_evaluate(base, fin), workdir, f"report_{mode}.json")
+
+    # its own directory, so the chain's finetune_full.ckpt is not overwritten
+    workdir = root / "spec_augment"
+    augmented = replace(base, spec_augment=True, finetune_steps=6)
+    fin = run_finetune(augmented, ada, workdir)
+    _write_report(run_evaluate(augmented, fin), workdir, "report.json")
 
     oracle = {f"{fn.__name__}/{seed}": float(fn(seed)).hex()
               for fn in (gradcheck_battery, loss_gradcheck_battery) for seed in GRADCHECK_SEEDS}
