@@ -12,7 +12,7 @@ from .ctc import (
     error_rate,
     greedy_decode,
 )
-from .data import Batch, CorpusConfig, make_corpus
+from .data import Batch, make_corpus
 from .engine import Tape, Tensor, backward
 from .features import Featurizer, FeaturizerConfig, spec_augment
 from .gradcheck import finite_diff_gradcheck
@@ -48,7 +48,6 @@ __all__ = [
     "BidirectionalAPC",
     "CTCHead",
     "ContrastiveObjective",
-    "CorpusConfig",
     "EAPCObjective",
     "Encoder",
     "Featurizer",

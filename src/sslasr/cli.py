@@ -5,6 +5,8 @@ waveform featurization, the three training stages (pretrain, adapt,
 finetune), evaluation, the gradient-check oracle, and config sweeps.
 Settings come from an optional `key = value` file (--config) with
 --set KEY=VALUE overrides; flags named on a subcommand win over both.
+Keys are the fields of PipelineConfig, FeaturizerConfig and
+GenCorpusSettings, each checked before any file is written.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -14,19 +16,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .data import CorpusConfig, load_corpus, read_wav, write_corpus
+from .data import DOMAINS, EMITS, load_corpus, read_wav, write_corpus
 from .features import Featurizer, FeaturizerConfig
 from .gradcheck import gradcheck_battery, loss_gradcheck_battery
 from .io import (
     ManifestEntry,
     append_jsonl,
+    check_setting,
     load_checkpoint,
     parse_value,
     read_config,
     read_manifest,
+    setting,
     write_feat,
     write_manifest,
 )
@@ -43,12 +47,18 @@ from .training import (
     run_pretrain,
 )
 
-_PIPELINE_KEYS = set(PipelineConfig().to_dict())
-_CORPUS_KEYS = set(asdict(CorpusConfig()))
-_FEATURIZER_KEYS = set(asdict(FeaturizerConfig()))
-# every setting's default; a value must have its default's type
-_DEFAULTS = {**asdict(FeaturizerConfig()), **asdict(CorpusConfig()), **PipelineConfig().to_dict(),
-             "emit": "features"}
+
+@dataclass(frozen=True)
+class GenCorpusSettings:
+    """gen-corpus's own keys; it draws with the pipeline's `seed`."""
+
+    n_utterances: int = setting(500, lo=1)
+    domain: str = setting("source", choices=DOMAINS)
+    emit: str = setting("features", choices=EMITS)
+
+
+SETTINGS = {f.name: f for cls in (PipelineConfig, FeaturizerConfig, GenCorpusSettings)
+            for f in fields(cls)}
 
 
 def _parse_override(text: str):
@@ -58,33 +68,27 @@ def _parse_override(text: str):
     return key.strip(), parse_value(raw)
 
 
-def _load_settings(args) -> dict:
-    """Merge the --config file with --set overrides; reject unknown keys
-    and values of the wrong type."""
+def _load_settings(args, **flags) -> dict:
+    """Merge the --config file, --set overrides and the flags not None, each
+    over the last; reject unknown keys and values outside their field's
+    type and domain. Cross-field rules run when a config is built."""
     values = read_config(args.config) if getattr(args, "config", None) else {}
-    unknown = set(values) - set(_DEFAULTS)
+    unknown = set(values) - set(SETTINGS)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     for key, val in getattr(args, "set", None) or []:
-        if key not in _DEFAULTS:
+        if key not in SETTINGS:
             raise ValueError(f"unknown config key '{key}'")
         values[key] = val
+    values.update({k: v for k, v in flags.items() if v is not None})
     for key, val in values.items():
-        _check_type(key, val)
+        check_setting(SETTINGS[key], val)
     return values
 
 
-def _check_type(key: str, val) -> None:
-    default = _DEFAULTS[key]  # fmax's is None; it takes a number
-    kinds = (int, float) if default is None or type(default) is float else (type(default),)
-    if type(val) not in kinds:
-        raise ValueError(f"setting '{key}' expects {kinds[-1].__name__}, got {val!r}")
-
-
-def _pipeline_config(values: dict, **overrides) -> PipelineConfig:
-    picked = {k: v for k, v in values.items() if k in _PIPELINE_KEYS}
-    picked.update({k: v for k, v in overrides.items() if v is not None})
-    return PipelineConfig(**picked)
+def _pick(cls, values: dict):
+    """An instance of cls from the values that name its fields."""
+    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
 
 
 def _disk_corpus(manifest_path, cfg: PipelineConfig):
@@ -100,23 +104,15 @@ def _disk_corpus(manifest_path, cfg: PipelineConfig):
 
 
 def _cmd_gen_corpus(args) -> int:
-    values = _load_settings(args)
-    picked = {k: v for k, v in values.items() if k in _CORPUS_KEYS}
-    if args.domain is not None:
-        picked["domain"] = args.domain
-    if args.n is not None:
-        picked["n_utterances"] = args.n
-    if args.seed is not None:
-        picked["seed"] = args.seed
-    emit = args.emit or values.get("emit", "features")
-    manifest = write_corpus(args.out, CorpusConfig(**picked), emit=emit)
-    print(manifest)
+    values = _load_settings(args, domain=args.domain, n_utterances=args.n, seed=args.seed,
+                            emit=args.emit)
+    cfg, job = _pick(PipelineConfig, values), _pick(GenCorpusSettings, values)
+    print(write_corpus(args.out, cfg, job.domain, job.n_utterances, cfg.seed, job.emit))
     return 0
 
 
 def _cmd_featurize(args) -> int:
-    values = _load_settings(args)
-    fc = FeaturizerConfig(**{k: v for k, v in values.items() if k in _FEATURIZER_KEYS})
+    fc = _pick(FeaturizerConfig, _load_settings(args))
     featurizer = Featurizer(fc)
     out = Path(args.out)
     (out / "feats").mkdir(parents=True, exist_ok=True)
@@ -141,46 +137,40 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    values = _load_settings(args)
-    cfg = _pipeline_config(values, objective=args.objective, seed=args.seed,
-                           pretrain_steps=args.steps)
+    cfg = _pick(PipelineConfig, _load_settings(args, objective=args.objective, seed=args.seed,
+                                               pretrain_steps=args.steps))
     corpus = _disk_corpus(args.manifest, cfg) if args.manifest else None
     print(run_pretrain(cfg, args.out, corpus=corpus))
     return 0
 
 
-def _checkpoint_settings(args) -> dict:
-    """Settings base for stages that resume a checkpoint.
+def _checkpoint_config(args, **flags) -> PipelineConfig:
+    """The config of a stage that resumes a checkpoint.
 
     The checkpoint's stored config seeds the values so non-default choices
     (objective, model size, corpus task) carry forward automatically;
-    --config / --set still override.
+    --config, --set and flags still override.
     """
     stored = load_checkpoint(args.init).config
-    base = {k: v for k, v in stored.items() if k in _PIPELINE_KEYS}
-    base.update(_load_settings(args))
-    return base
+    return _pick(PipelineConfig, {**stored, **_load_settings(args, **flags)})
 
 
 def _cmd_adapt(args) -> int:
-    values = _checkpoint_settings(args)
-    cfg = _pipeline_config(values, seed=args.seed, adapt_steps=args.steps)
+    cfg = _checkpoint_config(args, seed=args.seed, adapt_steps=args.steps)
     corpus = _disk_corpus(args.manifest, cfg) if args.manifest else None
     print(run_adapt(cfg, args.init, args.out, mode=args.mode, corpus=corpus))
     return 0
 
 
 def _cmd_finetune(args) -> int:
-    values = _checkpoint_settings(args)
-    cfg = _pipeline_config(values, seed=args.seed, finetune_steps=args.steps)
+    cfg = _checkpoint_config(args, seed=args.seed, finetune_steps=args.steps)
     corpus = _disk_corpus(args.manifest, cfg) if args.manifest else None
     print(run_finetune(cfg, args.init, args.out, mode=args.mode, corpus=corpus))
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    values = _checkpoint_settings(args)
-    cfg = _pipeline_config(values, seed=args.seed)
+    cfg = _checkpoint_config(args, seed=args.seed)
     corpus = _disk_corpus(args.manifest, cfg) if args.manifest else None
     report = run_evaluate(cfg, args.init, corpus=corpus)
     text = json.dumps(report, indent=2, sort_keys=True)
@@ -209,19 +199,18 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_sweep(args) -> int:
     values = _load_settings(args)
-    if args.key not in _PIPELINE_KEYS:
+    if args.key not in {f.name for f in fields(PipelineConfig)}:
         raise ValueError(f"unknown sweep key '{args.key}'")
     points = [parse_value(v) for v in args.values.split(",") if v.strip()]
     if not points:
         raise ValueError("sweep needs at least one value")
-    for val in points:
-        _check_type(args.key, val)
+    # every point's config is built, and so checked, before the first runs
+    configs = [_pick(PipelineConfig, {**values, args.key: val}) for val in points]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results_path = out / "sweep.jsonl"
     results_path.unlink(missing_ok=True)
-    for val in points:
-        cfg = _pipeline_config({**values, args.key: val})
+    for val, cfg in zip(points, configs):
         report = run_pipeline(cfg, out / f"{args.key}={val}",
                               variant=args.variant, finetune_mode=args.finetune_mode)
         append_jsonl(results_path, {"key": args.key, "value": val,
@@ -250,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gen-corpus", "generate a synthetic corpus plus manifest", _cmd_gen_corpus)
     p.add_argument("--out", required=True, metavar="DIR", help="output directory")
-    p.add_argument("--domain", choices=("source", "target"))
-    p.add_argument("--emit", choices=("features", "waveform"))
+    p.add_argument("--domain", choices=DOMAINS)
+    p.add_argument("--emit", choices=EMITS)
     p.add_argument("--n", type=int, metavar="N", help="number of utterances")
     p.add_argument("--seed", type=int)
 

@@ -3,9 +3,9 @@
 Utterances are sequences of per-token feature prototypes plus Gaussian
 noise. The target domain applies a fixed affine map x -> A x + b in
 feature space (A symmetric positive definite with bounded condition
-number). proto_seed controls prototypes and the domain transform, so
-corpora that share it are drawn from the same underlying task; `seed`
-controls utterance sampling.
+number). The task comes from a PipelineConfig: its proto_seed controls
+prototypes and the domain transform, so corpora that share it are drawn
+from the same underlying task. A `seed` argument controls sampling.
 """
 
 from __future__ import annotations
@@ -13,40 +13,17 @@ from __future__ import annotations
 import wave
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .io import ManifestEntry, read_feat, read_manifest, write_feat, write_manifest
 
+if TYPE_CHECKING:
+    from .training import PipelineConfig
+
 DOMAINS = ("source", "target")
-
-
-@dataclass
-class CorpusConfig:
-    n_utterances: int = 500
-    vocab_size: int = 8
-    d_feat: int = 8
-    proto_len: int = 8          # frames per token prototype
-    min_tokens: int = 2
-    max_tokens: int = 6
-    noise_sigma: float = 0.1
-    domain: str = "source"
-    seed: int = 0
-    proto_seed: int = 7
-
-    def __post_init__(self):
-        require_positive(self, ("proto_len", "min_tokens"))
-        if self.max_tokens < self.min_tokens:
-            raise ValueError(f"setting 'max_tokens' must be >= min_tokens ({self.min_tokens}), "
-                             f"got {self.max_tokens}")
-
-
-def require_positive(cfg, names) -> None:
-    """Reject a setting below 1 by name, before it fails deep inside NumPy."""
-    for name in names:
-        if getattr(cfg, name) < 1:
-            raise ValueError(f"setting '{name}' must be >= 1, got {getattr(cfg, name)}")
+EMITS = ("features", "waveform")
 
 
 @dataclass
@@ -77,24 +54,25 @@ def domain_transform(proto_seed: int, d_feat: int):
     return a, b
 
 
-def make_utterance(cfg: CorpusConfig, prototypes: np.ndarray, a: np.ndarray,
-                   b: np.ndarray, index: int) -> Utterance:
-    rng = np.random.default_rng([cfg.seed, index])
+def make_utterance(cfg: PipelineConfig, domain: str, seed: int, prototypes: np.ndarray,
+                   a: np.ndarray, b: np.ndarray, index: int) -> Utterance:
+    rng = np.random.default_rng([seed, index])
     n_tok = int(rng.integers(cfg.min_tokens, cfg.max_tokens + 1))
     tokens = rng.integers(0, cfg.vocab_size, size=n_tok).tolist()
     feats = np.concatenate([prototypes[t] for t in tokens], axis=0)
     feats = feats + cfg.noise_sigma * rng.normal(size=feats.shape)
-    if cfg.domain == "target":
+    if domain == "target":
         feats = feats @ a.T + b
-    return Utterance(f"{cfg.domain}_{index:05d}", feats.astype(np.float32), tokens, cfg.domain)
+    return Utterance(f"{domain}_{index:05d}", feats.astype(np.float32), tokens, domain)
 
 
-def make_corpus(cfg: CorpusConfig) -> list:
-    if cfg.domain not in DOMAINS:
-        raise ValueError(f"unknown domain '{cfg.domain}'")
+def make_corpus(cfg: PipelineConfig, domain: str, n: int, seed: int) -> list:
+    """`n` utterances of `domain` on cfg's task, sampled with `seed`."""
+    if domain not in DOMAINS:
+        raise ValueError(f"unknown domain '{domain}'")
     protos = token_prototypes(cfg.proto_seed, cfg.vocab_size, cfg.proto_len, cfg.d_feat)
     a, b = domain_transform(cfg.proto_seed, cfg.d_feat)
-    return [make_utterance(cfg, protos, a, b, i) for i in range(cfg.n_utterances)]
+    return [make_utterance(cfg, domain, seed, protos, a, b, i) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +95,13 @@ def waveform_domain_gain(proto_seed: int) -> float:
     return float(rng.uniform(*WAVE_GAIN_RANGE))
 
 
-def make_waveform(cfg: CorpusConfig, protos: np.ndarray, index: int):
-    rng = np.random.default_rng([cfg.seed, index])
+def make_waveform(cfg: PipelineConfig, domain: str, seed: int, protos: np.ndarray, index: int):
+    rng = np.random.default_rng([seed, index])
     n_tok = int(rng.integers(cfg.min_tokens, cfg.max_tokens + 1))
     tokens = rng.integers(0, cfg.vocab_size, size=n_tok).tolist()
     wav = np.concatenate([protos[t] for t in tokens])
     wav = wav + cfg.noise_sigma * 0.05 * rng.normal(size=wav.shape)
-    if cfg.domain == "target":
+    if domain == "target":
         wav = waveform_domain_gain(cfg.proto_seed) * wav + WAVE_DC_OFFSET
     return np.clip(wav, -1.0, 1.0), tokens
 
@@ -151,28 +129,32 @@ def read_wav(path):
 # ---------------------------------------------------------------------------
 
 
-def write_corpus(out_dir, cfg: CorpusConfig, emit: str = "features") -> str:
-    """Write utterance files plus a manifest.tsv; returns the manifest path."""
+def write_corpus(out_dir, cfg: PipelineConfig, domain: str, n: int, seed: int, emit: str) -> str:
+    """Write `n` utterances of `domain`, sampled with `seed`, as feature
+    files (emit 'features') or 16 kHz WAVs ('waveform'), plus a
+    manifest.tsv; returns the manifest path."""
+    if emit not in EMITS:
+        raise ValueError(f"unknown emit mode '{emit}'")
+    if domain not in DOMAINS:
+        raise ValueError(f"unknown domain '{domain}'")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     entries = []
     if emit == "features":
-        (out / "feats").mkdir(exist_ok=True)
-        for utt in make_corpus(cfg):
+        utts = make_corpus(cfg, domain, n, seed)
+        (out / "feats").mkdir(parents=True, exist_ok=True)
+        for utt in utts:
             rel = f"feats/{utt.utt_id}.feat"
             write_feat(out / rel, utt.feats, shift_ms=0.0, window_ms=0.0)
-            entries.append(ManifestEntry(utt.utt_id, rel, " ".join(map(str, utt.tokens)), cfg.domain))
-    elif emit == "waveform":
-        (out / "wavs").mkdir(exist_ok=True)
+            entries.append(ManifestEntry(utt.utt_id, rel, " ".join(map(str, utt.tokens)), domain))
+    else:
+        (out / "wavs").mkdir(parents=True, exist_ok=True)
         protos = waveform_prototypes(cfg.proto_seed, cfg.vocab_size)
-        for i in range(cfg.n_utterances):
-            wav, tokens = make_waveform(cfg, protos, i)
-            utt_id = f"{cfg.domain}_{i:05d}"
+        for i in range(n):
+            wav, tokens = make_waveform(cfg, domain, seed, protos, i)
+            utt_id = f"{domain}_{i:05d}"
             rel = f"wavs/{utt_id}.wav"
             write_wav(out / rel, wav)
-            entries.append(ManifestEntry(utt_id, rel, " ".join(map(str, tokens)), cfg.domain))
-    else:
-        raise ValueError(f"unknown emit mode '{emit}'")
+            entries.append(ManifestEntry(utt_id, rel, " ".join(map(str, tokens)), domain))
     manifest = out / "manifest.tsv"
     write_manifest(manifest, entries)
     return str(manifest)

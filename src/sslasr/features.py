@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .io import check_setting, setting
 
-@dataclass
+
+@dataclass(frozen=True)
 class FeaturizerConfig:
-    sample_rate: int = 16000
-    window_ms: float = 25.0
-    shift_ms: float = 10.0
-    n_mels: int = 40
-    fmin: float = 0.0
-    fmax: float | None = None  # None -> Nyquist
-    log_floor: float = 1e-10
+    sample_rate: int = setting(16000, lo=1)
+    window_ms: float = setting(25.0, above=0)
+    shift_ms: float = setting(10.0, above=0)
+    n_mels: int = setting(40, lo=1)
+    fmin: float = setting(0.0, lo=0)
+    fmax: float | None = setting(None, above=0)  # None -> Nyquist
+    log_floor: float = setting(1e-10, above=0)
+
+    def __post_init__(self):
+        for f in fields(self):
+            check_setting(f, getattr(self, f.name))
 
 
 def hamming_window(length: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +245,37 @@ def parse_value(raw: str):
     except ValueError:
         pass
     return s
+
+
+def setting(default, **domain):
+    """A config field whose metadata is its domain: `lo` and `hi` (inclusive),
+    `above` (exclusive) or `choices`. check_setting enforces it."""
+    return field(default=default, metadata=domain)
+
+
+_KINDS = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
+def check_setting(f: Field, value) -> None:
+    """Raise a ValueError naming the setting if `value` is not of the field's
+    annotated type (a string) or lies outside its domain; NaN lies outside all."""
+    kind, _, none_ok = f.type.partition(" | ")
+    if value is None and none_ok:
+        return
+    if type(value) not in _KINDS[kind]:
+        raise ValueError(f"setting '{f.name}' expects {kind}, got {value!r}")
+    d = f.metadata
+    if "choices" in d and value not in d["choices"]:
+        rule = f"be one of {', '.join(map(str, d['choices']))}"
+    elif "lo" in d and not value >= d["lo"]:
+        rule = f"be >= {d['lo']}"
+    elif "hi" in d and not value <= d["hi"]:
+        rule = f"be <= {d['hi']}"
+    elif "above" in d and not value > d["above"]:
+        rule = f"be > {d['above']}"
+    else:
+        return
+    raise ValueError(f"setting '{f.name}' must {rule}, got {value!r}")
 
 
 def read_config(path) -> dict:

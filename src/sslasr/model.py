@@ -103,8 +103,6 @@ class Conv1d(Module):
 class MultiHeadAttention(Module):
     def __init__(self, rng, d_model: int, n_heads: int):
         super().__init__()
-        if d_model % n_heads != 0:
-            raise ValueError("n_heads must divide d_model")
         self.n_heads = n_heads
         self.d_head = d_model // n_heads
         self.children["wq"] = Linear(rng, d_model, d_model)

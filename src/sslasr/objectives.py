@@ -139,8 +139,6 @@ class BidirectionalAPC(Module):
 
     def __init__(self, cfg: PipelineConfig, seed: int):
         super().__init__()
-        if cfg.biapc_scheme not in self.SCHEMES:
-            raise ValueError(f"unknown sharing scheme '{cfg.biapc_scheme}'")
         self.scheme = cfg.biapc_scheme
         self.fwd = build_encoder(cfg, seed)
         self.rev = build_encoder(cfg, seed + 1)

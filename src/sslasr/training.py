@@ -10,16 +10,16 @@ the steps and writes the checkpoint."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .ctc import CTCHead, ctc_loss_batch, edit_distance, error_rate, greedy_decode
-from .data import CorpusConfig, make_corpus, pad_batch, require_positive
+from .data import make_corpus, pad_batch
 from .engine import Tape, Tensor, backward
 from .features import spec_augment
-from .io import append_jsonl, load_checkpoint, save_checkpoint
+from .io import append_jsonl, check_setting, load_checkpoint, save_checkpoint, setting
 from .model import Encoder, Module, build_encoder
 from .objectives import (
     BidirectionalAPC,
@@ -43,79 +43,80 @@ _STRUCTURAL = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
+    """Every pipeline setting, declared once with its domain. A value outside
+    it, or a broken cross-field rule, is a ValueError naming the setting."""
+
     # data (toy domain-shift task)
-    vocab_size: int = 8
-    d_feat: int = 8
-    proto_len: int = 8
-    min_tokens: int = 2
-    max_tokens: int = 6
-    noise_sigma: float = 0.1
-    n_train: int = 500
-    n_target: int = 200
-    n_eval: int = 100
-    proto_seed: int = 7
-    corpus_seed: int = 100
+    vocab_size: int = setting(8, lo=1)
+    d_feat: int = setting(8, lo=1)
+    proto_len: int = setting(8, lo=1)
+    min_tokens: int = setting(2, lo=1)
+    max_tokens: int = setting(6, lo=1)
+    noise_sigma: float = setting(0.1, lo=0)
+    n_train: int = setting(500, lo=1)
+    n_target: int = setting(200, lo=1)
+    n_eval: int = setting(100, lo=1)
+    proto_seed: int = setting(7, lo=0)
+    corpus_seed: int = setting(100, lo=0)
     # model
-    d_model: int = 64
-    n_heads: int = 4
-    n_blocks: int = 2
-    d_ffn: int = 128
-    causal: bool = True
+    d_model: int = setting(64, lo=1)
+    n_heads: int = setting(4, lo=1)
+    n_blocks: int = setting(2, lo=1)
+    d_ffn: int = setting(128, lo=1)
+    causal: bool = setting(True)
     # objective
-    objective: str = "eapc"
-    biapc_scheme: str = "share_generator"
-    apc_shift: int = 1
-    apc_lags: int = 2
-    apc_p: int = 1
-    n_codes: int = 32
-    n_clusters: int = 16
-    mask_prob: float = 0.2
-    span_len: int = 2
-    n_negatives: int = 10
-    tau_cos: float = 0.1
-    diversity_weight: float = 0.1
-    cluster_alpha: float = 1.0
+    objective: str = setting("eapc", choices=OBJECTIVES)
+    biapc_scheme: str = setting("share_generator", choices=BidirectionalAPC.SCHEMES)
+    apc_shift: int = setting(1, lo=1)
+    apc_lags: int = setting(2, lo=1)
+    apc_p: int = setting(1, choices=(1, 2))
+    n_codes: int = setting(32, lo=1)
+    n_clusters: int = setting(16, lo=1)
+    mask_prob: float = setting(0.2, lo=0, hi=1)
+    span_len: int = setting(2, lo=1)
+    n_negatives: int = setting(10, lo=1)
+    tau_cos: float = setting(0.1, above=0)
+    diversity_weight: float = setting(0.1, lo=0)
+    cluster_alpha: float = setting(1.0, lo=0, hi=1)
     # optimization
-    seed: int = 0
-    batch_size: int = 8
-    pretrain_steps: int = 150
-    adapt_steps: int = 80
-    finetune_steps: int = 60
-    noam_factor: float = 0.5
-    noam_warmup: int = 50
-    saft_lr_scale: float = 0.5
-    ft_peak_lr: float = 2e-3
-    ft_warmup_frac: float = 0.1
-    ft_hold_frac: float = 0.4
-    ft_final_scale: float = 0.05
-    clip_norm: float = 5.0
-    d_adapter: int = 8
-    spec_augment: bool = False
+    seed: int = setting(0, lo=0)
+    batch_size: int = setting(8, lo=1)
+    pretrain_steps: int = setting(150, lo=0)
+    adapt_steps: int = setting(80, lo=0)
+    finetune_steps: int = setting(60, lo=0)
+    noam_factor: float = setting(0.5, above=0)
+    noam_warmup: int = setting(50, lo=1)
+    saft_lr_scale: float = setting(0.5, above=0)
+    ft_peak_lr: float = setting(2e-3, above=0)
+    ft_warmup_frac: float = setting(0.1, lo=0, hi=1)
+    ft_hold_frac: float = setting(0.4, lo=0, hi=1)
+    ft_final_scale: float = setting(0.05, above=0, hi=1)  # tri_stage_lr takes its log
+    clip_norm: float = setting(5.0, above=0)
+    d_adapter: int = setting(8, lo=1)
+    spec_augment: bool = setting(False)
 
     def __post_init__(self):
-        require_positive(self, ("batch_size", "n_heads", "noam_warmup", "n_codes", "n_clusters",
-                                "apc_shift", "apc_lags"))
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
+        for f in fields(self):
+            check_setting(f, getattr(self, f.name))
+        if self.max_tokens < self.min_tokens:
+            raise ValueError(f"setting 'max_tokens' must be >= min_tokens ({self.min_tokens}), "
+                             f"got {self.max_tokens}")
+        if self.d_model % self.n_heads:
+            raise ValueError(f"setting 'n_heads' must divide d_model ({self.d_model}), "
+                             f"got {self.n_heads}")
+        if self.ft_warmup_frac + self.ft_hold_frac > 1:
+            raise ValueError(f"setting 'ft_hold_frac' must be <= 1 - ft_warmup_frac "
+                             f"({self.ft_warmup_frac}), got {self.ft_hold_frac}")
 
 
 def build_corpora(cfg: PipelineConfig) -> dict:
     """Source/target corpora drawn from one underlying task (same proto_seed)."""
-
-    def corpus(domain, n, seed):
-        return make_corpus(CorpusConfig(
-            n_utterances=n, vocab_size=cfg.vocab_size, d_feat=cfg.d_feat,
-            proto_len=cfg.proto_len, min_tokens=cfg.min_tokens, max_tokens=cfg.max_tokens,
-            noise_sigma=cfg.noise_sigma, domain=domain, seed=seed, proto_seed=cfg.proto_seed,
-        ))
-
     return {
-        "source_train": corpus("source", cfg.n_train, cfg.corpus_seed),
-        "target_train": corpus("target", cfg.n_target, cfg.corpus_seed + 2),
-        "target_eval": corpus("target", cfg.n_eval, cfg.corpus_seed + 3),
+        "source_train": make_corpus(cfg, "source", cfg.n_train, cfg.corpus_seed),
+        "target_train": make_corpus(cfg, "target", cfg.n_target, cfg.corpus_seed + 2),
+        "target_eval": make_corpus(cfg, "target", cfg.n_eval, cfg.corpus_seed + 3),
     }
 
 
@@ -135,8 +136,9 @@ _OBJECTIVE_TYPES = {"apc": EAPCObjective, "eapc": EAPCObjective,
 
 def build_objective(cfg: PipelineConfig, seed: int) -> Module:
     """The objective cfg.objective names; apc is E-APC at one lag."""
-    if cfg.objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective '{cfg.objective}'")
+    if cfg.objective in ("apc", "eapc", "biapc") and not cfg.causal:
+        raise ValueError(f"objective '{cfg.objective}' needs causal=True: a non-causal "
+                         "encoder sees the frames it predicts")
     if cfg.objective == "biapc":
         return BidirectionalAPC(cfg, seed)
     return _OBJECTIVE_TYPES[cfg.objective](cfg, np.random.default_rng([seed, 0x0B1]))
@@ -295,7 +297,7 @@ def _run_stage(stage: str, tag: str, cfg: PipelineConfig, workdir, corpus, model
                   for g in ("f", "ada", "g")}
     fields.update(stage=stage, adapters_d=model.encoder.d_adapter)
     out = workdir / f"{tag}.ckpt"
-    save_checkpoint(out, params, {**cfg.to_dict(), **fields}, provenance,
+    save_checkpoint(out, params, {**vars(cfg), **fields}, provenance,
                     rng_state={"seed": cfg.seed, "stage": stage, "step": steps})
     return str(out)
 

@@ -1,13 +1,16 @@
 """End-to-end command-line workflows via main(argv)."""
 
 import json
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
 
-from sslasr.cli import main
+from sslasr.cli import SETTINGS, GenCorpusSettings, main
 from sslasr.data import load_corpus
+from sslasr.features import FeaturizerConfig
 from sslasr.io import load_checkpoint, read_jsonl, read_manifest, write_feat
+from sslasr.training import PipelineConfig
 
 TINY = """\
 n_train = 16
@@ -40,6 +43,23 @@ def tiny_config(tmp_path):
 
 def last_line(capsys):
     return capsys.readouterr().out.strip().splitlines()[-1]
+
+
+class TestSettingDeclarations:
+    def test_every_numeric_setting_declares_a_domain(self):
+        for cls in (PipelineConfig, FeaturizerConfig, GenCorpusSettings):
+            for f in fields(cls):
+                if f.type.partition(" | ")[0] in ("int", "float"):
+                    assert f.metadata.keys() & {"lo", "hi", "above", "choices"}, \
+                        f"{cls.__name__}.{f.name} declares no domain"
+            with pytest.raises(FrozenInstanceError):
+                setattr(cls(), fields(cls)[0].name, 1)
+
+    def test_each_key_is_declared_once(self):
+        names = [f.name for cls in (PipelineConfig, FeaturizerConfig) for f in fields(cls)]
+        names += ["n_utterances", "domain", "emit"]  # gen-corpus's own
+        assert len(names) == len(set(names)) == len(SETTINGS)
+        assert set(names) == set(SETTINGS)
 
 
 class TestCorpusCommands:
@@ -199,11 +219,44 @@ class TestSweepCommand:
         assert all(r["key"] == "d_adapter" and "ter" in r for r in records)
         assert (out / "d_adapter=2").is_dir() and (out / "d_adapter=4").is_dir()
 
+    def test_every_point_is_checked_before_the_first_runs(self, tmp_path, tiny_config, capsys):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", tiny_config, "--key", "d_adapter", "--values", "2,0",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "setting 'd_adapter' must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_sweep_key(self, tmp_path, capsys):
         rc = main(["sweep", "--key", "nonesuch", "--values", "1",
                    "--out", str(tmp_path)])
         assert rc == 1
         assert "unknown sweep key" in capsys.readouterr().err
+
+
+# (--set values, objective, the rule the last one breaks)
+OUT_OF_RANGE = [
+    ("batch_size=0", "eapc", "must be >= 1, got 0"),
+    ("n_heads=0", "eapc", "must be >= 1, got 0"),
+    ("noam_warmup=0", "eapc", "must be >= 1, got 0"),
+    ("n_clusters=0", "masked_cluster", "must be >= 1, got 0"),
+    ("n_codes=0", "contrastive", "must be >= 1, got 0"),
+    ("proto_len=0", "eapc", "must be >= 1, got 0"),
+    ("min_tokens=0", "eapc", "must be >= 1, got 0"),
+    # below the tiny config's min_tokens = 3
+    ("max_tokens=2", "eapc", "must be >= min_tokens (3), got 2"),
+    ("vocab_size=0", "eapc", "must be >= 1, got 0"),
+    ("d_feat=0", "eapc", "must be >= 1, got 0"),
+    ("d_ffn=0", "eapc", "must be >= 1, got 0"),
+    ("n_negatives=0", "contrastive", "must be >= 1, got 0"),
+    ("tau_cos=0", "contrastive", "must be > 0, got 0"),
+    ("mask_prob=1.5", "masked_cluster", "must be <= 1, got 1.5"),
+    ("clip_norm=-1", "eapc", "must be > 0, got -1"),
+    ("noam_factor=-1", "eapc", "must be > 0, got -1"),
+    ("d_adapter=0", "eapc", "must be >= 1, got 0"),
+    ("ft_warmup_frac=0.8 ft_hold_frac=0.8", "eapc",
+     "must be <= 1 - ft_warmup_frac (0.8), got 0.8"),
+]
 
 
 class TestErrorHandling:
@@ -234,22 +287,32 @@ class TestErrorHandling:
         assert main(["gen-corpus", "--out", str(tmp_path / "c"), "--n", "2",
                      "--config", str(cfg)]) == 0
 
-    @pytest.mark.parametrize("setting, objective", [
-        ("batch_size=0", "eapc"),
-        ("n_heads=0", "eapc"),
-        ("noam_warmup=0", "eapc"),
-        ("n_clusters=0", "masked_cluster"),
-        ("n_codes=0", "contrastive"),
-        ("proto_len=0", "eapc"),
-        ("min_tokens=0", "eapc"),
-        ("max_tokens=2", "eapc"),  # below the tiny config's min_tokens = 3
-    ])
+    @pytest.mark.parametrize("settings, objective, rule",
+                             [pytest.param(*c, id=f"{c[0]}-{c[1]}") for c in OUT_OF_RANGE])
     def test_out_of_range_setting_names_the_setting(self, tmp_path, tiny_config, capsys,
-                                                    setting, objective):
-        rc = main(["pretrain", "--config", tiny_config, "--set", setting,
-                   "--objective", objective, "--out", str(tmp_path / "run")])
+                                                    settings, objective, rule):
+        out = tmp_path / "run"
+        sets = [arg for s in settings.split() for arg in ("--set", s)]
+        rc = main(["pretrain", "--config", tiny_config, *sets, "--objective", objective,
+                   "--out", str(out)])
         assert rc == 1
-        assert f"setting '{setting.partition('=')[0]}' must be >= " in capsys.readouterr().err
+        name = settings.split()[-1].partition("=")[0]
+        assert f"setting '{name}' {rule}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting, rule", [
+        ("n_mels=0", "must be >= 1, got 0"),
+        ("log_floor=0", "must be > 0, got 0"),
+    ])
+    def test_out_of_range_featurizer_setting_names_the_setting(self, tmp_path, capsys,
+                                                               setting, rule):
+        main(["gen-corpus", "--out", str(tmp_path / "wav"), "--n", "1", "--emit", "waveform"])
+        out = tmp_path / "feat"
+        rc = main(["featurize", "--manifest", last_line(capsys), "--set", setting,
+                   "--out", str(out)])
+        assert rc == 1
+        assert f"setting '{setting.partition('=')[0]}' {rule}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_checkpoint(self, tmp_path, capsys):
         rc = main(["adapt", "--init", str(tmp_path / "nope.ckpt"),

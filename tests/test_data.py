@@ -5,7 +5,6 @@ import pytest
 
 from sslasr.data import (
     Batch,
-    CorpusConfig,
     domain_transform,
     load_corpus,
     make_corpus,
@@ -15,9 +14,12 @@ from sslasr.data import (
     write_corpus,
     write_wav,
 )
+from sslasr.training import PipelineConfig
+
+TASK = PipelineConfig()
 
 
-def expected_mean_shift(cfg: CorpusConfig) -> np.ndarray:
+def expected_mean_shift(cfg: PipelineConfig) -> np.ndarray:
     """E[target frame] - E[source frame] = (A - I) mu_src + b for matched seeds."""
     protos = token_prototypes(cfg.proto_seed, cfg.vocab_size, cfg.proto_len, cfg.d_feat)
     a, b = domain_transform(cfg.proto_seed, cfg.d_feat)
@@ -27,18 +29,15 @@ def expected_mean_shift(cfg: CorpusConfig) -> np.ndarray:
 
 class TestGeneration:
     def test_same_seed_same_corpus(self):
-        cfg = CorpusConfig(n_utterances=20, seed=4)
-        a = make_corpus(cfg)
-        b = make_corpus(cfg)
+        a = make_corpus(TASK, "source", 20, seed=4)
+        b = make_corpus(TASK, "source", 20, seed=4)
         for u, v in zip(a, b):
             assert u.utt_id == v.utt_id
             assert u.tokens == v.tokens
             assert np.array_equal(u.feats, v.feats)
 
     def test_seed_changes_samples_not_task(self):
-        base = CorpusConfig(n_utterances=10, seed=0)
-        other = CorpusConfig(n_utterances=10, seed=1)
-        a, b = make_corpus(base), make_corpus(other)
+        a, b = make_corpus(TASK, "source", 10, seed=0), make_corpus(TASK, "source", 10, seed=1)
         assert any(not np.array_equal(u.feats, v.feats) for u, v in zip(a, b))
         # prototypes depend only on proto_seed
         assert np.array_equal(
@@ -46,22 +45,22 @@ class TestGeneration:
         )
 
     def test_zero_noise_source_is_exact_prototypes(self):
-        cfg = CorpusConfig(n_utterances=5, noise_sigma=0.0, seed=2)
+        cfg = PipelineConfig(noise_sigma=0.0)
         protos = token_prototypes(cfg.proto_seed, cfg.vocab_size, cfg.proto_len, cfg.d_feat)
-        for utt in make_corpus(cfg):
+        for utt in make_corpus(cfg, "source", 5, seed=2):
             expected = np.concatenate([protos[t] for t in utt.tokens], axis=0)
             assert np.allclose(utt.feats, expected.astype(np.float32), atol=0)
             assert utt.feats.shape == (len(utt.tokens) * cfg.proto_len, cfg.d_feat)
 
     def test_token_count_bounds(self):
-        cfg = CorpusConfig(n_utterances=60, min_tokens=3, max_tokens=5, seed=6)
-        counts = {len(u.tokens) for u in make_corpus(cfg)}
+        cfg = PipelineConfig(min_tokens=3, max_tokens=5)
+        counts = {len(u.tokens) for u in make_corpus(cfg, "source", 60, seed=6)}
         assert counts <= {3, 4, 5}
         assert len(counts) > 1
 
     def test_unknown_domain_rejected(self):
         with pytest.raises(ValueError, match="unknown domain"):
-            make_corpus(CorpusConfig(domain="mystery"))
+            make_corpus(TASK, "mystery", 500, seed=0)
 
 
 class TestDomainShift:
@@ -75,15 +74,14 @@ class TestDomainShift:
             assert b.shape == (8,)
 
     def test_mean_shift_matches_prediction(self):
-        cfg_s = CorpusConfig(n_utterances=400, domain="source", seed=0)
-        cfg_t = CorpusConfig(n_utterances=400, domain="target", seed=0)
-        src = np.concatenate([u.feats for u in make_corpus(cfg_s)], axis=0)
-        tgt = np.concatenate([u.feats for u in make_corpus(cfg_t)], axis=0)
+        n_utterances = 400
+        src = np.concatenate([u.feats for u in make_corpus(TASK, "source", n_utterances, 0)], axis=0)
+        tgt = np.concatenate([u.feats for u in make_corpus(TASK, "target", n_utterances, 0)], axis=0)
         shift = tgt.mean(axis=0) - src.mean(axis=0)
-        predicted = expected_mean_shift(cfg_s)
+        predicted = expected_mean_shift(TASK)
         # frames are correlated within an utterance, so give the standard
         # error room: sigma_frame / sqrt(n_utterances) per dimension
-        se = src.std(axis=0) / np.sqrt(cfg_s.n_utterances)
+        se = src.std(axis=0) / np.sqrt(n_utterances)
         assert np.all(np.abs(shift - predicted) < 3.0 * (se + 1e-3))
 
     def test_domains_are_linearly_separable(self):
@@ -92,8 +90,7 @@ class TestDomainShift:
         for seed in range(3):
             frames, labels = [], []
             for domain, lab in (("source", -1.0), ("target", 1.0)):
-                cfg = CorpusConfig(n_utterances=60, domain=domain, seed=seed)
-                for u in make_corpus(cfg):
+                for u in make_corpus(TASK, domain, 60, seed):
                     frames.append(u.feats.astype(np.float64))
                     labels.append(np.full(u.feats.shape[0], lab))
             x = np.concatenate(frames, axis=0)
@@ -119,22 +116,28 @@ class TestWaveforms:
     def test_waveform_corpus_is_rejected_until_featurized(self, tmp_path):
         # audio reaches a stage only through `sslasr featurize`, whose 40-mel
         # output test_cli's test_featurize_wav_corpus checks
-        cfg = CorpusConfig(n_utterances=3, seed=1, min_tokens=8, max_tokens=10)
-        manifest = write_corpus(tmp_path, cfg, emit="waveform")
+        cfg = PipelineConfig(min_tokens=8, max_tokens=10)
+        manifest = write_corpus(tmp_path, cfg, "source", 3, seed=1, emit="waveform")
         with pytest.raises(ValueError, match=r"manifest\.tsv: entry 'source_00000' is audio "
                                              r"\('wavs/source_00000\.wav'\); run `sslasr featurize`"):
             load_corpus(manifest)
 
     def test_unknown_emit_mode(self, tmp_path):
         with pytest.raises(ValueError, match="unknown emit mode"):
-            write_corpus(tmp_path, CorpusConfig(n_utterances=1), emit="video")
+            write_corpus(tmp_path / "out", TASK, "source", 1, seed=0, emit="video")
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_domain_writes_nothing(self, tmp_path):
+        for emit in ("features", "waveform"):
+            with pytest.raises(ValueError, match="unknown domain 'mystery'"):
+                write_corpus(tmp_path / "out", TASK, "mystery", 1, seed=0, emit=emit)
+        assert not (tmp_path / "out").exists()
 
 
 class TestDiskRoundTrip:
     def test_feature_corpus_roundtrip_is_exact(self, tmp_path):
-        cfg = CorpusConfig(n_utterances=6, seed=3)
-        manifest = write_corpus(tmp_path, cfg, emit="features")
-        original = make_corpus(cfg)
+        manifest = write_corpus(tmp_path, TASK, "source", 6, seed=3, emit="features")
+        original = make_corpus(TASK, "source", 6, seed=3)
         loaded = load_corpus(manifest)
         assert len(loaded) == len(original)
         for u, v in zip(original, loaded):
@@ -144,7 +147,7 @@ class TestDiskRoundTrip:
             assert np.array_equal(v.feats, u.feats)
 
     def test_pad_batch_shapes(self):
-        utts = make_corpus(CorpusConfig(n_utterances=4, seed=5))
+        utts = make_corpus(TASK, "source", 4, seed=5)
         feats, lengths, tokens, _ = pad_batch(utts)
         tmax = max(u.feats.shape[0] for u in utts)
         assert feats.shape == (4, tmax, 8)
@@ -155,7 +158,7 @@ class TestDiskRoundTrip:
         assert tokens == [u.tokens for u in utts]
 
     def test_pad_batch_keeps_utterance_ids_in_batch_order(self):
-        utts = make_corpus(CorpusConfig(n_utterances=4, seed=5))[::-1]
+        utts = make_corpus(TASK, "source", 4, seed=5)[::-1]
         batch = pad_batch(utts)
         assert isinstance(batch, Batch)
         assert list(batch.utt_ids) == [u.utt_id for u in utts]

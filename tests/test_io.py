@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from hypothesis import strategies as st
 
 import sslasr.io
 from sslasr.engine import Tensor
+from sslasr.features import FeaturizerConfig
 from sslasr.io import (
     CKPT_MAGIC,
     FEAT_MAGIC,
     ManifestEntry,
     append_jsonl,
+    check_setting,
     load_checkpoint,
     parse_value,
     read_config,
@@ -236,6 +239,20 @@ class TestJsonlAndConfig:
         with pytest.raises(ValueError, match=r"bad\.cfg: not UTF-8 text.*byte 9") as exc:
             read_config(p)
         assert not isinstance(exc.value, UnicodeDecodeError)
+
+    def test_check_setting_reads_the_declared_type_and_domain(self):
+        declared = {f.name: f for f in fields(FeaturizerConfig)}
+        check_setting(declared["fmax"], None)  # `float | None`
+        check_setting(declared["fmax"], 4000)  # an int is a float
+        for name, value, message in [
+            ("fmax", 0.0, "setting 'fmax' must be > 0, got 0.0"),
+            ("fmin", float("nan"), "setting 'fmin' must be >= 0, got nan"),
+            ("n_mels", 40.0, "setting 'n_mels' expects int, got 40.0"),
+            ("n_mels", True, "setting 'n_mels' expects int, got True"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                check_setting(declared[name], value)
+            assert str(exc.value) == message
 
 
 def _ckpt_bytes(header, payload=b"") -> bytes:

@@ -160,7 +160,8 @@ class TestReversal:
 
 class TestBidirectional:
     def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError, match="unknown sharing scheme"):
+        with pytest.raises(ValueError, match="setting 'biapc_scheme' must be one of .*, "
+                                             "got 'share_everything'"):
             BidirectionalAPC(replace(LAG2, biapc_scheme="share_everything"), seed=0)
 
     def test_scheme_none_keeps_directions_independent(self):
@@ -433,9 +434,9 @@ class TestMaskedCluster:
         enc, obj, batch = self._setup(1, alpha=1.0)
         rng_mask = lambda: np.random.default_rng(42)
         masked_only = obj.loss(enc, batch, rng_mask()).data
-        obj.cfg.cluster_alpha = 0.0
+        obj.cfg = replace(obj.cfg, cluster_alpha=0.0)
         unmasked_only = obj.loss(enc, batch, rng_mask()).data
-        obj.cfg.cluster_alpha = 0.25
+        obj.cfg = replace(obj.cfg, cluster_alpha=0.25)
         blend = obj.loss(enc, batch, rng_mask()).data
         assert blend == pytest.approx(0.25 * masked_only + 0.75 * unmasked_only, rel=1e-5)
 

@@ -34,3 +34,9 @@ def test_matrix_digests_every_written_file(tmp_path):
     assert "spec_augment/finetune_full_metrics.jsonl" in table
     assert "spec_augment/report.json" in table
     assert "gradcheck.json" in table
+    for name, files in [("features", ["feats/source_00003.feat"]),
+                        ("task", ["feats/source_00003.feat"]),
+                        ("waveform", ["wavs/target_00002.wav"]),
+                        ("fbank", ["feats/target_00002.feat"])]:
+        for path in ["manifest.tsv", *files]:
+            assert f"corpus/{name}/{path}" in table

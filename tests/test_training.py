@@ -1,10 +1,14 @@
 """Three-stage pipeline: freeze guarantees, provenance, determinism."""
 
 import math
-from dataclasses import replace
+import re
+import tempfile
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sslasr import engine as E
 from sslasr.data import pad_batch
@@ -390,7 +394,7 @@ class TestModeValidation:
             run_finetune(cfg, pre, tmp_path, mode="partial")
         with pytest.raises(ValueError, match="unknown pipeline variant"):
             run_pipeline(cfg, tmp_path, variant="baseline")
-        with pytest.raises(ValueError, match="unknown objective"):
+        with pytest.raises(ValueError, match="setting 'objective' must be one of .*, got 'mlm'"):
             SSLBundle(tiny_cfg(objective="mlm"), seed=0)
 
     def test_saft_rejects_adapter_checkpoints(self, draft_chain, tmp_path):
@@ -505,8 +509,15 @@ class TestObjectiveContract:
         for name, cls in classes.items():
             assert type(build_objective(tiny_cfg(objective=name), seed=0)) is cls, name
         assert len(build_objective(tiny_cfg(objective="apc"), 0).children) == 1
-        with pytest.raises(ValueError, match="unknown objective 'mlm'"):
+        with pytest.raises(ValueError, match="setting 'objective' must be one of .*, got 'mlm'"):
             build_objective(tiny_cfg(objective="mlm"), seed=0)
+
+    def test_apc_family_needs_a_causal_encoder(self):
+        for name in ("apc", "eapc", "biapc"):
+            with pytest.raises(ValueError, match=f"objective '{name}' needs causal=True"):
+                build_objective(tiny_cfg(objective=name, causal=False), seed=0)
+        for name in ("contrastive", "masked_cluster"):
+            build_objective(tiny_cfg(objective=name, causal=False), seed=0)
 
 
 class TestDegenerateInput:
@@ -562,3 +573,51 @@ def test_registry_constants():
     assert set(FINETUNE_MODES) == {"full", "adapters_frozen", "adapters_only",
                                    "random_adapters", "plus_ra"}
     assert PIPELINES == ("draft", "saft", "no_adapt", "scratch")
+
+
+# one strategy per setting, each straddling the edge of its declared domain
+EDGES = {
+    "vocab_size": st.integers(0, 3), "d_feat": st.integers(0, 5), "proto_len": st.integers(0, 8),
+    "min_tokens": st.integers(0, 4), "max_tokens": st.integers(0, 5),
+    "noise_sigma": st.floats(-0.1, 0.5), "n_train": st.integers(0, 6),
+    "n_target": st.integers(0, 6), "n_eval": st.integers(0, 3),
+    "proto_seed": st.integers(-1, 3), "corpus_seed": st.integers(-1, 3),
+    "d_model": st.integers(0, 16), "n_heads": st.integers(0, 3), "n_blocks": st.integers(0, 2),
+    "d_ffn": st.integers(0, 8), "objective": st.sampled_from(OBJECTIVES),
+    "biapc_scheme": st.sampled_from(BidirectionalAPC.SCHEMES),
+    "apc_shift": st.integers(0, 3), "apc_lags": st.integers(0, 3), "apc_p": st.integers(0, 3),
+    "n_codes": st.integers(0, 4), "n_clusters": st.integers(0, 8),
+    "mask_prob": st.floats(-0.1, 1.1), "span_len": st.integers(0, 4),
+    "n_negatives": st.integers(0, 30), "tau_cos": st.floats(-0.1, 1.0),
+    "diversity_weight": st.floats(-0.1, 1.0), "cluster_alpha": st.floats(-0.1, 1.1),
+    "seed": st.integers(-1, 3), "batch_size": st.integers(0, 5),
+    "pretrain_steps": st.integers(-1, 3), "adapt_steps": st.integers(-1, 3),
+    "finetune_steps": st.integers(-1, 3), "noam_factor": st.floats(-0.5, 50.0),
+    "noam_warmup": st.integers(0, 3), "saft_lr_scale": st.floats(-0.5, 2.0),
+    "ft_peak_lr": st.floats(-1e-3, 1.0), "ft_warmup_frac": st.floats(-0.1, 1.1),
+    "ft_hold_frac": st.floats(-0.1, 1.1), "ft_final_scale": st.floats(-0.1, 1.1),
+    "clip_norm": st.floats(-1.0, 10.0), "d_adapter": st.integers(0, 4),
+}
+SETTING_NAMES = {f.name for f in fields(PipelineConfig)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(sorted(EDGES)), max_size=3, unique=True)
+       .flatmap(lambda keys: st.fixed_dictionaries({k: EDGES[k] for k in keys})))
+def test_a_config_is_rejected_by_name_or_runs_to_a_named_end(overrides):
+    """Construction rejects a value by its setting's name; a config it
+    accepts runs the draft pipeline to a finite report or to an error that
+    names its stage. No other exception escapes."""
+    try:
+        cfg = tiny_cfg(**{"n_target": 12, **overrides})
+    except ValueError as e:
+        named = re.match(r"setting '(\w+)' ", str(e))
+        assert named and named.group(1) in SETTING_NAMES, e
+        return
+    with tempfile.TemporaryDirectory() as work:
+        try:
+            report = run_pipeline(cfg, work, "draft")
+        except (ValueError, FloatingPointError) as e:
+            assert re.match(r"stage '(pretrain|adapt|finetune)'", str(e)), e
+        else:
+            assert math.isfinite(report["ter"])

@@ -7,7 +7,10 @@ each objective, Bi-APC once per sharing scheme, plus one draft chain that
 finetunes under every finetune mode, all on tiny configs. spec_augment/
 finetunes the chain's adapt checkpoint once more with SpecAugment on and
 enough steps to reach the learning-rate decay. Each run's evaluation
-report is written beside its checkpoints and metrics logs.
+report is written beside its checkpoints and metrics logs. corpus/ holds
+what the `sslasr` command line writes: gen-corpus feature corpora at
+the default task and at one set by --set, a target-domain waveform
+corpus drawn with --seed, and the featurize output of that corpus.
 gradcheck.json holds the gradient oracle's worst errors, as float.hex,
 for both batteries over seeds 0-1.
 OUT.json maps every written file, by its path relative to the run
@@ -19,7 +22,9 @@ next to this file) and compares the two files with cmp.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -29,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from sslasr.cli import main as sslasr_main  # noqa: E402
 from sslasr.gradcheck import gradcheck_battery, loss_gradcheck_battery  # noqa: E402
 from sslasr.objectives import BidirectionalAPC  # noqa: E402
 from sslasr.training import (  # noqa: E402
@@ -56,6 +62,21 @@ def recipes() -> dict:
     for scheme in BidirectionalAPC.SCHEMES:
         out[f"biapc-{scheme}"] = {"objective": "biapc", "biapc_scheme": scheme}
     return out
+
+
+def corpus_commands(root: Path) -> list:
+    """The command lines whose output corpus/ holds; the task keys go
+    through --set so the command line's reading of them is covered."""
+    task = ["vocab_size=5", "d_feat=4", "proto_len=6", "min_tokens=3", "max_tokens=4",
+            "noise_sigma=0.2", "proto_seed=3", "seed=2"]
+    return [
+        ["gen-corpus", "--out", f"{root}/features", "--n", "4"],
+        ["gen-corpus", "--out", f"{root}/task", "--n", "4",
+         *[arg for kv in task for arg in ("--set", kv)]],
+        ["gen-corpus", "--out", f"{root}/waveform", "--n", "3", "--domain", "target",
+         "--emit", "waveform", "--seed", "3"],
+        ["featurize", "--manifest", f"{root}/waveform/manifest.tsv", "--out", f"{root}/fbank"],
+    ]
 
 
 def _write_report(report: dict, workdir: Path, name: str) -> None:
@@ -86,6 +107,11 @@ def run_matrix(root) -> None:
     augmented = replace(base, spec_augment=True, finetune_steps=6)
     fin = run_finetune(augmented, ada, workdir)
     _write_report(run_evaluate(augmented, fin), workdir, "report.json")
+
+    for argv in corpus_commands(root / "corpus"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            if sslasr_main(argv) != 0:
+                raise SystemExit(f"command failed: sslasr {' '.join(argv)}")
 
     oracle = {f"{fn.__name__}/{seed}": float(fn(seed)).hex()
               for fn in (gradcheck_battery, loss_gradcheck_battery) for seed in GRADCHECK_SEEDS}
