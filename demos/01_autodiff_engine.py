@@ -45,8 +45,8 @@ print(f"worst relative error vs numeric slopes: {err:.2e}")
 
 print()
 print("== one seed of the full primitive battery ==")
-# every op in the engine (matmul, softmax, layer_norm, conv1d, embedding,
-# ctc building blocks, ...) appears in at least one checked expression
+# every op in the engine (matmul, linear, attention, layer_norm, conv1d,
+# embedding, ...) appears in at least one checked expression
 worst = gradcheck_battery(seed=0)
 print(f"worst relative error over the whole primitive set: {worst:.2e}")
 print("anything below 1e-6 means the analytic gradients are trustworthy")

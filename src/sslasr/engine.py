@@ -172,22 +172,21 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data + b.data
-    return _record("add", (a, b), out, lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    return _record("add", (a, b), a.data + b.data, lambda g: (
+        _unbroadcast(g, a.shape) if a.requires_grad else None,
+        _unbroadcast(g, b.shape) if b.requires_grad else None))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-    return _record("sub", (a, b), out, lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    return _record("sub", (a, b), a.data - b.data, lambda g: (
+        _unbroadcast(g, a.shape) if a.requires_grad else None,
+        _unbroadcast(-g, b.shape) if b.requires_grad else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
-
-    def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return _record("mul", (a, b), out, bwd)
+    return _record("mul", (a, b), a.data * b.data, lambda g: (
+        _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+        _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -203,11 +202,63 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", (a, b), out, bwd)
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
-    ax = tuple(axes) if axes is not None else tuple(reversed(range(a.ndim)))
-    out = np.transpose(a.data, ax)
-    inv = tuple(np.argsort(ax))
-    return _record("transpose", (a,), out, lambda g: (np.transpose(g, inv),))
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node: the bits of add(matmul(x, w), b), both ways."""
+    out = x.data @ w.data + b.data
+
+    def bwd(g):
+        gx = g @ np.swapaxes(w.data, -1, -2) if x.requires_grad else None
+        gw = _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape) if w.requires_grad else None
+        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        return gx, gw, gb
+
+    return _record("linear", (x, w, b), out, bwd)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, allowed, n_heads: int) -> Tensor:
+    """Multi-head attention over (B, T, D) projections as one node: head
+    split, q k^T / sqrt(dh), softmax over the keys `allowed` (bool, broadcast
+    to (B, n_heads, T, T)) keeps, p v, head merge. Both ways it takes the
+    bits of that chain of single ops: the same contiguous copies, the same
+    matmuls on the same views. Only the scaled scores and the output are
+    checked for non-finite values; every other intermediate reaches one."""
+    B, T, D = q.shape
+    dh = D // n_heads
+
+    def split(t):  # (B, T, D) -> contiguous (B, H, T, dh)
+        return np.ascontiguousarray(t.data.reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3))
+
+    def merge(gh):  # (B, H, T, dh) -> (B, T, D)
+        return np.transpose(gh, (0, 2, 1, 3)).reshape(B, T, D)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    kt = np.ascontiguousarray(kh.transpose(0, 1, 3, 2))
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.dtype)
+    s = (qh @ kt) * scale
+    _check_finite("attention", s)
+    mask = np.asarray(allowed, dtype=bool)
+    if np.any(~mask.any(axis=-1)):
+        raise ValueError("fully masked softmax row")
+    m = np.max(np.where(mask, s, -np.inf), axis=-1, keepdims=True)
+    e = np.exp(np.where(mask, s - m, 0.0)) * mask
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = np.ascontiguousarray((p @ vh).transpose(0, 2, 1, 3)).reshape(B, T, D)
+
+    def bwd(g):
+        gctx = np.transpose(g.reshape(B, T, n_heads, dh), (0, 2, 1, 3))
+        gq = gk = gv = None
+        if q.requires_grad or k.requires_grad:
+            gp = gctx @ np.swapaxes(vh, -1, -2)
+            gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+            if q.requires_grad:
+                gq = merge(gs @ np.swapaxes(kt, -1, -2))
+            if k.requires_grad:
+                gk = merge(np.transpose(np.swapaxes(qh, -1, -2) @ gs, (0, 1, 3, 2)))
+        if v.requires_grad:
+            gv = merge(np.swapaxes(p, -1, -2) @ gctx)
+        return gq, gk, gv
+
+    return _record("attention", (q, k, v), out, bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -268,18 +319,10 @@ def gelu(a: Tensor) -> Tensor:
     return _record("gelu", (a,), out, bwd)
 
 
-def softmax(a: Tensor, axis: int = -1, mask=None) -> Tensor:
-    """Softmax along `axis`; mask (bool, broadcastable) True = position kept."""
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
     x = a.data
-    if mask is not None:
-        allowed = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        if np.any(~allowed.any(axis=axis)):
-            raise ValueError("fully masked softmax row")
-        m = np.max(np.where(allowed, x, -np.inf), axis=axis, keepdims=True)
-        e = np.exp(np.where(allowed, x - m, 0.0)) * allowed
-    else:
-        m = np.max(x, axis=axis, keepdims=True)
-        e = np.exp(x - m)
+    m = np.max(x, axis=axis, keepdims=True)
+    e = np.exp(x - m)
     p = e / e.sum(axis=axis, keepdims=True)
 
     def bwd(g):
@@ -408,7 +451,8 @@ def where_mask(a: Tensor, b: Tensor, mask) -> Tensor:
 
     def bwd(g):
         mb = np.broadcast_to(m, g.shape)
-        return _unbroadcast(np.where(mb, g, 0.0), a.shape), _unbroadcast(np.where(mb, 0.0, g), b.shape)
+        return (_unbroadcast(np.where(mb, g, 0.0), a.shape) if a.requires_grad else None,
+                _unbroadcast(np.where(mb, 0.0, g), b.shape) if b.requires_grad else None)
 
     return _record("where", (a, b), out, bwd)
 

@@ -139,15 +139,25 @@ def gradcheck_battery(seed: int) -> float:
     w2 = weights(2, 6)
     worst = max(worst, _conditioned_check(
         lambda p, q: E.sum_(E.mul(E.reshape(E.slice_axis(
-            E.transpose(E.matmul(p, q), (0, 2, 1)), 1, 1, 5, step=2), (2, 6)), Tensor(w2))),
+            E.matmul(p, q), 2, 1, 5, step=2), (2, 6)), Tensor(w2))),
         drawer((2, 3, 4), (4, 5)), rng))
 
-    mask = np.ones((2, 6), dtype=bool)
-    mask[0, 2] = False
     w3 = weights(2, 6)
     worst = max(worst, _conditioned_check(
-        lambda v, gg, bv: E.sum_(E.mul(E.softmax(E.layer_norm(v, gg, bv, eps=1e-5), axis=-1, mask=mask), Tensor(w3))),
+        lambda v, gg, bv: E.sum_(E.mul(E.softmax(E.layer_norm(v, gg, bv, eps=1e-5), axis=-1), Tensor(w3))),
         drawer((2, 6), (6,), (6,), shifts=[0.0, 1.0, 0.0]), rng))
+
+    wl = weights(2, 3, 5)
+    worst = max(worst, _conditioned_check(
+        lambda x, w, b: E.sum_(E.mul(E.linear(x, w, b), Tensor(wl))),
+        drawer((2, 3, 4), (4, 5), (5,)), rng))
+
+    # the second utterance's last key is padding
+    allowed = np.arange(4) < np.array([4, 3])[:, None, None, None]
+    wa = weights(2, 4, 4)
+    worst = max(worst, _conditioned_check(
+        lambda q, k, v: E.sum_(E.mul(E.attention(q, k, v, allowed, 2), Tensor(wa))),
+        drawer((2, 4, 4), (2, 4, 4), (2, 4, 4)), rng))
 
     for padding, stride in (("causal", 2), ("same", 1), ("none", 2)):
         out_t = {("causal", 2): 5, ("same", 1): 9, ("none", 2): 4}[(padding, stride)]

@@ -3,10 +3,16 @@
 Layout: a two-conv subsampling block (total stride 4), sinusoidal positions,
 pre-norm transformer blocks, final layer norm. Adapters, when inserted,
 sit after the conv block and after every transformer block.
+
+Each Linear is one engine.linear node and each block's attention core,
+from the head split to the head merge, one engine.attention node. A
+forward pass without adapters records 4 (convs) + 1 (positions) +
+12 per block + 1 (final norm) tape nodes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING
 
@@ -72,7 +78,7 @@ class Linear(Module):
         self.p["b"] = Tensor(np.zeros(d_out, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return E.add(E.matmul(x, self.p["w"]), self.p["b"])
+        return E.linear(x, self.p["w"], self.p["b"])
 
 
 class LayerNorm(Module):
@@ -104,28 +110,14 @@ class MultiHeadAttention(Module):
     def __init__(self, rng, d_model: int, n_heads: int):
         super().__init__()
         self.n_heads = n_heads
-        self.d_head = d_model // n_heads
         self.children["wq"] = Linear(rng, d_model, d_model)
         self.children["wk"] = Linear(rng, d_model, d_model)
         self.children["wv"] = Linear(rng, d_model, d_model)
         self.children["wo"] = Linear(rng, d_model, d_model)
 
     def __call__(self, x: Tensor, allowed: np.ndarray) -> Tensor:
-        B, T, D = x.shape
-        H, dh = self.n_heads, self.d_head
-
-        def split(t):
-            return E.transpose(E.reshape(t, (B, T, H, dh)), (0, 2, 1, 3))
-
-        q = split(self.children["wq"](x))
-        k = split(self.children["wk"](x))
-        v = split(self.children["wv"](x))
-        scores = E.matmul(q, E.transpose(k, (0, 1, 3, 2)))
-        scores = E.mul(scores, Tensor(np.asarray(1.0 / math.sqrt(dh), dtype=x.dtype)))
-        attn = E.softmax(scores, axis=-1, mask=allowed)
-        ctx = E.matmul(attn, v)
-        ctx = E.reshape(E.transpose(ctx, (0, 2, 1, 3)), (B, T, D))
-        return self.children["wo"](ctx)
+        c = self.children
+        return c["wo"](E.attention(c["wq"](x), c["wk"](x), c["wv"](x), allowed, self.n_heads))
 
 
 class FeedForward(Module):
@@ -189,7 +181,9 @@ class ConvSubsampler(Module):
         return E.gelu(self.children["conv2"](E.gelu(self.children["conv1"](x))))
 
 
+@functools.lru_cache
 def sinusoidal_positions(t: int, d: int, dtype=np.float32) -> np.ndarray:
+    """(t, d) sin/cos position table, memoised per (t, d, dtype); read-only."""
     if d % 2 != 0:
         raise ValueError("positional encoding needs an even dimension")
     pos = np.arange(t, dtype=np.float64)[:, None]
@@ -198,7 +192,9 @@ def sinusoidal_positions(t: int, d: int, dtype=np.float32) -> np.ndarray:
     pe = np.zeros((t, d), dtype=np.float64)
     pe[:, 0::2] = np.sin(angles)
     pe[:, 1::2] = np.cos(angles)
-    return pe.astype(dtype)
+    pe = pe.astype(dtype)
+    pe.flags.writeable = False
+    return pe
 
 
 class Encoder(Module):

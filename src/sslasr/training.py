@@ -10,6 +10,7 @@ the steps and writes the checkpoint."""
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -103,6 +104,8 @@ class PipelineConfig:
         if self.max_tokens < self.min_tokens:
             raise ValueError(f"setting 'max_tokens' must be >= min_tokens ({self.min_tokens}), "
                              f"got {self.max_tokens}")
+        if self.d_model % 2:
+            raise ValueError(f"setting 'd_model' must be even (sinusoidal positions), got {self.d_model}")
         if self.d_model % self.n_heads:
             raise ValueError(f"setting 'n_heads' must divide d_model ({self.d_model}), "
                              f"got {self.n_heads}")
@@ -250,29 +253,32 @@ def _train_loop(stage: str, cfg: PipelineConfig, corpus, loss_fn, all_params: di
     opt = Adam(trainable)
     n = len(corpus)
     stage_id = _STAGE_IDS[stage]
-    for step in range(1, steps + 1):
-        rng = np.random.default_rng([cfg.seed, stage_id, step])
-        idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
-        batch = [corpus[int(i)] for i in idx]
-        opt.zero_grad()
-        try:
-            with Tape() as tape:
-                loss = loss_fn(batch, rng, step)
-                backward(loss, tape)
-        except FloatingPointError as e:
-            raise FloatingPointError(f"stage '{stage}' step {step}: {e}") from e
-        except ValueError as e:
-            raise ValueError(f"stage '{stage}' step {step}: {e}") from e
-        grad_norm = clip_global_norm(trainable, cfg.clip_norm)
-        if not np.isfinite(grad_norm):
-            # the clipped update would write NaN into every trainable tensor
-            raise FloatingPointError(f"stage '{stage}' step {step}: non-finite gradient norm {grad_norm}")
-        lr = lr_fn(step)
-        opt.step(lr=lr)
-        append_jsonl(metrics_path, {
-            "step": step, "stage": stage, "loss": float(loss.data),
-            "grad_norm": grad_norm, "lr": lr, "seed": cfg.seed,
-        })
+    with contextlib.ExitStack() as stack:
+        log = None  # opened at the first record: a failed first step leaves no file
+        for step in range(1, steps + 1):
+            rng = np.random.default_rng([cfg.seed, stage_id, step])
+            idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
+            batch = [corpus[int(i)] for i in idx]
+            opt.zero_grad()
+            try:
+                with Tape() as tape:
+                    loss = loss_fn(batch, rng, step)
+                    backward(loss, tape)
+            except FloatingPointError as e:
+                raise FloatingPointError(f"stage '{stage}' step {step}: {e}") from e
+            except ValueError as e:
+                raise ValueError(f"stage '{stage}' step {step}: {e}") from e
+            grad_norm = clip_global_norm(trainable, cfg.clip_norm)
+            if not np.isfinite(grad_norm):
+                # the clipped update would write NaN into every trainable tensor
+                raise FloatingPointError(f"stage '{stage}' step {step}: non-finite gradient norm {grad_norm}")
+            lr = lr_fn(step)
+            opt.step(lr=lr)
+            log = log or stack.enter_context(open(metrics_path, "a", encoding="utf-8"))
+            append_jsonl(log, {
+                "step": step, "stage": stage, "loss": float(loss.data),
+                "grad_norm": grad_norm, "lr": lr, "seed": cfg.seed,
+            })
     # leave every parameter differentiable and grad-free for downstream use
     for t in all_params.values():
         t.requires_grad = True

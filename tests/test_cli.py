@@ -256,6 +256,8 @@ OUT_OF_RANGE = [
     ("d_adapter=0", "eapc", "must be >= 1, got 0"),
     ("ft_warmup_frac=0.8 ft_hold_frac=0.8", "eapc",
      "must be <= 1 - ft_warmup_frac (0.8), got 0.8"),
+    # n_heads divides 9; the positions need an even width
+    ("n_heads=3 d_model=9", "eapc", "must be even (sinusoidal positions), got 9"),
 ]
 
 

@@ -205,6 +205,12 @@ class TestJsonlAndConfig:
         append_jsonl(p, {"step": 2, "loss": 1.25})
         recs = read_jsonl(p)
         assert recs == [{"step": 1, "loss": 2.5}, {"step": 2, "loss": 1.25}]
+        # an open handle takes the same bytes
+        q = tmp_path / "held.jsonl"
+        with open(q, "a", encoding="utf-8") as fh:
+            append_jsonl(fh, {"step": 1, "loss": 2.5})
+            append_jsonl(fh, {"step": 2, "loss": 1.25})
+        assert q.read_bytes() == p.read_bytes()
 
     def test_parse_value_coercions(self):
         assert parse_value("true") is True

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sslasr.engine import Tensor
+from sslasr.engine import Tape, Tensor
 from sslasr.model import (
     Encoder,
     Module,
@@ -242,6 +242,19 @@ class TestSharingAndSerialization:
         assert any(not np.array_equal(pa[k].data, pc[k].data) for k in pa)
 
 
+class TestTapeBudget:
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    def test_encoder_forward_records_a_fixed_node_count(self, n_blocks):
+        # convs and GELUs, positions, per block (LN, q/k/v, attention,
+        # out projection, residual, LN, FFN linear-GELU-linear, residual),
+        # final LN
+        enc = small_encoder(n_blocks=n_blocks)
+        feats = np.random.default_rng(4).normal(size=(2, 24, 8)).astype(np.float32)
+        with Tape() as tape:
+            enc(feats, [24, 17])
+        assert len(tape.nodes) == 4 + 1 + 12 * n_blocks + 1
+
+
 class TestPositions:
     def test_sinusoidal_values(self):
         pe = sinusoidal_positions(5, 6)
@@ -250,6 +263,11 @@ class TestPositions:
         assert pe[1, 0] == pytest.approx(np.sin(1.0), rel=1e-6)
         assert pe[2, 1] == pytest.approx(np.cos(2.0), rel=1e-6)
         assert pe[1, 2] == pytest.approx(np.sin(1.0 / 10000.0 ** (2 / 6)), rel=1e-6)
+
+    def test_table_is_memoised_and_read_only(self):
+        pe = sinusoidal_positions(9, 4, np.float64)
+        assert sinusoidal_positions(9, 4, np.float64) is pe
+        assert pe.dtype == np.float64 and not pe.flags.writeable
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError, match="even"):

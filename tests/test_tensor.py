@@ -1,5 +1,9 @@
 """Engine tests: forward oracles, backward semantics, gradcheck, optimizer."""
 
+import inspect
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,17 +27,23 @@ class TestForwardOracles:
         )
 
     def test_softmax_rows_sum_to_one_with_mask(self):
-        x = t64([[1.0, 50.0, 2.0], [3.0, -1.0, 0.5]])
-        mask = np.array([[True, False, True], [True, True, True]])
-        p = T.softmax(x, axis=-1, mask=mask)
-        np.testing.assert_allclose(p.data.sum(axis=-1), [1.0, 1.0], rtol=1e-12)
-        assert p.data[0, 1] == 0.0
+        # with every value 1, attention's output is the sum of a row's weights
+        rng = np.random.default_rng(3)
+        q, k = (t64(rng.normal(size=(2, 3, 4)) * 5.0) for _ in range(2))
+        v = np.ones((2, 3, 4))
+        mask = np.ones((2, 1, 3, 3), dtype=bool)
+        mask[0, :, :, 1] = False
+        out = T.attention(q, k, t64(v), mask, 2).data
+        np.testing.assert_allclose(out, np.ones((2, 3, 4)), rtol=1e-12)
+        v[0, 1] = 1e6  # a masked key's value gets weight exactly 0
+        assert T.attention(q, k, t64(v), mask, 2).data.tobytes() == out.tobytes()
 
     def test_fully_masked_softmax_row_raises(self):
-        x = t64([[1.0, 2.0], [3.0, 4.0]])
-        mask = np.array([[False, False], [True, True]])
+        q = t64(np.ones((2, 2, 4)))
+        mask = np.ones((2, 1, 2, 2), dtype=bool)
+        mask[1, :, 0] = False
         with pytest.raises(ValueError, match="fully masked softmax row"):
-            T.softmax(x, axis=-1, mask=mask)
+            T.attention(q, q, q, mask, 2)
 
     def test_layer_norm_two_point_row(self):
         g, b = t64([1.0]), t64([0.0])
@@ -163,6 +173,94 @@ class TestConv1dReference:
                                        err_msg=name)
 
 
+def _composed_linear(x, w, b, g):
+    """add(matmul(x, w), b) as the single ops computed it: the output and
+    the x, w, b gradients for upstream g, in plain NumPy."""
+    mm = x @ w
+    out = mm + b
+    gx = g @ np.swapaxes(w, -1, -2)
+    gw = (np.swapaxes(x, -1, -2) @ g).sum(axis=0)
+    return out, gx, gw, g.sum(axis=(0, 1))
+
+
+def _composed_attention(q, k, v, allowed, n_heads, g):
+    """The reshape / transpose / matmul / scale / masked softmax / matmul /
+    transpose / reshape chain the attention op replaces, step by step in
+    plain NumPy, with each op output made contiguous as Tensors hold it:
+    the output and the q, k, v gradients for upstream g."""
+    B, Tq, D = q.shape
+    dh = D // n_heads
+
+    def split(a):
+        return np.ascontiguousarray(np.transpose(a.reshape(B, Tq, n_heads, dh), (0, 2, 1, 3)))
+
+    def unsplit(gh):  # transpose's then reshape's backward
+        return np.transpose(gh, (0, 2, 1, 3)).reshape(B, Tq, D)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    kt = np.ascontiguousarray(np.transpose(kh, (0, 1, 3, 2)))
+    scores = qh @ kt
+    scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.dtype)
+    x = scores * scale
+    mask = np.broadcast_to(allowed, x.shape)
+    m = np.max(np.where(mask, x, -np.inf), axis=-1, keepdims=True)
+    e = np.exp(np.where(mask, x - m, 0.0)) * mask
+    p = e / e.sum(axis=-1, keepdims=True)
+    ctx = p @ vh
+    out = np.ascontiguousarray(np.transpose(ctx, (0, 2, 1, 3))).reshape(B, Tq, D)
+    # backward, node by node from the last
+    g_ctx = np.transpose(g.reshape(B, Tq, n_heads, dh), (0, 2, 1, 3))
+    g_p = g_ctx @ np.swapaxes(vh, -1, -2)
+    g_vh = np.swapaxes(p, -1, -2) @ g_ctx
+    g_x = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True))
+    g_scores = g_x * scale
+    g_qh = g_scores @ np.swapaxes(kt, -1, -2)
+    g_kt = np.swapaxes(qh, -1, -2) @ g_scores
+    g_kh = np.transpose(g_kt, (0, 1, 3, 2))
+    return out, unsplit(g_qh), unsplit(g_kh), unsplit(g_vh)
+
+
+class TestFusedOps:
+    """linear and attention take the bits of the compositions they replace."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_linear_matches_matmul_then_add(self, dtype):
+        rng = np.random.default_rng(22)
+        x, w, b, g = (rng.normal(size=s).astype(dtype) for s in ((2, 7, 5), (5, 6), (6,), (2, 7, 6)))
+        ins = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        with Tape() as tape:
+            out = T.linear(*ins)
+            backward(T.sum_(T.mul(out, Tensor(g))), tape)
+        got = (out.data, *(t.grad for t in ins))
+        for name, a, ref in zip(("out", "gx", "gw", "gb"), got, _composed_linear(x, w, b, g)):
+            assert a.dtype == dtype and a.tobytes() == ref.tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("causal", [True, False], ids=["causal", "full"])
+    def test_attention_matches_the_composed_chain(self, dtype, causal):
+        rng = np.random.default_rng(23)
+        B, Tq, D, H = 2, 7, 6, 2  # dh = 3: the scale 1/sqrt(3) rounds
+        q, k, v, g = (rng.normal(size=(B, Tq, D)).astype(dtype) for _ in range(4))
+        # the second utterance is padded after 5 frames
+        pattern = np.tri(Tq, dtype=bool) if causal else np.ones((Tq, Tq), dtype=bool)
+        allowed = (np.arange(Tq) < np.array([Tq, 5])[:, None, None, None]) & pattern
+        ins = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        with Tape() as tape:
+            out = T.attention(*ins, allowed, H)
+            backward(T.sum_(T.mul(out, Tensor(g))), tape)
+        assert len(tape.nodes) == 3
+        got = (out.data, *(t.grad for t in ins))
+        refs = _composed_attention(q, k, v, allowed, H, g)
+        for name, a, ref in zip(("out", "gq", "gk", "gv"), got, refs):
+            assert a.dtype == dtype and a.tobytes() == ref.tobytes(), name
+
+    def test_attention_checks_its_scores(self):
+        q = t64(np.full((1, 2, 2), 1e200))
+        with pytest.raises(FloatingPointError, match="op 'attention'"):
+            with np.errstate(over="ignore"):
+                T.attention(q, q, q, np.ones((1, 1, 2, 2), dtype=bool), 1)
+
+
 class TestBackwardSemantics:
     def test_repeated_backward_exactly_doubles(self):
         x = t64([1.0, 2.0, 3.0], rg=True)
@@ -198,14 +296,26 @@ class TestBackwardSemantics:
         np.testing.assert_allclose(x.grad, 2.0 * x.data)
 
     @pytest.mark.parametrize("op,frozen", [
-        ("matmul", 0), ("matmul", 1),
+        ("add", 0), ("add", 1), ("sub", 0), ("sub", 1), ("mul", 0), ("mul", 1),
+        ("where", 0), ("where", 1), ("matmul", 0), ("matmul", 1),
+        ("linear", 0), ("linear", 1), ("linear", 2),
+        ("attention", 0), ("attention", 1), ("attention", 2),
         ("layer_norm", 0), ("layer_norm", 1), ("layer_norm", 2),
         ("conv1d", 0), ("conv1d", 1), ("conv1d", 2),
     ])
     def test_frozen_input_leaves_other_gradients_exact(self, op, frozen):
         rng = np.random.default_rng(18)
+        allowed = np.ones((2, 1, 5, 5), dtype=bool)
+        allowed[1, :, :, 4] = False
         shapes, fn = {
+            "add": ([(2, 5, 3), (3,)], T.add),
+            "sub": ([(2, 5, 3), (3,)], T.sub),
+            "mul": ([(2, 5, 3), (3,)], T.mul),
+            "where": ([(2, 5, 3), (3,)],
+                      lambda a, b: T.where_mask(a, b, np.arange(5)[:, None] % 2 == 0)),
             "matmul": ([(2, 5, 3), (3, 4)], T.matmul),
+            "linear": ([(2, 5, 3), (3, 4), (4,)], T.linear),
+            "attention": ([(2, 5, 4)] * 3, lambda q, k, v: T.attention(q, k, v, allowed, 2)),
             "layer_norm": ([(2, 5, 4), (4,), (4,)], T.layer_norm),
             "conv1d": ([(2, 9, 3), (3, 3, 4), (4,)],
                        lambda x, w, b: T.conv1d(x, w, b, stride=2, padding="causal")),
@@ -218,6 +328,8 @@ class TestBackwardSemantics:
                 z = fn(*ins)
                 backward(T.sum_(T.mul(z, z)), tape)
             grads[skip] = [t.grad for t in ins]
+        # the op's backward computes nothing for the frozen input
+        assert tape.nodes[0].backward_fn(np.ones_like(z.data))[frozen] is None
         assert grads[frozen][frozen] is None
         for i, (full, skipped) in enumerate(zip(grads[None], grads[frozen])):
             if i != frozen:
@@ -235,10 +347,12 @@ class TestBackwardSemantics:
         assert (t.grad is t.grad_slot) == in_arena
 
     def test_op_outputs_are_c_contiguous(self):
-        x = t64(np.arange(6.0).reshape(2, 3))
-        out = T.transpose(x)
+        x = t64(np.arange(24.0).reshape(2, 3, 4))
+        out = T.slice_axis(x, 2, 0, 4, step=2)
         assert out.data.flags.c_contiguous
-        np.testing.assert_array_equal(out.data, x.data.T)
+        np.testing.assert_array_equal(out.data, x.data[:, :, ::2])
+        # attention's head merge is a transpose of its (B, H, T, dh) result
+        assert T.attention(x, x, x, np.ones((1, 1, 3, 3), dtype=bool), 2).data.flags.c_contiguous
 
     def test_grad_dtype_matches_data(self):
         x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
@@ -283,7 +397,7 @@ class TestGradcheckPrimitives:
 
         assert finite_diff_gradcheck(fn, [x, y]) < 1e-6
 
-    def test_matmul_transpose_reshape_slice(self):
+    def test_matmul_reshape_slice(self):
         rng = np.random.default_rng(12)
         a = t64(rng.normal(size=(2, 3, 4)))
         b = t64(rng.normal(size=(4, 5)))
@@ -291,27 +405,30 @@ class TestGradcheckPrimitives:
 
         def fn(a, b):
             z = T.matmul(a, b)  # (2,3,5)
-            z = T.transpose(z, (0, 2, 1))  # (2,5,3)
-            z = T.slice_axis(z, 1, 0, 4, step=2)  # (2,2,3)
+            z = T.slice_axis(z, 2, 0, 4, step=2)  # (2,3,2)
             z = T.reshape(z, (2, 6))
             return T.sum_(T.mul(z, Tensor(w)))
 
         assert finite_diff_gradcheck(fn, [a, b]) < 1e-6
 
     def test_softmax_layernorm_masked(self):
+        # layer-normed projections into attention whose second utterance
+        # has a padded key
         rng = np.random.default_rng(13)
-        x = t64(rng.normal(size=(2, 5)))
-        g = t64(rng.normal(size=5) + 1.0)
-        bb = t64(rng.normal(size=5))
-        mask = np.array([[True, True, False, True, True], [True] * 5])
-        w = rng.normal(size=(2, 5))
+        x = t64(rng.normal(size=(2, 5, 4)))
+        g = t64(rng.normal(size=4) + 1.0)
+        bb = t64(rng.normal(size=4))
+        w, b = t64(rng.normal(size=(4, 4))), t64(rng.normal(size=4))
+        mask = np.ones((2, 1, 5, 5), dtype=bool)
+        mask[1, :, :, 4] = False
+        wo = rng.normal(size=(2, 5, 4))
 
-        def fn(x, g, bb):
+        def fn(x, g, bb, w, b):
             z = T.layer_norm(x, g, bb, eps=1e-5)
-            z = T.softmax(z, axis=-1, mask=mask)
-            return T.sum_(T.mul(z, Tensor(w)))
+            z = T.attention(T.linear(z, w, b), z, z, mask, 2)
+            return T.sum_(T.mul(z, Tensor(wo)))
 
-        assert finite_diff_gradcheck(fn, [x, g, bb]) < 1e-6
+        assert finite_diff_gradcheck(fn, [x, g, bb, w, b]) < 1e-6
 
     @pytest.mark.parametrize("padding,stride", [("causal", 1), ("causal", 2), ("same", 1), ("none", 2)])
     def test_conv1d(self, padding, stride):
@@ -365,6 +482,20 @@ class TestGradcheckPrimitives:
 
         with pytest.raises(RuntimeError, match="nondeterministic"):
             finite_diff_gradcheck(fn, [t64([1.0, 2.0])])
+
+    def test_battery_invokes_every_recorded_op(self, monkeypatch):
+        ops = set(re.findall(r'_record\("(\w+)"', inspect.getsource(T)))
+        seen = set()
+        record = T._record
+
+        def spy(op, *args):
+            seen.add(op)
+            return record(op, *args)
+
+        monkeypatch.setattr(T, "_record", spy)
+        assert gradcheck_battery(0) < 1e-6
+        assert {"linear", "attention"} <= ops
+        assert ops - seen == set()
 
     @pytest.mark.parametrize("seed", [1544, 1938])
     def test_battery_keeps_log_operand_positive(self, seed):

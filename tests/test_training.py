@@ -575,6 +575,13 @@ def test_registry_constants():
     assert PIPELINES == ("draft", "saft", "no_adapt", "scratch")
 
 
+def test_odd_d_model_is_rejected_by_name():
+    # n_heads=3 divides 9, so only the sinusoidal positions' rule is broken
+    with pytest.raises(ValueError, match=r"setting 'd_model' must be even \(sinusoidal "
+                                         r"positions\), got 9"):
+        tiny_cfg(d_model=9, n_heads=3)
+
+
 # one strategy per setting, each straddling the edge of its declared domain
 EDGES = {
     "vocab_size": st.integers(0, 3), "d_feat": st.integers(0, 5), "proto_len": st.integers(0, 8),
