@@ -213,8 +213,9 @@ def _cmd_sweep(args) -> int:
     for val, cfg in zip(points, configs):
         report = run_pipeline(cfg, out / f"{args.key}={val}",
                               variant=args.variant, finetune_mode=args.finetune_mode)
-        append_jsonl(results_path, {"key": args.key, "value": val,
-                                    "variant": report["variant"], "ter": report["ter"]})
+        with open(results_path, "a", encoding="utf-8") as fh:
+            append_jsonl(fh, {"key": args.key, "value": val,
+                              "variant": report["variant"], "ter": report["ter"]})
         print(f"{args.key}={val}: ter={report['ter']:.4f}")
     print(results_path)
     return 0

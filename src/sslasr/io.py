@@ -215,12 +215,9 @@ def read_manifest(path) -> list:
 # ---------------------------------------------------------------------------
 
 
-def append_jsonl(dest, record: dict) -> None:
-    """Append one record as a JSON line to an open text file, or to a path."""
-    if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "a", encoding="utf-8") as fh:
-            return append_jsonl(fh, record)
-    dest.write(json.dumps(record, sort_keys=True) + "\n")
+def append_jsonl(fh, record: dict) -> None:
+    """Append one record as a JSON line to an open text file."""
+    fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def read_jsonl(path) -> list:

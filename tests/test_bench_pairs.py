@@ -12,12 +12,17 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "bench_pairs.py"
 
+needs_git = pytest.mark.skipif(shutil.which("git") is None or not (ROOT / ".git").exists(),
+                               reason="needs a git checkout")
 
+
+@needs_git
 def test_one_tiny_pair_summarizes_every_end_to_end_metric(tmp_path):
     out = tmp_path / "BENCH.json"
-    # the checkout itself stands in for the parent tree
+    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
+                          capture_output=True, text=True, check=True).stdout.strip()
     run = subprocess.run(
-        [sys.executable, str(TOOL), "--parent", str(ROOT), "--pairs", "1", "--seconds", "0",
+        [sys.executable, str(TOOL), "--parent", "HEAD", "--pairs", "1", "--seconds", "0",
          "--workloads", "gradcheck", "--tiny", "--out", str(out)],
         capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
@@ -32,10 +37,11 @@ def test_one_tiny_pair_summarizes_every_end_to_end_metric(tmp_path):
             assert len(m[side]["runs"]) == 1 and q1 == m[side]["median"] == q3
     assert metrics["success_ratio"]["ratio"] == 1.0
     assert bench["env"]["python"] and bench["pairs"] == 1
+    # the parent is named by commit id, not by a revision that moves
+    assert bench["parent"] == head
 
 
-@pytest.mark.skipif(shutil.which("git") is None or not (ROOT / ".git").exists(),
-                    reason="needs a git checkout")
+@needs_git
 def test_parent_tree_is_the_committed_files(tmp_path):
     spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
     tool = importlib.util.module_from_spec(spec)

@@ -201,16 +201,14 @@ class TestManifests:
 class TestJsonlAndConfig:
     def test_jsonl_appends(self, tmp_path):
         p = tmp_path / "log.jsonl"
-        append_jsonl(p, {"step": 1, "loss": 2.5})
-        append_jsonl(p, {"step": 2, "loss": 1.25})
+        with open(p, "a", encoding="utf-8") as fh:
+            append_jsonl(fh, {"step": 1, "loss": 2.5})
+        # a second handle appends after the first's record
+        with open(p, "a", encoding="utf-8") as fh:
+            append_jsonl(fh, {"step": 2, "loss": 1.25})
         recs = read_jsonl(p)
         assert recs == [{"step": 1, "loss": 2.5}, {"step": 2, "loss": 1.25}]
-        # an open handle takes the same bytes
-        q = tmp_path / "held.jsonl"
-        with open(q, "a", encoding="utf-8") as fh:
-            append_jsonl(fh, {"step": 1, "loss": 2.5})
-            append_jsonl(fh, {"step": 2, "loss": 1.25})
-        assert q.read_bytes() == p.read_bytes()
+        assert p.read_text() == '{"loss": 2.5, "step": 1}\n{"loss": 1.25, "step": 2}\n'
 
     def test_parse_value_coercions(self):
         assert parse_value("true") is True

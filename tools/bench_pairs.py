@@ -3,12 +3,12 @@
     python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --seconds 8 --out BENCH_12.json
 
 The parent tree is `git archive <rev>` unpacked into a temporary
-directory (the repository's .git is only read); when --parent names a
-directory, that tree is used as it is. The change is the checkout this
-script sits in. Each pair runs `perfbench/run.py --trace 0` once in each
-tree, as separate processes, every run with the same --seed, so all
-runs do the same work; the side that goes first alternates from pair to
-pair, so a drifting machine favours neither.
+directory (the repository's .git is only read), and the output names it
+by its full commit id. The change is the checkout this script sits in.
+Each pair runs `perfbench/run.py --trace 0 --seed 0` once in each tree,
+as separate processes, so all runs do the same work; the side that goes
+first alternates from pair to pair, so a drifting machine favours
+neither.
 
 For every end-to-end metric BENCHMARK.json names, the output holds each
 side's runs, median and [q1, q3], the change/parent ratio of the
@@ -32,18 +32,26 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def resolve(rev: str) -> str:
+    """The full commit id `rev` names, so the output outlives a moving HEAD."""
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
 def export_tree(rev: str, dest: Path) -> Path:
     """Unpack the committed files of `rev` into dest (git archive | tar -x)."""
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
                          capture_output=True, check=True).stdout
+    # the "data" filter exists from Python 3.10.12 / 3.11.4 on
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
-        tf.extractall(dest, filter="data")
+        tf.extractall(dest, **safe)
     return dest
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, tiny: bool) -> tuple:
+def run_once(tree: Path, workload: str, seconds: float, tiny: bool) -> tuple:
     """One perfbench process in `tree`; returns (metric values, env line)."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
            "--seconds", str(seconds), "--trace", "0"] + (["--tiny"] if tiny else [])
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
@@ -66,8 +74,7 @@ def summarize(parent: list, change: list, better: str) -> dict:
             "pairs_won": int(won), "pairs": len(parent)}
 
 
-def run_pairs(parent_tree: Path, workloads, pairs: int, seconds: float, seed: int,
-              tiny: bool) -> dict:
+def run_pairs(parent_tree: Path, workloads, pairs: int, seconds: float, tiny: bool) -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     env, result = None, {}
@@ -77,7 +84,7 @@ def run_pairs(parent_tree: Path, workloads, pairs: int, seconds: float, seed: in
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for name in order:
                 tree = parent_tree if name == "parent" else ROOT
-                values, run_env = run_once(tree, wl, seed, seconds, tiny)
+                values, run_env = run_once(tree, wl, seconds, tiny)
                 env = env or run_env
                 runs[name].append(values)
             print(f"# {wl} pair {i + 1}/{pairs}: pass_s parent {runs['parent'][-1]['pass_s']:.4f} "
@@ -90,23 +97,22 @@ def run_pairs(parent_tree: Path, workloads, pairs: int, seconds: float, seed: in
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    ap.add_argument("--parent", required=True, help="git revision, or a directory holding the parent tree")
+    ap.add_argument("--parent", required=True, help="git revision of the parent tree")
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=8.0, help="perfbench --seconds per run")
-    ap.add_argument("--seed", type=int, default=0, help="perfbench --seed of every run")
     ap.add_argument("--workloads", nargs="+",
                     default=["pipeline-draft", "pretrain-objectives", "gradcheck"])
     ap.add_argument("--tiny", action="store_true", help="perfbench --tiny (for tests)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
+    parent = resolve(args.parent)
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        given = Path(args.parent)
-        tree = given.resolve() if given.is_dir() else export_tree(args.parent, Path(tmp))
-        out = run_pairs(tree, args.workloads, args.pairs, args.seconds, args.seed, args.tiny)
-    out = {"parent": args.parent, "pairs": args.pairs, "seconds": args.seconds,
-           "seed": args.seed, "tiny": args.tiny, **out}
+        tree = export_tree(parent, Path(tmp))
+        out = run_pairs(tree, args.workloads, args.pairs, args.seconds, args.tiny)
+    out = {"parent": parent, "pairs": args.pairs, "seconds": args.seconds,
+           "tiny": args.tiny, **out}
     Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     for wl, metrics in out["workloads"].items():
         m = metrics["pass_s"]
