@@ -215,13 +215,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record("linear", (x, w, b), out, bwd)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, allowed, n_heads: int) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, lengths, n_heads: int, causal: bool) -> Tensor:
     """Multi-head attention over (B, T, D) projections as one node: head
-    split, q k^T / sqrt(dh), softmax over the keys `allowed` (bool, broadcast
-    to (B, n_heads, T, T)) keeps, p v, head merge. Both ways it takes the
-    bits of that chain of single ops: the same contiguous copies, the same
-    matmuls on the same views. Only the scaled scores and the output are
-    checked for non-finite values; every other intermediate reaches one."""
+    split, q k^T / sqrt(dh), softmax, p v, head merge. Query i of utterance
+    b attends keys j < lengths[b], and only j <= i if causal; a row with no
+    such key attends its diagonal. Both ways it takes the bits of that chain
+    of single ops: the same contiguous copies, the same matmuls on the same
+    views. Only the scaled scores and the output are checked for non-finite
+    values; every other intermediate reaches one."""
     B, T, D = q.shape
     dh = D // n_heads
 
@@ -236,9 +237,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, allowed, n_heads: int) -> Tensor:
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.dtype)
     s = (qh @ kt) * scale
     _check_finite("attention", s)
-    mask = np.asarray(allowed, dtype=bool)
-    if np.any(~mask.any(axis=-1)):
-        raise ValueError("fully masked softmax row")
+    n = np.asarray(lengths)[:, None, None, None]
+    key, query = np.arange(T), np.arange(T)[:, None]
+    mask = (key < n) | ((n <= 0) & (key == query))  # (B, 1, T, T)
+    if causal:
+        mask &= key <= query
     m = np.max(np.where(mask, s, -np.inf), axis=-1, keepdims=True)
     e = np.exp(np.where(mask, s - m, 0.0)) * mask
     p = e / e.sum(axis=-1, keepdims=True)

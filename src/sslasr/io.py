@@ -137,6 +137,8 @@ def load_checkpoint(path) -> Checkpoint:
             or not isinstance(header["config"], dict) or not isinstance(header["provenance"], dict)):
         raise ValueError(f"malformed SSLCKPT1 header: needs fields {sorted(_HEADER_FIELDS)}, "
                          "with dict config and provenance and a list of tensors")
+    if type(header["version"]) is not int or header["version"] != 1:
+        raise ValueError(f"unsupported SSLCKPT1 version {header['version']!r}")
     off += hlen
     params = {}
     for entry in header["tensors"]:

@@ -5,9 +5,10 @@ pre-norm transformer blocks, final layer norm. Adapters, when inserted,
 sit after the conv block and after every transformer block.
 
 Each Linear is one engine.linear node and each block's attention core,
-from the head split to the head merge, one engine.attention node. A
-forward pass without adapters records 4 (convs) + 1 (positions) +
-12 per block + 1 (final norm) tape nodes.
+from the head split to the head merge, one engine.attention node, which
+builds its padding and causal mask from the output lengths. A forward
+pass without adapters records 4 (convs) + 1 (positions) + 12 per block
++ 1 (final norm) tape nodes.
 """
 
 from __future__ import annotations
@@ -107,17 +108,19 @@ class Conv1d(Module):
 
 
 class MultiHeadAttention(Module):
-    def __init__(self, rng, d_model: int, n_heads: int):
+    def __init__(self, rng, d_model: int, n_heads: int, causal: bool):
         super().__init__()
         self.n_heads = n_heads
+        self.causal = causal
         self.children["wq"] = Linear(rng, d_model, d_model)
         self.children["wk"] = Linear(rng, d_model, d_model)
         self.children["wv"] = Linear(rng, d_model, d_model)
         self.children["wo"] = Linear(rng, d_model, d_model)
 
-    def __call__(self, x: Tensor, allowed: np.ndarray) -> Tensor:
+    def __call__(self, x: Tensor, lengths: np.ndarray) -> Tensor:
         c = self.children
-        return c["wo"](E.attention(c["wq"](x), c["wk"](x), c["wv"](x), allowed, self.n_heads))
+        return c["wo"](E.attention(c["wq"](x), c["wk"](x), c["wv"](x), lengths,
+                                   self.n_heads, self.causal))
 
 
 class FeedForward(Module):
@@ -133,15 +136,15 @@ class FeedForward(Module):
 class TransformerBlock(Module):
     """Pre-norm: x + attn(LN(x)), then x + ffn(LN(x))."""
 
-    def __init__(self, rng, d_model: int, n_heads: int, d_ffn: int):
+    def __init__(self, rng, d_model: int, n_heads: int, d_ffn: int, causal: bool):
         super().__init__()
         self.children["ln1"] = LayerNorm(d_model)
-        self.children["attn"] = MultiHeadAttention(rng, d_model, n_heads)
+        self.children["attn"] = MultiHeadAttention(rng, d_model, n_heads, causal)
         self.children["ln2"] = LayerNorm(d_model)
         self.children["ffn"] = FeedForward(rng, d_model, d_ffn)
 
-    def __call__(self, x: Tensor, allowed: np.ndarray) -> Tensor:
-        x = E.add(x, self.children["attn"](self.children["ln1"](x), allowed))
+    def __call__(self, x: Tensor, lengths: np.ndarray) -> Tensor:
+        x = E.add(x, self.children["attn"](self.children["ln1"](x), lengths))
         return E.add(x, self.children["ffn"](self.children["ln2"](x)))
 
 
@@ -200,8 +203,9 @@ def sinusoidal_positions(t: int, d: int, dtype=np.float32) -> np.ndarray:
 class Encoder(Module):
     """Backbone f: features (B, T, d_feat) -> hidden states (B, T', d_model).
 
-    T' = ceil(T / 4); valid output lengths follow the same rule per
-    utterance. Built from a PipelineConfig's model settings.
+    T' = ceil(T / 4); out_length gives each utterance's valid output
+    length by the same rule, and those lengths are all the attention
+    blocks see of the padding. Built from a PipelineConfig's model settings.
     """
 
     subsample_factor = 4  # two stride-2 convs
@@ -212,7 +216,7 @@ class Encoder(Module):
         pad = "causal" if cfg.causal else "same"
         self.children["conv"] = ConvSubsampler(rng, cfg.d_feat, cfg.d_model, pad)
         for i in range(cfg.n_blocks):
-            self.children[f"block{i}"] = TransformerBlock(rng, cfg.d_model, cfg.n_heads, cfg.d_ffn)
+            self.children[f"block{i}"] = TransformerBlock(rng, cfg.d_model, cfg.n_heads, cfg.d_ffn, cfg.causal)
         self.children["final_ln"] = LayerNorm(cfg.d_model)
         self.d_adapter = 0  # adapter width; 0 means no adapters
 
@@ -241,7 +245,8 @@ class Encoder(Module):
 
     # -- forward -----------------------------------------------------------
 
-    def out_length(self, n: int) -> int:
+    def out_length(self, n):
+        """ceil(n / 4), for an int or elementwise over an array of lengths."""
         return -(-n // self.subsample_factor)
 
     def encode_latents(self, feats, lengths):
@@ -250,8 +255,7 @@ class Encoder(Module):
         if x.ndim != 3:
             raise ValueError("encoder expects (batch, time, dim) input")
         z = self.children["conv"](x)
-        out_lengths = np.array([self.out_length(int(n)) for n in np.asarray(lengths)])
-        return z, out_lengths
+        return z, self.out_length(np.asarray(lengths))
 
     def contextualize(self, latents: Tensor, out_lengths: np.ndarray) -> Tensor:
         """Conv adapter, positions, transformer blocks (+adapters), final LN."""
@@ -260,9 +264,8 @@ class Encoder(Module):
             z = self.children["adapter0"](z)
         B, T, D = z.shape
         z = E.add(z, Tensor(sinusoidal_positions(T, D, dtype=z.dtype)))
-        allowed = self.attention_mask(T, out_lengths)
         for i in range(self.cfg.n_blocks):
-            z = self.children[f"block{i}"](z, allowed)
+            z = self.children[f"block{i}"](z, out_lengths)
             if self.d_adapter:
                 z = self.children[f"adapter{i + 1}"](z)
         return self.children["final_ln"](z)
@@ -270,16 +273,6 @@ class Encoder(Module):
     def __call__(self, feats, lengths):
         z, out_lengths = self.encode_latents(feats, lengths)
         return self.contextualize(z, out_lengths), out_lengths
-
-    def attention_mask(self, t: int, out_lengths: np.ndarray) -> np.ndarray:
-        """allowed[b, 0, i, j]: query i may attend key j (True = allowed),
-        one row set for every head. A query row with no valid key (a
-        zero-length utterance) gets its diagonal, so its softmax is defined."""
-        pattern = np.tri(t, dtype=bool) if self.cfg.causal else np.ones((t, t), dtype=bool)
-        allowed = (np.arange(t) < np.asarray(out_lengths)[:, None, None, None]) & pattern
-        bi, hi, ti = np.nonzero(~allowed.any(axis=-1))
-        allowed[bi, hi, ti, ti] = True
-        return allowed
 
 
 def build_encoder(cfg: PipelineConfig, seed: int) -> Encoder:

@@ -331,7 +331,7 @@ def run_pretrain(cfg: PipelineConfig, workdir, corpus=None, steps: int | None = 
     steps = cfg.pretrain_steps if steps is None else steps
     corpus = build_corpora(cfg)["source_train"] if corpus is None else corpus
     bundle = SSLBundle(cfg, seed=cfg.seed)
-    if cfg.objective == "masked_cluster":
+    if cfg.objective == "masked_cluster" and steps > 0:
         _prepare_clusters("pretrain", cfg, bundle, corpus, np.random.default_rng([cfg.seed, 0x535]),
                           use_encoder=False)
     lr_fn = lambda s: noam_lr(s, cfg.d_model, cfg.noam_warmup, cfg.noam_factor)
@@ -351,7 +351,7 @@ def run_adapt(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "draft",
     steps = cfg.adapt_steps if steps is None else steps
     corpus = build_corpora(cfg)["target_train"] if corpus is None else corpus
     bundle, provenance = _restore_for("adapt", cfg, ckpt_path)
-    if cfg.objective == "masked_cluster":
+    if cfg.objective == "masked_cluster" and steps > 0:
         # second-stage targets: refit clusters on the pretrained encoder's features
         _prepare_clusters("adapt", cfg, bundle, corpus, np.random.default_rng([cfg.seed, 0x535, 2]),
                           use_encoder=True)

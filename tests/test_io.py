@@ -1,6 +1,7 @@
 """Round-trip and corruption tests for the on-disk formats."""
 
 import json
+import re
 import struct
 from dataclasses import fields
 
@@ -285,6 +286,14 @@ class TestMalformedFiles:
         p = tmp_path / "x.ckpt"
         p.write_bytes(_ckpt_bytes(header, b"\x00" * 16))
         with pytest.raises(ValueError, match="malformed|unknown SSLCKPT1 dtype"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("version", [7, "one", 1.0, True, None])
+    def test_checkpoint_version_other_than_1(self, tmp_path, version):
+        p = tmp_path / "x.ckpt"
+        p.write_bytes(_ckpt_bytes({"version": version, "config": {}, "provenance": {},
+                                   "tensors": []}, b""))
+        with pytest.raises(ValueError, match=re.escape(f"unsupported SSLCKPT1 version {version!r}")):
             load_checkpoint(p)
 
     def test_checkpoint_header_nested_too_deeply(self, tmp_path):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sslasr.engine import Tape, Tensor
+from sslasr.engine import Tape, Tensor, attention
 from sslasr.model import (
     Encoder,
     Module,
@@ -91,8 +91,13 @@ class TestPaddingInvariance:
 class TestShapes:
     def test_out_length_logmel(self):
         enc = small_encoder()
-        for n, want in [(1, 1), (4, 1), (5, 2), (98, 25), (100, 25)]:
+        cases = [(0, 0), (1, 1), (4, 1), (5, 2), (98, 25), (100, 25)]
+        for n, want in cases:
             assert enc.out_length(n) == want
+        # the encoder applies the same rule to a whole batch of lengths
+        lengths = np.array([n for n, _ in cases])
+        _, out_lengths = enc.encode_latents(np.zeros((len(cases), 100, 8), np.float32), lengths)
+        assert out_lengths.tolist() == [want for _, want in cases]
 
     def test_rejects_bad_input_rank(self):
         enc = small_encoder()
@@ -104,14 +109,18 @@ class TestShapes:
             small_encoder(d_model=16, n_heads=3)
 
     def test_attention_mask_semantics(self):
-        enc = small_encoder(causal=True)
-        mask = enc.attention_mask(4, np.array([3, 4]))
-        assert mask.shape == (2, 1, 4, 4)
-        assert mask[0, 0, 2, 2] and not mask[0, 0, 2, 3]  # causal cut
-        assert not mask[0, 0, 3, 3]  # key 3 beyond length 3
-        assert mask[1, 0, 3, 3]
-        flat = enc.attention_mask(3, np.array([3]))
-        assert np.array_equal(flat[0, 0], np.tril(np.ones((3, 3), dtype=bool)))
+        def allowed(t, lengths):
+            # equal scores and one-hot values: output row i holds query i's
+            # key weights, nonzero exactly on the keys it may attend
+            zero = Tensor(np.zeros((len(lengths), t, t), dtype=np.float32))
+            onehot = Tensor(np.broadcast_to(np.eye(t, dtype=np.float32), zero.shape).copy())
+            return attention(zero, zero, onehot, lengths, 1, causal=True).data > 0
+
+        mask = allowed(4, [3, 4])
+        assert mask[0, 2, 2] and not mask[0, 2, 3]  # causal cut
+        assert not mask[0, 3, 3]  # key 3 beyond length 3
+        assert mask[1, 3, 3]
+        assert np.array_equal(allowed(3, [3])[0], np.tril(np.ones((3, 3), dtype=bool)))
 
 
 class TestAdapters:

@@ -31,19 +31,10 @@ class TestForwardOracles:
         rng = np.random.default_rng(3)
         q, k = (t64(rng.normal(size=(2, 3, 4)) * 5.0) for _ in range(2))
         v = np.ones((2, 3, 4))
-        mask = np.ones((2, 1, 3, 3), dtype=bool)
-        mask[0, :, :, 1] = False
-        out = T.attention(q, k, t64(v), mask, 2).data
+        out = T.attention(q, k, t64(v), [2, 3], 2, causal=False).data
         np.testing.assert_allclose(out, np.ones((2, 3, 4)), rtol=1e-12)
-        v[0, 1] = 1e6  # a masked key's value gets weight exactly 0
-        assert T.attention(q, k, t64(v), mask, 2).data.tobytes() == out.tobytes()
-
-    def test_fully_masked_softmax_row_raises(self):
-        q = t64(np.ones((2, 2, 4)))
-        mask = np.ones((2, 1, 2, 2), dtype=bool)
-        mask[1, :, 0] = False
-        with pytest.raises(ValueError, match="fully masked softmax row"):
-            T.attention(q, q, q, mask, 2)
+        v[0, 2] = 1e6  # a masked key's value gets weight exactly 0
+        assert T.attention(q, k, t64(v), [2, 3], 2, causal=False).data.tobytes() == out.tobytes()
 
     def test_layer_norm_two_point_row(self):
         g, b = t64([1.0]), t64([0.0])
@@ -241,12 +232,13 @@ class TestFusedOps:
         rng = np.random.default_rng(23)
         B, Tq, D, H = 2, 7, 6, 2  # dh = 3: the scale 1/sqrt(3) rounds
         q, k, v, g = (rng.normal(size=(B, Tq, D)).astype(dtype) for _ in range(4))
-        # the second utterance is padded after 5 frames
+        # the second utterance is padded after 5 frames; the oracle takes
+        # the mask those lengths give as an explicit array
         pattern = np.tri(Tq, dtype=bool) if causal else np.ones((Tq, Tq), dtype=bool)
         allowed = (np.arange(Tq) < np.array([Tq, 5])[:, None, None, None]) & pattern
         ins = [Tensor(a, requires_grad=True) for a in (q, k, v)]
         with Tape() as tape:
-            out = T.attention(*ins, allowed, H)
+            out = T.attention(*ins, [Tq, 5], H, causal)
             backward(T.sum_(T.mul(out, Tensor(g))), tape)
         assert len(tape.nodes) == 3
         got = (out.data, *(t.grad for t in ins))
@@ -258,7 +250,33 @@ class TestFusedOps:
         q = t64(np.full((1, 2, 2), 1e200))
         with pytest.raises(FloatingPointError, match="op 'attention'"):
             with np.errstate(over="ignore"):
-                T.attention(q, q, q, np.ones((1, 1, 2, 2), dtype=bool), 1)
+                T.attention(q, q, q, [2], 1, causal=False)
+
+    @pytest.mark.parametrize("causal", [True, False], ids=["causal", "full"])
+    def test_attention_ignores_the_keys_a_query_may_not_attend(self, causal):
+        rng = np.random.default_rng(24)
+        q, k, v = (rng.normal(size=(2, 6, 4)) for _ in range(3))
+
+        def run(values):
+            return T.attention(t64(q), t64(k), t64(values), [6, 4], 2, causal).data
+
+        out = run(v)
+        for j in (4, 5):  # keys at and past the second utterance's length
+            big = v.copy()
+            big[1, j] = 1e6
+            assert run(big).tobytes() == out.tobytes()
+        if causal:  # key j is later than queries 0 .. j-1
+            for j in range(1, 6):
+                big = v.copy()
+                big[:, j] = 1e6
+                assert run(big)[:, :j].tobytes() == out[:, :j].tobytes()
+
+    @pytest.mark.parametrize("causal", [True, False], ids=["causal", "full"])
+    def test_zero_length_utterance_attends_its_diagonal(self, causal):
+        rng = np.random.default_rng(25)
+        q, k, v = (rng.normal(size=(2, 5, 4)).astype(np.float32) for _ in range(3))
+        out = T.attention(Tensor(q), Tensor(k), Tensor(v), [5, 0], 2, causal).data
+        assert out[1].tobytes() == v[1].tobytes()
 
 
 class TestBackwardSemantics:
@@ -305,8 +323,6 @@ class TestBackwardSemantics:
     ])
     def test_frozen_input_leaves_other_gradients_exact(self, op, frozen):
         rng = np.random.default_rng(18)
-        allowed = np.ones((2, 1, 5, 5), dtype=bool)
-        allowed[1, :, :, 4] = False
         shapes, fn = {
             "add": ([(2, 5, 3), (3,)], T.add),
             "sub": ([(2, 5, 3), (3,)], T.sub),
@@ -315,7 +331,7 @@ class TestBackwardSemantics:
                       lambda a, b: T.where_mask(a, b, np.arange(5)[:, None] % 2 == 0)),
             "matmul": ([(2, 5, 3), (3, 4)], T.matmul),
             "linear": ([(2, 5, 3), (3, 4), (4,)], T.linear),
-            "attention": ([(2, 5, 4)] * 3, lambda q, k, v: T.attention(q, k, v, allowed, 2)),
+            "attention": ([(2, 5, 4)] * 3, lambda q, k, v: T.attention(q, k, v, [5, 4], 2, causal=False)),
             "layer_norm": ([(2, 5, 4), (4,), (4,)], T.layer_norm),
             "conv1d": ([(2, 9, 3), (3, 3, 4), (4,)],
                        lambda x, w, b: T.conv1d(x, w, b, stride=2, padding="causal")),
@@ -352,7 +368,7 @@ class TestBackwardSemantics:
         assert out.data.flags.c_contiguous
         np.testing.assert_array_equal(out.data, x.data[:, :, ::2])
         # attention's head merge is a transpose of its (B, H, T, dh) result
-        assert T.attention(x, x, x, np.ones((1, 1, 3, 3), dtype=bool), 2).data.flags.c_contiguous
+        assert T.attention(x, x, x, [3, 3], 2, causal=False).data.flags.c_contiguous
 
     def test_grad_dtype_matches_data(self):
         x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
@@ -419,13 +435,11 @@ class TestGradcheckPrimitives:
         g = t64(rng.normal(size=4) + 1.0)
         bb = t64(rng.normal(size=4))
         w, b = t64(rng.normal(size=(4, 4))), t64(rng.normal(size=4))
-        mask = np.ones((2, 1, 5, 5), dtype=bool)
-        mask[1, :, :, 4] = False
         wo = rng.normal(size=(2, 5, 4))
 
         def fn(x, g, bb, w, b):
             z = T.layer_norm(x, g, bb, eps=1e-5)
-            z = T.attention(T.linear(z, w, b), z, z, mask, 2)
+            z = T.attention(T.linear(z, w, b), z, z, [5, 4], 2, causal=False)
             return T.sum_(T.mul(z, Tensor(wo)))
 
         assert finite_diff_gradcheck(fn, [x, g, bb, w, b]) < 1e-6

@@ -1,7 +1,10 @@
 """Three-stage pipeline: freeze guarantees, provenance, determinism."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields, replace
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sslasr
 from sslasr import engine as E
 from sslasr.data import pad_batch
 from sslasr.engine import Tape, Tensor, backward
@@ -428,6 +432,25 @@ class TestDeterminism:
         ck2 = (tmp_path / "b" / "finetune_full.ckpt").read_bytes()
         assert ck1 == ck2
 
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # a draft pipeline at the default model size, once per thread count,
+        # each in its own process so OpenBLAS reads the variable at load
+        script = ("import sys\n"
+                  "from sslasr.training import PipelineConfig, run_pipeline\n"
+                  "run_pipeline(PipelineConfig(n_train=16, n_target=16, n_eval=8, pretrain_steps=3,\n"
+                  "             adapt_steps=2, finetune_steps=2, noam_warmup=2), sys.argv[1], 'draft')\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sslasr.__file__)))
+        written = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+            subprocess.run([sys.executable, "-c", script, str(tmp_path / threads)], env=env,
+                           check=True, timeout=300)
+            written[threads] = {p.relative_to(tmp_path / threads): p.read_bytes()
+                                for p in sorted((tmp_path / threads).rglob("*")) if p.is_file()}
+        assert len(written["1"]) >= 6
+        assert written["1"] == written["2"]
+
     def test_seed_changes_results(self, tmp_path):
         base = tiny_cfg(n_train=16, n_eval=6, pretrain_steps=2, adapt_steps=0,
                         finetune_steps=2)
@@ -557,6 +580,14 @@ class TestDegenerateInput:
             with pytest.raises(ValueError, match=f"stage '{stage}': fewer points than clusters: "
                                                  f"{points} points, 16 clusters"):
                 run(one)
+
+    def test_a_stage_with_no_steps_prepares_no_cluster_targets(self, tmp_path):
+        # 14 frame groups cannot seed 16 clusters, but scratch never pretrains
+        cfg = tiny_cfg(objective="masked_cluster", causal=False, n_train=2, n_clusters=16)
+        assert np.isfinite(run_pipeline(cfg, tmp_path, "scratch")["ter"])
+        with pytest.raises(ValueError, match="stage 'pretrain': fewer points than clusters: "
+                                             "14 points, 16 clusters"):
+            run_pretrain(cfg, tmp_path / "pretrained", steps=1)
 
     def test_empty_corpus_rejected_by_every_training_stage(self, tmp_path):
         cfg = tiny_cfg()
