@@ -68,6 +68,12 @@ def _parse_override(text: str):
     return key.strip(), parse_value(raw)
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _load_settings(args, **flags) -> dict:
     """Merge the --config file, --set overrides and the flags not None, each
     over the last; reject unknown keys and values outside their field's
@@ -280,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gradcheck", "run the finite-difference gradient oracle", _cmd_gradcheck,
             settings=False)
-    p.add_argument("--seeds", type=int, default=20, help="number of battery seeds")
+    p.add_argument("--seeds", type=_positive_int, default=20, help="number of battery seeds")
     p.add_argument("--threshold", type=float, default=1e-6)
     p.add_argument("--verbose", action="store_true", help="print per-seed errors")
 

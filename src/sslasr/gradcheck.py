@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,8 @@ def finite_diff_gradcheck(fn, inputs, eps: float = 1e-5) -> float:
     float64 leaves. Returns the worst relative error
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8) over every
     element of every input. Raises if fn is nondeterministic (two
-    evaluations disagree bitwise).
+    evaluations disagree bitwise). A non-finite analytic or numeric
+    gradient element makes the error inf, so the check fails.
     """
     inputs = list(inputs)
     for t in inputs:
@@ -56,7 +58,8 @@ def finite_diff_gradcheck(fn, inputs, eps: float = 1e-5) -> float:
         backward(out, tape)
     analytic = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in inputs]
 
-    worst = 0.0
+    # max() would drop a NaN error, so a non-finite element counts as inf
+    worst = 0.0 if all(np.isfinite(a).all() for a in analytic) else math.inf
     for t, a in zip(inputs, analytic):
         flat = t.data.reshape(-1)
         aflat = a.reshape(-1)
@@ -69,7 +72,8 @@ def finite_diff_gradcheck(fn, inputs, eps: float = 1e-5) -> float:
             flat[i] = orig
             numeric = (fp - fm) / (2.0 * eps)
             denom = max(abs(aflat[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(aflat[i] - numeric) / denom)
+            err = abs(aflat[i] - numeric) / denom if math.isfinite(numeric) else math.inf
+            worst = max(worst, err)
     return worst
 
 

@@ -6,6 +6,8 @@ its multi-lag extension, a bidirectional pair with weight sharing,
 masked contrastive prediction with a Gumbel-softmax codebook, and masked
 cluster-id prediction with k-means targets. Each is built from a
 PipelineConfig and reads its settings under their PipelineConfig names.
+The two masked objectives derive from MaskedPrediction, which owns their
+one mask embedding and their one masking step (masked_context).
 """
 
 from __future__ import annotations
@@ -207,31 +209,42 @@ def sample_mask_spans(valid_len: int, rng: np.random.Generator,
 
     Each position starts a span with probability mask_prob; if none fires,
     one start is forced so short utterances still contribute masked
-    positions.
+    positions. An empty range draws nothing from rng.
     """
     mask = np.zeros(valid_len, dtype=bool)
-    if valid_len == 0:
-        return mask
     starts = np.nonzero(rng.random(valid_len) < mask_prob)[0]
-    if starts.size == 0:
+    if starts.size == 0 and valid_len:
         starts = np.array([int(rng.integers(valid_len))])
     for s in starts:
         mask[s : s + span_len] = True
     return mask
 
 
-def batch_mask(valid: np.ndarray, g: int, rng: np.random.Generator,
-               mask_prob: float, span_len: int) -> np.ndarray:
-    out = np.zeros((len(valid), g), dtype=bool)
-    for b, n in enumerate(valid):
-        n = min(int(n), g)
-        out[b, :n] = sample_mask_spans(n, rng, mask_prob, span_len)
-    return out
+class MaskedPrediction(Module):
+    """Base of the masked objectives: their head (one child, named by the
+    keyword; it draws from rng first), the learned mask embedding, and the
+    span-masked forward pass both losses start from."""
 
+    def __init__(self, cfg: PipelineConfig, rng: np.random.Generator, **head: Module):
+        super().__init__()
+        self.cfg = cfg
+        self.children.update(head)
+        self.p["mask_emb"] = Tensor(
+            rng.uniform(-0.5, 0.5, size=cfg.d_model).astype(np.float32), requires_grad=True
+        )
 
-def apply_mask_embedding(latents: Tensor, mask: np.ndarray, mask_emb: Tensor) -> Tensor:
-    """Replace masked latent vectors with the learned mask embedding."""
-    return E.where_mask(mask_emb, latents, mask[..., None])
+    def masked_context(self, encoder: Encoder, batch: Batch, rng: np.random.Generator):
+        """Encode the latents, span-mask each utterance's complete frame
+        groups, put mask_emb in place of the masked latents and
+        contextualize. Returns (latents, context, mask (B, G), valid (B,))."""
+        latents, out_lengths = encoder.encode_latents(batch.feats, batch.lengths)
+        G = latents.shape[1]
+        valid = np.minimum(valid_groups(batch.lengths), G)
+        mask = np.zeros((len(valid), G), dtype=bool)
+        for b, n in enumerate(valid):
+            mask[b, :n] = sample_mask_spans(int(n), rng, self.cfg.mask_prob, self.cfg.span_len)
+        masked = E.where_mask(self.p["mask_emb"], latents, mask[..., None])
+        return latents, encoder.contextualize(masked, out_lengths), mask, valid
 
 
 # ---------------------------------------------------------------------------
@@ -288,39 +301,26 @@ class GumbelQuantizer(Module):
                      Tensor(np.asarray(1.0 / v, dtype=soft.dtype)))
 
 
-class ContrastiveObjective(Module):
+class ContrastiveObjective(MaskedPrediction):
     """Identify the quantized latent behind each masked position among
     distractors sampled from the other masked positions of the same
     utterance."""
 
     def __init__(self, cfg: PipelineConfig, rng: np.random.Generator):
-        super().__init__()
-        self.cfg = cfg
-        self.children["quantizer"] = GumbelQuantizer(rng, cfg.d_model, cfg.n_codes)
-        self.p["mask_emb"] = Tensor(
-            rng.uniform(-0.5, 0.5, size=cfg.d_model).astype(np.float32), requires_grad=True
-        )
+        super().__init__(cfg, rng, quantizer=GumbelQuantizer(rng, cfg.d_model, cfg.n_codes))
 
     def loss(self, encoder: Encoder, batch: Batch, rng: np.random.Generator, step: int = 0) -> Tensor:
         cfg = self.cfg
-        feats, lengths = batch.feats, batch.lengths
-        latents, out_lengths = encoder.encode_latents(feats, lengths)
+        latents, context, mask, valid = self.masked_context(encoder, batch, rng)
         B, G, D = latents.shape
-        valid = np.minimum(valid_groups(lengths), G)
-        mask = batch_mask(valid, G, rng, cfg.mask_prob, cfg.span_len)
-        context = encoder.contextualize(
-            apply_mask_embedding(latents, mask, self.p["mask_emb"]), out_lengths
-        )
-        tau = gumbel_tau(step)
 
         # quantize only the valid positions, packed row-wise, so the gumbel
         # noise and negative draws cannot depend on how much padding the
         # batch carries
         offsets = np.concatenate([[0], np.cumsum(valid)]).astype(np.int64)
-        pack_idx = np.concatenate(
-            [b * G + np.arange(int(valid[b]), dtype=np.int64) for b in range(B)])
+        pack_idx = np.flatnonzero(np.arange(G) < valid[:, None])
         packed = E.embedding(E.reshape(latents, (B * G, D)), pack_idx)  # (Nv, D)
-        quantized, soft = self.children["quantizer"](packed, rng, tau)
+        quantized, soft = self.children["quantizer"](packed, rng, gumbel_tau(step))
 
         # anchor rows and their candidate rows (positive first, then negatives)
         anchor_idx, cand_idx = [], []
@@ -336,16 +336,15 @@ class ContrastiveObjective(Module):
                 cand_idx.append(offsets[b] + np.concatenate([[t], negs]))
         if not anchor_idx:
             raise ValueError("no contrastive anchors in batch")
-        anchor_idx = np.asarray(anchor_idx)
-        cand_idx = np.asarray(cand_idx)
+        anchor_idx, cand_idx = np.asarray(anchor_idx), np.asarray(cand_idx)
         ctx_rows = E.embedding(E.reshape(context, (B * G, D)), anchor_idx)  # (N, D)
         cand_rows = E.embedding(quantized, cand_idx)  # (N, K+1, D)
         sims = E.cosine_similarity(E.reshape(ctx_rows, (len(anchor_idx), 1, D)), cand_rows, axis=-1)
         logits = E.mul(sims, Tensor(np.asarray(1.0 / cfg.tau_cos, dtype=np.float32)))
         nll = E.cross_entropy(logits, np.zeros(len(anchor_idx), dtype=np.int64))
         contrastive = E.mean_(nll)
-        pack_w = np.concatenate([mask[b, : int(valid[b])] for b in range(B)])
-        diversity = GumbelQuantizer.diversity_loss(soft, pack_w.astype(np.float32))
+        pack_w = mask.reshape(-1)[pack_idx].astype(np.float32)
+        diversity = GumbelQuantizer.diversity_loss(soft, pack_w)
         return E.add(contrastive, E.mul(diversity, Tensor(np.asarray(cfg.diversity_weight, dtype=np.float32))))
 
 
@@ -393,7 +392,7 @@ def group_mean_features(feats: np.ndarray, length: int) -> np.ndarray:
     return np.asarray(feats)[: g * GROUP].reshape(g, GROUP, np.shape(feats)[-1]).mean(axis=1)
 
 
-class MaskedClusterObjective(Module):
+class MaskedClusterObjective(MaskedPrediction):
     """Predict the k-means cluster of each masked group from context.
 
     targets (utt_id -> one label per complete frame group, -1 for none)
@@ -401,13 +400,8 @@ class MaskedClusterObjective(Module):
     the masked term; 1 - cluster_alpha goes to the unmasked one."""
 
     def __init__(self, cfg: PipelineConfig, rng: np.random.Generator):
-        super().__init__()
-        self.cfg = cfg
+        super().__init__(cfg, rng, classifier=Linear(rng, cfg.d_model, cfg.n_clusters))
         self.targets = {}
-        self.children["classifier"] = Linear(rng, cfg.d_model, cfg.n_clusters)
-        self.p["mask_emb"] = Tensor(
-            rng.uniform(-0.5, 0.5, size=cfg.d_model).astype(np.float32), requires_grad=True
-        )
 
     def prepare(self, corpus, rng: np.random.Generator, encoder: Encoder | None = None) -> None:
         """Fit k-means centers on the corpus and label every utterance of it,
@@ -417,37 +411,25 @@ class MaskedClusterObjective(Module):
         self.targets = {u.utt_id: kmeans_assign(r, centers) for u, r in zip(corpus, rows)}
 
     def loss(self, encoder: Encoder, batch: Batch, rng: np.random.Generator, step: int = 0) -> Tensor:
-        cfg = self.cfg
         missing = [u for u in batch.utt_ids if u not in self.targets]
         if missing:
             raise RuntimeError(f"cluster targets not prepared for utterances {missing[:3]}")
-        # labels at the encoder's output length, -1 past each utterance's targets
-        lab = np.full((len(batch.utt_ids), encoder.out_length(batch.feats.shape[1])), -1, dtype=np.int64)
+        _, context, mask, _ = self.masked_context(encoder, batch, rng)
+        # labels pick the cross-entropy positions: -1 past each utterance's targets
+        lab = np.full(mask.shape, -1, dtype=np.int64)
         for i, u in enumerate(batch.utt_ids):
             lab[i, : len(self.targets[u])] = self.targets[u]
-        latents, out_lengths = encoder.encode_latents(batch.feats, batch.lengths)
-        B, G, D = latents.shape
-        valid = (lab >= 0).sum(axis=1)
-        mask = batch_mask(valid, G, rng, cfg.mask_prob, cfg.span_len)
-        context = encoder.contextualize(
-            apply_mask_embedding(latents, mask, self.p["mask_emb"]), out_lengths
-        )
-        logits = self.children["classifier"](context)
-        safe_labels = np.maximum(lab, 0)
-        ce = E.cross_entropy(logits, safe_labels)  # (B, G)
-        terms = []
-        alpha = cfg.cluster_alpha
+        ce = E.cross_entropy(self.children["classifier"](context), np.maximum(lab, 0))  # (B, G)
+        alpha = self.cfg.cluster_alpha
+        total = None
         for weight, sel in ((alpha, mask & (lab >= 0)), (1.0 - alpha, ~mask & (lab >= 0))):
             count = int(sel.sum())
             if weight == 0.0 or count == 0:
                 continue
-            w = sel.astype(np.float32) * (weight / count)
-            terms.append(E.sum_(E.mul(ce, Tensor(w))))
-        if not terms:
+            term = E.sum_(E.mul(ce, Tensor(sel.astype(np.float32) * (weight / count))))
+            total = term if total is None else E.add(total, term)
+        if total is None:
             raise ValueError("no labeled positions for cluster prediction")
-        total = terms[0]
-        for t in terms[1:]:
-            total = E.add(total, t)
         return total
 
 

@@ -169,9 +169,18 @@ class SSLBundle(Module):
     def insert_adapters(self, d_adapter: int, rng, random_init: bool = False) -> None:
         (self.pair or self.encoder).insert_adapters(d_adapter, rng, random_init=random_init)
 
-    def prepare_cluster_targets(self, corpus, rng, use_encoder: bool) -> None:
-        """masked_cluster labels from the encoder as the stage received it, or raw features."""
-        self.obj.prepare(corpus, rng, self.encoder if use_encoder else None)
+    def prepare_cluster_targets(self, stage: str, corpus, rng) -> None:
+        """Label the stage's corpus for masked_cluster, from raw features at
+        pretrain and from the encoder as the stage received it at adapt, after
+        checking, with the stage named, that it has one point (complete frame
+        group) per cluster."""
+        if not corpus:
+            raise ValueError(f"stage '{stage}' has no utterances")
+        k = self.obj.cfg.n_clusters
+        points = int(valid_groups([u.feats.shape[0] for u in corpus]).sum())
+        if points < k:
+            raise ValueError(f"stage '{stage}': fewer points than clusters: {points} points, {k} clusters")
+        self.obj.prepare(corpus, rng, self.encoder if stage == "adapt" else None)
 
     def loss(self, batch_utts, rng: np.random.Generator, step: int) -> Tensor:
         return self.obj.loss(self.encoder, pad_batch(batch_utts), rng, step)
@@ -308,19 +317,6 @@ def _run_stage(stage: str, tag: str, cfg: PipelineConfig, workdir, corpus, model
     return str(out)
 
 
-def _prepare_clusters(stage: str, cfg: PipelineConfig, bundle: SSLBundle, corpus, rng,
-                      use_encoder: bool) -> None:
-    """Label the stage's corpus for masked_cluster, after checking, with
-    the stage named, that it has one point (complete frame group) per cluster."""
-    if not corpus:
-        raise ValueError(f"stage '{stage}' has no utterances")
-    points = int(valid_groups([u.feats.shape[0] for u in corpus]).sum())
-    if points < cfg.n_clusters:
-        raise ValueError(f"stage '{stage}': fewer points than clusters: "
-                         f"{points} points, {cfg.n_clusters} clusters")
-    bundle.prepare_cluster_targets(corpus, rng, use_encoder=use_encoder)
-
-
 # ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
@@ -332,8 +328,7 @@ def run_pretrain(cfg: PipelineConfig, workdir, corpus=None, steps: int | None = 
     corpus = build_corpora(cfg)["source_train"] if corpus is None else corpus
     bundle = SSLBundle(cfg, seed=cfg.seed)
     if cfg.objective == "masked_cluster" and steps > 0:
-        _prepare_clusters("pretrain", cfg, bundle, corpus, np.random.default_rng([cfg.seed, 0x535]),
-                          use_encoder=False)
+        bundle.prepare_cluster_targets("pretrain", corpus, np.random.default_rng([cfg.seed, 0x535]))
     lr_fn = lambda s: noam_lr(s, cfg.d_model, cfg.noam_warmup, cfg.noam_factor)
     return _run_stage("pretrain", "pretrain", cfg, workdir, corpus, bundle, bundle.loss,
                       bundle.named_params(), steps, lr_fn, {})
@@ -352,9 +347,7 @@ def run_adapt(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "draft",
     corpus = build_corpora(cfg)["target_train"] if corpus is None else corpus
     bundle, provenance = _restore_for("adapt", cfg, ckpt_path)
     if cfg.objective == "masked_cluster" and steps > 0:
-        # second-stage targets: refit clusters on the pretrained encoder's features
-        _prepare_clusters("adapt", cfg, bundle, corpus, np.random.default_rng([cfg.seed, 0x535, 2]),
-                          use_encoder=True)
+        bundle.prepare_cluster_targets("adapt", corpus, np.random.default_rng([cfg.seed, 0x535, 2]))
     if mode == "draft":
         if not bundle.encoder.d_adapter:
             bundle.insert_adapters(cfg.d_adapter, np.random.default_rng([cfg.seed, 0xADA]))

@@ -206,6 +206,14 @@ class TestGradcheckCommand:
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_no_seeds_is_a_usage_error(self, seeds, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--seeds", seeds])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--seeds" in captured.err and "PASS" not in captured.out
+
 
 class TestSweepCommand:
     def test_sweep_writes_results(self, tmp_path, tiny_config, capsys):

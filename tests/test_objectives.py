@@ -18,9 +18,8 @@ from sslasr.objectives import (
     EAPCObjective,
     GumbelQuantizer,
     MaskedClusterObjective,
+    MaskedPrediction,
     apc_loss,
-    apply_mask_embedding,
-    batch_mask,
     cluster_features,
     group_mean_features,
     gumbel_tau,
@@ -240,7 +239,10 @@ class TestSpanMasking:
             assert mask.sum() >= 1
 
     def test_zero_length(self):
-        assert sample_mask_spans(0, np.random.default_rng(0), 0.065, 10).shape == (0,)
+        rng = np.random.default_rng(0)
+        assert sample_mask_spans(0, rng, 0.065, 10).shape == (0,)
+        # the next utterance's spans do not depend on an empty one before it
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_forced_span_shape(self):
         # exactly one span when nothing fires: a run of span_len (clipped)
@@ -256,19 +258,54 @@ class TestSpanMasking:
         assert np.array_equal(a, b)
         assert a.shape == (n,)
 
-    def test_batch_mask_respects_lengths(self):
-        mask = batch_mask(np.array([5, 2, 0]), 8, np.random.default_rng(1), 0.5, 3)
+    def test_masked_context_respects_lengths(self):
+        # 32 frames give 8 groups; 20, 9 and 3 frames hold 5, 2 and 0 complete ones
+        enc = build_encoder(CFG, seed=0)
+        obj = ContrastiveObjective(replace(CFG, mask_prob=0.5, span_len=3), np.random.default_rng(0))
+        feats = np.random.default_rng(1).normal(size=(3, 32, 4)).astype(np.float32)
+        _, context, mask, valid = obj.masked_context(enc, Batch(feats, [20, 9, 3]),
+                                                     np.random.default_rng(1))
+        assert context.shape == (3, 8, 8)
         assert mask.shape == (3, 8)
+        assert list(valid) == [5, 2, 0]
+        assert mask[0].any() and mask[1].any()
         assert not mask[0, 5:].any()
         assert not mask[1, 2:].any()
         assert not mask[2].any()
 
-    def test_apply_mask_embedding(self):
-        latents = Tensor(np.zeros((1, 3, 2), dtype=np.float32))
-        emb = Tensor(np.array([5.0, 6.0], dtype=np.float32))
-        mask = np.array([[True, False, True]])
-        out = apply_mask_embedding(latents, mask, emb)
-        assert np.array_equal(out.data, [[[5, 6], [0, 0], [5, 6]]])
+    def test_masked_context_puts_mask_emb_in_place(self, monkeypatch):
+        enc = build_encoder(CFG, seed=0)
+        obj = MaskedClusterObjective(replace(CFG, mask_prob=0.5, span_len=2), np.random.default_rng(0))
+        # contextualize as the identity, so the context is the masked latents
+        monkeypatch.setattr(enc, "contextualize", lambda z, out_lengths: z)
+        feats = np.random.default_rng(2).normal(size=(2, 24, 4)).astype(np.float32)
+        latents, masked, mask, _ = obj.masked_context(enc, Batch(feats, [24, 17]),
+                                                      np.random.default_rng(3))
+        assert mask.any() and (~mask).any()
+        assert np.array_equal(masked.data[mask], np.broadcast_to(obj.p["mask_emb"].data, (mask.sum(), 8)))
+        assert np.array_equal(masked.data[~mask], latents.data[~mask])
+
+    def test_both_objectives_draw_the_same_mask(self, monkeypatch):
+        cfg = replace(CFG, mask_prob=0.4, span_len=2, n_negatives=2, n_codes=4, n_clusters=3)
+        enc = build_encoder(cfg, seed=5)
+        feats = np.random.default_rng(5).normal(size=(2, 24, 4)).astype(np.float32)
+        batch = Batch(feats, [24, 19], utt_ids=("u0", "u1"))
+        masks = []
+        step = MaskedPrediction.masked_context
+
+        def spy(self, *args):
+            out = step(self, *args)
+            masks.append(out[2])
+            return out
+
+        monkeypatch.setattr(MaskedPrediction, "masked_context", spy)
+        contrastive = ContrastiveObjective(cfg, np.random.default_rng(6))
+        cluster = MaskedClusterObjective(cfg, np.random.default_rng(7))
+        cluster.targets = {"u0": np.zeros(6, dtype=np.int64), "u1": np.ones(4, dtype=np.int64)}
+        contrastive.loss(enc, batch, np.random.default_rng(8))
+        cluster.loss(enc, batch, np.random.default_rng(8))
+        assert len(masks) == 2 and masks[0].any()
+        assert np.array_equal(masks[0], masks[1])
 
 
 class TestQuantizer:

@@ -497,6 +497,26 @@ class TestGradcheckPrimitives:
         with pytest.raises(RuntimeError, match="nondeterministic"):
             finite_diff_gradcheck(fn, [t64([1.0, 2.0])])
 
+    def test_non_finite_analytic_gradient_fails(self):
+        # forward a*a, whose backward writes NaN into element 0
+        def nan_square(a):
+            def bwd(g):
+                grad = 2.0 * a.data * g
+                grad.reshape(-1)[0] = np.nan
+                return (grad,)
+
+            return T._record("nan_square", (a,), a.data * a.data, bwd)
+
+        x = t64([[0.7, -1.2], [0.4, 2.0]])
+        assert finite_diff_gradcheck(lambda a: T.sum_(nan_square(a)), [x]) == math.inf
+
+    def test_non_finite_central_difference_fails(self):
+        # finite at the probe point, infinite one step away
+        def fn(a):
+            return Tensor(np.asarray(1.0 if a.data[0] == 0.5 else np.inf))
+
+        assert finite_diff_gradcheck(fn, [t64([0.5])]) == math.inf
+
     def test_battery_invokes_every_recorded_op(self, monkeypatch):
         ops = set(re.findall(r'_record\("(\w+)"', inspect.getsource(T)))
         seen = set()

@@ -211,7 +211,7 @@ class TestFrozenGradients:
         for frozen in (True, False):
             bundle = SSLBundle(cfg, seed=0)
             if objective == "masked_cluster":
-                bundle.prepare_cluster_targets(corpus, np.random.default_rng(1), use_encoder=False)
+                bundle.prepare_cluster_targets("pretrain", corpus, np.random.default_rng(1))
             bundle.insert_adapters(cfg.d_adapter, np.random.default_rng(2), random_init=True)
             params = bundle.named_params()
             for name, t in params.items():
@@ -500,13 +500,13 @@ class TestClusterTargets:
         cfg = tiny_cfg(objective="masked_cluster", n_train=16)
         corpus = build_corpora(cfg)["source_train"]
         labels = {}
-        for use_encoder in (False, True):
+        for stage in ("pretrain", "adapt"):
             bundle = SSLBundle(cfg, seed=0)
-            bundle.prepare_cluster_targets(corpus, np.random.default_rng(0), use_encoder=use_encoder)
+            bundle.prepare_cluster_targets(stage, corpus, np.random.default_rng(0))
             assert set(bundle.obj.targets) == {u.utt_id for u in corpus}
-            labels[use_encoder] = np.concatenate([bundle.obj.targets[u.utt_id] for u in corpus])
-        assert labels[False].shape == labels[True].shape
-        assert not np.array_equal(labels[False], labels[True])
+            labels[stage] = np.concatenate([bundle.obj.targets[u.utt_id] for u in corpus])
+        assert labels["pretrain"].shape == labels["adapt"].shape
+        assert not np.array_equal(labels["pretrain"], labels["adapt"])
 
     def test_restored_bundle_has_no_targets(self, tmp_path):
         cfg = tiny_cfg(objective="masked_cluster", n_train=16, pretrain_steps=2)
@@ -572,7 +572,7 @@ class TestDegenerateInput:
         def unreachable(*args, **kwargs):
             raise AssertionError("cluster targets prepared")
 
-        monkeypatch.setattr(SSLBundle, "prepare_cluster_targets", unreachable)
+        monkeypatch.setattr(MaskedClusterObjective, "prepare", unreachable)
         for stage, run in (("pretrain", lambda c: run_pretrain(cfg, tmp_path, corpus=c)),
                            ("adapt", lambda c: run_adapt(cfg, pre, tmp_path, corpus=c))):
             with pytest.raises(ValueError, match=f"stage '{stage}' has no utterances"):

@@ -3,14 +3,16 @@
     python3 tools/output_matrix.py OUT.json
 
 Runs run_pipeline for each variant (draft, saft, no_adapt, scratch) and
-each objective, Bi-APC once per sharing scheme, plus one draft chain that
-finetunes under every finetune mode, all on tiny configs. spec_augment/
-finetunes the chain's adapt checkpoint once more with SpecAugment on and
-enough steps to reach the learning-rate decay. Each run's evaluation
-report is written beside its checkpoints and metrics logs. corpus/ holds
-what the `sslasr` command line writes: gen-corpus feature corpora at
-the default task and at one set by --set, a target-domain waveform
-corpus drawn with --seed, and the featurize output of that corpus.
+each objective, Bi-APC once per sharing scheme, the two masked objectives
+once more on a non-causal encoder (their setting in the paper), plus one
+draft chain that finetunes under every finetune mode, all on tiny
+configs. spec_augment/ finetunes the chain's adapt checkpoint once more
+with SpecAugment on and enough steps to reach the learning-rate decay.
+Each run's evaluation report is written beside its checkpoints and
+metrics logs. corpus/ holds what the `sslasr` command line writes:
+gen-corpus feature corpora at the default task and at one set by --set,
+a target-domain waveform corpus drawn with --seed, and the featurize
+output of that corpus.
 gradcheck.json holds the gradient oracle's worst errors, as float.hex,
 for both batteries over seeds 0-1.
 OUT.json maps every written file, by its path relative to the run
@@ -57,8 +59,11 @@ def tiny_config() -> PipelineConfig:
 
 
 def recipes() -> dict:
-    """Run name -> objective overrides: every objective, Bi-APC per scheme."""
+    """Run name -> objective overrides: every objective, Bi-APC per scheme,
+    and the masked objectives on a non-causal encoder."""
     out = {name: {"objective": name} for name in ("apc", "eapc", "contrastive", "masked_cluster")}
+    for name in ("contrastive", "masked_cluster"):
+        out[f"{name}-noncausal"] = {"objective": name, "causal": False}
     for scheme in BidirectionalAPC.SCHEMES:
         out[f"biapc-{scheme}"] = {"objective": "biapc", "biapc_scheme": scheme}
     return out
