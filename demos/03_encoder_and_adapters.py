@@ -37,7 +37,8 @@ print(f"outputs from position 3 on shift by up to {moved:.3f}")
 print()
 print("== adapters: cheap, removable, identity at birth ==")
 for d in (8, 64, 256):
-    n = ResidualAdapter.param_count(cfg.d_model, d)
+    ada = ResidualAdapter(np.random.default_rng(d), cfg.d_model, d)
+    n = sum(t.data.size for t in ada.named_params().values())
     print(f"bottleneck {d:3d} -> {n:6d} parameters "
           f"(= 2*{cfg.d_model}*{d} + {d} + 3*{cfg.d_model})")
 

@@ -106,6 +106,11 @@ def _disk_corpus(manifest_path, cfg: PipelineConfig):
         if d != cfg.d_feat:
             raise ValueError(f"{manifest_path}: utterance '{u.utt_id}' has feature dim {d} "
                              f"but config d_feat={cfg.d_feat}")
+    for u in corpus:
+        for t in u.tokens:
+            if not 0 <= t < cfg.vocab_size:
+                raise ValueError(f"{manifest_path}: utterance '{u.utt_id}' has token {t} "
+                                 f"outside the vocabulary [0, {cfg.vocab_size})")
     return corpus
 
 

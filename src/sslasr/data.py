@@ -175,7 +175,10 @@ def load_corpus(manifest_path) -> list:
         if path.suffix != ".feat":
             raise ValueError(f"unknown utterance file type '{path.suffix}'")
         feats, _, _ = read_feat(path)
-        tokens = [int(t) for t in e.transcript.split()] if e.transcript.strip() else []
+        try:
+            tokens = [int(t) for t in e.transcript.split()]
+        except ValueError as exc:
+            raise ValueError(f"{manifest_path}: utterance '{e.utt_id}': {exc}") from None
         utts.append(Utterance(e.utt_id, feats, tokens, e.domain))
     return utts
 

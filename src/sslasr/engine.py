@@ -366,38 +366,22 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _record("layer_norm", (a, gamma, beta), out, bwd)
 
 
-def conv1d(x: Tensor, w: Tensor, b=None, stride: int = 1, padding: str = "causal") -> Tensor:
+def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int, causal: bool) -> Tensor:
     """1-D convolution (really correlation) over time.
 
-    x: (B, T, Cin), w: (K, Cin, Cout), b: (Cout,) or None.
-    padding 'causal' pads K-1 zeros on the left (output length ceil(T/stride)),
-    'same' pads symmetrically (left gets the smaller half), 'none' pads nothing
-    (output length floor((T-K)/stride)+1).
+    x: (B, T, Cin), w: (K, Cin, Cout), b: (Cout,). The K-1 zeros of
+    padding all go on the left if causal, else the left gets the smaller
+    half. The output has ceil(T/stride) frames either way.
     """
-    if stride < 1:
-        raise ValueError("conv1d stride must be >= 1")
     B, T, Cin = x.shape
     K, Cin_w, Cout = w.shape
     if Cin != Cin_w:
         raise ValueError("conv1d channel mismatch")
-    if padding == "causal":
-        left, right = K - 1, 0
-        t_out = -(-T // stride)
-    elif padding == "same":
-        total = K - 1
-        left = total // 2
-        right = total - left
-        t_out = -(-T // stride)
-    elif padding == "none":
-        left = right = 0
-        if T < K:
-            raise ValueError("conv1d input shorter than kernel with padding 'none'")
-        t_out = (T - K) // stride + 1
-    else:
-        raise ValueError(f"unknown conv1d padding '{padding}'")
+    left = K - 1 if causal else (K - 1) // 2
+    t_out = -(-T // stride)
 
     # zero padding, with extra on the right when the last strided window needs it
-    Tp = max(left + T + right, (t_out - 1) * stride + K)
+    Tp = max(T + K - 1, (t_out - 1) * stride + K)
     xp = np.zeros((B, Tp, Cin), dtype=x.dtype)
     xp[:, left : left + T] = x.data
     # windows (B, t_out, K, Cin) via stride tricks; xp is contiguous, so the
@@ -408,9 +392,7 @@ def conv1d(x: Tensor, w: Tensor, b=None, stride: int = 1, padding: str = "causal
     )
     cols = win.reshape(B, t_out, K * Cin)
     w2 = w.data.reshape(K * Cin, Cout)
-    out = cols @ w2
-    if b is not None:
-        out = out + b.data
+    out = cols @ w2 + b.data
 
     def bwd(g):
         gx = gw = gb = None
@@ -424,12 +406,11 @@ def conv1d(x: Tensor, w: Tensor, b=None, stride: int = 1, padding: str = "causal
             gx = gxp[:, left : left + T]
         if w.requires_grad:
             gw = (cols.reshape(B * t_out, K * Cin).T @ g.reshape(B * t_out, Cout)).reshape(w.shape)
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             gb = _unbroadcast(g.sum(axis=(0, 1)), b.shape)
         return gx, gw, gb
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return _record("conv1d", inputs, np.ascontiguousarray(out), bwd)
+    return _record("conv1d", (x, w, b), np.ascontiguousarray(out), bwd)
 
 
 def embedding(table: Tensor, indices) -> Tensor:

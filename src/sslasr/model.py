@@ -93,10 +93,10 @@ class LayerNorm(Module):
 
 
 class Conv1d(Module):
-    def __init__(self, rng, kernel: int, c_in: int, c_out: int, stride: int, padding: str):
+    def __init__(self, rng, kernel: int, c_in: int, c_out: int, stride: int, causal: bool):
         super().__init__()
         self.stride = stride
-        self.padding = padding
+        self.causal = causal
         self.p["w"] = Tensor(
             xavier_uniform(rng, (kernel, c_in, c_out), kernel * c_in, kernel * c_out),
             requires_grad=True,
@@ -104,7 +104,7 @@ class Conv1d(Module):
         self.p["b"] = Tensor(np.zeros(c_out, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return E.conv1d(x, self.p["w"], self.p["b"], stride=self.stride, padding=self.padding)
+        return E.conv1d(x, self.p["w"], self.p["b"], self.stride, self.causal)
 
 
 class MultiHeadAttention(Module):
@@ -167,18 +167,14 @@ class ResidualAdapter(Module):
         h = E.relu(self.children["down"](self.children["ln"](x)))
         return E.add(x, self.children["up"](h))
 
-    @staticmethod
-    def param_count(d_model: int, d_adapter: int) -> int:
-        return 2 * d_model * d_adapter + d_adapter + 3 * d_model
-
 
 class ConvSubsampler(Module):
     """Two kernel-3 stride-2 convs with GELU; total time subsampling of 4."""
 
-    def __init__(self, rng, d_in: int, d_model: int, padding: str):
+    def __init__(self, rng, d_in: int, d_model: int, causal: bool):
         super().__init__()
-        self.children["conv1"] = Conv1d(rng, 3, d_in, d_model, stride=2, padding=padding)
-        self.children["conv2"] = Conv1d(rng, 3, d_model, d_model, stride=2, padding=padding)
+        self.children["conv1"] = Conv1d(rng, 3, d_in, d_model, 2, causal)
+        self.children["conv2"] = Conv1d(rng, 3, d_model, d_model, 2, causal)
 
     def __call__(self, x: Tensor) -> Tensor:
         return E.gelu(self.children["conv2"](E.gelu(self.children["conv1"](x))))
@@ -187,8 +183,6 @@ class ConvSubsampler(Module):
 @functools.lru_cache
 def sinusoidal_positions(t: int, d: int, dtype=np.float32) -> np.ndarray:
     """(t, d) sin/cos position table, memoised per (t, d, dtype); read-only."""
-    if d % 2 != 0:
-        raise ValueError("positional encoding needs an even dimension")
     pos = np.arange(t, dtype=np.float64)[:, None]
     i = np.arange(d // 2, dtype=np.float64)[None, :]
     angles = pos / np.power(10000.0, 2.0 * i / d)
@@ -213,8 +207,7 @@ class Encoder(Module):
     def __init__(self, cfg: PipelineConfig, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
-        pad = "causal" if cfg.causal else "same"
-        self.children["conv"] = ConvSubsampler(rng, cfg.d_feat, cfg.d_model, pad)
+        self.children["conv"] = ConvSubsampler(rng, cfg.d_feat, cfg.d_model, cfg.causal)
         for i in range(cfg.n_blocks):
             self.children[f"block{i}"] = TransformerBlock(rng, cfg.d_model, cfg.n_heads, cfg.d_ffn, cfg.causal)
         self.children["final_ln"] = LayerNorm(cfg.d_model)

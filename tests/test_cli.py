@@ -1,7 +1,7 @@
 """End-to-end command-line workflows via main(argv)."""
 
 import json
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ import pytest
 from sslasr.cli import SETTINGS, GenCorpusSettings, main
 from sslasr.data import load_corpus
 from sslasr.features import FeaturizerConfig
-from sslasr.io import load_checkpoint, read_jsonl, read_manifest, write_feat
+from sslasr.io import load_checkpoint, read_jsonl, read_manifest, write_feat, write_manifest
 from sslasr.training import PipelineConfig
 
 TINY = """\
@@ -178,6 +178,35 @@ class TestTrainingCommands:
         assert rc == 1
         err = capsys.readouterr().err
         assert "run `sslasr featurize`" in err and "source_00000" in err
+
+    @pytest.mark.parametrize("token,message", [
+        ("9", "has token 9 outside the vocabulary [0, 5)"),
+        ("x", "invalid literal for int() with base 10: 'x'"),
+    ], ids=["out_of_vocabulary", "not_an_integer"])
+    def test_bad_transcript_token_stops_every_stage(self, tmp_path, tiny_config, capsys,
+                                                    token, message):
+        work = str(tmp_path / "run")
+        main(["pretrain", "--config", tiny_config, "--out", work, "--steps", "1"])
+        pre = last_line(capsys)
+        main(["finetune", "--config", tiny_config, "--init", pre, "--out", work, "--steps", "1"])
+        fin = last_line(capsys)
+        main(["gen-corpus", "--out", str(tmp_path / "c"), "--n", "3",
+              "--set", "d_feat=4", "--set", "proto_len=8", "--set", "vocab_size=5",
+              "--set", "min_tokens=3", "--set", "max_tokens=4"])
+        manifest = last_line(capsys)
+        # every transcript starts with the bad token
+        write_manifest(manifest, [replace(e, transcript=" ".join([token] + e.transcript.split()[1:]))
+                                  for e in read_manifest(manifest)])
+        bad = tmp_path / "bad"
+        for argv in (["pretrain", "--out", str(bad)],
+                     ["adapt", "--init", pre, "--out", str(bad)],
+                     ["finetune", "--init", pre, "--out", str(bad)],
+                     ["evaluate", "--init", fin, "--report", str(bad / "report.json")]):
+            rc = main(argv + ["--config", tiny_config, "--manifest", manifest])
+            assert rc == 1, argv[0]
+            err = capsys.readouterr().err
+            assert "manifest.tsv: utterance 'source_00000'" in err and message in err, err
+            assert not bad.exists(), argv[0]
 
     def test_evaluate_empty_manifest(self, tmp_path, tiny_config, capsys):
         work = str(tmp_path / "run")

@@ -1,5 +1,7 @@
 """Synthetic corpus generator: statistical contracts and disk round trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from sslasr.data import (
     write_corpus,
     write_wav,
 )
+from sslasr.io import read_manifest, write_manifest
 from sslasr.training import PipelineConfig
 
 TASK = PipelineConfig()
@@ -145,6 +148,20 @@ class TestDiskRoundTrip:
             assert v.tokens == u.tokens
             assert v.domain == u.domain
             assert np.array_equal(v.feats, u.feats)
+
+    def test_non_integer_token_names_the_manifest_and_utterance(self, tmp_path):
+        manifest = write_corpus(tmp_path, TASK, "source", 3, seed=3, emit="features")
+        entries = read_manifest(manifest)
+        entries[1] = replace(entries[1], transcript=entries[1].transcript + " 2x")
+        write_manifest(manifest, entries)
+        with pytest.raises(ValueError, match=r"manifest\.tsv: utterance 'source_00001': "
+                                             r"invalid literal for int\(\) with base 10: '2x'"):
+            load_corpus(manifest)
+
+    def test_empty_transcript_loads_as_no_tokens(self, tmp_path):
+        manifest = write_corpus(tmp_path, TASK, "source", 2, seed=3, emit="features")
+        write_manifest(manifest, [replace(e, transcript="") for e in read_manifest(manifest)])
+        assert [u.tokens for u in load_corpus(manifest)] == [[], []]
 
     def test_pad_batch_shapes(self):
         utts = make_corpus(TASK, "source", 4, seed=5)

@@ -73,24 +73,27 @@ class TestForwardOracles:
     def test_conv1d_causal_identityish_kernel(self):
         x = Tensor(np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1))
         w = Tensor(np.ones((2, 1, 1)))
-        out = T.conv1d(x, w, stride=1, padding="causal")
+        out = T.conv1d(x, w, Tensor(np.zeros(1)), 1, causal=True)
         np.testing.assert_allclose(out.data.reshape(-1), [1.0, 3.0, 5.0])
 
     def test_conv1d_output_lengths(self):
         x = Tensor(np.random.default_rng(0).normal(size=(2, 11, 3)))
         w = Tensor(np.random.default_rng(1).normal(size=(4, 3, 5)))
-        assert T.conv1d(x, w, stride=2, padding="causal").shape == (2, 6, 5)
-        assert T.conv1d(x, w, stride=2, padding="same").shape == (2, 6, 5)
-        assert T.conv1d(x, w, stride=2, padding="none").shape == (2, 4, 5)
-        assert T.conv1d(x, w, stride=3, padding="none").shape == (2, 3, 5)
+        b = Tensor(np.zeros(5))
+        # ceil(T / stride) frames either way: Encoder.out_length's rule
+        for causal in (True, False):
+            assert T.conv1d(x, w, b, 2, causal).shape == (2, 6, 5)
+            assert T.conv1d(x, w, b, 3, causal).shape == (2, 4, 5)
 
     def test_conv1d_matches_direct_correlation(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(1, 9, 2))
         w = rng.normal(size=(3, 2, 4))
-        out = T.conv1d(Tensor(x), Tensor(w), stride=1, padding="none").data
-        for t in range(7):
-            ref = np.einsum("kc,kcd->d", x[0, t : t + 3], w)
+        out = T.conv1d(Tensor(x), Tensor(w), Tensor(np.zeros(4)), 1, causal=False).data
+        # non-causal K=3: one zero frame of padding on each side
+        xp = np.pad(x[0], ((1, 1), (0, 0)))
+        for t in range(9):
+            ref = np.einsum("kc,kcd->d", xp[t : t + 3], w)
             np.testing.assert_allclose(out[0, t], ref, rtol=1e-6)
 
     def test_gelu_float32_matches_float64_formula(self):
@@ -120,12 +123,12 @@ class TestForwardOracles:
         np.testing.assert_allclose(out.data, [2.0, 0.0, 1.5])
 
 
-def _conv1d_reference(x, w, b, g, stride, padding):
+def _conv1d_reference(x, w, b, g, stride, causal):
     """Per-tap loop: forward output and the input/weight/bias gradients for upstream g."""
     B, T_in, _ = x.shape
     K = w.shape[0]
-    left = {"causal": K - 1, "same": (K - 1) // 2, "none": 0}[padding]
-    t_out = (T_in - K) // stride + 1 if padding == "none" else -(-T_in // stride)
+    left = K - 1 if causal else (K - 1) // 2
+    t_out = -(-T_in // stride)
     xp = np.zeros((B, max(left + T_in, (t_out - 1) * stride + K), x.shape[2]))
     xp[:, left : left + T_in] = x
     out = np.zeros((B, t_out, w.shape[2])) + b
@@ -144,18 +147,19 @@ class TestConv1dReference:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("stride", [1, 2, 3])
-    @pytest.mark.parametrize("padding", ["causal", "same", "none"])
-    def test_forward_and_gradients(self, padding, stride, dtype):
+    # "same": the non-causal padding, K-1 zeros split with the smaller half on the left
+    @pytest.mark.parametrize("causal", [True, False], ids=["causal", "same"])
+    def test_forward_and_gradients(self, causal, stride, dtype):
         rng = np.random.default_rng(17)
         x = rng.normal(size=(2, 11, 3)).astype(dtype)
         w = rng.normal(size=(4, 3, 5)).astype(dtype)  # K=4 > stride: taps overlap
         b = rng.normal(size=5).astype(dtype)
         xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
         with Tape() as tape:
-            out = T.conv1d(xt, wt, bt, stride=stride, padding=padding)
+            out = T.conv1d(xt, wt, bt, stride, causal)
             g = rng.normal(size=out.shape).astype(dtype)
             backward(T.sum_(T.mul(out, Tensor(g))), tape)
-        refs = _conv1d_reference(*(a.astype(np.float64) for a in (x, w, b, g)), stride, padding)
+        refs = _conv1d_reference(*(a.astype(np.float64) for a in (x, w, b, g)), stride, causal)
         tol = 64 * np.finfo(dtype).eps
         for name, got, ref in zip(("out", "gx", "gw", "gb"),
                                   (out.data, xt.grad, wt.grad, bt.grad), refs):
@@ -334,7 +338,7 @@ class TestBackwardSemantics:
             "attention": ([(2, 5, 4)] * 3, lambda q, k, v: T.attention(q, k, v, [5, 4], 2, causal=False)),
             "layer_norm": ([(2, 5, 4), (4,), (4,)], T.layer_norm),
             "conv1d": ([(2, 9, 3), (3, 3, 4), (4,)],
-                       lambda x, w, b: T.conv1d(x, w, b, stride=2, padding="causal")),
+                       lambda x, w, b: T.conv1d(x, w, b, 2, causal=True)),
         }[op]
         arrays = [rng.normal(size=s).astype(np.float32) for s in shapes]
         grads = {}
@@ -444,8 +448,9 @@ class TestGradcheckPrimitives:
 
         assert finite_diff_gradcheck(fn, [x, g, bb, w, b]) < 1e-6
 
-    @pytest.mark.parametrize("padding,stride", [("causal", 1), ("causal", 2), ("same", 1), ("none", 2)])
-    def test_conv1d(self, padding, stride):
+    @pytest.mark.parametrize("causal,stride", [(True, 1), (True, 2), (False, 1), (False, 2)],
+                             ids=["causal-1", "causal-2", "same-1", "same-2"])
+    def test_conv1d(self, causal, stride):
         rng = np.random.default_rng(14)
         x = t64(rng.normal(size=(2, 8, 3)))
         w = t64(rng.normal(size=(3, 3, 4)))
@@ -453,7 +458,7 @@ class TestGradcheckPrimitives:
         wt = rng.normal(size=1)
 
         def fn(x, w, b):
-            z = T.conv1d(x, w, b, stride=stride, padding=padding)
+            z = T.conv1d(x, w, b, stride, causal)
             return T.mul(T.mean_(T.mul(z, z)), Tensor(wt[0]))
 
         assert finite_diff_gradcheck(fn, [x, w, b]) < 1e-6
