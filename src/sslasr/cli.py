@@ -4,7 +4,7 @@ Subcommands cover the whole workflow: synthetic corpus generation,
 waveform featurization, the three training stages (pretrain, adapt,
 finetune), evaluation, the gradient-check oracle, and config sweeps.
 Settings come from an optional `key = value` file (--config) with
---set KEY=VALUE overrides; flags named on a subcommand win over both.
+--set KEY=VALUE overrides, the last --set of a key winning.
 Keys are the fields of PipelineConfig, FeaturizerConfig and
 GenCorpusSettings, each checked before any file is written.
 
@@ -37,7 +37,6 @@ from .io import (
 from .training import (
     ADAPT_MODES,
     FINETUNE_MODES,
-    OBJECTIVES,
     PIPELINES,
     PipelineConfig,
     run_adapt,
@@ -74,10 +73,10 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _load_settings(args, **flags) -> dict:
-    """Merge the --config file, --set overrides and the flags not None, each
-    over the last; reject unknown keys and values outside their field's
-    type and domain. Cross-field rules run when a config is built."""
+def _load_settings(args) -> dict:
+    """Merge the --config file and the --set overrides, each over the last;
+    reject unknown keys and values outside their field's type and domain.
+    Cross-field rules run when a config is built."""
     values = read_config(args.config) if getattr(args, "config", None) else {}
     unknown = set(values) - set(SETTINGS)
     if unknown:
@@ -86,7 +85,6 @@ def _load_settings(args, **flags) -> dict:
         if key not in SETTINGS:
             raise ValueError(f"unknown config key '{key}'")
         values[key] = val
-    values.update({k: v for k, v in flags.items() if v is not None})
     for key, val in values.items():
         check_setting(SETTINGS[key], val)
     return values
@@ -100,7 +98,7 @@ def _pick(cls, values: dict):
 def _disk_corpus(manifest_path, cfg: PipelineConfig):
     corpus = load_corpus(manifest_path)
     if not corpus:
-        raise ValueError("no utterances")
+        raise ValueError(f"{manifest_path}: no utterances")
     for u in corpus:
         d = u.feats.shape[1]
         if d != cfg.d_feat:
@@ -115,8 +113,7 @@ def _disk_corpus(manifest_path, cfg: PipelineConfig):
 
 
 def _cmd_gen_corpus(args) -> int:
-    values = _load_settings(args, domain=args.domain, n_utterances=args.n, seed=args.seed,
-                            emit=args.emit)
+    values = _load_settings(args)
     cfg, job = _pick(PipelineConfig, values), _pick(GenCorpusSettings, values)
     print(write_corpus(args.out, cfg, job.domain, job.n_utterances, cfg.seed, job.emit))
     return 0
@@ -148,40 +145,39 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    cfg = _pick(PipelineConfig, _load_settings(args, objective=args.objective, seed=args.seed,
-                                               pretrain_steps=args.steps))
+    cfg = _pick(PipelineConfig, _load_settings(args))
     corpus = _disk_corpus(args.manifest, cfg) if args.manifest else None
     print(run_pretrain(cfg, args.out, corpus=corpus))
     return 0
 
 
-def _checkpoint_config(args, **flags) -> PipelineConfig:
+def _checkpoint_config(args) -> PipelineConfig:
     """The config of a stage that resumes a checkpoint.
 
     The checkpoint's stored config seeds the values so non-default choices
     (objective, model size, corpus task) carry forward automatically;
-    --config, --set and flags still override.
+    --config and --set still override.
     """
     stored = load_checkpoint(args.init).config
-    return _pick(PipelineConfig, {**stored, **_load_settings(args, **flags)})
+    return _pick(PipelineConfig, {**stored, **_load_settings(args)})
 
 
 def _cmd_adapt(args) -> int:
-    cfg = _checkpoint_config(args, seed=args.seed, adapt_steps=args.steps)
+    cfg = _checkpoint_config(args)
     corpus = _disk_corpus(args.manifest, cfg) if args.manifest else None
     print(run_adapt(cfg, args.init, args.out, mode=args.mode, corpus=corpus))
     return 0
 
 
 def _cmd_finetune(args) -> int:
-    cfg = _checkpoint_config(args, seed=args.seed, finetune_steps=args.steps)
+    cfg = _checkpoint_config(args)
     corpus = _disk_corpus(args.manifest, cfg) if args.manifest else None
     print(run_finetune(cfg, args.init, args.out, mode=args.mode, corpus=corpus))
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = _checkpoint_config(args, seed=args.seed)
+    cfg = _checkpoint_config(args)
     corpus = _disk_corpus(args.manifest, cfg) if args.manifest else None
     report = run_evaluate(cfg, args.init, corpus=corpus)
     text = json.dumps(report, indent=2, sort_keys=True)
@@ -251,10 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gen-corpus", "generate a synthetic corpus plus manifest", _cmd_gen_corpus)
     p.add_argument("--out", required=True, metavar="DIR", help="output directory")
-    p.add_argument("--domain", choices=DOMAINS)
-    p.add_argument("--emit", choices=EMITS)
-    p.add_argument("--n", type=int, metavar="N", help="number of utterances")
-    p.add_argument("--seed", type=int)
 
     p = add("featurize", "convert a .wav manifest to log-mel feature files", _cmd_featurize)
     p.add_argument("--manifest", required=True, metavar="TSV")
@@ -262,30 +254,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("pretrain", "stage 1: self-supervised pretraining", _cmd_pretrain)
     p.add_argument("--out", required=True, metavar="DIR", help="checkpoint/metrics directory")
-    p.add_argument("--objective", choices=OBJECTIVES)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--manifest", metavar="TSV", help="train on this corpus instead of the built-in one")
 
     p = add("adapt", "stage 2: adapt a pretrained model to the target domain", _cmd_adapt)
     p.add_argument("--init", required=True, metavar="CKPT", help="stage-1 checkpoint")
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--mode", choices=ADAPT_MODES, default="draft")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--manifest", metavar="TSV")
 
     p = add("finetune", "stage 3: supervised finetuning with a CTC head", _cmd_finetune)
     p.add_argument("--init", required=True, metavar="CKPT", help="stage-1 or stage-2 checkpoint")
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--mode", choices=FINETUNE_MODES, default="full")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--manifest", metavar="TSV")
 
     p = add("evaluate", "greedy-decode a corpus and report token error rate", _cmd_evaluate)
     p.add_argument("--init", required=True, metavar="CKPT", help="finetuned checkpoint")
-    p.add_argument("--seed", type=int)
     p.add_argument("--manifest", metavar="TSV")
     p.add_argument("--report", metavar="JSON", help="also write the report here")
 

@@ -173,7 +173,8 @@ def load_corpus(manifest_path) -> list:
             raise ValueError(f"{manifest_path}: entry '{e.utt_id}' is audio ('{e.path}'); "
                              f"run `sslasr featurize` on this manifest first")
         if path.suffix != ".feat":
-            raise ValueError(f"unknown utterance file type '{path.suffix}'")
+            raise ValueError(f"{manifest_path}: utterance '{e.utt_id}' has unknown file type "
+                             f"'{path.suffix}' ('{e.path}')")
         feats, _, _ = read_feat(path)
         try:
             tokens = [int(t) for t in e.transcript.split()]

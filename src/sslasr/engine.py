@@ -441,32 +441,18 @@ def where_mask(a: Tensor, b: Tensor, mask) -> Tensor:
     return _record("where", (a, b), out, bwd)
 
 
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-    return _record("sum", (a,), np.asarray(out), _reduce_bwd(a.shape, axis, keepdims))
-
-
-def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    n = a.size if axis is None else np.prod([a.shape[i] for i in _norm_axes(axis, a.ndim)])
-    inner = _reduce_bwd(a.shape, axis, keepdims)
-    return _record("mean", (a,), np.asarray(out), lambda g: (inner(g)[0] / n,))
-
-
-def _norm_axes(axis, ndim):
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(a % ndim for a in axis)
-
-
-def _reduce_bwd(shape, axis, keepdims):
+def sum_(a: Tensor, axis=None) -> Tensor:
     def bwd(g):
-        g = np.asarray(g)
-        if not keepdims and axis is not None:
-            g = np.expand_dims(g, _norm_axes(axis, len(shape)))
-        return (np.broadcast_to(g, shape).copy(),)
+        g = np.asarray(g) if axis is None else np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.shape).copy(),)
 
-    return bwd
+    return _record("sum", (a,), np.asarray(a.data.sum(axis=axis)), bwd)
+
+
+def mean_(a: Tensor) -> Tensor:
+    """The mean over every element."""
+    return _record("mean", (a,), np.asarray(a.data.mean()),
+                   lambda g: (np.broadcast_to(g, a.shape).copy() / a.size,))
 
 
 def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:

@@ -132,9 +132,9 @@ class BidirectionalAPC(Module):
     Children 'fwd' and 'rev' each hold an encoder 'model' and its
     generator 'gen'. cfg.biapc_scheme picks the sharing: 'none' (two
     independent models),
-    'share_generator', 'share_gen_encoder' (generator + transformer
-    blocks + final norm), 'share_all' (every parameter aliased). A shared
-    tensor is named once, under 'fwd'.
+    'share_generator', 'share_gen_encoder' (generator + every encoder
+    module but the conv front end and its adapter), 'share_all' (every
+    parameter aliased). A shared tensor is named once, under 'fwd'.
     """
 
     SCHEMES = ("none", "share_generator", "share_gen_encoder", "share_all")
@@ -154,18 +154,12 @@ class BidirectionalAPC(Module):
     def _apply_sharing(self) -> None:
         """Alias the scheme's shared modules; adapters follow their host
         module, so insert_adapters runs this again."""
-        if self.scheme in ("share_generator", "share_gen_encoder", "share_all"):
+        if self.scheme != "none":
             self.rev_obj.alias_from(self.fwd_obj)
         if self.scheme in ("share_gen_encoder", "share_all"):
-            for i in range(self.fwd.cfg.n_blocks):
-                self.rev.children[f"block{i}"].alias_from(self.fwd.children[f"block{i}"])
-                if self.fwd.d_adapter:
-                    self.rev.children[f"adapter{i + 1}"].alias_from(self.fwd.children[f"adapter{i + 1}"])
-            self.rev.children["final_ln"].alias_from(self.fwd.children["final_ln"])
-        if self.scheme == "share_all":
-            self.rev.children["conv"].alias_from(self.fwd.children["conv"])
-            if self.fwd.d_adapter:
-                self.rev.children["adapter0"].alias_from(self.fwd.children["adapter0"])
+            for name, child in self.rev.children.items():
+                if self.scheme == "share_all" or name not in ("conv", "adapter0"):
+                    child.alias_from(self.fwd.children[name])
 
     def insert_adapters(self, d_adapter: int, rng: np.random.Generator,
                         random_init: bool = False) -> None:

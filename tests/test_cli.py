@@ -64,15 +64,15 @@ class TestSettingDeclarations:
 
 class TestCorpusCommands:
     def test_gen_corpus_prints_manifest(self, tmp_path, capsys):
-        rc = main(["gen-corpus", "--out", str(tmp_path / "c"), "--n", "4",
-                   "--domain", "target", "--seed", "3"])
+        rc = main(["gen-corpus", "--out", str(tmp_path / "c"), "--set", "n_utterances=4",
+                   "--set", "domain=target", "--set", "seed=3"])
         assert rc == 0
         manifest = last_line(capsys)
         corpus = load_corpus(manifest)
         assert len(corpus) == 4
         assert all(u.domain == "target" for u in corpus)
 
-    def test_flag_beats_set_beats_config(self, tmp_path, capsys):
+    def test_last_set_beats_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("n_utterances = 3\n")
         main(["gen-corpus", "--out", str(tmp_path / "a"), "--config", str(cfg)])
@@ -81,12 +81,12 @@ class TestCorpusCommands:
               "--set", "n_utterances=5"])
         assert len(read_manifest(last_line(capsys))) == 5
         main(["gen-corpus", "--out", str(tmp_path / "c"), "--config", str(cfg),
-              "--set", "n_utterances=5", "--n", "2"])
+              "--set", "n_utterances=5", "--set", "n_utterances=2"])
         assert len(read_manifest(last_line(capsys))) == 2
 
     def test_featurize_wav_corpus(self, tmp_path, capsys):
-        main(["gen-corpus", "--out", str(tmp_path / "wav"), "--n", "2",
-              "--emit", "waveform"])
+        main(["gen-corpus", "--out", str(tmp_path / "wav"), "--set", "n_utterances=2",
+              "--set", "emit=waveform"])
         wav_manifest = last_line(capsys)
         rc = main(["featurize", "--manifest", wav_manifest,
                    "--out", str(tmp_path / "feat")])
@@ -96,7 +96,7 @@ class TestCorpusCommands:
         assert corpus[0].feats.shape[1] == 40
 
     def test_featurize_rejects_feature_manifest(self, tmp_path, capsys):
-        main(["gen-corpus", "--out", str(tmp_path / "f"), "--n", "1"])
+        main(["gen-corpus", "--out", str(tmp_path / "f"), "--set", "n_utterances=1"])
         manifest = last_line(capsys)
         rc = main(["featurize", "--manifest", manifest, "--out", str(tmp_path / "o")])
         assert rc == 1
@@ -127,30 +127,30 @@ class TestTrainingCommands:
     def test_checkpoint_carries_objective_forward(self, tmp_path, tiny_config, capsys):
         work = str(tmp_path / "run")
         main(["pretrain", "--config", tiny_config, "--out", work,
-              "--objective", "apc"])
+              "--set", "objective=apc"])
         pre = last_line(capsys)
         # no objective mentioned here: it must come from the checkpoint
         main(["adapt", "--config", tiny_config, "--init", pre, "--out", work])
         ada = last_line(capsys)
         assert load_checkpoint(ada).config["objective"] == "apc"
 
-    def test_steps_flag_overrides_config(self, tmp_path, tiny_config, capsys):
+    def test_set_steps_overrides_config(self, tmp_path, tiny_config, capsys):
         work = str(tmp_path / "run")
-        main(["pretrain", "--config", tiny_config, "--out", work, "--steps", "1"])
+        main(["pretrain", "--config", tiny_config, "--out", work, "--set", "pretrain_steps=1"])
         assert load_checkpoint(last_line(capsys)).provenance["f"] == 1
 
     def test_pretrain_from_manifest(self, tmp_path, tiny_config, capsys):
-        main(["gen-corpus", "--out", str(tmp_path / "c"), "--n", "8",
+        main(["gen-corpus", "--out", str(tmp_path / "c"), "--set", "n_utterances=8",
               "--set", "d_feat=4", "--set", "proto_len=8",
               "--set", "min_tokens=3", "--set", "max_tokens=4",
               "--set", "vocab_size=5"])
         manifest = last_line(capsys)
         rc = main(["pretrain", "--config", tiny_config, "--out",
-                   str(tmp_path / "run"), "--manifest", manifest, "--steps", "1"])
+                   str(tmp_path / "run"), "--manifest", manifest, "--set", "pretrain_steps=1"])
         assert rc == 0
 
     def test_feature_dim_mismatch_fails(self, tmp_path, tiny_config, capsys):
-        main(["gen-corpus", "--out", str(tmp_path / "c"), "--n", "4"])  # d_feat 8
+        main(["gen-corpus", "--out", str(tmp_path / "c"), "--set", "n_utterances=4"])  # d_feat 8
         manifest = last_line(capsys)
         rc = main(["pretrain", "--config", tiny_config, "--out",
                    str(tmp_path / "run"), "--manifest", manifest])
@@ -158,7 +158,8 @@ class TestTrainingCommands:
         assert "d_feat" in capsys.readouterr().err
 
     def test_mixed_feature_widths_name_the_utterance(self, tmp_path, tiny_config, capsys):
-        main(["gen-corpus", "--out", str(tmp_path / "c"), "--n", "3", "--set", "d_feat=4"])
+        main(["gen-corpus", "--out", str(tmp_path / "c"), "--set", "n_utterances=3",
+              "--set", "d_feat=4"])
         manifest = last_line(capsys)
         # the first utterance has the configured width; a later one does not
         write_feat(tmp_path / "c" / "feats" / "source_00001.feat",
@@ -171,7 +172,8 @@ class TestTrainingCommands:
         assert "feature dim 5" in err and "d_feat=4" in err
 
     def test_wav_manifest_needs_featurize(self, tmp_path, tiny_config, capsys):
-        main(["gen-corpus", "--out", str(tmp_path / "w"), "--n", "2", "--emit", "waveform"])
+        main(["gen-corpus", "--out", str(tmp_path / "w"), "--set", "n_utterances=2",
+              "--set", "emit=waveform"])
         manifest = last_line(capsys)
         rc = main(["pretrain", "--config", tiny_config, "--out",
                    str(tmp_path / "run"), "--manifest", manifest])
@@ -186,11 +188,12 @@ class TestTrainingCommands:
     def test_bad_transcript_token_stops_every_stage(self, tmp_path, tiny_config, capsys,
                                                     token, message):
         work = str(tmp_path / "run")
-        main(["pretrain", "--config", tiny_config, "--out", work, "--steps", "1"])
+        main(["pretrain", "--config", tiny_config, "--out", work, "--set", "pretrain_steps=1"])
         pre = last_line(capsys)
-        main(["finetune", "--config", tiny_config, "--init", pre, "--out", work, "--steps", "1"])
+        main(["finetune", "--config", tiny_config, "--init", pre, "--out", work,
+              "--set", "finetune_steps=1"])
         fin = last_line(capsys)
-        main(["gen-corpus", "--out", str(tmp_path / "c"), "--n", "3",
+        main(["gen-corpus", "--out", str(tmp_path / "c"), "--set", "n_utterances=3",
               "--set", "d_feat=4", "--set", "proto_len=8", "--set", "vocab_size=5",
               "--set", "min_tokens=3", "--set", "max_tokens=4"])
         manifest = last_line(capsys)
@@ -210,17 +213,34 @@ class TestTrainingCommands:
 
     def test_evaluate_empty_manifest(self, tmp_path, tiny_config, capsys):
         work = str(tmp_path / "run")
-        main(["pretrain", "--config", tiny_config, "--out", work, "--steps", "1"])
+        main(["pretrain", "--config", tiny_config, "--out", work, "--set", "pretrain_steps=1"])
         pre = last_line(capsys)
         main(["finetune", "--config", tiny_config, "--init", pre,
-              "--out", work, "--steps", "1"])
+              "--out", work, "--set", "finetune_steps=1"])
         fin = last_line(capsys)
         empty = tmp_path / "empty.tsv"
         empty.write_text("# id\tpath\ttranscript\tdomain\n")
+        report = tmp_path / "out" / "report.json"
         rc = main(["evaluate", "--config", tiny_config, "--init", fin,
-                   "--manifest", str(empty)])
+                   "--manifest", str(empty), "--report", str(report)])
         assert rc == 1
-        assert "no utterances" in capsys.readouterr().err
+        assert f"error: {empty}: no utterances" in capsys.readouterr().err
+        assert not report.parent.exists()
+
+    def test_unknown_file_type_names_the_manifest_and_utterance(self, tmp_path, tiny_config,
+                                                               capsys):
+        main(["gen-corpus", "--out", str(tmp_path / "c"), "--set", "n_utterances=3",
+              "--set", "d_feat=4"])
+        manifest = last_line(capsys)
+        entries = read_manifest(manifest)
+        entries[1] = replace(entries[1], path="feats/source_00001.npy")
+        write_manifest(manifest, entries)
+        out = tmp_path / "run"
+        rc = main(["pretrain", "--config", tiny_config, "--out", str(out), "--manifest", manifest])
+        assert rc == 1
+        assert (f"error: {manifest}: utterance 'source_00001' has unknown file type '.npy'"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestGradcheckCommand:
@@ -297,6 +317,28 @@ OUT_OF_RANGE = [
     ("n_heads=3 d_model=9", "eapc", "must be even (sinusoidal positions), got 9"),
 ]
 
+# (command, option, value): options that once declared a setting a second
+# time; settings now reach a command only through --config and --set
+REMOVED_FLAGS = [
+    ("gen-corpus", "--n", "2"), ("gen-corpus", "--domain", "target"),
+    ("gen-corpus", "--emit", "waveform"), ("gen-corpus", "--seed", "3"),
+    ("pretrain", "--objective", "apc"), ("pretrain", "--steps", "1"), ("pretrain", "--seed", "3"),
+    ("adapt", "--steps", "1"), ("adapt", "--seed", "3"),
+    ("finetune", "--steps", "1"), ("finetune", "--seed", "3"),
+    ("evaluate", "--seed", "3"),
+]
+
+# (command, key = value, the rule it breaks): settings the removed options carried
+FORMER_FLAG_VALUES = [
+    ("gen-corpus", "n_utterances = 0", "must be >= 1, got 0"),
+    ("gen-corpus", "domain = nowhere", "must be one of source, target, got 'nowhere'"),
+    ("gen-corpus", "emit = video", "must be one of features, waveform, got 'video'"),
+    ("pretrain", "seed = -1", "must be >= 0, got -1"),
+    ("pretrain", "objective = bogus", "must be one of apc, eapc, biapc, contrastive, "
+                                      "masked_cluster, got 'bogus'"),
+    ("pretrain", "pretrain_steps = abc", "expects int, got 'abc'"),
+]
+
 
 class TestErrorHandling:
     def test_unknown_set_key(self, tmp_path, capsys):
@@ -323,7 +365,7 @@ class TestErrorHandling:
         # a float setting (and fmax) takes an int, and the run goes ahead
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("noise_sigma = 0\nfmax = 4000\n")
-        assert main(["gen-corpus", "--out", str(tmp_path / "c"), "--n", "2",
+        assert main(["gen-corpus", "--out", str(tmp_path / "c"), "--set", "n_utterances=2",
                      "--config", str(cfg)]) == 0
 
     @pytest.mark.parametrize("settings, objective, rule",
@@ -332,7 +374,7 @@ class TestErrorHandling:
                                                     settings, objective, rule):
         out = tmp_path / "run"
         sets = [arg for s in settings.split() for arg in ("--set", s)]
-        rc = main(["pretrain", "--config", tiny_config, *sets, "--objective", objective,
+        rc = main(["pretrain", "--config", tiny_config, "--set", f"objective={objective}", *sets,
                    "--out", str(out)])
         assert rc == 1
         name = settings.split()[-1].partition("=")[0]
@@ -345,13 +387,39 @@ class TestErrorHandling:
     ])
     def test_out_of_range_featurizer_setting_names_the_setting(self, tmp_path, capsys,
                                                                setting, rule):
-        main(["gen-corpus", "--out", str(tmp_path / "wav"), "--n", "1", "--emit", "waveform"])
+        main(["gen-corpus", "--out", str(tmp_path / "wav"), "--set", "n_utterances=1",
+              "--set", "emit=waveform"])
         out = tmp_path / "feat"
         rc = main(["featurize", "--manifest", last_line(capsys), "--set", setting,
                    "--out", str(out)])
         assert rc == 1
         assert f"setting '{setting.partition('=')[0]}' {rule}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value", REMOVED_FLAGS,
+                             ids=[f"{c}{f}" for c, f, _ in REMOVED_FLAGS])
+    def test_removed_setting_flag_is_a_usage_error(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
+        init = ["--init", str(tmp_path / "x.ckpt")] if command in ("adapt", "finetune", "evaluate") else []
+        dest = ["--report", str(out / "report.json")] if command == "evaluate" else ["--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *init, *dest, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, line, rule", FORMER_FLAG_VALUES,
+                             ids=[line.partition(" ")[0] for _, line, _ in FORMER_FLAG_VALUES])
+    def test_bad_value_names_the_setting_from_config_or_set(self, tmp_path, capsys,
+                                                            command, line, rule):
+        key, _, value = line.partition(" = ")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        for source in (["--config", str(cfg)], ["--set", f"{key}={value}"]):
+            assert main([command, *source, "--out", str(out)]) == 1
+            assert f"error: setting '{key}' {rule}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_checkpoint(self, tmp_path, capsys):
         rc = main(["adapt", "--init", str(tmp_path / "nope.ckpt"),

@@ -158,6 +158,15 @@ class TestDiskRoundTrip:
                                              r"invalid literal for int\(\) with base 10: '2x'"):
             load_corpus(manifest)
 
+    def test_unknown_file_type_names_the_manifest_and_utterance(self, tmp_path):
+        manifest = write_corpus(tmp_path, TASK, "source", 3, seed=3, emit="features")
+        entries = read_manifest(manifest)
+        entries[1] = replace(entries[1], path="feats/source_00001.npy")
+        write_manifest(manifest, entries)
+        with pytest.raises(ValueError, match=r"manifest\.tsv: utterance 'source_00001' has unknown "
+                                             r"file type '\.npy' \('feats/source_00001\.npy'\)"):
+            load_corpus(manifest)
+
     def test_empty_transcript_loads_as_no_tokens(self, tmp_path):
         manifest = write_corpus(tmp_path, TASK, "source", 2, seed=3, emit="features")
         write_manifest(manifest, [replace(e, transcript="") for e in read_manifest(manifest)])

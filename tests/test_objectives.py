@@ -199,11 +199,16 @@ class TestBidirectional:
         assert np.all(pair.rev_obj.children["gen0"].p["b"].data == 7.0)
 
     def test_adapters_follow_host_sharing(self):
-        pair = BidirectionalAPC(replace(LAG2, biapc_scheme="share_gen_encoder"), seed=0)
-        pair.insert_adapters(4, np.random.default_rng(0), random_init=True)
-        f, r = pair.fwd.children, pair.rev.children
-        assert shares_storage(r["adapter1"], f["adapter1"])
-        assert not shares_storage(r["adapter0"], f["adapter0"])
+        blocks = {"block0", "adapter1", "final_ln"}
+        shared_by_scheme = {"none": set(), "share_generator": set(), "share_gen_encoder": blocks,
+                            "share_all": blocks | {"conv", "adapter0"}}
+        for scheme, shared in shared_by_scheme.items():
+            pair = BidirectionalAPC(replace(LAG2, biapc_scheme=scheme), seed=0)
+            pair.insert_adapters(4, np.random.default_rng(0), random_init=True)
+            f, r = pair.fwd.children, pair.rev.children
+            assert set(r) == {"conv", "adapter0"} | blocks
+            assert {name for name in r if shares_storage(r[name], f[name])} == shared, scheme
+            assert shares_storage(pair.rev_obj, pair.fwd_obj) == (scheme != "none"), scheme
 
     def test_share_all_loss_doubles_on_palindromic_input(self):
         pair = BidirectionalAPC(replace(CFG, apc_shift=1, apc_lags=1, apc_p=1, biapc_scheme="share_all"),

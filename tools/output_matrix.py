@@ -11,7 +11,7 @@ with SpecAugment on and enough steps to reach the learning-rate decay.
 Each run's evaluation report is written beside its checkpoints and
 metrics logs. corpus/ holds what the `sslasr` command line writes:
 gen-corpus feature corpora at the default task and at one set by --set,
-a target-domain waveform corpus drawn with --seed, and the featurize
+a target-domain waveform corpus drawn with seed 3, and the featurize
 output of that corpus.
 gradcheck.json holds the gradient oracle's worst errors, as float.hex,
 for both batteries over seeds 0-1.
@@ -70,16 +70,16 @@ def recipes() -> dict:
 
 
 def corpus_commands(root: Path) -> list:
-    """The command lines whose output corpus/ holds; the task keys go
-    through --set so the command line's reading of them is covered."""
+    """The command lines whose output corpus/ holds; every setting goes
+    through --set so the command line's reading of it is covered."""
     task = ["vocab_size=5", "d_feat=4", "proto_len=6", "min_tokens=3", "max_tokens=4",
             "noise_sigma=0.2", "proto_seed=3", "seed=2"]
     return [
-        ["gen-corpus", "--out", f"{root}/features", "--n", "4"],
-        ["gen-corpus", "--out", f"{root}/task", "--n", "4",
+        ["gen-corpus", "--out", f"{root}/features", "--set", "n_utterances=4"],
+        ["gen-corpus", "--out", f"{root}/task", "--set", "n_utterances=4",
          *[arg for kv in task for arg in ("--set", kv)]],
-        ["gen-corpus", "--out", f"{root}/waveform", "--n", "3", "--domain", "target",
-         "--emit", "waveform", "--seed", "3"],
+        ["gen-corpus", "--out", f"{root}/waveform", "--set", "n_utterances=3",
+         "--set", "domain=target", "--set", "emit=waveform", "--set", "seed=3"],
         ["featurize", "--manifest", f"{root}/waveform/manifest.tsv", "--out", f"{root}/fbank"],
     ]
 

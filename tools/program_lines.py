@@ -107,9 +107,9 @@ def _programs() -> None:
         cfg.write_text(TINY, encoding="utf-8")
         settings = ["--config", str(cfg)]
         runs = [
-            ["gen-corpus", "--out", f"{tmp}/feats", "--n", "16", "--set", "d_feat=4",
+            ["gen-corpus", "--out", f"{tmp}/feats", "--set", "n_utterances=16", "--set", "d_feat=4",
              "--set", "vocab_size=5", "--set", "min_tokens=3", "--set", "max_tokens=4"],
-            ["gen-corpus", "--out", f"{tmp}/wav", "--n", "2", "--emit", "waveform"],
+            ["gen-corpus", "--out", f"{tmp}/wav", "--set", "n_utterances=2", "--set", "emit=waveform"],
             ["featurize", "--manifest", f"{tmp}/wav/manifest.tsv", "--out", f"{tmp}/fbank"],
             ["pretrain", *settings, "--out", f"{tmp}/run", "--manifest", f"{tmp}/feats/manifest.tsv"],
             ["adapt", *settings, "--init", f"{tmp}/run/pretrain.ckpt", "--out", f"{tmp}/run"],
