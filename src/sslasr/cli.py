@@ -4,9 +4,10 @@ Subcommands cover the whole workflow: synthetic corpus generation,
 waveform featurization, the three training stages (pretrain, adapt,
 finetune), evaluation, the gradient-check oracle, and config sweeps.
 Settings come from an optional `key = value` file (--config) with
---set KEY=VALUE overrides, the last --set of a key winning.
-Keys are the fields of PipelineConfig, FeaturizerConfig and
-GenCorpusSettings, each checked before any file is written.
+--set KEY=VALUE overrides, the last --set of a key winning. A command
+takes only the keys of the settings classes it builds (featurize:
+FeaturizerConfig; gen-corpus: PipelineConfig and GenCorpusSettings; the
+rest: PipelineConfig), and building one checks its values.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -24,8 +25,8 @@ from .features import Featurizer, FeaturizerConfig
 from .gradcheck import gradcheck_battery, loss_gradcheck_battery
 from .io import (
     ManifestEntry,
+    Settings,
     append_jsonl,
-    check_setting,
     load_checkpoint,
     parse_value,
     read_config,
@@ -48,16 +49,12 @@ from .training import (
 
 
 @dataclass(frozen=True)
-class GenCorpusSettings:
+class GenCorpusSettings(Settings):
     """gen-corpus's own keys; it draws with the pipeline's `seed`."""
 
     n_utterances: int = setting(500, lo=1)
     domain: str = setting("source", choices=DOMAINS)
     emit: str = setting("features", choices=EMITS)
-
-
-SETTINGS = {f.name: f for cls in (PipelineConfig, FeaturizerConfig, GenCorpusSettings)
-            for f in fields(cls)}
 
 
 def _parse_override(text: str):
@@ -73,20 +70,16 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _load_settings(args) -> dict:
-    """Merge the --config file and the --set overrides, each over the last;
-    reject unknown keys and values outside their field's type and domain.
-    Cross-field rules run when a config is built."""
-    values = read_config(args.config) if getattr(args, "config", None) else {}
-    unknown = set(values) - set(SETTINGS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for key, val in getattr(args, "set", None) or []:
-        if key not in SETTINGS:
-            raise ValueError(f"unknown config key '{key}'")
-        values[key] = val
-    for key, val in values.items():
-        check_setting(SETTINGS[key], val)
+def _load_settings(args, *classes) -> dict:
+    """Merge the --config file and then the --set overrides, the last --set
+    of a key winning; reject a key that none of `classes` declares. Building
+    a class checks the values."""
+    values = read_config(args.config) if args.config else {}
+    values.update(args.set or [])
+    known = {f.name for cls in classes for f in fields(cls)}
+    for key in values:
+        if key not in known:
+            raise ValueError(f"unknown config key '{key}' for {args.command}")
     return values
 
 
@@ -113,31 +106,32 @@ def _disk_corpus(manifest_path, cfg: PipelineConfig):
 
 
 def _cmd_gen_corpus(args) -> int:
-    values = _load_settings(args)
+    values = _load_settings(args, PipelineConfig, GenCorpusSettings)
     cfg, job = _pick(PipelineConfig, values), _pick(GenCorpusSettings, values)
     print(write_corpus(args.out, cfg, job.domain, job.n_utterances, cfg.seed, job.emit))
     return 0
 
 
 def _cmd_featurize(args) -> int:
-    fc = _pick(FeaturizerConfig, _load_settings(args))
+    fc = _pick(FeaturizerConfig, _load_settings(args, FeaturizerConfig))
     featurizer = Featurizer(fc)
-    out = Path(args.out)
-    (out / "feats").mkdir(parents=True, exist_ok=True)
-    entries = []
     root = Path(args.manifest).parent
+    feats, entries = [], []  # every entry is read and featurized before the first write
     for e in read_manifest(args.manifest):
         src = root / e.path
         if src.suffix != ".wav":
-            raise ValueError(f"featurize expects .wav inputs, got '{e.path}'")
+            raise ValueError(f"{args.manifest}: utterance '{e.utt_id}': featurize expects "
+                             f".wav inputs, got '{e.path}'")
         samples, rate = read_wav(src)
         if rate != fc.sample_rate:
-            raise ValueError(
-                f"'{e.path}' is {rate} Hz but the featurizer expects {fc.sample_rate}")
-        rel = f"feats/{e.utt_id}.feat"
-        write_feat(out / rel, featurizer(samples),
-                   shift_ms=fc.shift_ms, window_ms=fc.window_ms)
-        entries.append(ManifestEntry(e.utt_id, rel, e.transcript, e.domain))
+            raise ValueError(f"{args.manifest}: utterance '{e.utt_id}' is {rate} Hz "
+                             f"but the featurizer expects {fc.sample_rate}")
+        feats.append(featurizer(samples))
+        entries.append(ManifestEntry(e.utt_id, f"feats/{e.utt_id}.feat", e.transcript, e.domain))
+    out = Path(args.out)
+    (out / "feats").mkdir(parents=True, exist_ok=True)
+    for e, f in zip(entries, feats):
+        write_feat(out / e.path, f, shift_ms=fc.shift_ms, window_ms=fc.window_ms)
     manifest = out / "manifest.tsv"
     write_manifest(manifest, entries)
     print(manifest)
@@ -145,7 +139,7 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    cfg = _pick(PipelineConfig, _load_settings(args))
+    cfg = _pick(PipelineConfig, _load_settings(args, PipelineConfig))
     corpus = _disk_corpus(args.manifest, cfg) if args.manifest else None
     print(run_pretrain(cfg, args.out, corpus=corpus))
     return 0
@@ -158,8 +152,8 @@ def _checkpoint_config(args) -> PipelineConfig:
     (objective, model size, corpus task) carry forward automatically;
     --config and --set still override.
     """
-    stored = load_checkpoint(args.init).config
-    return _pick(PipelineConfig, {**stored, **_load_settings(args)})
+    values = _load_settings(args, PipelineConfig)
+    return _pick(PipelineConfig, {**load_checkpoint(args.init).config, **values})
 
 
 def _cmd_adapt(args) -> int:
@@ -205,7 +199,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    values = _load_settings(args)
+    values = _load_settings(args, PipelineConfig)
     if args.key not in {f.name for f in fields(PipelineConfig)}:
         raise ValueError(f"unknown sweep key '{args.key}'")
     points = [parse_value(v) for v in args.values.split(",") if v.strip()]
@@ -242,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="settings file of 'key = value' lines")
             p.add_argument("--set", action="append", type=_parse_override,
                            metavar="KEY=VALUE", help="override one setting (repeatable)")
-        p.set_defaults(handler=fn)
+        p.set_defaults(handler=fn, parser=p)
         return p
 
     p = add("gen-corpus", "generate a synthetic corpus plus manifest", _cmd_gen_corpus)
@@ -290,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # reported with the subcommand's usage line, not the root's
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.handler(args)
     except Exception as exc:

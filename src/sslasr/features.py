@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .io import check_setting, setting
+from .io import Settings, setting
 
 
 @dataclass(frozen=True)
-class FeaturizerConfig:
+class FeaturizerConfig(Settings):
     sample_rate: int = setting(16000, lo=1)
     window_ms: float = setting(25.0, above=0)
     shift_ms: float = setting(10.0, above=0)
@@ -18,10 +18,6 @@ class FeaturizerConfig:
     fmin: float = setting(0.0, lo=0)
     fmax: float | None = setting(None, above=0)  # None -> Nyquist
     log_floor: float = setting(1e-10, above=0)
-
-    def __post_init__(self):
-        for f in fields(self):
-            check_setting(f, getattr(self, f.name))
 
 
 def hamming_window(length: int) -> np.ndarray:

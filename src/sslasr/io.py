@@ -12,7 +12,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import Field, dataclass, field
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +278,15 @@ def check_setting(f: Field, value) -> None:
     else:
         return
     raise ValueError(f"setting '{f.name}' must {rule}, got {value!r}")
+
+
+class Settings:
+    """Base of the frozen settings dataclasses: building one checks each
+    field's value against its declaration."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            check_setting(f, getattr(self, f.name))
 
 
 def read_config(path) -> dict:

@@ -11,7 +11,7 @@ the steps and writes the checkpoint."""
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from .ctc import CTCHead, ctc_loss_batch, edit_distance, error_rate, greedy_deco
 from .data import make_corpus, pad_batch
 from .engine import Tape, Tensor, backward
 from .features import spec_augment
-from .io import append_jsonl, check_setting, load_checkpoint, save_checkpoint, setting
+from .io import Settings, append_jsonl, load_checkpoint, save_checkpoint, setting
 from .model import Encoder, Module, build_encoder
 from .objectives import (
     BidirectionalAPC,
@@ -45,7 +45,7 @@ _STRUCTURAL = (
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(Settings):
     """Every pipeline setting, declared once with its domain. A value outside
     it, or a broken cross-field rule, is a ValueError naming the setting."""
 
@@ -99,8 +99,7 @@ class PipelineConfig:
     spec_augment: bool = setting(False)
 
     def __post_init__(self):
-        for f in fields(self):
-            check_setting(f, getattr(self, f.name))
+        super().__post_init__()
         if self.max_tokens < self.min_tokens:
             raise ValueError(f"setting 'max_tokens' must be >= min_tokens ({self.min_tokens}), "
                              f"got {self.max_tokens}")

@@ -1,13 +1,14 @@
 """End-to-end command-line workflows via main(argv)."""
 
 import json
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
-from sslasr.cli import SETTINGS, GenCorpusSettings, main
-from sslasr.data import load_corpus
+from sslasr.cli import GenCorpusSettings, main
+from sslasr.data import load_corpus, write_wav
 from sslasr.features import FeaturizerConfig
 from sslasr.io import load_checkpoint, read_jsonl, read_manifest, write_feat, write_manifest
 from sslasr.training import PipelineConfig
@@ -56,10 +57,20 @@ class TestSettingDeclarations:
                 setattr(cls(), fields(cls)[0].name, 1)
 
     def test_each_key_is_declared_once(self):
-        names = [f.name for cls in (PipelineConfig, FeaturizerConfig) for f in fields(cls)]
-        names += ["n_utterances", "domain", "emit"]  # gen-corpus's own
-        assert len(names) == len(set(names)) == len(SETTINGS)
-        assert set(names) == set(SETTINGS)
+        # one config file can serve several commands, so no two classes share a key
+        names = [f.name for cls in (PipelineConfig, FeaturizerConfig, GenCorpusSettings)
+                 for f in fields(cls)]
+        assert len(names) == len(set(names))
+
+    @pytest.mark.parametrize("kwargs, rule", [
+        ({"n_utterances": 0}, "must be >= 1, got 0"),
+        ({"domain": "mars"}, "must be one of source, target, got 'mars'"),
+        ({"emit": "video"}, "must be one of features, waveform, got 'video'"),
+    ], ids=["n_utterances", "domain", "emit"])
+    def test_gen_corpus_settings_check_themselves(self, kwargs, rule):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=re.escape(f"setting '{name}' {rule}")):
+            GenCorpusSettings(**kwargs)
 
 
 class TestCorpusCommands:
@@ -98,9 +109,40 @@ class TestCorpusCommands:
     def test_featurize_rejects_feature_manifest(self, tmp_path, capsys):
         main(["gen-corpus", "--out", str(tmp_path / "f"), "--set", "n_utterances=1"])
         manifest = last_line(capsys)
-        rc = main(["featurize", "--manifest", manifest, "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        rc = main(["featurize", "--manifest", manifest, "--out", str(out)])
         assert rc == 1
-        assert "expects .wav" in capsys.readouterr().err
+        assert (f"error: {manifest}: utterance 'source_00000': featurize expects .wav inputs"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_featurize_missing_manifest_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["featurize", "--manifest", str(tmp_path / "nope.tsv"), "--out", str(out)])
+        assert rc == 1
+        assert "nope.tsv" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad, message", [
+        ("suffix", "utterance 'source_00002': featurize expects .wav inputs, "
+                   "got 'wavs/source_00002.npy'"),
+        ("rate", "utterance 'source_00002' is 8000 Hz but the featurizer expects 16000"),
+    ], ids=["suffix", "rate"])
+    def test_featurize_checks_every_entry_before_writing(self, tmp_path, capsys, bad, message):
+        main(["gen-corpus", "--out", str(tmp_path / "wav"), "--set", "n_utterances=3",
+              "--set", "emit=waveform"])
+        manifest = last_line(capsys)
+        entries = read_manifest(manifest)
+        if bad == "suffix":
+            entries[2] = replace(entries[2], path="wavs/source_00002.npy")
+            write_manifest(manifest, entries)
+        else:
+            write_wav(tmp_path / "wav" / entries[2].path, np.zeros(8000), sample_rate=8000)
+        out = tmp_path / "feat"
+        rc = main(["featurize", "--manifest", manifest, "--out", str(out)])
+        assert rc == 1
+        assert f"error: {manifest}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainingCommands:
@@ -328,6 +370,12 @@ REMOVED_FLAGS = [
     ("evaluate", "--seed", "3"),
 ]
 
+# (command, key = value): a key of a settings class the command does not build
+FOREIGN_KEYS = [
+    ("pretrain", "n_mels = 3"), ("pretrain", "emit = waveform"), ("featurize", "d_model = 8"),
+    ("evaluate", "n_utterances = 2"), ("sweep", "fmax = 4000"),
+]
+
 # (command, key = value, the rule it breaks): settings the removed options carried
 FORMER_FLAG_VALUES = [
     ("gen-corpus", "n_utterances = 0", "must be >= 1, got 0"),
@@ -344,7 +392,25 @@ class TestErrorHandling:
     def test_unknown_set_key(self, tmp_path, capsys):
         rc = main(["gen-corpus", "--out", str(tmp_path), "--set", "volume=11"])
         assert rc == 1
-        assert "unknown config key 'volume'" in capsys.readouterr().err
+        assert "unknown config key 'volume' for gen-corpus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, line", FOREIGN_KEYS,
+                             ids=[f"{c}-{line.partition(' ')[0]}" for c, line in FOREIGN_KEYS])
+    def test_key_of_another_command_is_rejected(self, tmp_path, capsys, command, line):
+        key, _, value = line.partition(" = ")
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        args = {
+            "pretrain": ["--out", str(out)],
+            "featurize": ["--manifest", str(tmp_path / "m.tsv"), "--out", str(out)],
+            "evaluate": ["--init", str(tmp_path / "x.ckpt"), "--report", str(out / "r.json")],
+            "sweep": ["--key", "d_adapter", "--values", "2", "--out", str(out)],
+        }[command]
+        for source in (["--config", str(cfg)], ["--set", f"{key}={value}"]):
+            assert main([command, *args, *source]) == 1
+            assert f"error: unknown config key '{key}' for {command}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_ill_typed_setting_names_the_setting(self, tmp_path, capsys):
         cases = [
@@ -364,8 +430,11 @@ class TestErrorHandling:
             assert message in capsys.readouterr().err
         # a float setting (and fmax) takes an int, and the run goes ahead
         cfg = tmp_path / "ok.cfg"
-        cfg.write_text("noise_sigma = 0\nfmax = 4000\n")
+        cfg.write_text("noise_sigma = 0\n")
         assert main(["gen-corpus", "--out", str(tmp_path / "c"), "--set", "n_utterances=2",
+                     "--set", "emit=waveform", "--config", str(cfg)]) == 0
+        cfg.write_text("fmax = 4000\n")
+        assert main(["featurize", "--manifest", last_line(capsys), "--out", str(tmp_path / "f"),
                      "--config", str(cfg)]) == 0
 
     @pytest.mark.parametrize("settings, objective, rule",
@@ -405,7 +474,9 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main([command, *init, *dest, flag, value])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"usage: sslasr {command} " in err
+        assert f"unrecognized arguments: {flag} {value}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, line, rule", FORMER_FLAG_VALUES,

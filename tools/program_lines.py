@@ -5,7 +5,8 @@
 Under sys.settrace, runs tools/output_matrix.py's run_matrix and every CLI
 subcommand on a tiny corpus: gen-corpus (features and waveform),
 featurize, pretrain, adapt, finetune, evaluate, sweep and gradcheck
---seeds 1. Then prints, per src/sslasr file, the executable lines (those
+--seeds 1; the training commands read output_matrix's tiny config as a
+--config file. Then prints, per src/sslasr file, the executable lines (those
 the compiled code objects' co_lines attribute bytecode to) that none of
 them ran. A line listed here runs only under the tests, or never: a
 candidate for deletion, or a guard that only outside input reaches.
@@ -23,27 +24,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sslasr"
-
-TINY = """\
-n_train = 16
-n_target = 12
-n_eval = 6
-d_feat = 4
-vocab_size = 5
-min_tokens = 3
-max_tokens = 4
-d_model = 16
-n_heads = 2
-n_blocks = 1
-d_ffn = 32
-pretrain_steps = 2
-adapt_steps = 2
-finetune_steps = 2
-batch_size = 4
-noam_warmup = 2
-d_adapter = 4
-"""
-
 
 def executable_lines(path) -> set[int]:
     """Line numbers that hold bytecode in any code object compiled from path."""
@@ -104,7 +84,9 @@ def _programs() -> None:
         tmp = Path(tmp)
         matrix.run_matrix(tmp / "matrix")
         cfg = tmp / "tiny.cfg"
-        cfg.write_text(TINY, encoding="utf-8")
+        # every PipelineConfig field, so each kind of value goes through the config file
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in vars(matrix.tiny_config()).items()),
+                       encoding="utf-8")
         settings = ["--config", str(cfg)]
         runs = [
             ["gen-corpus", "--out", f"{tmp}/feats", "--set", "n_utterances=16", "--set", "d_feat=4",
