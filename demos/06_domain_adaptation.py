@@ -13,59 +13,39 @@ import time
 from pathlib import Path
 
 from sslasr.io import load_checkpoint
-from sslasr.training import (
-    PipelineConfig, build_corpora, run_adapt, run_evaluate, run_finetune, run_pretrain,
-)
+from sslasr.training import PipelineConfig, run_pipeline
 
 # a narrower copy of the default task so the demo stays under a minute;
 # drop the overrides to reproduce the full comparison
-cfg = dict(
-    n_train=150, n_target=150, n_eval=80,
-    d_model=32, d_ffn=64,
-)
+cfg = dict(n_train=150, n_target=150, n_eval=80, d_model=32, d_ffn=64)
 stories = {
     "draft": "pretrain -> adapter-only adapt -> CTC finetune",
     "no_adapt": "pretrain -> CTC finetune",
     "scratch": "random init -> CTC finetune",
 }
 
-# the stages run_pipeline chains, except that draft and no_adapt, which
-# pretrain identically for a seed, share one pretrain checkpoint; each of
-# their times includes that pretrain
+# one run_pipeline call per seed runs all three variants; draft and
+# no_adapt share that seed's one pretrain
 print("three pipelines, three seeds each (TER = token error rate)\n")
 ters = {variant: [] for variant in stories}
-secs = dict.fromkeys(stories, 0.0)
 with tempfile.TemporaryDirectory() as root:
+    t0 = time.time()
     for seed in range(3):
-        seed_cfg = PipelineConfig(seed=seed, **cfg)
-        corpora = build_corpora(seed_cfg)
-        work = Path(root) / f"seed{seed}"
-        t0 = time.time()
-        pre = run_pretrain(seed_cfg, work / "source", corpus=corpora["source_train"])
-        pretrain_s = time.time() - t0
-        for variant in stories:
-            t0 = time.time()
-            if variant == "draft":
-                ckpt = run_adapt(seed_cfg, pre, work / variant, mode="draft",
-                                 corpus=corpora["target_train"])
-            elif variant == "no_adapt":
-                ckpt = pre
-            else:
-                ckpt = run_pretrain(seed_cfg, work / variant, corpus=corpora["source_train"], steps=0)
-            ckpt = run_finetune(seed_cfg, ckpt, work / variant, corpus=corpora["target_train"])
-            report = run_evaluate(seed_cfg, ckpt, corpus=corpora["target_eval"])
+        reports = run_pipeline(PipelineConfig(seed=seed, **cfg), Path(root) / f"seed{seed}",
+                               tuple(stories))
+        for variant, report in reports.items():
             ters[variant].append(report["ter"])
-            secs[variant] += time.time() - t0 + (pretrain_s if variant != "scratch" else 0.0)
+    secs = time.time() - t0
 
     results = {}
     for variant, story in stories.items():
         results[variant] = statistics.median(ters[variant])
         print(f"{variant:9s} {story}")
         print(f"          TERs {[f'{t:.3f}' for t in ters[variant]]}, "
-              f"median {results[variant]:.3f}  ({secs[variant]:.1f}s)\n")
+              f"median {results[variant]:.3f}\n")
 
     print(f"adaptation helps: {results['draft']:.3f} <= {results['no_adapt']:.3f} "
-          f"<= {results['scratch']:.3f}")
+          f"<= {results['scratch']:.3f}  ({secs:.1f}s for the three seeds)")
 
     print()
     print("== what the adapter stage actually touches ==")

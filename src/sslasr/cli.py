@@ -119,13 +119,14 @@ def _cmd_featurize(args) -> int:
     feats, entries = [], []  # every entry is read and featurized before the first write
     for e in read_manifest(args.manifest):
         src = root / e.path
-        if src.suffix != ".wav":
-            raise ValueError(f"{args.manifest}: utterance '{e.utt_id}': featurize expects "
-                             f".wav inputs, got '{e.path}'")
-        samples, rate = read_wav(src)
-        if rate != fc.sample_rate:
-            raise ValueError(f"{args.manifest}: utterance '{e.utt_id}' is {rate} Hz "
-                             f"but the featurizer expects {fc.sample_rate}")
+        try:
+            if src.suffix != ".wav":
+                raise ValueError(f"featurize expects .wav inputs, got '{e.path}'")
+            samples, rate = read_wav(src)
+            if rate != fc.sample_rate:
+                raise ValueError(f"sampled at {rate} Hz, but the featurizer expects {fc.sample_rate}")
+        except ValueError as exc:
+            raise ValueError(f"{args.manifest}: utterance '{e.utt_id}': {exc}") from None
         feats.append(featurizer(samples))
         entries.append(ManifestEntry(e.utt_id, f"feats/{e.utt_id}.feat", e.transcript, e.domain))
     out = Path(args.out)
@@ -212,8 +213,8 @@ def _cmd_sweep(args) -> int:
     results_path = out / "sweep.jsonl"
     results_path.unlink(missing_ok=True)
     for val, cfg in zip(points, configs):
-        report = run_pipeline(cfg, out / f"{args.key}={val}",
-                              variant=args.variant, finetune_mode=args.finetune_mode)
+        report = run_pipeline(cfg, out / f"{args.key}={val}", (args.variant,),
+                              finetune_mode=args.finetune_mode)[args.variant]
         with open(results_path, "a", encoding="utf-8") as fh:
             append_jsonl(fh, {"key": args.key, "value": val,
                               "variant": report["variant"], "ter": report["ter"]})

@@ -10,6 +10,7 @@ from the same underlying task. A `seed` argument controls sampling.
 
 from __future__ import annotations
 
+import contextlib
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -116,12 +117,13 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = 16000) -> None:
 
 
 def read_wav(path):
-    with wave.open(str(path), "rb") as fh:
-        if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
-            raise ValueError("expected mono 16-bit PCM")
-        rate = fh.getframerate()
-        raw = fh.readframes(fh.getnframes())
-    return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0, rate
+    """Samples in [-1, 1] and rate of a mono 16-bit PCM WAV; else a ValueError naming the file."""
+    with contextlib.suppress(wave.Error, EOFError):  # a header cut short raises a bare EOFError
+        with wave.open(str(path), "rb") as fh:
+            if (fh.getnchannels(), fh.getsampwidth()) == (1, 2):
+                raw = fh.readframes(fh.getnframes())
+                return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0, fh.getframerate()
+    raise ValueError(f"{path}: not a mono 16-bit PCM WAV file")
 
 
 # ---------------------------------------------------------------------------

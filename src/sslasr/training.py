@@ -334,7 +334,7 @@ def run_pretrain(cfg: PipelineConfig, workdir, corpus=None, steps: int | None = 
 
 
 def run_adapt(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "draft",
-              corpus=None, steps: int | None = None) -> str:
+              corpus=None) -> str:
     """Unlabeled target-domain adaptation.
 
     'draft' inserts fresh adapters and trains only them (backbone and
@@ -342,10 +342,9 @@ def run_adapt(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "draft",
     reduced peak learning rate."""
     if mode not in ADAPT_MODES:
         raise ValueError(f"unknown adapt mode '{mode}'")
-    steps = cfg.adapt_steps if steps is None else steps
     corpus = build_corpora(cfg)["target_train"] if corpus is None else corpus
     bundle, provenance = _restore_for("adapt", cfg, ckpt_path)
-    if cfg.objective == "masked_cluster" and steps > 0:
+    if cfg.objective == "masked_cluster" and cfg.adapt_steps > 0:
         bundle.prepare_cluster_targets("adapt", corpus, np.random.default_rng([cfg.seed, 0x535, 2]))
     if mode == "draft":
         if not bundle.encoder.d_adapter:
@@ -361,15 +360,15 @@ def run_adapt(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "draft",
         trainable = bundle.named_params()
     lr_fn = lambda s: noam_lr(s, cfg.d_model, cfg.noam_warmup, factor)
     return _run_stage("adapt", f"adapt_{mode}", cfg, workdir, corpus, bundle, bundle.loss,
-                      trainable, steps, lr_fn, provenance)
+                      trainable, cfg.adapt_steps, lr_fn, provenance)
 
 
 def run_finetune(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "full",
-                 corpus=None, steps: int | None = None) -> str:
+                 corpus=None) -> str:
     """Supervised CTC finetuning with a fresh generator; returns ckpt path."""
     if mode not in FINETUNE_MODES:
         raise ValueError(f"unknown finetune mode '{mode}'")
-    steps = cfg.finetune_steps if steps is None else steps
+    steps = cfg.finetune_steps
     corpus = build_corpora(cfg)["target_train"] if corpus is None else corpus
     bundle, provenance = _restore_for("finetune", cfg, ckpt_path)
     encoder = bundle.encoder_for_finetune()
@@ -445,24 +444,34 @@ def run_evaluate(cfg: PipelineConfig, ckpt_path, corpus=None) -> dict:
 PIPELINES = ("draft", "saft", "no_adapt", "scratch")
 
 
-def run_pipeline(cfg: PipelineConfig, workdir, variant: str = "draft",
+def run_pipeline(cfg: PipelineConfig, workdir, variants: tuple,
                  finetune_mode: str = "full") -> dict:
-    """Run one end-to-end variant and return its evaluation report.
+    """Run end-to-end variants on one set of corpora; returns {variant: report}.
 
     draft:    pretrain (source) -> adapter-only adapt (target) -> finetune
     saft:     pretrain (source) -> full adapt (target) -> finetune
     no_adapt: pretrain (source) -> finetune
     scratch:  random init -> finetune
+
+    The variants that pretrain share one pretrain in `workdir`; each variant
+    runs its other stages, scratch its 0-step pretrain too, in `workdir/<variant>/`.
     """
-    if variant not in PIPELINES:
-        raise ValueError(f"unknown pipeline variant '{variant}'")
+    if not (isinstance(variants, tuple) and variants and all(v in PIPELINES for v in variants)
+            and len(set(variants)) == len(variants)):
+        raise ValueError(f"variants must be a non-empty tuple of distinct names from {PIPELINES}, got {variants!r}")
     workdir = Path(workdir)
     corpora = build_corpora(cfg)
-    pre_steps = 0 if variant == "scratch" else None
-    ckpt = run_pretrain(cfg, workdir, corpus=corpora["source_train"], steps=pre_steps)
-    if variant in ("draft", "saft"):
-        ckpt = run_adapt(cfg, ckpt, workdir, mode=variant, corpus=corpora["target_train"])
-    ckpt = run_finetune(cfg, ckpt, workdir, mode=finetune_mode, corpus=corpora["target_train"])
-    report = run_evaluate(cfg, ckpt, corpus=corpora["target_eval"])
-    report["variant"] = variant
-    return report
+    if set(variants) != {"scratch"}:
+        pre = run_pretrain(cfg, workdir, corpus=corpora["source_train"])
+    reports = {}
+    for variant in variants:
+        vdir = workdir / variant
+        if variant == "scratch":
+            ckpt = run_pretrain(cfg, vdir, corpus=corpora["source_train"], steps=0)
+        elif variant == "no_adapt":
+            ckpt = pre
+        else:
+            ckpt = run_adapt(cfg, pre, vdir, mode=variant, corpus=corpora["target_train"])
+        ckpt = run_finetune(cfg, ckpt, vdir, mode=finetune_mode, corpus=corpora["target_train"])
+        reports[variant] = {**run_evaluate(cfg, ckpt, corpus=corpora["target_eval"]), "variant": variant}
+    return reports

@@ -35,10 +35,7 @@ from sslasr.objectives import (
 from sslasr.optim import noam_lr, tri_stage_lr
 from sslasr.training import (
     PipelineConfig,
-    build_corpora,
     run_adapt,
-    run_evaluate,
-    run_finetune,
     run_pipeline,
     run_pretrain,
 )
@@ -341,39 +338,24 @@ def test_09_learning_rate_schedules_match_closed_forms():
 
 
 def test_10_adaptation_orders_error_rates(tmp_path):
-    # The stages run_pipeline chains, except that draft and no_adapt, which
-    # pretrain identically for a seed, share one pretrain checkpoint.
     ters = {"draft": [], "no_adapt": [], "scratch": []}
     slowest = 0.0
     for seed in range(5):
-        cfg = PipelineConfig(seed=seed)
-        corpora = build_corpora(cfg)
-        work = tmp_path / f"seed{seed}"
         t0 = time.time()
-        pre = run_pretrain(cfg, work / "source", corpus=corpora["source_train"])
-        pretrain_s = time.time() - t0
-        for variant in ters:
-            t0 = time.time()
-            if variant == "draft":
-                ckpt = run_adapt(cfg, pre, work / variant, mode="draft",
-                                 corpus=corpora["target_train"])
-            elif variant == "no_adapt":
-                ckpt = pre
-            else:
-                ckpt = run_pretrain(cfg, work / variant, corpus=corpora["source_train"], steps=0)
-            ckpt = run_finetune(cfg, ckpt, work / variant, mode="full",
-                                corpus=corpora["target_train"])
-            ters[variant].append(run_evaluate(cfg, ckpt, corpus=corpora["target_eval"])["ter"])
-            elapsed = time.time() - t0 + (pretrain_s if variant != "scratch" else 0.0)
-            slowest = max(slowest, elapsed)
-            assert elapsed < 180.0, f"{variant} seed {seed} took {elapsed:.0f}s"
+        reports = run_pipeline(PipelineConfig(seed=seed), tmp_path / f"seed{seed}",
+                               ("draft", "no_adapt", "scratch"))
+        elapsed = time.time() - t0
+        slowest = max(slowest, elapsed)
+        assert elapsed < 180.0, f"seed {seed} took {elapsed:.0f}s for all three variants"
+        for variant, report in reports.items():
+            ters[variant].append(report["ter"])
     medians = {variant: statistics.median(v) for variant, v in ters.items()}
     assert medians["draft"] <= medians["no_adapt"] <= medians["scratch"], \
         f"median TER ordering violated: {medians}"
     print(f"\n[PASS] 10/12 end-to-end ordering: median TER draft "
           f"{medians['draft']:.4f} <= no_adapt {medians['no_adapt']:.4f} <= "
           f"scratch {medians['scratch']:.4f} over 5 seeds "
-          f"(slowest run {slowest:.1f}s < 180s)")
+          f"(slowest seed, all three variants, {slowest:.1f}s < 180s)")
 
 
 def test_11_identical_seeds_reproduce_bits(tmp_path):
@@ -381,11 +363,11 @@ def test_11_identical_seeds_reproduce_bits(tmp_path):
                               pretrain_steps=20, adapt_steps=12,
                               finetune_steps=10)
     dirs = (tmp_path / "a", tmp_path / "b")
-    reports = [run_pipeline(cfg, d, "draft") for d in dirs]
+    reports = [run_pipeline(cfg, d, ("draft",))["draft"] for d in dirs]
 
-    files = ("pretrain.ckpt", "adapt_draft.ckpt", "finetune_full.ckpt",
-             "pretrain_metrics.jsonl", "adapt_draft_metrics.jsonl",
-             "finetune_full_metrics.jsonl")
+    files = ("pretrain.ckpt", "draft/adapt_draft.ckpt", "draft/finetune_full.ckpt",
+             "pretrain_metrics.jsonl", "draft/adapt_draft_metrics.jsonl",
+             "draft/finetune_full_metrics.jsonl")
     for fname in files:
         a = (dirs[0] / fname).read_bytes()
         b = (dirs[1] / fname).read_bytes()

@@ -126,22 +126,29 @@ class TestCorpusCommands:
     @pytest.mark.parametrize("bad, message", [
         ("suffix", "utterance 'source_00002': featurize expects .wav inputs, "
                    "got 'wavs/source_00002.npy'"),
-        ("rate", "utterance 'source_00002' is 8000 Hz but the featurizer expects 16000"),
-    ], ids=["suffix", "rate"])
+        ("rate", "utterance 'source_00002': sampled at 8000 Hz, but the featurizer expects 16000"),
+        ("junk", "utterance 'source_00002': {wavs}/source_00002.wav: not a mono 16-bit PCM WAV file"),
+        ("stereo", "utterance 'source_00002': {wavs}/source_00002.wav: not a mono 16-bit PCM WAV file"),
+    ], ids=["suffix", "rate", "not_a_wav", "stereo"])
     def test_featurize_checks_every_entry_before_writing(self, tmp_path, capsys, bad, message):
         main(["gen-corpus", "--out", str(tmp_path / "wav"), "--set", "n_utterances=3",
               "--set", "emit=waveform"])
         manifest = last_line(capsys)
         entries = read_manifest(manifest)
+        wav = tmp_path / "wav" / entries[2].path
         if bad == "suffix":
             entries[2] = replace(entries[2], path="wavs/source_00002.npy")
             write_manifest(manifest, entries)
-        else:
-            write_wav(tmp_path / "wav" / entries[2].path, np.zeros(8000), sample_rate=8000)
+        elif bad == "rate":
+            write_wav(wav, np.zeros(8000), sample_rate=8000)
+        elif bad == "junk":
+            wav.write_bytes(b"junk")
+        else:  # the fmt chunk's channel count, at byte 22, set to 2
+            wav.write_bytes(wav.read_bytes()[:22] + b"\x02" + wav.read_bytes()[23:])
         out = tmp_path / "feat"
         rc = main(["featurize", "--manifest", manifest, "--out", str(out)])
         assert rc == 1
-        assert f"error: {manifest}: {message}" in capsys.readouterr().err
+        assert f"error: {manifest}: {message.format(wavs=wav.parent)}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -316,7 +323,8 @@ class TestSweepCommand:
         records = read_jsonl(out / "sweep.jsonl")
         assert [r["value"] for r in records] == [2, 4]
         assert all(r["key"] == "d_adapter" and "ter" in r for r in records)
-        assert (out / "d_adapter=2").is_dir() and (out / "d_adapter=4").is_dir()
+        assert all((out / point / name).is_file() for point in ("d_adapter=2", "d_adapter=4")
+                   for name in ("pretrain.ckpt", "no_adapt/finetune_full.ckpt"))
 
     def test_every_point_is_checked_before_the_first_runs(self, tmp_path, tiny_config, capsys):
         out = tmp_path / "sweep"

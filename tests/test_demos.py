@@ -1,8 +1,8 @@
 """Each demo, and the README's quick start, runs to completion as a standalone script.
 
 The quick ones take about a second each; 06_domain_adaptation.py, which
-trains all three pipelines on three seeds and pretrains once per seed,
-takes about 9 s on 2 CPUs.
+runs the three pipelines on three seeds with one run_pipeline call, and
+so one pretrain, per seed, takes about 5 s on 2 CPUs.
 """
 
 import os

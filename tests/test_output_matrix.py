@@ -24,6 +24,8 @@ def test_matrix_digests_every_written_file(tmp_path):
     table = json.loads(out.read_text())
     assert all(re.fullmatch(r"[0-9a-f]{64}", d) for d in table.values())
     for name in tool.recipes():
+        assert f"{name}/pretrain.ckpt" in table
+        assert f"{name}/scratch/pretrain.ckpt" in table
         for variant in PIPELINES:
             assert f"{name}/{variant}/finetune_full.ckpt" in table
             assert f"{name}/{variant}/report.json" in table

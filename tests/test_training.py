@@ -396,8 +396,10 @@ class TestModeValidation:
             run_adapt(cfg, pre, tmp_path, mode="drift")
         with pytest.raises(ValueError, match="unknown finetune mode"):
             run_finetune(cfg, pre, tmp_path, mode="partial")
-        with pytest.raises(ValueError, match="unknown pipeline variant"):
-            run_pipeline(cfg, tmp_path, variant="baseline")
+        for variants in ((), ("draft", "draft"), ("baseline",), "draft"):
+            with pytest.raises(ValueError, match="variants must be a non-empty tuple of distinct names"):
+                run_pipeline(cfg, tmp_path / "pipeline", variants)
+        assert not (tmp_path / "pipeline").exists()
         with pytest.raises(ValueError, match="setting 'objective' must be one of .*, got 'mlm'"):
             SSLBundle(tiny_cfg(objective="mlm"), seed=0)
 
@@ -415,21 +417,21 @@ class TestModeValidation:
 
     def test_adapter_width_conflict_rejected(self, draft_chain, tmp_path):
         cfg, _, _, ada, _, _ = draft_chain
-        wider = tiny_cfg(d_adapter=8)
+        wider = tiny_cfg(d_adapter=8, adapt_steps=1)
         with pytest.raises(ValueError, match="different size"):
-            run_adapt(wider, ada, tmp_path, mode="draft", steps=1)
+            run_adapt(wider, ada, tmp_path, mode="draft")
 
 
 class TestDeterminism:
     def test_repeat_runs_are_bit_identical(self, tmp_path):
         cfg = tiny_cfg(n_train=16, n_eval=6, pretrain_steps=2, adapt_steps=2,
                        finetune_steps=2)
-        r1 = run_pipeline(cfg, tmp_path / "a", variant="draft")
-        r2 = run_pipeline(cfg, tmp_path / "b", variant="draft")
+        r1 = run_pipeline(cfg, tmp_path / "a", ("draft",))["draft"]
+        r2 = run_pipeline(cfg, tmp_path / "b", ("draft",))["draft"]
         assert r1["ter"] == r2["ter"]
         assert r1["total_edits"] == r2["total_edits"]
-        ck1 = (tmp_path / "a" / "finetune_full.ckpt").read_bytes()
-        ck2 = (tmp_path / "b" / "finetune_full.ckpt").read_bytes()
+        ck1 = (tmp_path / "a" / "draft" / "finetune_full.ckpt").read_bytes()
+        ck2 = (tmp_path / "b" / "draft" / "finetune_full.ckpt").read_bytes()
         assert ck1 == ck2
 
     def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
@@ -438,7 +440,7 @@ class TestDeterminism:
         script = ("import sys\n"
                   "from sslasr.training import PipelineConfig, run_pipeline\n"
                   "run_pipeline(PipelineConfig(n_train=16, n_target=16, n_eval=8, pretrain_steps=3,\n"
-                  "             adapt_steps=2, finetune_steps=2, noam_warmup=2), sys.argv[1], 'draft')\n")
+                  "             adapt_steps=2, finetune_steps=2, noam_warmup=2), sys.argv[1], ('draft',))\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(sslasr.__file__)))
         written = {}
         for threads in ("1", "2"):
@@ -454,13 +456,30 @@ class TestDeterminism:
     def test_seed_changes_results(self, tmp_path):
         base = tiny_cfg(n_train=16, n_eval=6, pretrain_steps=2, adapt_steps=0,
                         finetune_steps=2)
-        r1 = run_pipeline(base, tmp_path / "a", variant="no_adapt")
+        run_pipeline(base, tmp_path / "a", ("no_adapt",))
         other = tiny_cfg(n_train=16, n_eval=6, pretrain_steps=2, adapt_steps=0,
                          finetune_steps=2, seed=1)
-        r2 = run_pipeline(other, tmp_path / "b", variant="no_adapt")
-        ck1 = load_checkpoint(tmp_path / "a" / "finetune_full.ckpt").params
-        ck2 = load_checkpoint(tmp_path / "b" / "finetune_full.ckpt").params
+        run_pipeline(other, tmp_path / "b", ("no_adapt",))
+        ck1 = load_checkpoint(tmp_path / "a" / "no_adapt" / "finetune_full.ckpt").params
+        ck2 = load_checkpoint(tmp_path / "b" / "no_adapt" / "finetune_full.ckpt").params
         assert any(not np.array_equal(ck1[k], ck2[k]) for k in ck1)
+
+
+class TestRunPipeline:
+    def test_variants_share_one_pretrain(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(n_train=16, n_target=12, n_eval=6, pretrain_steps=2, adapt_steps=2,
+                       finetune_steps=2)
+        variants, work, calls = ("draft", "saft", "no_adapt"), tmp_path / "all", []
+        monkeypatch.setattr(sslasr.training, "run_pretrain",
+                            lambda *a, **kw: calls.append(a) or run_pretrain(*a, **kw))
+        reports = run_pipeline(cfg, work, variants)
+        monkeypatch.undo()
+        assert len(calls) == 1 and list(reports) == list(variants)
+        assert sorted(p.relative_to(work).as_posix() for p in work.rglob("pretrain*")) == \
+            ["pretrain.ckpt", "pretrain_metrics.jsonl"]
+        for variant in variants:
+            alone = run_pipeline(cfg, tmp_path / variant, (variant,))[variant]
+            assert {**reports[variant], "checkpoint": None} == {**alone, "checkpoint": None}
 
 
 class TestObjectiveCoverage:
@@ -469,23 +488,17 @@ class TestObjectiveCoverage:
         cfg = tiny_cfg(objective=objective, n_train=16, n_eval=6,
                        pretrain_steps=2, adapt_steps=2, finetune_steps=2,
                        mask_prob=0.6)
-        pre = run_pretrain(cfg, tmp_path)
-        ada = run_adapt(cfg, pre, tmp_path, mode="draft")
-        fin = run_finetune(cfg, ada, tmp_path, mode="full")
-        report = run_evaluate(cfg, fin)
-        assert np.isfinite(report["ter"])
+        assert np.isfinite(run_pipeline(cfg, tmp_path, ("draft",))["draft"]["ter"])
 
     def test_saft_chain(self, tmp_path):
         cfg = tiny_cfg(n_train=16, n_eval=6, pretrain_steps=2, adapt_steps=2,
                        finetune_steps=2)
-        pre = run_pretrain(cfg, tmp_path)
-        ada = run_adapt(cfg, pre, tmp_path, mode="saft")
-        before = load_checkpoint(pre).params
-        after = load_checkpoint(ada).params
+        report = run_pipeline(cfg, tmp_path, ("saft",))["saft"]
+        before = load_checkpoint(tmp_path / "pretrain.ckpt").params
+        after = load_checkpoint(tmp_path / "saft" / "adapt_saft.ckpt").params
         # saft moves the backbone, unlike draft
         assert any(not np.array_equal(after[k], before[k]) for k in before)
-        fin = run_finetune(cfg, ada, tmp_path, mode="full")
-        assert np.isfinite(run_evaluate(cfg, fin)["ter"])
+        assert np.isfinite(report["ter"])
 
     def test_spec_augment_path(self, tmp_path):
         cfg = tiny_cfg(n_train=16, n_eval=6, pretrain_steps=1, finetune_steps=2,
@@ -582,9 +595,11 @@ class TestDegenerateInput:
                 run(one)
 
     def test_a_stage_with_no_steps_prepares_no_cluster_targets(self, tmp_path):
-        # 14 frame groups cannot seed 16 clusters, but scratch never pretrains
+        # 14 frame groups cannot seed 16 clusters, but scratch never pretrains,
+        # and it alone writes no shared pretrain
         cfg = tiny_cfg(objective="masked_cluster", causal=False, n_train=2, n_clusters=16)
-        assert np.isfinite(run_pipeline(cfg, tmp_path, "scratch")["ter"])
+        assert np.isfinite(run_pipeline(cfg, tmp_path, ("scratch",))["scratch"]["ter"])
+        assert not (tmp_path / "pretrain.ckpt").exists()
         with pytest.raises(ValueError, match="stage 'pretrain': fewer points than clusters: "
                                              "14 points, 16 clusters"):
             run_pretrain(cfg, tmp_path / "pretrained", steps=1)
@@ -654,7 +669,7 @@ def test_a_config_is_rejected_by_name_or_runs_to_a_named_end(overrides):
         return
     with tempfile.TemporaryDirectory() as work:
         try:
-            report = run_pipeline(cfg, work, "draft")
+            report = run_pipeline(cfg, work, ("draft",))["draft"]
         except (ValueError, FloatingPointError) as e:
             assert re.match(r"stage '(pretrain|adapt|finetune)'", str(e)), e
         else:

@@ -2,17 +2,18 @@
 
     python3 tools/output_matrix.py OUT.json
 
-Runs run_pipeline for each variant (draft, saft, no_adapt, scratch) and
-each objective, Bi-APC once per sharing scheme, the two masked objectives
-once more on a non-causal encoder (their setting in the paper), plus one
-draft chain that finetunes under every finetune mode, all on tiny
-configs. spec_augment/ finetunes the chain's adapt checkpoint once more
-with SpecAugment on and enough steps to reach the learning-rate decay.
-Each run's evaluation report is written beside its checkpoints and
-metrics logs. corpus/ holds what the `sslasr` command line writes:
-gen-corpus feature corpora at the default task and at one set by --set,
-a target-domain waveform corpus drawn with seed 3, and the featurize
-output of that corpus.
+Runs run_pipeline once per recipe, with all four variants (draft, saft,
+no_adapt, scratch) on the one pretrain in <recipe>/ and each variant's
+other stages in <recipe>/<variant>/. The recipes: each objective, Bi-APC
+once per sharing scheme, the two masked objectives once more on a
+non-causal encoder (their setting in the paper). Plus one draft chain that
+finetunes under every finetune mode, all on tiny configs. spec_augment/
+finetunes the chain's adapt checkpoint once more with SpecAugment on and
+enough steps to reach the learning-rate decay. Each run's evaluation
+report is written beside its checkpoints and metrics logs. corpus/
+holds what the `sslasr` command line writes: gen-corpus feature corpora
+at the default task and at one set by --set, a target-domain waveform
+corpus drawn with seed 3, and the featurize output of that corpus.
 gradcheck.json holds the gradient oracle's worst errors, as float.hex,
 for both batteries over seeds 0-1.
 OUT.json maps every written file, by its path relative to the run
@@ -95,9 +96,8 @@ def run_matrix(root) -> None:
     base = tiny_config()
     for name, overrides in recipes().items():
         cfg = replace(base, **overrides)
-        for variant in PIPELINES:
-            workdir = root / name / variant
-            _write_report(run_pipeline(cfg, workdir, variant=variant), workdir, "report.json")
+        for variant, report in run_pipeline(cfg, root / name, PIPELINES).items():
+            _write_report(report, root / name / variant, "report.json")
 
     workdir = root / "chain"
     pre = run_pretrain(base, workdir)
