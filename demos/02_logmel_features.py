@@ -36,8 +36,7 @@ print()
 print("== SpecAugment stripes ==")
 rng = np.random.default_rng(7)
 feats = fz(np.random.default_rng(0).normal(size=16000))
-masked = spec_augment(feats, rng, n_time_masks=2, max_time_width=12,
-                      n_freq_masks=1, max_freq_width=6)
+masked = spec_augment(feats, rng)  # two time stripes of <= 10 frames, two mel stripes of <= 8 bins
 wiped_rows = int((masked == 0).all(axis=1).sum())
 wiped_cols = int((masked == 0).all(axis=0).sum())
 print(f"input {feats.shape} -> {wiped_rows} fully zeroed frames, "

@@ -20,9 +20,12 @@ from sslasr.engine import Tensor
 
 
 def ctc_nll(logits, target):
-    """-log P(target) for one (T, V) utterance, scored as a batch of one."""
+    """-log P(target) for one (T, V) utterance, scored as a batch of one.
+
+    ctc_loss_batch divides each utterance's loss by its target length, so
+    the loss times the target length is -log P(target)."""
     batch = Tensor(logits[None])  # (1, T, V)
-    return float(ctc_loss_batch(batch, [len(logits)], [list(target)], normalize=False).data)
+    return len(target) * float(ctc_loss_batch(batch, [len(logits)], [list(target)]).data)
 
 
 def collapse(path, blank=0):
@@ -39,7 +42,7 @@ T, V = 3, 3  # 3 frames over {blank, a, b}
 logits = rng.normal(size=(T, V))
 logp = logits - np.log(np.exp(logits).sum(-1, keepdims=True))
 
-print("== brute force vs forward algorithm ==")
+print("== brute force vs forward algorithm (the loss times the target length) ==")
 for target in ([1], [2, 1], [1, 1]):
     paths = [p for p in itertools.product(range(V), repeat=T)
              if collapse(p) == list(target)]

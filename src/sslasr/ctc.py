@@ -50,13 +50,13 @@ def min_input_length(target) -> int:
     return len(target) + repeats
 
 
-def ctc_loss_batch(logits: Tensor, out_lengths, targets, normalize: bool = True) -> Tensor:
-    """Mean per-utterance CTC loss over the feasible part of a batch.
+def ctc_loss_batch(logits: Tensor, out_lengths, targets) -> Tensor:
+    """Mean over the feasible part of a batch of each utterance's CTC loss,
+    -log P(target), divided by its target length.
 
     logits: (B, T, V); out_lengths gives each utterance's valid frame
     count; targets is a list of B token-id lists. Infeasible utterances
     are skipped (each with a warning); an all-infeasible batch raises.
-    normalize divides each utterance's loss by its target length.
     """
     B, T, V = logits.shape
     lengths = [int(n) for n in np.asarray(out_lengths).reshape(-1)]
@@ -93,7 +93,7 @@ def ctc_loss_batch(logits: Tensor, out_lengths, targets, normalize: bool = True)
     ks = np.arange(K)
     t_last = np.array([lengths[b] for b in kept]) - 1
     s_last = 2 * n_lab
-    scale = 1.0 / (K * n_lab) if normalize else np.full(K, 1.0 / K)
+    scale = 1.0 / (K * n_lab)
 
     x = logits.data[kept].astype(np.float64)
     m = x.max(axis=-1, keepdims=True)

@@ -322,14 +322,15 @@ def gelu(a: Tensor) -> Tensor:
     return _record("gelu", (a,), out, bwd)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
     x = a.data
-    m = np.max(x, axis=axis, keepdims=True)
+    m = np.max(x, axis=-1, keepdims=True)
     e = np.exp(x - m)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        dot = (g * p).sum(axis=axis, keepdims=True)
+        dot = (g * p).sum(axis=-1, keepdims=True)
         return (p * (g - dot),)
 
     return _record("softmax", (a,), p, bwd)
@@ -455,19 +456,19 @@ def mean_(a: Tensor) -> Tensor:
                    lambda g: (np.broadcast_to(g, a.shape).copy() / a.size,))
 
 
-def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
-    """Cosine similarity along `axis`; zero-norm operands are an error."""
+def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
+    """Cosine similarity over the last axis; zero-norm operands are an error."""
     xa, xb = a.data, b.data
-    na = np.sqrt((xa**2).sum(axis=axis, keepdims=True))
-    nb = np.sqrt((xb**2).sum(axis=axis, keepdims=True))
+    na = np.sqrt((xa**2).sum(axis=-1, keepdims=True))
+    nb = np.sqrt((xb**2).sum(axis=-1, keepdims=True))
     if np.any(na == 0) or np.any(nb == 0):
         raise ValueError("degenerate similarity input")
-    dot = (xa * xb).sum(axis=axis, keepdims=True)
+    dot = (xa * xb).sum(axis=-1, keepdims=True)
     c = dot / (na * nb)
-    out = np.squeeze(c, axis=axis)
+    out = c[..., 0]
 
     def bwd(g):
-        ge = np.expand_dims(np.asarray(g), axis)
+        ge = np.asarray(g)[..., None]
         ga = ge * (xb / (na * nb) - c * xa / (na * na))
         gb = ge * (xa / (na * nb) - c * xb / (nb * nb))
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)

@@ -110,29 +110,14 @@ class Featurizer:
         return (n_samples - self.win) // self.hop + 1
 
 
-def spec_augment(feats: np.ndarray, rng: np.random.Generator,
-                 n_time_masks: int = 2, max_time_width: int = 10,
-                 n_freq_masks: int = 2, max_freq_width: int = 8,
-                 fill: float = 0.0) -> np.ndarray:
-    """Zero out random time and frequency stripes; returns a masked copy.
-
-    Widths are drawn uniformly from [0, max_width] and clipped to the
-    feature size, so a zero-mask config is an exact no-op copy.
-    """
+def spec_augment(feats: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Zero two time stripes of up to 10 frames, then two frequency stripes
+    of up to 8 bins, of (T, D) feats; returns a masked copy. Each width is
+    drawn uniformly from [0, max] and clipped to the feature size."""
     out = np.array(feats, copy=True)
-    T, D = out.shape
-    for _ in range(n_time_masks):
-        w = int(rng.integers(0, max_time_width + 1))
-        w = min(w, T)
-        if w == 0:
-            continue
-        t0 = int(rng.integers(0, T - w + 1))
-        out[t0 : t0 + w, :] = fill
-    for _ in range(n_freq_masks):
-        w = int(rng.integers(0, max_freq_width + 1))
-        w = min(w, D)
-        if w == 0:
-            continue
-        f0 = int(rng.integers(0, D - w + 1))
-        out[:, f0 : f0 + w] = fill
+    for view, max_width in ((out, 10), (out, 10), (out.T, 8), (out.T, 8)):
+        w = min(int(rng.integers(0, max_width + 1)), len(view))
+        if w:
+            start = int(rng.integers(0, len(view) - w + 1))
+            view[start : start + w] = 0.0
     return out

@@ -26,9 +26,12 @@ from .training import PipelineConfig
 
 
 def _analytic_grads(fn, inputs) -> list:
-    """Gradients of fn's scalar output with respect to each input, from one
-    taped backward pass; an input the output does not reach gets zeros."""
+    """Gradients of fn's scalar output with respect to each float64 input,
+    from one taped backward pass; an input the output does not reach gets
+    zeros. Every check starts here, so a bad input is rejected before fn runs."""
     for t in inputs:
+        if not isinstance(t, Tensor) or t.dtype != np.float64:
+            raise TypeError("gradcheck requires float64 Tensor inputs")
         t.requires_grad = True
         t.grad = None
     with Tape() as tape:
@@ -36,20 +39,22 @@ def _analytic_grads(fn, inputs) -> list:
     return [t.grad if t.grad is not None else np.zeros_like(t.data) for t in inputs]
 
 
-def finite_diff_gradcheck(fn, inputs, eps: float = 1e-5) -> float:
+def finite_diff_gradcheck(fn, inputs) -> float:
     """Compare analytic gradients of fn against central differences.
 
     fn maps the given leaf Tensors to a scalar Tensor. All inputs must be
-    float64 leaves. Returns the worst relative error
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8) over every
-    element of every input. Raises if fn is nondeterministic (two
-    evaluations disagree bitwise). A non-finite analytic or numeric
+    float64 leaves, each element probed at +-1e-5. Returns the worst
+    relative error |analytic - numeric| / max(|analytic|, |numeric|, 1e-8)
+    over every element of every input. Raises if fn is nondeterministic
+    (two evaluations disagree bitwise). A non-finite analytic or numeric
     gradient element makes the error inf, so the check fails.
     """
     inputs = list(inputs)
-    for t in inputs:
-        if not isinstance(t, Tensor) or t.dtype != np.float64:
-            raise TypeError("gradcheck requires float64 Tensor inputs")
+    return _check_grads(fn, inputs, _analytic_grads(fn, inputs))
+
+
+def _check_grads(fn, inputs: list, analytic: list) -> float:
+    """finite_diff_gradcheck given fn's analytic gradients at inputs."""
 
     def evaluate() -> float:
         out = fn(*inputs)
@@ -61,8 +66,7 @@ def finite_diff_gradcheck(fn, inputs, eps: float = 1e-5) -> float:
     if first != second:
         raise RuntimeError("nondeterministic function under gradcheck")
 
-    analytic = _analytic_grads(fn, inputs)
-
+    eps = 1e-5
     # max() would drop a NaN error, so a non-finite element counts as inf
     worst = 0.0 if all(np.isfinite(a).all() for a in analytic) else math.inf
     for t, a in zip(inputs, analytic):
@@ -82,21 +86,20 @@ def finite_diff_gradcheck(fn, inputs, eps: float = 1e-5) -> float:
     return worst
 
 
-def _conditioned_check(fn, draw, rng, tries: int = 8) -> float:
+def _conditioned_check(fn, draw, rng) -> float:
     """Gradcheck at a probe point whose gradient elements avoid the
     relative-error floor's blind spot.
 
     Elements with |g| between ~0 and 1e-3 make the floored relative error
-    dominated by float64 noise, so such draws are rejected and redrawn.
-    Exactly-zero gradients (masked-out inputs) are fine.
+    dominated by float64 noise, so such draws are rejected and redrawn;
+    after eight rejections the ninth draw is checked untested. Exactly-zero
+    gradients (masked-out inputs) are fine.
     """
-    inputs = draw(rng)
-    for _ in range(tries):
-        grads = [np.abs(g) for g in _analytic_grads(fn, inputs)]
-        if not any(np.any((g > 1e-12) & (g < 1e-3)) for g in grads):
-            break
+    for tries in range(9):
         inputs = draw(rng)
-    return finite_diff_gradcheck(fn, inputs)
+        grads = _analytic_grads(fn, inputs)
+        if tries == 8 or not any(np.any((a > 1e-12) & (a < 1e-3)) for a in map(np.abs, grads)):
+            return _check_grads(fn, inputs, grads)
 
 
 def gradcheck_battery(seed: int) -> float:
@@ -142,7 +145,7 @@ def gradcheck_battery(seed: int) -> float:
 
     w3 = weights(2, 6)
     worst = max(worst, _conditioned_check(
-        lambda v, gg, bv: E.sum_(E.mul(E.softmax(E.layer_norm(v, gg, bv, eps=1e-5), axis=-1), Tensor(w3))),
+        lambda v, gg, bv: E.sum_(E.mul(E.softmax(E.layer_norm(v, gg, bv, eps=1e-5)), Tensor(w3))),
         drawer((2, 6), (6,), (6,), shifts=[0.0, 1.0, 0.0]), rng))
 
     wl = weights(2, 3, 5)
@@ -173,7 +176,7 @@ def gradcheck_battery(seed: int) -> float:
 
     tg = np.array([0, 2, 1, 1])
     worst = max(worst, _conditioned_check(
-        lambda p, q, l: E.add(E.sum_(E.cosine_similarity(p, q, axis=-1)), E.sum_(E.cross_entropy(l, tg))),
+        lambda p, q, l: E.add(E.sum_(E.cosine_similarity(p, q)), E.sum_(E.cross_entropy(l, tg))),
         drawer((3, 5), (3, 5), (4, 3), shifts=[0.6, -0.4, 0.0]), rng))
 
     return worst

@@ -80,9 +80,9 @@ class EAPCObjective(Module):
         for i in range(n_lags):
             self.children[f"gen{i}"] = Linear(rng, cfg.d_model, self.d_target)
 
-    def loss(self, encoder: Encoder, batch: Batch, rng=None, step: int = 0,
-             normalize: bool = True) -> Tensor:
-        """rng and step are unused; normalize=False returns the raw sum over lags."""
+    def loss(self, encoder: Encoder, batch: Batch, rng=None, step: int = 0) -> Tensor:
+        """The sum over lags of apc_loss, divided by the number of target
+        elements the lags score (in float32); rng and step are unused."""
         feats, lengths = batch.feats, batch.lengths
         hidden, out_lengths = encoder(feats, lengths)
         stacked, valid = stack_targets(feats, lengths)
@@ -104,9 +104,7 @@ class EAPCObjective(Module):
             total = term if total is None else E.add(total, term)
         if total is None:
             raise ValueError("no valid prediction targets at any lag")
-        if normalize:
-            total = E.mul(total, Tensor(np.asarray(1.0 / count, dtype=np.float32)))
-        return total
+        return E.mul(total, Tensor(np.asarray(1.0 / count, dtype=np.float32)))
 
 
 def reverse_group_blocks(feats: np.ndarray, lengths) -> np.ndarray:
@@ -167,12 +165,11 @@ class BidirectionalAPC(Module):
         self.rev.insert_adapters(d_adapter, rng, random_init=random_init)
         self._apply_sharing()
 
-    def loss(self, encoder: Encoder, batch: Batch, rng=None, step: int = 0,
-             normalize: bool = True) -> Tensor:
+    def loss(self, encoder: Encoder, batch: Batch, rng=None, step: int = 0) -> Tensor:
         """Forward term on `encoder` (the pair's 'fwd'), reverse term on 'rev'."""
-        fwd_loss = self.fwd_obj.loss(encoder, batch, normalize=normalize)
+        fwd_loss = self.fwd_obj.loss(encoder, batch)
         rev_feats = reverse_group_blocks(np.asarray(batch.feats), batch.lengths)
-        rev_loss = self.rev_obj.loss(self.rev, batch._replace(feats=rev_feats), normalize=normalize)
+        rev_loss = self.rev_obj.loss(self.rev, batch._replace(feats=rev_feats))
         return E.add(fwd_loss, rev_loss)
 
     def average_directions(self) -> Encoder:
@@ -270,7 +267,7 @@ class GumbelQuantizer(Module):
         noise = -np.log(-np.log(np.clip(u, 1e-12, 1.0 - 1e-12)))
         noisy = E.mul(E.add(logits, Tensor(noise.astype(np.float32))),
                       Tensor(np.asarray(1.0 / tau, dtype=np.float32)))
-        soft = E.softmax(noisy, axis=-1)
+        soft = E.softmax(noisy)
         hard = np.zeros_like(soft.data)
         np.put_along_axis(hard, np.argmax(soft.data, axis=-1)[..., None], 1.0, axis=-1)
         code = E.straight_through(soft, hard)
@@ -333,7 +330,7 @@ class ContrastiveObjective(MaskedPrediction):
         anchor_idx, cand_idx = np.asarray(anchor_idx), np.asarray(cand_idx)
         ctx_rows = E.embedding(E.reshape(context, (B * G, D)), anchor_idx)  # (N, D)
         cand_rows = E.embedding(quantized, cand_idx)  # (N, K+1, D)
-        sims = E.cosine_similarity(E.reshape(ctx_rows, (len(anchor_idx), 1, D)), cand_rows, axis=-1)
+        sims = E.cosine_similarity(E.reshape(ctx_rows, (len(anchor_idx), 1, D)), cand_rows)
         logits = E.mul(sims, Tensor(np.asarray(1.0 / cfg.tau_cos, dtype=np.float32)))
         nll = E.cross_entropy(logits, np.zeros(len(anchor_idx), dtype=np.int64))
         contrastive = E.mean_(nll)

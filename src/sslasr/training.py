@@ -113,13 +113,19 @@ class PipelineConfig(Settings):
                              f"({self.ft_warmup_frac}), got {self.ft_hold_frac}")
 
 
+# the built-in corpora: name -> (domain, size setting, offset from corpus_seed)
+_CORPORA = {"source_train": ("source", "n_train", 0), "target_train": ("target", "n_target", 2),
+            "target_eval": ("target", "n_eval", 3)}
+
+
+def _corpus(cfg: PipelineConfig, name: str) -> list:
+    domain, size, offset = _CORPORA[name]
+    return make_corpus(cfg, domain, getattr(cfg, size), cfg.corpus_seed + offset)
+
+
 def build_corpora(cfg: PipelineConfig) -> dict:
     """Source/target corpora drawn from one underlying task (same proto_seed)."""
-    return {
-        "source_train": make_corpus(cfg, "source", cfg.n_train, cfg.corpus_seed),
-        "target_train": make_corpus(cfg, "target", cfg.n_target, cfg.corpus_seed + 2),
-        "target_eval": make_corpus(cfg, "target", cfg.n_eval, cfg.corpus_seed + 3),
-    }
+    return {name: _corpus(cfg, name) for name in _CORPORA}
 
 
 def _group(name: str) -> str:
@@ -321,10 +327,15 @@ def _run_stage(stage: str, tag: str, cfg: PipelineConfig, workdir, corpus, model
 # ---------------------------------------------------------------------------
 
 
+def _check_mode(stage: str, mode: str, modes: tuple) -> None:
+    if mode not in modes:
+        raise ValueError(f"unknown {stage} mode '{mode}'")
+
+
 def run_pretrain(cfg: PipelineConfig, workdir, corpus=None, steps: int | None = None) -> str:
     """SSL pretraining on the source domain; returns the checkpoint path."""
     steps = cfg.pretrain_steps if steps is None else steps
-    corpus = build_corpora(cfg)["source_train"] if corpus is None else corpus
+    corpus = _corpus(cfg, "source_train") if corpus is None else corpus
     bundle = SSLBundle(cfg, seed=cfg.seed)
     if cfg.objective == "masked_cluster" and steps > 0:
         bundle.prepare_cluster_targets("pretrain", corpus, np.random.default_rng([cfg.seed, 0x535]))
@@ -340,9 +351,8 @@ def run_adapt(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "draft",
     'draft' inserts fresh adapters and trains only them (backbone and
     generator stay bit-identical); 'saft' updates every parameter at a
     reduced peak learning rate."""
-    if mode not in ADAPT_MODES:
-        raise ValueError(f"unknown adapt mode '{mode}'")
-    corpus = build_corpora(cfg)["target_train"] if corpus is None else corpus
+    _check_mode("adapt", mode, ADAPT_MODES)
+    corpus = _corpus(cfg, "target_train") if corpus is None else corpus
     bundle, provenance = _restore_for("adapt", cfg, ckpt_path)
     if cfg.objective == "masked_cluster" and cfg.adapt_steps > 0:
         bundle.prepare_cluster_targets("adapt", corpus, np.random.default_rng([cfg.seed, 0x535, 2]))
@@ -366,10 +376,9 @@ def run_adapt(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "draft",
 def run_finetune(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "full",
                  corpus=None) -> str:
     """Supervised CTC finetuning with a fresh generator; returns ckpt path."""
-    if mode not in FINETUNE_MODES:
-        raise ValueError(f"unknown finetune mode '{mode}'")
+    _check_mode("finetune", mode, FINETUNE_MODES)
     steps = cfg.finetune_steps
-    corpus = build_corpora(cfg)["target_train"] if corpus is None else corpus
+    corpus = _corpus(cfg, "target_train") if corpus is None else corpus
     bundle, provenance = _restore_for("finetune", cfg, ckpt_path)
     encoder = bundle.encoder_for_finetune()
 
@@ -403,7 +412,7 @@ def run_finetune(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "full",
         logits, out_lengths = model(feats, batch.lengths)
         # corpus tokens are 0-based; CTC reserves 0 for the blank
         shifted = [[t + 1 for t in y] for y in batch.tokens]
-        return ctc_loss_batch(logits, out_lengths, shifted, normalize=True)
+        return ctc_loss_batch(logits, out_lengths, shifted)
 
     return _run_stage("finetune", f"finetune_{mode}", cfg, workdir, corpus, model, loss_fn,
                       trainable, steps, lr_fn, provenance, finetune_mode=mode)
@@ -411,8 +420,7 @@ def run_finetune(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "full",
 
 def run_evaluate(cfg: PipelineConfig, ckpt_path, corpus=None) -> dict:
     """Greedy-decode an eval corpus and report the token error rate."""
-    if corpus is None:
-        corpus = build_corpora(cfg)["target_eval"]
+    corpus = _corpus(cfg, "target_eval") if corpus is None else corpus
     if not corpus:
         raise ValueError("no utterances")
     model, provenance = _restore_for("evaluate", cfg, ckpt_path)
@@ -459,6 +467,7 @@ def run_pipeline(cfg: PipelineConfig, workdir, variants: tuple,
     if not (isinstance(variants, tuple) and variants and all(v in PIPELINES for v in variants)
             and len(set(variants)) == len(variants)):
         raise ValueError(f"variants must be a non-empty tuple of distinct names from {PIPELINES}, got {variants!r}")
+    _check_mode("finetune", finetune_mode, FINETUNE_MODES)
     workdir = Path(workdir)
     corpora = build_corpora(cfg)
     if set(variants) != {"scratch"}:

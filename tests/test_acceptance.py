@@ -78,9 +78,10 @@ def _brute_force_nll(logits: np.ndarray, target) -> float:
 
 
 def _ctc_nll(logits, target):
-    """CTC loss of one (T, V) utterance, scored as a batch of one."""
-    return float(ctc_loss_batch(Tensor(logits[None]), [logits.shape[0]], [list(target)],
-                                normalize=False).data)
+    """-log P(target) of one (T, V) utterance, scored as a batch of one:
+    the loss times the target length it is divided by."""
+    return len(target) * float(ctc_loss_batch(Tensor(logits[None]), [logits.shape[0]],
+                                              [list(target)]).data)
 
 
 def test_02_ctc_matches_brute_force_and_is_a_distribution():
@@ -202,6 +203,18 @@ def test_04_every_loss_is_invariant_to_extra_padding():
           f"{worst:.2e} < 1e-6 across {', '.join(losses)}")
 
 
+def _raw_lag_term(enc, gen, feats, lengths, lag, p):
+    """Unscaled shifted-reconstruction loss of one generator at one lag, and
+    the number of target elements it scores."""
+    hidden, _ = enc(feats, lengths)
+    stacked, valid = stack_targets(feats, lengths)
+    g = stacked.shape[1]
+    target = np.zeros_like(stacked)
+    target[:, : g - lag] = stacked[:, lag:]
+    mask = np.arange(g)[None, :] < np.maximum(valid[:, None] - lag, 0)
+    return apc_loss(gen(hidden), target, mask, p=p).data, int(mask.sum()) * stacked.shape[2]
+
+
 def test_05_single_lag_objective_reduces_to_plain_reconstruction():
     eps32 = float(np.finfo(np.float32).eps)
     rng = np.random.default_rng(5)
@@ -214,14 +227,9 @@ def test_05_single_lag_objective_reduces_to_plain_reconstruction():
     enc = build_encoder(cfg, seed=55)
     single = EAPCObjective(replace(cfg, apc_shift=2, apc_lags=1, apc_p=1),
                            np.random.default_rng(56))
-    got = float(single.loss(enc, Batch(feats, lengths), normalize=False).data)
-    hidden, _ = enc(feats, lengths)
-    stacked, valid = stack_targets(feats, lengths)
-    g = stacked.shape[1]
-    target = np.zeros_like(stacked)
-    target[:, : g - 2] = stacked[:, 2:]
-    mask = np.arange(g)[None, :] < np.maximum(valid[:, None] - 2, 0)
-    want = float(apc_loss(single.children["gen0"](hidden), target, mask, p=1).data)
+    got = float(single.loss(enc, Batch(feats, lengths)).data)
+    raw, count = _raw_lag_term(enc, single.children["gen0"], feats, lengths, lag=2, p=1)
+    want = float(raw * np.float32(1.0 / count))  # the objective's float32 1/count scale
     err1 = abs(got - want) / max(abs(want), 1e-30)
     assert err1 <= 4 * eps32, f"single-lag mismatch {err1:.3e}"
 
@@ -229,15 +237,18 @@ def test_05_single_lag_objective_reduces_to_plain_reconstruction():
     enc2 = build_encoder(cfg, seed=57)
     multi = EAPCObjective(replace(cfg, apc_shift=2, apc_lags=2, apc_p=2),
                           np.random.default_rng(58))
-    parts = []
+    parts, count = [], 0
     for i, shift in enumerate((2, 3)):
         s = EAPCObjective(replace(cfg, apc_shift=shift, apc_lags=1, apc_p=2),
                           np.random.default_rng(59))
         s.children["gen0"].p["w"].data = multi.children[f"gen{i}"].p["w"].data.copy()
         s.children["gen0"].p["b"].data = multi.children[f"gen{i}"].p["b"].data.copy()
-        parts.append(float(s.loss(enc2, Batch(feats, lengths), normalize=False).data))
-    total = float(multi.loss(enc2, Batch(feats, lengths), normalize=False).data)
-    err2 = abs(total - np.float32(parts[0] + parts[1])) / max(abs(total), 1e-30)
+        raw, n = _raw_lag_term(enc2, s.children["gen0"], feats, lengths, lag=shift, p=2)
+        parts.append(raw)
+        count += n
+    total = float(multi.loss(enc2, Batch(feats, lengths)).data)
+    want = float(np.float32(parts[0] + parts[1]) * np.float32(1.0 / count))
+    err2 = abs(total - want) / max(abs(total), 1e-30)
     assert err2 <= 4 * eps32, f"lag-sum mismatch {err2:.3e}"
     print(f"\n[PASS] 5/12 lag reduction: k=1 matches plain reconstruction "
           f"(rel {err1:.1e}), 2-lag loss matches its per-lag sum (rel {err2:.1e})")

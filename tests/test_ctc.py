@@ -29,11 +29,11 @@ def collapse(path, blank=0):
     return out
 
 
-def ctc_nll(logits: np.ndarray, target, normalize=False) -> float:
-    """Loss of one (T, V) utterance, scored as a batch of one."""
+def ctc_nll(logits: np.ndarray, target) -> float:
+    """-log P(target) of one (T, V) utterance, scored as a batch of one:
+    the loss times the target length it is divided by."""
     t = logits.shape[0]
-    return float(ctc_loss_batch(Tensor(logits[None]), [t], [list(target)],
-                                normalize=normalize).data)
+    return len(target) * float(ctc_loss_batch(Tensor(logits[None]), [t], [list(target)]).data)
 
 
 def brute_force_nll(logits: np.ndarray, target, blank=0):
@@ -59,10 +59,9 @@ class TestClosedForm:
         assert ctc_nll(np.zeros((2, 2)), [1]) == pytest.approx(-np.log(0.75), rel=1e-12)
 
     def test_normalize_divides_by_target_length(self):
-        logits = np.random.default_rng(0).normal(size=(5, 3))
-        raw = ctc_nll(logits, [1, 2])
-        norm = ctc_nll(logits, [1, 2], normalize=True)
-        assert norm == pytest.approx(raw / 2, rel=1e-12)
+        # equal logits over {blank, 1, 2}: '12' in 2 frames has one path, P = 1/9
+        loss = ctc_loss_batch(Tensor(np.zeros((1, 2, 3))), [2], [[1, 2]])
+        assert float(loss.data) == pytest.approx(np.log(9.0) / 2, rel=1e-12)
 
 
 class TestBruteForceOracle:
@@ -125,8 +124,8 @@ class TestFeasibility:
         targets = [[1, 2], [1, 1]]  # second needs 3 frames but has 2
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = ctc_loss_batch(logits, out_lengths, targets, normalize=False)
-        single = ctc_nll(logits.data[0], [1, 2])
+            got = ctc_loss_batch(logits, out_lengths, targets)
+        single = ctc_nll(logits.data[0], [1, 2]) / 2
         assert got.data == pytest.approx(single, rel=1e-12)
 
     def test_all_infeasible_batch_raises(self):
@@ -215,11 +214,8 @@ class TestBatchAggregation:
         logits = Tensor(rng.normal(size=(2, 5, 4)))
         out_lengths = [5, 3]
         targets = [[1, 2, 3], [2]]
-        got = ctc_loss_batch(logits, out_lengths, targets, normalize=True)
-        singles = [
-            ctc_nll(logits.data[0, :5], [1, 2, 3], normalize=True),
-            ctc_nll(logits.data[1, :3], [2], normalize=True),
-        ]
+        got = ctc_loss_batch(logits, out_lengths, targets)
+        singles = [ctc_nll(logits.data[0, :5], [1, 2, 3]) / 3, ctc_nll(logits.data[1, :3], [2])]
         assert got.data == pytest.approx(np.mean(singles), rel=1e-12)
 
     def test_head_output_width(self):

@@ -135,24 +135,16 @@ class TestSpecAugment:
         rng = np.random.default_rng(0)
         feats = np.ones((50, 20), dtype=np.float32)
         before = feats.copy()
-        out = spec_augment(feats, rng, n_time_masks=2, max_time_width=5,
-                           n_freq_masks=2, max_freq_width=4, fill=-1.0)
+        out = spec_augment(feats, rng)
         assert np.array_equal(feats, before)
         assert out.shape == feats.shape
-        masked = out == -1.0
+        masked = out == 0.0
         assert masked.any()
         # stripes only: every masked cell lies in a fully masked row or column
         rows = masked.all(axis=1)
         cols = masked.all(axis=0)
         assert np.array_equal(masked, rows[:, None] | cols[None, :])
-        assert rows.sum() <= 10 and cols.sum() <= 8
-
-    def test_zero_config_is_identity(self):
-        rng = np.random.default_rng(1)
-        feats = np.random.default_rng(2).normal(size=(30, 10)).astype(np.float32)
-        out = spec_augment(feats, rng, n_time_masks=0, max_time_width=0,
-                           n_freq_masks=0, max_freq_width=0)
-        assert np.array_equal(out, feats)
+        assert rows.sum() <= 2 * 10 and cols.sum() <= 2 * 8
 
     def test_deterministic_under_seed(self):
         feats = np.ones((40, 16), dtype=np.float32)

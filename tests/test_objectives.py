@@ -48,6 +48,26 @@ def batch(rng, b=2, t=16, d=4):
     return feats, lengths
 
 
+def raw_lag_terms(obj: EAPCObjective, enc, feats, lengths) -> list:
+    """Each lag's unscaled apc_loss value, built outside the objective from
+    its generator for that lag."""
+    hidden, _ = enc(feats, lengths)
+    stacked, valid = stack_targets(feats, lengths)
+    g = stacked.shape[1]
+    terms = []
+    for i, lag in enumerate(obj.lags):
+        target = np.zeros_like(stacked)
+        target[:, : g - lag] = stacked[:, lag:]
+        mask = np.arange(g)[None, :] < np.maximum(valid[:, None] - lag, 0)
+        terms.append(apc_loss(obj.children[f"gen{i}"](hidden), target, mask, p=obj.cfg.apc_p).data)
+    return terms
+
+
+def scaled(raw, count: int):
+    """An objective's float32 1/count scale applied to its raw sum."""
+    return raw * np.float32(1.0 / count)
+
+
 class TestTargets:
     def test_stack_targets_hand_case(self):
         feats = np.arange(20, dtype=np.float32).reshape(1, 10, 2)
@@ -82,16 +102,10 @@ class TestFutureRegression:
         enc = build_encoder(CFG, seed=0)
         obj = EAPCObjective(replace(CFG, apc_shift=2, apc_lags=1, apc_p=1), rng)
         feats, lengths = batch(rng)
-        got = obj.loss(enc, Batch(feats, lengths), normalize=False)
-
-        hidden, _ = enc(feats, lengths)
-        stacked, valid = stack_targets(feats, lengths)
-        g = stacked.shape[1]
-        target = np.zeros_like(stacked)
-        target[:, : g - 2] = stacked[:, 2:]
-        mask = np.arange(g)[None, :] < np.maximum(valid[:, None] - 2, 0)
-        want = apc_loss(obj.children["gen0"](hidden), target, mask, p=1)
-        assert got.data == want.data
+        got = obj.loss(enc, Batch(feats, lengths))
+        (raw,) = raw_lag_terms(obj, enc, feats, lengths)
+        count = int(np.maximum(valid_groups(lengths) - 2, 0).sum()) * 16
+        assert got.data == scaled(raw, count)
 
     def test_multi_lag_sum_matches_independent_single_lags(self):
         rng = np.random.default_rng(1)
@@ -105,20 +119,22 @@ class TestFutureRegression:
             s.children["gen0"].p["b"].data = multi.children[f"gen{i}"].p["b"].data.copy()
             singles.append(s)
         feats, lengths = batch(rng, t=24)
-        total = multi.loss(enc, Batch(feats, lengths), normalize=False)
-        parts = [s.loss(enc, Batch(feats, lengths), normalize=False) for s in singles]
-        assert total.data == np.float32(parts[0].data + parts[1].data)
+        total = multi.loss(enc, Batch(feats, lengths))
+        parts = [raw_lag_terms(s, enc, feats, lengths)[0] for s in singles]
+        valid = valid_groups(lengths)
+        count = sum(int(np.maximum(valid - lag, 0).sum()) * 16 for lag in (2, 3))
+        assert total.data == scaled(np.float32(parts[0] + parts[1]), count)
 
     def test_normalization_divides_by_contributing_elements(self):
         rng = np.random.default_rng(2)
         enc = build_encoder(CFG, seed=2)
         obj = EAPCObjective(replace(CFG, apc_shift=1, apc_lags=2, apc_p=1), rng)
         feats, lengths = batch(rng)
-        raw = obj.loss(enc, Batch(feats, lengths), normalize=False).data
-        norm = obj.loss(enc, Batch(feats, lengths), normalize=True).data
+        norm = obj.loss(enc, Batch(feats, lengths)).data
+        raw = np.float32(sum(raw_lag_terms(obj, enc, feats, lengths)))
         valid = valid_groups(lengths)
         count = sum(int(np.maximum(valid - lag, 0).sum()) * 16 for lag in (1, 2))
-        assert norm == pytest.approx(raw / count, rel=1e-6)
+        assert norm == scaled(raw, count)
 
     def test_all_lags_out_of_range_rejected(self):
         rng = np.random.default_rng(3)
@@ -217,8 +233,8 @@ class TestBidirectional:
         g0 = rng.normal(size=(4, 4)).astype(np.float32)
         g1 = rng.normal(size=(4, 4)).astype(np.float32)
         feats = np.concatenate([g0, g1, g0], axis=0)[None]
-        total = pair.loss(pair.fwd, Batch(feats, [12]), normalize=False)
-        fwd_only = pair.fwd_obj.loss(pair.fwd, Batch(feats, [12]), normalize=False)
+        total = pair.loss(pair.fwd, Batch(feats, [12]))
+        fwd_only = pair.fwd_obj.loss(pair.fwd, Batch(feats, [12]))
         assert total.data == np.float32(2.0) * fwd_only.data
 
     def test_average_directions_is_idempotent(self):

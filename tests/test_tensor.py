@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sslasr import engine as T
+from sslasr import gradcheck
 from sslasr.gradcheck import finite_diff_gradcheck, gradcheck_battery
 from sslasr.optim import BETA1, BETA2, EPS, Adam, clip_global_norm, noam_lr, tri_stage_lr
 from sslasr.engine import Tape, Tensor, backward
@@ -486,7 +487,7 @@ class TestGradcheckPrimitives:
         targets = np.array([0, 2, 1, 1])
 
         def fn(a, b, logits):
-            c = T.cosine_similarity(a, b, axis=-1)
+            c = T.cosine_similarity(a, b)
             ce = T.cross_entropy(logits, targets)
             return T.add(T.sum_(c), T.sum_(ce))
 
@@ -521,6 +522,25 @@ class TestGradcheckPrimitives:
             return Tensor(np.asarray(1.0 if a.data[0] == 0.5 else np.inf))
 
         assert finite_diff_gradcheck(fn, [t64([0.5])]) == math.inf
+
+    def test_non_float64_inputs_rejected_before_fn_runs(self):
+        calls = []
+        for bad in (1.0, Tensor(np.ones(2, dtype=np.float32))):
+            with pytest.raises(TypeError, match="float64 Tensor inputs"):
+                finite_diff_gradcheck(lambda x: calls.append(x) or T.sum_(x), [bad])
+        assert not calls
+
+    @pytest.mark.parametrize("scale, passes", [(1.0, 1), (1e-4, 9)])
+    def test_conditioned_check_tapes_each_draw_once(self, scale, passes, monkeypatch):
+        # gradient elements of 1e-4 fail the conditioning test on all eight
+        # tries, so the untested ninth draw takes a taped pass of its own
+        calls = []
+        monkeypatch.setattr(gradcheck, "backward", lambda *a: calls.append(a) or backward(*a))
+        w = t64(scale * np.array([1.5, -2.0, 0.7]))
+        err = gradcheck._conditioned_check(lambda x: T.sum_(T.mul(x, w)),
+                                           lambda r: [t64(r.normal(size=3))],
+                                           np.random.default_rng(0))
+        assert err < 1e-6 and len(calls) == passes
 
     def test_battery_invokes_every_recorded_op(self, monkeypatch):
         ops = set(re.findall(r'_record\("(\w+)"', inspect.getsource(T)))

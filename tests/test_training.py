@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import sslasr
 from sslasr import engine as E
-from sslasr.data import pad_batch
+from sslasr.data import make_corpus, pad_batch
 from sslasr.engine import Tape, Tensor, backward
 from sslasr.io import load_checkpoint, read_jsonl
 from sslasr.objectives import (
@@ -121,6 +121,16 @@ class TestEvaluation:
         assert report["n_utterances"] == cfg.n_eval
         assert report["ter"] == report["total_edits"] / report["total_ref_tokens"]
         assert np.isfinite(report["ter"])
+
+    def test_default_corpus_draws_only_the_eval_corpus(self, draft_chain, monkeypatch):
+        cfg, _, _, _, fin, report = draft_chain
+        calls = []
+        monkeypatch.setattr(sslasr.training, "make_corpus",
+                            lambda *a: calls.append(a) or make_corpus(*a))
+        assert run_evaluate(cfg, fin) == report
+        assert [a[1:] for a in calls] == [("target", cfg.n_eval, cfg.corpus_seed + 3)]
+        monkeypatch.undo()
+        assert run_evaluate(cfg, fin, corpus=build_corpora(cfg)["target_eval"]) == report
 
     def test_empty_corpus_rejected(self, draft_chain):
         cfg, _, _, _, fin, _ = draft_chain
@@ -400,6 +410,9 @@ class TestModeValidation:
             with pytest.raises(ValueError, match="variants must be a non-empty tuple of distinct names"):
                 run_pipeline(cfg, tmp_path / "pipeline", variants)
         assert not (tmp_path / "pipeline").exists()
+        with pytest.raises(ValueError, match="unknown finetune mode 'bogus'"):
+            run_pipeline(cfg, tmp_path / "fm", ("draft",), finetune_mode="bogus")
+        assert not (tmp_path / "fm").exists()
         with pytest.raises(ValueError, match="setting 'objective' must be one of .*, got 'mlm'"):
             SSLBundle(tiny_cfg(objective="mlm"), seed=0)
 
