@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .data import DOMAINS, EMITS, load_corpus, read_wav, write_corpus
 from .features import Featurizer, FeaturizerConfig
-from .gradcheck import gradcheck_battery, loss_gradcheck_battery
+from .gradcheck import GRADCHECK_THRESHOLD, gradcheck_battery, loss_gradcheck_battery
 from .io import (
     ManifestEntry,
     Settings,
@@ -88,23 +88,6 @@ def _pick(cls, values: dict):
     return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
 
 
-def _disk_corpus(manifest_path, cfg: PipelineConfig):
-    corpus = load_corpus(manifest_path)
-    if not corpus:
-        raise ValueError(f"{manifest_path}: no utterances")
-    for u in corpus:
-        d = u.feats.shape[1]
-        if d != cfg.d_feat:
-            raise ValueError(f"{manifest_path}: utterance '{u.utt_id}' has feature dim {d} "
-                             f"but config d_feat={cfg.d_feat}")
-    for u in corpus:
-        for t in u.tokens:
-            if not 0 <= t < cfg.vocab_size:
-                raise ValueError(f"{manifest_path}: utterance '{u.utt_id}' has token {t} "
-                                 f"outside the vocabulary [0, {cfg.vocab_size})")
-    return corpus
-
-
 def _cmd_gen_corpus(args) -> int:
     values = _load_settings(args, PipelineConfig, GenCorpusSettings)
     cfg, job = _pick(PipelineConfig, values), _pick(GenCorpusSettings, values)
@@ -125,9 +108,9 @@ def _cmd_featurize(args) -> int:
             samples, rate = read_wav(src)
             if rate != fc.sample_rate:
                 raise ValueError(f"sampled at {rate} Hz, but the featurizer expects {fc.sample_rate}")
+            feats.append(featurizer(samples))
         except ValueError as exc:
             raise ValueError(f"{args.manifest}: utterance '{e.utt_id}': {exc}") from None
-        feats.append(featurizer(samples))
         entries.append(ManifestEntry(e.utt_id, f"feats/{e.utt_id}.feat", e.transcript, e.domain))
     out = Path(args.out)
     (out / "feats").mkdir(parents=True, exist_ok=True)
@@ -141,7 +124,7 @@ def _cmd_featurize(args) -> int:
 
 def _cmd_pretrain(args) -> int:
     cfg = _pick(PipelineConfig, _load_settings(args, PipelineConfig))
-    corpus = _disk_corpus(args.manifest, cfg) if args.manifest else None
+    corpus = load_corpus(args.manifest, cfg) if args.manifest else None
     print(run_pretrain(cfg, args.out, corpus=corpus))
     return 0
 
@@ -159,21 +142,21 @@ def _checkpoint_config(args) -> PipelineConfig:
 
 def _cmd_adapt(args) -> int:
     cfg = _checkpoint_config(args)
-    corpus = _disk_corpus(args.manifest, cfg) if args.manifest else None
+    corpus = load_corpus(args.manifest, cfg) if args.manifest else None
     print(run_adapt(cfg, args.init, args.out, mode=args.mode, corpus=corpus))
     return 0
 
 
 def _cmd_finetune(args) -> int:
     cfg = _checkpoint_config(args)
-    corpus = _disk_corpus(args.manifest, cfg) if args.manifest else None
+    corpus = load_corpus(args.manifest, cfg) if args.manifest else None
     print(run_finetune(cfg, args.init, args.out, mode=args.mode, corpus=corpus))
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     cfg = _checkpoint_config(args)
-    corpus = _disk_corpus(args.manifest, cfg) if args.manifest else None
+    corpus = load_corpus(args.manifest, cfg) if args.manifest else None
     report = run_evaluate(cfg, args.init, corpus=corpus)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.report:
@@ -192,10 +175,9 @@ def _cmd_gradcheck(args) -> int:
         worst = max(worst, prim, loss)
         if args.verbose:
             print(f"seed {seed}: primitives {prim:.3e}  losses {loss:.3e}")
-    ok = worst < args.threshold
-    status = "PASS" if ok else "FAIL"
-    print(f"gradcheck worst relative error {worst:.3e} "
-          f"over {args.seeds} seeds (threshold {args.threshold:g}): {status}")
+    ok = worst < GRADCHECK_THRESHOLD
+    print(f"gradcheck worst relative error {worst:.3e} over {args.seeds} seeds "
+          f"(threshold {GRADCHECK_THRESHOLD:g}): {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
@@ -271,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("gradcheck", "run the finite-difference gradient oracle", _cmd_gradcheck,
             settings=False)
     p.add_argument("--seeds", type=_positive_int, default=20, help="number of battery seeds")
-    p.add_argument("--threshold", type=float, default=1e-6)
     p.add_argument("--verbose", action="store_true", help="print per-seed errors")
 
     p = add("sweep", "run the pipeline across a list of values for one setting", _cmd_sweep)

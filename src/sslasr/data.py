@@ -162,27 +162,38 @@ def write_corpus(out_dir, cfg: PipelineConfig, domain: str, n: int, seed: int, e
     return str(manifest)
 
 
-def load_corpus(manifest_path) -> list:
-    """Load a feature manifest back into Utterances.
-
-    Audio is featurized on one path, `sslasr featurize`, so a .wav entry
-    is rejected rather than featurized here with settings of its own."""
+def load_corpus(manifest_path, cfg: PipelineConfig) -> list:
+    """The Utterances of a feature manifest, checked for cfg's model in one
+    pass, entry by entry: file type, read, width against cfg.d_feat, then
+    tokens in [0, cfg.vocab_size). The first fault is a ValueError naming the
+    manifest and the utterance; an empty manifest is one too. Audio is
+    featurized on one path, `sslasr featurize`, so a .wav entry is rejected."""
     root = Path(manifest_path).parent
     utts = []
     for e in read_manifest(manifest_path):
+        utt = f"{manifest_path}: utterance '{e.utt_id}'"
         path = root / e.path
         if path.suffix == ".wav":
             raise ValueError(f"{manifest_path}: entry '{e.utt_id}' is audio ('{e.path}'); "
                              f"run `sslasr featurize` on this manifest first")
         if path.suffix != ".feat":
-            raise ValueError(f"{manifest_path}: utterance '{e.utt_id}' has unknown file type "
-                             f"'{path.suffix}' ('{e.path}')")
-        feats, _, _ = read_feat(path)
+            raise ValueError(f"{utt} has unknown file type '{path.suffix}' ('{e.path}')")
+        try:
+            feats, _, _ = read_feat(path)
+        except ValueError as exc:
+            raise ValueError(f"{utt}: {exc}") from None
+        if feats.shape[1] != cfg.d_feat:
+            raise ValueError(f"{utt} has feature dim {feats.shape[1]} but config d_feat={cfg.d_feat}")
         try:
             tokens = [int(t) for t in e.transcript.split()]
         except ValueError as exc:
-            raise ValueError(f"{manifest_path}: utterance '{e.utt_id}': {exc}") from None
+            raise ValueError(f"{utt}: {exc}") from None
+        for t in tokens:
+            if not 0 <= t < cfg.vocab_size:
+                raise ValueError(f"{utt} has token {t} outside the vocabulary [0, {cfg.vocab_size})")
         utts.append(Utterance(e.utt_id, feats, tokens, e.domain))
+    if not utts:
+        raise ValueError(f"{manifest_path}: no utterances")
     return utts
 
 

@@ -24,6 +24,8 @@ from .objectives import (
 )
 from .training import PipelineConfig
 
+GRADCHECK_THRESHOLD = 1e-6  # `sslasr gradcheck` passes iff the worst relative error is below it
+
 
 def _analytic_grads(fn, inputs) -> list:
     """Gradients of fn's scalar output with respect to each float64 input,

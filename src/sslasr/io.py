@@ -3,11 +3,12 @@ manifests, JSONL metric logs, and key=value config files.
 
 All binary formats are little-endian regardless of host byte order.
 Feature files and checkpoints are written atomically; their readers
-raise ValueError on any malformed file.
+raise a ValueError that names the file on any malformed one.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -25,6 +26,17 @@ CKPT_MAGIC = b"SSLCKPT1"
 _DTYPE_TO_CODE = {"float32": "<f4", "float64": "<f8"}
 _HEADER_FIELDS = {"version", "config", "provenance", "tensors"}
 _TENSOR_FIELDS = {"name", "dtype", "shape", "offset"}
+
+
+def _names_the_file(reader):
+    """`reader(path)`, with the path put before any ValueError's message."""
+    @functools.wraps(reader)
+    def read(path):
+        try:
+            return reader(path)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return read
 
 
 def _write_atomic(path, chunks) -> None:
@@ -55,6 +67,7 @@ def write_feat(path, feats: np.ndarray, shift_ms: float, window_ms: float) -> No
     _write_atomic(path, [header, f.astype("<f4", copy=False).tobytes(order="C")])
 
 
+@_names_the_file
 def read_feat(path):
     """Returns (feats float32 (T, D), shift_ms, window_ms)."""
     raw = Path(path).read_bytes()
@@ -62,7 +75,7 @@ def read_feat(path):
         raise ValueError("bad FEAT1 magic")
     off = len(FEAT_MAGIC)
     if len(raw) < off + struct.calcsize("<IIff"):
-        raise ValueError(f"truncated FEAT1 header: {len(raw)} bytes in {path}")
+        raise ValueError(f"truncated FEAT1 header: {len(raw)} bytes")
     t, d, shift_ms, window_ms = struct.unpack_from("<IIff", raw, off)
     off += struct.calcsize("<IIff")
     need = t * d * 4
@@ -116,17 +129,15 @@ def _is_count(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
+@_names_the_file
 def load_checkpoint(path) -> Checkpoint:
-    """Read an SSLCKPT1 file; a malformed one raises ValueError."""
+    """Read an SSLCKPT1 file; a malformed one raises a ValueError naming it."""
     raw = Path(path).read_bytes()
     if raw[: len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise ValueError("bad SSLCKPT1 magic")
-    off = len(CKPT_MAGIC)
-    if len(raw) < off + 4:
-        raise ValueError("truncated SSLCKPT1 header")
-    (hlen,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    if off + hlen > len(raw):
+    off = len(CKPT_MAGIC) + 4
+    hlen = int.from_bytes(raw[off - 4 : off], "little")
+    if off + hlen > len(raw):  # a file cut inside the length field fails here too
         raise ValueError("truncated SSLCKPT1 header")
     try:
         header = json.loads(raw[off : off + hlen].decode("utf-8"))

@@ -214,20 +214,24 @@ class CTCModel(Module):
 # ---------------------------------------------------------------------------
 
 
-def restore(cfg: PipelineConfig, ckpt_path) -> tuple:
-    """Rebuild the model a checkpoint holds; returns (model, provenance).
+def restore(stage: str, cfg: PipelineConfig, ckpt_path) -> tuple:
+    """Rebuild the model a checkpoint holds for `stage`; returns (model, provenance).
 
-    A pretrain or adapt checkpoint gives an SSLBundle (masked-cluster
-    targets are not stored; each stage prepares its own), a finetune
-    checkpoint a CTCModel. Both are built from the caller's cfg, which
-    must match the checkpoint's on every _STRUCTURAL field; the
-    checkpoint supplies the stage, the adapter width and every weight
-    (through Module.load_params)."""
+    cfg must match the checkpoint's on every _STRUCTURAL field, and then the
+    checkpoint's kind must fit the stage: adapt and finetune continue a
+    pretrain or adapt checkpoint (an SSLBundle, without masked-cluster
+    targets), evaluate reads a finetune one (a CTCModel). Both checks run
+    before any model is built; the checkpoint supplies the adapter width and
+    every weight (through Module.load_params)."""
     ckpt = load_checkpoint(ckpt_path)
     bad = [k for k in _STRUCTURAL if k in ckpt.config and ckpt.config[k] != getattr(cfg, k)]
     if bad:
         raise ValueError(f"config mismatch with checkpoint on fields {bad}")
-    if ckpt.config.get("stage") == "finetune":
+    finetuned = ckpt.config.get("stage") == "finetune"
+    if finetuned != (stage == "evaluate"):
+        held = "a finetune" if finetuned else "a pretrain or adapt"
+        raise ValueError(f"stage '{stage}' cannot start from {held} checkpoint: {ckpt_path}")
+    if finetuned:
         model = CTCModel(cfg, build_encoder(cfg, cfg.seed))
         host = model.encoder
     else:
@@ -237,16 +241,6 @@ def restore(cfg: PipelineConfig, ckpt_path) -> tuple:
         host.insert_adapters(d_ada, np.random.default_rng([cfg.seed, 0xADA]))
     model.load_params(ckpt.params)
     return model, dict(ckpt.provenance)
-
-
-def _restore_for(stage: str, cfg: PipelineConfig, ckpt_path) -> tuple:
-    """restore() for a stage: adapt and finetune continue a pretrain or
-    adapt checkpoint, evaluate reads a finetune one."""
-    model, provenance = restore(cfg, ckpt_path)
-    if isinstance(model, CTCModel) != (stage == "evaluate"):
-        held = "a finetune" if isinstance(model, CTCModel) else "a pretrain or adapt"
-        raise ValueError(f"stage '{stage}' cannot start from {held} checkpoint: {ckpt_path}")
-    return model, provenance
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +347,7 @@ def run_adapt(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "draft",
     reduced peak learning rate."""
     _check_mode("adapt", mode, ADAPT_MODES)
     corpus = _corpus(cfg, "target_train") if corpus is None else corpus
-    bundle, provenance = _restore_for("adapt", cfg, ckpt_path)
+    bundle, provenance = restore("adapt", cfg, ckpt_path)
     if cfg.objective == "masked_cluster" and cfg.adapt_steps > 0:
         bundle.prepare_cluster_targets("adapt", corpus, np.random.default_rng([cfg.seed, 0x535, 2]))
     if mode == "draft":
@@ -379,7 +373,7 @@ def run_finetune(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "full",
     _check_mode("finetune", mode, FINETUNE_MODES)
     steps = cfg.finetune_steps
     corpus = _corpus(cfg, "target_train") if corpus is None else corpus
-    bundle, provenance = _restore_for("finetune", cfg, ckpt_path)
+    bundle, provenance = restore("finetune", cfg, ckpt_path)
     encoder = bundle.encoder_for_finetune()
 
     if mode in ("adapters_frozen", "adapters_only", "random_adapters") and not encoder.d_adapter:
@@ -423,7 +417,7 @@ def run_evaluate(cfg: PipelineConfig, ckpt_path, corpus=None) -> dict:
     corpus = _corpus(cfg, "target_eval") if corpus is None else corpus
     if not corpus:
         raise ValueError("no utterances")
-    model, provenance = _restore_for("evaluate", cfg, ckpt_path)
+    model, provenance = restore("evaluate", cfg, ckpt_path)
     refs, hyps = [], []
     for i in range(0, len(corpus), cfg.batch_size):
         batch = pad_batch(corpus[i : i + cfg.batch_size])

@@ -7,6 +7,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
+import sslasr.cli
 from sslasr.cli import GenCorpusSettings, main
 from sslasr.data import load_corpus, write_wav
 from sslasr.features import FeaturizerConfig
@@ -79,7 +80,7 @@ class TestCorpusCommands:
                    "--set", "domain=target", "--set", "seed=3"])
         assert rc == 0
         manifest = last_line(capsys)
-        corpus = load_corpus(manifest)
+        corpus = load_corpus(manifest, PipelineConfig())
         assert len(corpus) == 4
         assert all(u.domain == "target" for u in corpus)
 
@@ -102,7 +103,7 @@ class TestCorpusCommands:
         rc = main(["featurize", "--manifest", wav_manifest,
                    "--out", str(tmp_path / "feat")])
         assert rc == 0
-        corpus = load_corpus(last_line(capsys))
+        corpus = load_corpus(last_line(capsys), PipelineConfig(d_feat=40))
         assert len(corpus) == 2
         assert corpus[0].feats.shape[1] == 40
 
@@ -129,7 +130,8 @@ class TestCorpusCommands:
         ("rate", "utterance 'source_00002': sampled at 8000 Hz, but the featurizer expects 16000"),
         ("junk", "utterance 'source_00002': {wavs}/source_00002.wav: not a mono 16-bit PCM WAV file"),
         ("stereo", "utterance 'source_00002': {wavs}/source_00002.wav: not a mono 16-bit PCM WAV file"),
-    ], ids=["suffix", "rate", "not_a_wav", "stereo"])
+        ("too_short", "utterance 'source_00002': signal shorter than one window"),
+    ], ids=["suffix", "rate", "not_a_wav", "stereo", "too_short"])
     def test_featurize_checks_every_entry_before_writing(self, tmp_path, capsys, bad, message):
         main(["gen-corpus", "--out", str(tmp_path / "wav"), "--set", "n_utterances=3",
               "--set", "emit=waveform"])
@@ -143,6 +145,8 @@ class TestCorpusCommands:
             write_wav(wav, np.zeros(8000), sample_rate=8000)
         elif bad == "junk":
             wav.write_bytes(b"junk")
+        elif bad == "too_short":
+            write_wav(wav, np.zeros(100))
         else:  # the fmt chunk's channel count, at byte 22, set to 2
             wav.write_bytes(wav.read_bytes()[:22] + b"\x02" + wav.read_bytes()[23:])
         out = tmp_path / "feat"
@@ -208,7 +212,7 @@ class TestTrainingCommands:
 
     def test_mixed_feature_widths_name_the_utterance(self, tmp_path, tiny_config, capsys):
         main(["gen-corpus", "--out", str(tmp_path / "c"), "--set", "n_utterances=3",
-              "--set", "d_feat=4"])
+              "--set", "d_feat=4", "--set", "vocab_size=5"])
         manifest = last_line(capsys)
         # the first utterance has the configured width; a later one does not
         write_feat(tmp_path / "c" / "feats" / "source_00001.feat",
@@ -279,7 +283,7 @@ class TestTrainingCommands:
     def test_unknown_file_type_names_the_manifest_and_utterance(self, tmp_path, tiny_config,
                                                                capsys):
         main(["gen-corpus", "--out", str(tmp_path / "c"), "--set", "n_utterances=3",
-              "--set", "d_feat=4"])
+              "--set", "d_feat=4", "--set", "vocab_size=5"])
         manifest = last_line(capsys)
         entries = read_manifest(manifest)
         entries[1] = replace(entries[1], path="feats/source_00001.npy")
@@ -299,10 +303,20 @@ class TestGradcheckCommand:
         assert rc == 0
         assert "PASS" in out and "seed 0" in out
 
-    def test_fail_exit_one(self, capsys):
-        rc = main(["gradcheck", "--seeds", "1", "--threshold", "1e-30"])
+    def test_fail_exit_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(sslasr.cli, "loss_gradcheck_battery", lambda seed: 2e-6)
+        rc = main(["gradcheck", "--seeds", "1"])
         assert rc == 1
-        assert "FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "worst relative error 2.000e-06" in out and "FAIL" in out
+
+    def test_threshold_is_not_an_option(self, capsys):
+        # the 1e-6 gate is fixed; no flag loosens it
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--seeds", "1", "--threshold", "1e-3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--threshold" in captured.err and "PASS" not in captured.out
 
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_no_seeds_is_a_usage_error(self, seeds, capsys):

@@ -16,7 +16,7 @@ from sslasr.data import (
     write_corpus,
     write_wav,
 )
-from sslasr.io import read_manifest, write_manifest
+from sslasr.io import read_manifest, write_feat, write_manifest
 from sslasr.training import PipelineConfig
 
 TASK = PipelineConfig()
@@ -123,7 +123,7 @@ class TestWaveforms:
         manifest = write_corpus(tmp_path, cfg, "source", 3, seed=1, emit="waveform")
         with pytest.raises(ValueError, match=r"manifest\.tsv: entry 'source_00000' is audio "
                                              r"\('wavs/source_00000\.wav'\); run `sslasr featurize`"):
-            load_corpus(manifest)
+            load_corpus(manifest, cfg)
 
     def test_unknown_emit_mode(self, tmp_path):
         with pytest.raises(ValueError, match="unknown emit mode"):
@@ -141,7 +141,7 @@ class TestDiskRoundTrip:
     def test_feature_corpus_roundtrip_is_exact(self, tmp_path):
         manifest = write_corpus(tmp_path, TASK, "source", 6, seed=3, emit="features")
         original = make_corpus(TASK, "source", 6, seed=3)
-        loaded = load_corpus(manifest)
+        loaded = load_corpus(manifest, TASK)
         assert len(loaded) == len(original)
         for u, v in zip(original, loaded):
             assert v.utt_id == u.utt_id
@@ -156,7 +156,7 @@ class TestDiskRoundTrip:
         write_manifest(manifest, entries)
         with pytest.raises(ValueError, match=r"manifest\.tsv: utterance 'source_00001': "
                                              r"invalid literal for int\(\) with base 10: '2x'"):
-            load_corpus(manifest)
+            load_corpus(manifest, TASK)
 
     def test_unknown_file_type_names_the_manifest_and_utterance(self, tmp_path):
         manifest = write_corpus(tmp_path, TASK, "source", 3, seed=3, emit="features")
@@ -165,12 +165,39 @@ class TestDiskRoundTrip:
         write_manifest(manifest, entries)
         with pytest.raises(ValueError, match=r"manifest\.tsv: utterance 'source_00001' has unknown "
                                              r"file type '\.npy' \('feats/source_00001\.npy'\)"):
-            load_corpus(manifest)
+            load_corpus(manifest, TASK)
+
+    def test_unreadable_feature_file_names_the_manifest_utterance_and_file(self, tmp_path):
+        manifest = write_corpus(tmp_path, TASK, "source", 3, seed=3, emit="features")
+        bad = tmp_path / "feats" / "source_00001.feat"
+        bad.write_bytes(b"junk")
+        with pytest.raises(ValueError) as exc:
+            load_corpus(manifest, TASK)
+        assert str(exc.value) == f"{manifest}: utterance 'source_00001': {bad}: bad FEAT1 magic"
+
+    def test_first_check_of_the_first_bad_entry_is_reported(self, tmp_path):
+        # entry 1 is too wide and has a non-integer token; entry 2 is out of vocabulary
+        manifest = write_corpus(tmp_path, TASK, "source", 3, seed=3, emit="features")
+        write_feat(tmp_path / "feats" / "source_00001.feat",
+                   np.zeros((20, TASK.d_feat + 1), np.float32), shift_ms=0.0, window_ms=0.0)
+        entries = read_manifest(manifest)
+        entries[1] = replace(entries[1], transcript="x")
+        entries[2] = replace(entries[2], transcript=f"{TASK.vocab_size}")
+        write_manifest(manifest, entries)
+        with pytest.raises(ValueError, match=rf"manifest\.tsv: utterance 'source_00001' has feature "
+                                             rf"dim {TASK.d_feat + 1} but config d_feat={TASK.d_feat}$"):
+            load_corpus(manifest, TASK)
+
+    def test_empty_manifest_is_an_error(self, tmp_path):
+        manifest = tmp_path / "manifest.tsv"
+        write_manifest(manifest, [])
+        with pytest.raises(ValueError, match=r"manifest\.tsv: no utterances"):
+            load_corpus(manifest, TASK)
 
     def test_empty_transcript_loads_as_no_tokens(self, tmp_path):
         manifest = write_corpus(tmp_path, TASK, "source", 2, seed=3, emit="features")
         write_manifest(manifest, [replace(e, transcript="") for e in read_manifest(manifest)])
-        assert [u.tokens for u in load_corpus(manifest)] == [[], []]
+        assert [u.tokens for u in load_corpus(manifest, TASK)] == [[], []]
 
     def test_pad_batch_shapes(self):
         utts = make_corpus(TASK, "source", 4, seed=5)

@@ -72,6 +72,18 @@ class TestFeatFiles:
         with pytest.raises(ValueError, match="truncated"):
             read_feat(p)
 
+    @pytest.mark.parametrize("data, message", [
+        (b"junk", "bad FEAT1 magic"),
+        (FEAT_MAGIC + b"\x04\x00\x00", "truncated FEAT1 header: 9 bytes"),
+        (FEAT_MAGIC + struct.pack("<IIff", 4, 3, 10.0, 25.0) + b"\x00" * 8, "truncated FEAT1 payload"),
+    ], ids=["magic", "header", "payload"])
+    def test_errors_name_the_file(self, tmp_path, data, message):
+        p = tmp_path / "x.feat"
+        p.write_bytes(data)
+        with pytest.raises(ValueError) as exc:
+            read_feat(p)
+        assert str(exc.value) == f"{p}: {message}"
+
 
 class TestCheckpoints:
     def _params(self):
@@ -129,6 +141,19 @@ class TestCheckpoints:
         p.write_bytes(b"SSLCKPT1\x01\x00")
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"SSLCKPT9", "bad SSLCKPT1 magic"),
+        (CKPT_MAGIC, "truncated SSLCKPT1 header"),
+        (CKPT_MAGIC + struct.pack("<I", 3) + b"{x}", "Expecting property name"),
+        (CKPT_MAGIC + struct.pack("<I", 1) + b"\xff", "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["magic", "header", "not_json", "not_utf8"])
+    def test_errors_name_the_file(self, tmp_path, data, message):
+        p = tmp_path / "x.ckpt"
+        p.write_bytes(data)
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(p)
+        assert str(exc.value).startswith(f"{p}: {message}")
 
     def test_rejects_header_without_tensors(self, tmp_path):
         p = tmp_path / "x.ckpt"

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 import sslasr
 from sslasr import engine as E
-from sslasr.data import make_corpus, pad_batch
+from sslasr.data import load_corpus, make_corpus, pad_batch, write_corpus
 from sslasr.engine import Tape, Tensor, backward
-from sslasr.io import load_checkpoint, read_jsonl
+from sslasr.io import load_checkpoint, read_jsonl, write_feat
 from sslasr.objectives import (
     BidirectionalAPC,
     ContrastiveObjective,
@@ -139,7 +139,7 @@ class TestEvaluation:
 
     def test_load_finetuned_roundtrip(self, draft_chain):
         cfg, _, _, _, fin, _ = draft_chain
-        model, provenance = restore(cfg, fin)
+        model, provenance = restore("evaluate", cfg, fin)
         assert isinstance(model, CTCModel)
         stored = load_checkpoint(fin).params
         restored = model.named_params()
@@ -332,10 +332,23 @@ class TestParameterArena:
             np.testing.assert_array_equal(opt.data[s], p.data.reshape(-1))
 
 
+class TestDiskCorpus:
+    def test_library_path_checks_feature_width_before_training(self, tmp_path):
+        cfg = tiny_cfg()
+        manifest = write_corpus(tmp_path / "c", cfg, "source", 3, seed=1, emit="features")
+        write_feat(tmp_path / "c" / "feats" / "source_00001.feat",
+                   np.zeros((20, 5), np.float32), shift_ms=0.0, window_ms=0.0)
+        run = tmp_path / "run"
+        with pytest.raises(ValueError, match=r"manifest\.tsv: utterance 'source_00001' has feature "
+                                             r"dim 5 but config d_feat=4"):
+            run_pretrain(cfg, run, corpus=load_corpus(manifest, cfg))
+        assert not run.exists()
+
+
 class TestBundleRoundTrip:
     def test_load_bundle_restores_params(self, draft_chain):
         cfg, _, pre, _, _, _ = draft_chain
-        bundle, provenance = restore(cfg, pre)
+        bundle, provenance = restore("adapt", cfg, pre)
         assert isinstance(bundle, SSLBundle)
         stored = load_checkpoint(pre).params
         assert set(bundle.named_params()) == set(stored)
@@ -346,9 +359,9 @@ class TestBundleRoundTrip:
     def test_structural_mismatch_rejected(self, draft_chain):
         _, _, pre, _, _, _ = draft_chain
         with pytest.raises(ValueError, match="config mismatch"):
-            restore(tiny_cfg(d_model=32), pre)
+            restore("adapt", tiny_cfg(d_model=32), pre)
         with pytest.raises(ValueError, match="config mismatch"):
-            restore(tiny_cfg(objective="apc"), pre)
+            restore("adapt", tiny_cfg(objective="apc"), pre)
 
     def test_restored_objective_takes_the_callers_settings(self, tmp_path):
         # the checkpoint holds weights; non-structural objective settings
@@ -357,12 +370,12 @@ class TestBundleRoundTrip:
         pre = run_pretrain(cfg, tmp_path / "c")
         changed = replace(cfg, mask_prob=0.9, span_len=7, n_negatives=2, tau_cos=0.5,
                           diversity_weight=0.3)
-        bundle, _ = restore(changed, pre)
+        bundle, _ = restore("adapt", changed, pre)
         assert bundle.obj.cfg == changed
         cfg = tiny_cfg(objective="masked_cluster", pretrain_steps=1)
         pre = run_pretrain(cfg, tmp_path / "m")
         changed = replace(cfg, mask_prob=0.9, span_len=3, cluster_alpha=0.25)
-        bundle, _ = restore(changed, pre)
+        bundle, _ = restore("adapt", changed, pre)
         assert bundle.obj.cfg == changed
 
     def test_adapt_stage_uses_the_callers_objective_settings(self, tmp_path):
@@ -384,6 +397,29 @@ class TestBundleRoundTrip:
             run_adapt(cfg, fin, tmp_path)
         with pytest.raises(ValueError, match="'evaluate' cannot start from a pretrain"):
             run_evaluate(cfg, pre)
+
+    def test_restore_checks_before_building_a_model(self, draft_chain, monkeypatch):
+        cfg, _, pre, _, fin, _ = draft_chain
+        built = []
+
+        def counting(init):
+            def counted(self, *args, **kwargs):
+                built.append(type(self).__name__)
+                init(self, *args, **kwargs)
+            return counted
+
+        for cls in (SSLBundle, CTCModel):
+            monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+        with pytest.raises(ValueError, match="'evaluate' cannot start from a pretrain"):
+            restore("evaluate", cfg, pre)
+        with pytest.raises(ValueError, match="'adapt' cannot start from a finetune"):
+            restore("adapt", cfg, fin)
+        # the structural fields are checked first, then the kind
+        with pytest.raises(ValueError, match="config mismatch with checkpoint on fields"):
+            restore("evaluate", tiny_cfg(d_model=32), pre)
+        assert built == []
+        restore("evaluate", cfg, fin)
+        assert built == ["CTCModel"]
 
     def test_param_groups_partition(self):
         for objective in ("eapc", "biapc"):
@@ -538,7 +574,7 @@ class TestClusterTargets:
         cfg = tiny_cfg(objective="masked_cluster", n_train=16, pretrain_steps=2)
         pre = run_pretrain(cfg, tmp_path)
         assert not any(k.startswith("aux.") for k in load_checkpoint(pre).params)
-        bundle, _ = restore(cfg, pre)
+        bundle, _ = restore("adapt", cfg, pre)
         corpus = build_corpora(cfg)["source_train"]
         with pytest.raises(RuntimeError, match="cluster targets not prepared"):
             bundle.loss(corpus[:2], np.random.default_rng(0), 1)
