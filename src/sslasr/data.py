@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .io import ManifestEntry, read_feat, read_manifest, write_feat, write_manifest
+from .io import ManifestEntry, names_the_file, read_feat, read_manifest, write_feat, write_manifest
 
 if TYPE_CHECKING:
     from .training import PipelineConfig
@@ -116,6 +116,7 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = 16000) -> None:
         fh.writeframes(pcm.tobytes())
 
 
+@names_the_file
 def read_wav(path):
     """Samples in [-1, 1] and rate of a mono 16-bit PCM WAV; else a ValueError naming the file."""
     with contextlib.suppress(wave.Error, EOFError):  # a header cut short raises a bare EOFError
@@ -123,7 +124,7 @@ def read_wav(path):
             if (fh.getnchannels(), fh.getsampwidth()) == (1, 2):
                 raw = fh.readframes(fh.getnframes())
                 return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0, fh.getframerate()
-    raise ValueError(f"{path}: not a mono 16-bit PCM WAV file")
+    raise ValueError("not a mono 16-bit PCM WAV file")
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ A Tape records every differentiable op applied to Tensors while it is
 active. backward() replays the tape in reverse and accumulates gradients
 into leaf tensors that have requires_grad set. Gradients accumulate
 across repeated backward calls; reset .grad between steps. Every op
-output is checked for NaN/Inf right after the forward computation.
+output is checked for NaN/Inf right after the forward computation, by
+one sum over it: a finite sum proves every element finite, and only a
+non-finite sum (a NaN or inf, or finite values whose sum overflows)
+pays for the elementwise scan that decides.
 
 Ops never write into their inputs, and parameter data is only ever
 written in place: optim.Adam moves its tensors' data into one flat
@@ -14,14 +17,21 @@ backward fills in place instead of allocating a gradient array.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 def _check_finite(op: str, data: np.ndarray) -> None:
-    # logical_and.reduce is ndarray.all without its Python-level wrapper
-    if data.dtype in _FLOAT_DTYPES and not np.logical_and.reduce(np.isfinite(data), axis=None):
+    """Raise naming `op` if the float array `data` holds a NaN or an inf."""
+    # A finite sum proves every element finite. A non-finite one may come from
+    # finite values that overflow (NumPy warns), so then the scan decides;
+    # logical_and.reduce is ndarray.all without its Python-level wrapper.
+    if not math.isfinite(np.add.reduce(data, axis=None)) and \
+            not np.logical_and.reduce(np.isfinite(data), axis=None):
         raise FloatingPointError(f"non-finite values produced by op '{op}'")
 
 
@@ -113,11 +123,11 @@ def _wrap(arr: np.ndarray) -> Tensor:
 
 
 def _record(op: str, inputs: tuple, out_data: np.ndarray, backward_fn) -> Tensor:
-    _check_finite(op, out_data)
     if type(out_data) is np.ndarray and out_data.dtype in _FLOAT_DTYPES:
         out = _wrap(out_data)
     else:
         out = Tensor(out_data)
+    _check_finite(op, out.data)
     if _TAPE_STACK:
         for t in inputs:
             if t.requires_grad:
@@ -215,6 +225,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record("linear", (x, w, b), out, bwd)
 
 
+@functools.lru_cache
+def _attention_mask(lengths: tuple, T: int, causal: bool) -> np.ndarray:
+    """(B, 1, T, T) keys each query may attend (see attention), memoised per
+    (lengths, T, causal); read-only."""
+    n = np.asarray(lengths)[:, None, None, None]
+    key, query = np.arange(T), np.arange(T)[:, None]
+    mask = (key < n) | ((n <= 0) & (key == query))
+    if causal:
+        mask &= key <= query
+    mask.flags.writeable = False
+    return mask
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, lengths, n_heads: int, causal: bool) -> Tensor:
     """Multi-head attention over (B, T, D) projections as one node: head
     split, q k^T / sqrt(dh), softmax, p v, head merge. Query i of utterance
@@ -237,12 +260,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, lengths, n_heads: int, causal: bo
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.dtype)
     s = (qh @ kt) * scale
     _check_finite("attention", s)
-    n = np.asarray(lengths)[:, None, None, None]
-    key, query = np.arange(T), np.arange(T)[:, None]
-    mask = (key < n) | ((n <= 0) & (key == query))  # (B, 1, T, T)
-    if causal:
-        mask &= key <= query
-    m = np.max(np.where(mask, s, -np.inf), axis=-1, keepdims=True)
+    mask = _attention_mask(tuple(np.asarray(lengths).tolist()), T, causal)
+    m = np.maximum.reduce(np.where(mask, s, -np.inf), axis=-1, keepdims=True)
     e = np.exp(np.where(mask, s - m, 0.0)) * mask
     p = e / e.sum(axis=-1, keepdims=True)
     out = np.ascontiguousarray((p @ vh).transpose(0, 2, 1, 3)).reshape(B, T, D)
@@ -345,9 +364,10 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     # add.reduce / n is the last-axis mean without ndarray.mean's Python
     # wrapper; the bits are the same (its float64 divide rounds back exactly)
     mu = np.add.reduce(x, axis=-1, keepdims=True) / n
-    var = np.add.reduce((x - mu) ** 2, axis=-1, keepdims=True) / n
+    d = x - mu
+    var = np.add.reduce(d**2, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    xhat = d * inv
     out = gamma.data * xhat + beta.data
 
     def bwd(g):
@@ -385,12 +405,13 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int, causal: bool) -> Tensor
     Tp = max(T + K - 1, (t_out - 1) * stride + K)
     xp = np.zeros((B, Tp, Cin), dtype=x.dtype)
     xp[:, left : left + T] = x.data
-    # windows (B, t_out, K, Cin) via stride tricks; xp is contiguous, so the
-    # tap and channel axes merge into one (B, t_out, K*Cin) view
+    # windows (B, t_out, K, Cin) as a strided view of xp, built directly
+    # (as_strided's Python wrapper costs more than the view); xp is
+    # contiguous, so the tap and channel axes merge into one (B, t_out, K*Cin) view
     sB, sT, sC = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp, shape=(B, t_out, K, Cin), strides=(sB, sT * stride, sT, sC), writeable=False
-    )
+    win = np.ndarray((B, t_out, K, Cin), dtype=xp.dtype, buffer=xp,
+                     strides=(sB, sT * stride, sT, sC))
+    win.flags.writeable = False
     cols = win.reshape(B, t_out, K * Cin)
     w2 = w.data.reshape(K * Cin, Cout)
     out = cols @ w2 + b.data
@@ -447,7 +468,7 @@ def sum_(a: Tensor, axis=None) -> Tensor:
         g = np.asarray(g) if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
-    return _record("sum", (a,), np.asarray(a.data.sum(axis=axis)), bwd)
+    return _record("sum", (a,), np.asarray(np.add.reduce(a.data, axis=axis)), bwd)
 
 
 def mean_(a: Tensor) -> Tensor:

@@ -28,14 +28,17 @@ _HEADER_FIELDS = {"version", "config", "provenance", "tensors"}
 _TENSOR_FIELDS = {"name", "dtype", "shape", "offset"}
 
 
-def _names_the_file(reader):
-    """`reader(path)`, with the path put before any ValueError's message."""
+def names_the_file(reader):
+    """`reader(path)`, with the path put before any ValueError's message; a
+    file that cannot be opened or read (an OSError) is a ValueError too."""
     @functools.wraps(reader)
     def read(path):
         try:
             return reader(path)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        except OSError as exc:
+            raise ValueError(f"{path}: {exc.strerror or exc}") from None
     return read
 
 
@@ -67,7 +70,7 @@ def write_feat(path, feats: np.ndarray, shift_ms: float, window_ms: float) -> No
     _write_atomic(path, [header, f.astype("<f4", copy=False).tobytes(order="C")])
 
 
-@_names_the_file
+@names_the_file
 def read_feat(path):
     """Returns (feats float32 (T, D), shift_ms, window_ms)."""
     raw = Path(path).read_bytes()
@@ -129,7 +132,7 @@ def _is_count(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
-@_names_the_file
+@names_the_file
 def load_checkpoint(path) -> Checkpoint:
     """Read an SSLCKPT1 file; a malformed one raises a ValueError naming it."""
     raw = Path(path).read_bytes()

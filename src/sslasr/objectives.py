@@ -345,8 +345,10 @@ class ContrastiveObjective(MaskedPrediction):
 
 
 def kmeans_fit(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding then 25 Lloyd iterations; empty clusters are
-    reseeded to the point farthest from its assigned center."""
+    """k-means++ seeding then at most 25 Lloyd iterations; empty clusters
+    are reseeded to the point farthest from its assigned center. The loop
+    ends early when the labels repeat those of an iteration that reseeded
+    nothing: each center is then its cluster's mean, a fixed point."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if n < k:
@@ -358,15 +360,20 @@ def kmeans_fit(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         probs = d2 / d2.sum() if d2.sum() > 0 else np.full(n, 1.0 / n)
         centers[i] = x[int(rng.choice(n, p=probs))]
         d2 = np.minimum(d2, ((x - centers[i]) ** 2).sum(axis=1))
+    prev = None  # the last iteration's labels, unless it reseeded a cluster
     for _ in range(25):
         dists = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = dists.argmin(axis=1)
+        if prev is not None and np.array_equal(labels, prev):
+            break
+        prev = labels
         for i in range(k):
             pts = x[labels == i]
             if len(pts) == 0:
                 worst = int(np.argmax(dists[np.arange(n), labels]))
                 centers[i] = x[worst]
                 labels[worst] = i
+                prev = None
             else:
                 centers[i] = pts.mean(axis=0)
     return centers

@@ -131,7 +131,8 @@ class TestCorpusCommands:
         ("junk", "utterance 'source_00002': {wavs}/source_00002.wav: not a mono 16-bit PCM WAV file"),
         ("stereo", "utterance 'source_00002': {wavs}/source_00002.wav: not a mono 16-bit PCM WAV file"),
         ("too_short", "utterance 'source_00002': signal shorter than one window"),
-    ], ids=["suffix", "rate", "not_a_wav", "stereo", "too_short"])
+        ("missing", "utterance 'source_00002': {wavs}/source_00002.wav: No such file or directory"),
+    ], ids=["suffix", "rate", "not_a_wav", "stereo", "too_short", "missing"])
     def test_featurize_checks_every_entry_before_writing(self, tmp_path, capsys, bad, message):
         main(["gen-corpus", "--out", str(tmp_path / "wav"), "--set", "n_utterances=3",
               "--set", "emit=waveform"])
@@ -147,6 +148,8 @@ class TestCorpusCommands:
             wav.write_bytes(b"junk")
         elif bad == "too_short":
             write_wav(wav, np.zeros(100))
+        elif bad == "missing":
+            wav.unlink()
         else:  # the fmt chunk's channel count, at byte 22, set to 2
             wav.write_bytes(wav.read_bytes()[:22] + b"\x02" + wav.read_bytes()[23:])
         out = tmp_path / "feat"

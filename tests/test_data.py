@@ -175,6 +175,14 @@ class TestDiskRoundTrip:
             load_corpus(manifest, TASK)
         assert str(exc.value) == f"{manifest}: utterance 'source_00001': {bad}: bad FEAT1 magic"
 
+    def test_missing_feature_file_names_the_manifest_utterance_and_file(self, tmp_path):
+        manifest = write_corpus(tmp_path, TASK, "source", 3, seed=3, emit="features")
+        gone = tmp_path / "feats" / "source_00001.feat"
+        gone.unlink()
+        with pytest.raises(ValueError) as exc:
+            load_corpus(manifest, TASK)
+        assert str(exc.value) == f"{manifest}: utterance 'source_00001': {gone}: No such file or directory"
+
     def test_first_check_of_the_first_bad_entry_is_reported(self, tmp_path):
         # entry 1 is too wide and has a non-integer token; entry 2 is out of vocabulary
         manifest = write_corpus(tmp_path, TASK, "source", 3, seed=3, emit="features")

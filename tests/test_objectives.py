@@ -455,6 +455,49 @@ class TestKMeans:
         b = kmeans_fit(pts, 4, np.random.default_rng(9))
         assert np.array_equal(a, b)
 
+    @staticmethod
+    def _fit_25_iterations(x, k, rng):
+        """kmeans_fit without its early exit: all 25 Lloyd iterations.
+        Returns the centers and the number of reseeded clusters."""
+        x = np.asarray(x, dtype=np.float64)
+        n = x.shape[0]
+        centers = np.empty((k, x.shape[1]))
+        centers[0] = x[int(rng.integers(n))]
+        d2 = ((x - centers[0]) ** 2).sum(axis=1)
+        for i in range(1, k):
+            probs = d2 / d2.sum() if d2.sum() > 0 else np.full(n, 1.0 / n)
+            centers[i] = x[int(rng.choice(n, p=probs))]
+            d2 = np.minimum(d2, ((x - centers[i]) ** 2).sum(axis=1))
+        reseeds = 0
+        for _ in range(25):
+            dists = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            labels = dists.argmin(axis=1)
+            for i in range(k):
+                pts = x[labels == i]
+                if len(pts) == 0:
+                    worst = int(np.argmax(dists[np.arange(n), labels]))
+                    centers[i] = x[worst]
+                    labels[worst] = i
+                    reseeds += 1
+                else:
+                    centers[i] = pts.mean(axis=0)
+        return centers, reseeds
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_early_exit_keeps_the_25_iteration_centers(self, seed):
+        rng = np.random.default_rng(seed)
+        pts, _ = self._blobs(rng, rng.normal(scale=3.0, size=(5, 3)), n=60, scale=1.0)
+        want, _ = self._fit_25_iterations(pts, 8, np.random.default_rng(seed + 100))
+        assert kmeans_fit(pts, 8, np.random.default_rng(seed + 100)).tobytes() == want.tobytes()
+
+    def test_early_exit_after_a_reseed_keeps_the_25_iteration_centers(self):
+        # two distinct points for three clusters: once both are centers,
+        # seeding picks a duplicate, and Lloyd's first pass leaves it empty
+        pts = np.repeat([[0.0, 0.0], [1.0, 2.0]], [7, 5], axis=0)
+        want, reseeds = self._fit_25_iterations(pts, 3, np.random.default_rng(4))
+        assert reseeds > 0
+        assert kmeans_fit(pts, 3, np.random.default_rng(4)).tobytes() == want.tobytes()
+
     def test_group_mean_features(self):
         feats = np.arange(24, dtype=np.float32).reshape(12, 2)
         rows = group_mean_features(feats, length=11)

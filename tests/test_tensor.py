@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sslasr import ctc
 from sslasr import engine as T
 from sslasr import gradcheck
+from sslasr.ctc import ctc_loss_batch
 from sslasr.gradcheck import finite_diff_gradcheck, gradcheck_battery
 from sslasr.optim import BETA1, BETA2, EPS, Adam, clip_global_norm, noam_lr, tri_stage_lr
 from sslasr.engine import Tape, Tensor, backward
+from sslasr.training import PipelineConfig, _train_loop
 
 
 def t64(data, rg=False):
@@ -398,6 +401,106 @@ class TestVerificationMode:
         x = np.full(4, 3e38, dtype=np.float32)
         out = T.reshape(Tensor(x), (2, 2))
         np.testing.assert_array_equal(out.data.reshape(-1), x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_both_infinities_whose_sum_is_nan_raise(self, dtype):
+        x = np.zeros(1000, dtype=dtype)
+        x[3], x[-2] = np.inf, -np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="op 'reshape'"):
+            T.reshape(Tensor(x), (10, 100))
+
+
+class TestAttentionMask:
+    """attention's memoised (B, 1, T, T) mask of the keys each query may attend."""
+
+    @pytest.mark.parametrize("causal", [True, False], ids=["causal", "full"])
+    def test_mask_follows_the_padding_rule(self, causal):
+        lengths, T_ = (5, 3, 0, 1), 5
+        mask = T._attention_mask(lengths, T_, causal)
+        assert mask.shape == (4, 1, T_, T_) and mask.dtype == bool
+        for b, n in enumerate(lengths):
+            for i in range(T_):
+                for j in range(T_):
+                    want = j < n and (j <= i or not causal) if n > 0 else j == i
+                    assert mask[b, 0, i, j] == want, (b, i, j)
+
+    def test_mask_is_read_only_and_shared(self):
+        mask = T._attention_mask((2, 1), 3, False)
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0, 0, 0, 0] = False
+        assert T._attention_mask((2, 1), 3, False) is mask
+
+    def test_attention_passes_lengths_as_plain_ints(self):
+        q = t64(np.ones((2, 3, 2)))
+        T._attention_mask.cache_clear()
+        T.attention(q, q, q, np.array([3, 2]), 1, causal=True)
+        T.attention(q, q, q, [3, 2], 1, causal=True)
+        info = T._attention_mask.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_cache_is_bounded(self):
+        maxsize = T._attention_mask.cache_info().maxsize
+        assert maxsize is not None
+        for n in range(maxsize + 10):
+            T._attention_mask((n,), 2, True)
+        assert T._attention_mask.cache_info().currsize == maxsize
+
+
+def f32(data):
+    return Tensor(np.asarray(data, dtype=np.float32))
+
+
+# One call per op name the engine records, each making that op's output
+# non-finite; from finite inputs where the op can overflow by itself.
+NON_FINITE_OPS = {
+    "add": lambda: T.add(f32([3e38]), f32([3e38])),
+    "sub": lambda: T.sub(f32([3e38]), f32([-3e38])),
+    "mul": lambda: T.mul(t64([1e200]), t64([1e200])),
+    "matmul": lambda: T.matmul(t64([[1e200]]), t64([[1e200]])),
+    "linear": lambda: T.linear(t64([[1e200]]), t64([[1e200]]), t64([0.0])),
+    "attention": lambda: T.attention(t64(np.ones((1, 2, 2))), t64(np.ones((1, 2, 2))),
+                                     t64([[[np.nan, 0.0], [0.0, 0.0]]]), [2], 1, causal=False),
+    "reshape": lambda: T.reshape(t64([np.nan, 0.0]), (2, 1)),
+    "slice": lambda: T.slice_axis(t64([0.0, np.inf]), 0, 1, 2),
+    "exp": lambda: T.exp(t64([1000.0])),
+    "log": lambda: T.log(t64([0.0])),
+    "relu": lambda: T.relu(t64([np.inf])),
+    "gelu": lambda: T.gelu(t64([np.nan])),
+    "softmax": lambda: T.softmax(t64([0.0, np.inf])),
+    "layer_norm": lambda: T.layer_norm(t64([np.inf, 0.0]), t64([1.0, 1.0]), t64([0.0, 0.0])),
+    "conv1d": lambda: T.conv1d(t64(np.full((1, 2, 1), 1e200)), t64(np.full((2, 1, 1), 1e200)),
+                               t64([0.0]), 1, True),
+    "embedding": lambda: T.embedding(t64([[0.0], [np.inf]]), np.array([1])),
+    "where": lambda: T.where_mask(t64([np.nan]), t64([0.0]), [True]),
+    "sum": lambda: T.sum_(f32([3e38, 3e38])),
+    "mean": lambda: T.mean_(t64([1e308, 1e308])),
+    "cosine_similarity": lambda: T.cosine_similarity(t64([1e200, 1e200]), t64([1e200, 1e200])),
+    "cross_entropy": lambda: T.cross_entropy(t64([[np.nan, 0.0]]), np.array([0])),
+    "ctc_loss": lambda: ctc_loss_batch(t64(np.full((1, 3, 3), np.nan)), [3], [[1]]),
+}
+
+
+class TestPerOpFiniteness:
+    """Every recorded op raises on a non-finite output, naming itself."""
+
+    def test_the_table_covers_every_recorded_op(self):
+        src = inspect.getsource(T) + inspect.getsource(ctc)
+        assert set(re.findall(r"_record\(\"(\w+)\"", src)) == set(NON_FINITE_OPS)
+
+    @pytest.mark.parametrize("op", sorted(NON_FINITE_OPS))
+    def test_op_names_itself(self, op):
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as exc:
+            NON_FINITE_OPS[op]()
+        assert str(exc.value) == f"non-finite values produced by op '{op}'"
+
+    @pytest.mark.parametrize("op", sorted(NON_FINITE_OPS))
+    def test_train_loop_names_the_stage_step_and_op(self, op, tmp_path):
+        w = Tensor(np.zeros(1), requires_grad=True)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as exc:
+            _train_loop("adapt", PipelineConfig(), [None], lambda batch, rng, step: NON_FINITE_OPS[op](),
+                        {"w": w}, {"w": w}, 2, lambda s: 1e-3, tmp_path / "m.jsonl")
+        assert str(exc.value) == f"stage 'adapt' step 1: non-finite values produced by op '{op}'"
 
 
 class TestGradcheckPrimitives:
