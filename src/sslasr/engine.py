@@ -3,11 +3,18 @@
 A Tape records every differentiable op applied to Tensors while it is
 active. backward() replays the tape in reverse and accumulates gradients
 into leaf tensors that have requires_grad set. Gradients accumulate
-across repeated backward calls; reset .grad between steps. Every op
-output is checked for NaN/Inf right after the forward computation, by
-one sum over it: a finite sum proves every element finite, and only a
-non-finite sum (a NaN or inf, or finite values whose sum overflows)
-pays for the elementwise scan that decides.
+across repeated backward calls; reset .grad between steps.
+
+Every op output is checked for NaN/Inf right after the forward
+computation, by one sum over it: a finite sum proves every element
+finite, and only a non-finite sum (a NaN or inf, or finite values whose
+sum overflows) pays for the elementwise scan that decides. Work that
+repeats, a training step's forward pass or one central-difference
+evaluation, runs through finite_result instead: the per-op checks are off
+and only its result is tested. A non-finite result runs the work again
+with the checks on, so the op that made the first non-finite value still
+raises naming itself; a non-finite intermediate that does not reach the
+result raises nothing there.
 
 Ops never write into their inputs, and parameter data is only ever
 written in place: optim.Adam moves its tensors' data into one flat
@@ -25,8 +32,30 @@ import numpy as np
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
+_unchecked_depth = 0  # > 0 inside _unchecked()
+
+
+class _unchecked:
+    """Context manager that turns the per-op finiteness checks off inside its
+    block; nestable, and on again however the outermost block exits. A
+    class, because every central-difference evaluation enters one and the
+    contextlib generator form costs several times more per block."""
+
+    def __enter__(self) -> None:
+        global _unchecked_depth
+        _unchecked_depth += 1
+
+    def __exit__(self, *exc) -> bool:
+        global _unchecked_depth
+        _unchecked_depth -= 1
+        return False
+
+
 def _check_finite(op: str, data: np.ndarray) -> None:
-    """Raise naming `op` if the float array `data` holds a NaN or an inf."""
+    """Raise naming `op` if the float array `data` holds a NaN or an inf;
+    a no-op inside _unchecked()."""
+    if _unchecked_depth:
+        return
     # A finite sum proves every element finite. A non-finite one may come from
     # finite values that overflow (NumPy warns), so then the scan decides;
     # logical_and.reduce is ndarray.all without its Python-level wrapper.
@@ -110,6 +139,28 @@ _TAPE_STACK: list[Tape] = []
 
 def _active_tape():
     return _TAPE_STACK[-1] if _TAPE_STACK else None
+
+
+def finite_result(work, tape: Tape | None = None) -> Tensor:
+    """work()'s Tensor result, from a run with the per-op checks off (onto
+    `tape` if one is given) whose result alone is tested for NaN and inf.
+
+    A non-finite result is dropped: work runs again with the checks on and
+    off the tape, and the caller gets what that run gives, as if the checks
+    had been on all along. So the first op to make a non-finite value raises
+    FloatingPointError naming itself, and a result that no op made (a
+    constant) comes back as it is. work must redo whatever it draws (rebuild
+    its random generator), so that the replay repeats the first run."""
+    with _unchecked():
+        if tape is None:
+            out = work()
+        else:
+            with tape:
+                out = work()
+    data = out.data
+    # item() tests the usual scalar result ten times faster than isfinite
+    finite = math.isfinite(data.item()) if data.size == 1 else np.isfinite(data).all()
+    return out if finite else work()
 
 
 def _wrap(arr: np.ndarray) -> Tensor:

@@ -50,16 +50,24 @@ def finite_diff_gradcheck(fn, inputs) -> float:
     over every element of every input. Raises if fn is nondeterministic
     (two evaluations disagree bitwise). A non-finite analytic or numeric
     gradient element makes the error inf, so the check fails.
+
+    The taped analytic pass checks every op output for NaN and inf. Each
+    central-difference evaluation checks only fn's value, and replays a
+    non-finite one with the per-op checks on, so a probe that crosses a
+    pole (log just above 0) raises FloatingPointError naming the op.
     """
     inputs = list(inputs)
     return _check_grads(fn, inputs, _analytic_grads(fn, inputs))
 
 
 def _check_grads(fn, inputs: list, analytic: list) -> float:
-    """finite_diff_gradcheck given fn's analytic gradients at inputs."""
+    """finite_diff_gradcheck given fn's analytic gradients at inputs. Each
+    evaluation of fn runs through engine.finite_result: per-op checks off,
+    and a non-finite value replayed with them on before the determinism
+    test, where NaN != NaN would read as nondeterminism."""
 
     def evaluate() -> float:
-        out = fn(*inputs)
+        out = E.finite_result(lambda: fn(*inputs))
         if out.size != 1:
             raise ValueError("gradcheck requires a scalar-valued function")
         return float(out.data.reshape(()))

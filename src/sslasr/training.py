@@ -18,7 +18,7 @@ import numpy as np
 
 from .ctc import CTCHead, ctc_loss_batch, edit_distance, error_rate, greedy_decode
 from .data import make_corpus, pad_batch
-from .engine import Tape, Tensor, backward
+from .engine import Tape, Tensor, backward, finite_result
 from .features import spec_augment
 from .io import Settings, append_jsonl, load_checkpoint, save_checkpoint, setting
 from .model import Encoder, Module, build_encoder
@@ -261,17 +261,23 @@ def _train_loop(stage: str, cfg: PipelineConfig, corpus, loss_fn, all_params: di
     opt = Adam(trainable)
     n = len(corpus)
     stage_id = _STAGE_IDS[stage]
+
+    def step_loss(step):
+        # draws from (seed, stage, step) alone, so a replay draws the same
+        rng = np.random.default_rng([cfg.seed, stage_id, step])
+        idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
+        return loss_fn([corpus[int(i)] for i in idx], rng, step)
+
     with contextlib.ExitStack() as stack:
         log = None  # opened at the first record: a failed first step leaves no file
         for step in range(1, steps + 1):
-            rng = np.random.default_rng([cfg.seed, stage_id, step])
-            idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
-            batch = [corpus[int(i)] for i in idx]
             opt.zero_grad()
             try:
-                with Tape() as tape:
-                    loss = loss_fn(batch, rng, step)
-                    backward(loss, tape)
+                # per-op checks off; a non-finite loss is replayed with them on,
+                # before any update, to name the op that made it
+                tape = Tape()
+                loss = finite_result(lambda: step_loss(step), tape)
+                backward(loss, tape)
             except FloatingPointError as e:
                 raise FloatingPointError(f"stage '{stage}' step {step}: {e}") from e
             except ValueError as e:

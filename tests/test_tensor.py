@@ -503,6 +503,53 @@ class TestPerOpFiniteness:
         assert str(exc.value) == f"stage 'adapt' step 1: non-finite values produced by op '{op}'"
 
 
+class TestUncheckedRuns:
+    """_unchecked() turns the per-op checks off; finite_result tests only the
+    result of a run without them and replays a non-finite one with them."""
+
+    def test_unchecked_nests_and_ends_however_the_block_exits(self):
+        with pytest.raises(KeyError), np.errstate(all="ignore"):
+            with T._unchecked():
+                with T._unchecked():
+                    pass
+                assert T.log(t64([0.0])).data[0] == -np.inf
+                raise KeyError
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="op 'log'"):
+            T.log(t64([0.0]))
+
+    def test_an_intermediate_that_misses_the_result_does_not_raise(self):
+        def work():
+            return T.sum_(T.where_mask(T.log(t64([0.0])), t64([2.0]), [False]))
+
+        with np.errstate(all="ignore"):
+            assert T.finite_result(work).data == 2.0
+            with pytest.raises(FloatingPointError, match="op 'log'"):
+                work()
+
+    def test_a_non_finite_result_is_replayed_with_checks_and_off_the_tape(self):
+        x = Tensor(np.array([0.0, 1.0]), requires_grad=True)
+        runs = []
+        tape = Tape()
+
+        def work():
+            runs.append(T._active_tape())
+            return T.sum_(T.mul(T.log(x), t64([2.0, 1.0])))
+
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as exc:
+            T.finite_result(work, tape)
+        assert str(exc.value) == "non-finite values produced by op 'log'"
+        assert runs == [tape, None] and [n.op for n in tape.nodes] == ["log", "mul", "sum"]
+
+    def test_a_finite_result_runs_once_onto_the_tape(self):
+        x = Tensor(np.array([0.5, 2.0]), requires_grad=True)
+        runs = []
+        tape = Tape()
+        out = T.finite_result(lambda: runs.append(1) or T.sum_(T.mul(x, x)), tape)
+        backward(out, tape)
+        assert runs == [1]
+        np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+
+
 class TestGradcheckPrimitives:
     """Every primitive passes central-difference checking in float64."""
 
@@ -625,6 +672,13 @@ class TestGradcheckPrimitives:
             return Tensor(np.asarray(1.0 if a.data[0] == 0.5 else np.inf))
 
         assert finite_diff_gradcheck(fn, [t64([0.5])]) == math.inf
+
+    def test_probe_across_a_pole_names_the_op(self):
+        # log is finite at 3e-6 but NaN at the probe 3e-6 - 1e-5: the op that
+        # made it is named, and NaN != NaN is not read as nondeterminism
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as exc:
+            finite_diff_gradcheck(lambda a: T.sum_(T.log(a)), [t64([1.0, 3e-6])])
+        assert str(exc.value) == "non-finite values produced by op 'log'"
 
     def test_non_float64_inputs_rejected_before_fn_runs(self):
         calls = []

@@ -17,7 +17,7 @@ import sslasr
 from sslasr import engine as E
 from sslasr.data import load_corpus, make_corpus, pad_batch, write_corpus
 from sslasr.engine import Tape, Tensor, backward
-from sslasr.io import load_checkpoint, read_jsonl, write_feat
+from sslasr.io import load_checkpoint, read_jsonl, save_checkpoint, write_feat
 from sslasr.objectives import (
     BidirectionalAPC,
     ContrastiveObjective,
@@ -208,6 +208,32 @@ class TestNonFiniteSteps:
             run_pretrain(tiny_cfg(), tmp_path)
         assert not (tmp_path / "pretrain.ckpt").exists()
         assert not (tmp_path / "pretrain_metrics.jsonl").exists()
+
+    def test_nan_backbone_weight_names_the_first_op_reading_it(self, tmp_path):
+        cfg = tiny_cfg()
+        ckpt = load_checkpoint(run_pretrain(cfg, tmp_path))
+        ckpt.params["model.conv.conv1.w"][1, 2, 3] = np.nan
+        save_checkpoint(tmp_path / "nan.ckpt", ckpt.params, ckpt.config, ckpt.provenance, ckpt.rng_state)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as exc:
+            run_adapt(cfg, tmp_path / "nan.ckpt", tmp_path / "adapt")
+        assert str(exc.value) == "stage 'adapt' step 1: non-finite values produced by op 'conv1d'"
+        assert list((tmp_path / "adapt").iterdir()) == []
+        # the per-op checks are on again after the failed stage
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="op 'log'"):
+            E.log(Tensor([0.0]))
+
+    def test_an_intermediate_that_misses_the_loss_does_not_stop_the_step(self, tmp_path):
+        # log(0) is selected away: only the loss, the gradient norm and a
+        # replay with the per-op checks on decide whether a step fails
+        w = Tensor(np.array([0.5, 2.0]), requires_grad=True)
+
+        def loss_fn(batch, rng, step):
+            return E.sum_(E.where_mask(E.log(Tensor(np.zeros(2))), E.mul(w, w), [False, False]))
+
+        with np.errstate(all="ignore"):
+            _train_loop("adapt", tiny_cfg(), [None], loss_fn, {"w": w}, {"w": w}, 2,
+                        lambda s: 1e-3, tmp_path / "m.jsonl")
+        assert [r["step"] for r in read_jsonl(tmp_path / "m.jsonl")] == [1, 2]
 
 
 class TestFrozenGradients:
