@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from sslasr.io import load_checkpoint
-from sslasr.training import PipelineConfig, run_pipeline
+from sslasr.training import sweep
 
 # a narrower copy of the default task so the demo stays under a minute;
 # drop the overrides to reproduce the full comparison
@@ -24,32 +24,28 @@ stories = {
     "scratch": "random init -> CTC finetune",
 }
 
-# one run_pipeline call per seed runs all three variants; draft and
-# no_adapt share that seed's one pretrain
+# a sweep over seed runs all three variants at each seed, in <root>/seed=<n>/;
+# draft and no_adapt share that seed's one pretrain
 print("three pipelines, three seeds each (TER = token error rate)\n")
 ters = {variant: [] for variant in stories}
 with tempfile.TemporaryDirectory() as root:
     t0 = time.time()
-    for seed in range(3):
-        reports = run_pipeline(PipelineConfig(seed=seed, **cfg), Path(root) / f"seed{seed}",
-                               tuple(stories))
+    for seed, reports in sweep(cfg, "seed", range(3), root, tuple(stories)):
         for variant, report in reports.items():
             ters[variant].append(report["ter"])
     secs = time.time() - t0
 
-    results = {}
+    results = {variant: statistics.median(t) for variant, t in ters.items()}
     for variant, story in stories.items():
-        results[variant] = statistics.median(ters[variant])
         print(f"{variant:9s} {story}")
-        print(f"          TERs {[f'{t:.3f}' for t in ters[variant]]}, "
-              f"median {results[variant]:.3f}\n")
+        print(f"          TERs {[f'{t:.3f}' for t in ters[variant]]}, median {results[variant]:.3f}\n")
 
     print(f"adaptation helps: {results['draft']:.3f} <= {results['no_adapt']:.3f} "
           f"<= {results['scratch']:.3f}  ({secs:.1f}s for the three seeds)")
 
     print()
     print("== what the adapter stage actually touches ==")
-    final = load_checkpoint(Path(root) / "seed0" / "draft" / "finetune_full.ckpt")
+    final = load_checkpoint(Path(root) / "seed=0" / "draft" / "finetune_full.ckpt")
 print("per-parameter-group step counts (f = backbone, ada = adapters, "
       "g = generators):")
 print(f"  {final.provenance}")

@@ -40,6 +40,7 @@ from .training import (
     run_finetune,
     run_pipeline,
     run_pretrain,
+    sweep,
 )
 
 __all__ = [
@@ -78,6 +79,7 @@ __all__ = [
     "run_pretrain",
     "save_checkpoint",
     "spec_augment",
+    "sweep",
     "tri_stage_lr",
     "write_feat",
     "write_manifest",

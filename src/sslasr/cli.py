@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -43,8 +44,8 @@ from .training import (
     run_adapt,
     run_evaluate,
     run_finetune,
-    run_pipeline,
     run_pretrain,
+    sweep,
 )
 
 
@@ -130,27 +131,18 @@ def _cmd_pretrain(args) -> int:
 
 
 def _checkpoint_config(args) -> PipelineConfig:
-    """The config of a stage that resumes a checkpoint.
-
-    The checkpoint's stored config seeds the values so non-default choices
-    (objective, model size, corpus task) carry forward automatically;
-    --config and --set still override.
-    """
+    """The config of a stage that continues --init: the checkpoint's stored
+    config, so non-default choices (objective, model size, corpus task) carry
+    forward, then --config and --set."""
     values = _load_settings(args, PipelineConfig)
     return _pick(PipelineConfig, {**load_checkpoint(args.init).config, **values})
 
 
-def _cmd_adapt(args) -> int:
+def _cmd_continue(args) -> int:
+    """adapt or finetune: run args.stage from the --init checkpoint."""
     cfg = _checkpoint_config(args)
     corpus = load_corpus(args.manifest, cfg) if args.manifest else None
-    print(run_adapt(cfg, args.init, args.out, mode=args.mode, corpus=corpus))
-    return 0
-
-
-def _cmd_finetune(args) -> int:
-    cfg = _checkpoint_config(args)
-    corpus = load_corpus(args.manifest, cfg) if args.manifest else None
-    print(run_finetune(cfg, args.init, args.out, mode=args.mode, corpus=corpus))
+    print(args.stage(cfg, args.init, args.out, mode=args.mode, corpus=corpus))
     return 0
 
 
@@ -181,26 +173,28 @@ def _cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
+def _variants(text: str) -> tuple:
+    names = tuple(name.strip() for name in text.split(","))
+    if not set(names) <= set(PIPELINES) or len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError(f"expected distinct names from {','.join(PIPELINES)}, got {text!r}")
+    return names
+
+
 def _cmd_sweep(args) -> int:
-    values = _load_settings(args, PipelineConfig)
-    if args.key not in {f.name for f in fields(PipelineConfig)}:
-        raise ValueError(f"unknown sweep key '{args.key}'")
-    points = [parse_value(v) for v in args.values.split(",") if v.strip()]
-    if not points:
-        raise ValueError("sweep needs at least one value")
-    # every point's config is built, and so checked, before the first runs
-    configs = [_pick(PipelineConfig, {**values, args.key: val}) for val in points]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    results_path = out / "sweep.jsonl"
+    points = sweep(_load_settings(args, PipelineConfig), args.key,
+                   [parse_value(v) for v in args.values.split(",") if v.strip()],
+                   args.out, args.variants, args.finetune_mode)
+    results_path = Path(args.out) / "sweep.jsonl"
     results_path.unlink(missing_ok=True)
-    for val, cfg in zip(points, configs):
-        report = run_pipeline(cfg, out / f"{args.key}={val}", (args.variant,),
-                              finetune_mode=args.finetune_mode)[args.variant]
+    ters = {variant: [] for variant in args.variants}
+    for val, reports in points:
         with open(results_path, "a", encoding="utf-8") as fh:
-            append_jsonl(fh, {"key": args.key, "value": val,
-                              "variant": report["variant"], "ter": report["ter"]})
-        print(f"{args.key}={val}: ter={report['ter']:.4f}")
+            for variant, report in reports.items():
+                append_jsonl(fh, {"key": args.key, "value": val, "variant": variant, "ter": report["ter"]})
+                ters[variant].append(report["ter"])
+        print(f"{args.key}={val}: " + "  ".join(f"{v} ter={r['ter']:.4f}" for v, r in reports.items()))
+    for variant, values in ters.items():
+        print(f"{variant}: median ter={statistics.median(values):.4f} over {len(values)} values of {args.key}")
     print(results_path)
     return 0
 
@@ -212,14 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "with adapter-based domain adaptation.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add(name, help_, fn, settings=True):
+    def add(name, help_, fn, settings=True, **defaults):
         p = sub.add_parser(name, help=help_, description=help_)
         if settings:
             p.add_argument("--config", metavar="FILE",
                            help="settings file of 'key = value' lines")
             p.add_argument("--set", action="append", type=_parse_override,
                            metavar="KEY=VALUE", help="override one setting (repeatable)")
-        p.set_defaults(handler=fn, parser=p)
+        p.set_defaults(handler=fn, parser=p, **defaults)
         return p
 
     p = add("gen-corpus", "generate a synthetic corpus plus manifest", _cmd_gen_corpus)
@@ -233,13 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="DIR", help="checkpoint/metrics directory")
     p.add_argument("--manifest", metavar="TSV", help="train on this corpus instead of the built-in one")
 
-    p = add("adapt", "stage 2: adapt a pretrained model to the target domain", _cmd_adapt)
+    p = add("adapt", "stage 2: adapt a pretrained model to the target domain", _cmd_continue,
+            stage=run_adapt)
     p.add_argument("--init", required=True, metavar="CKPT", help="stage-1 checkpoint")
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--mode", choices=ADAPT_MODES, default="draft")
     p.add_argument("--manifest", metavar="TSV")
 
-    p = add("finetune", "stage 3: supervised finetuning with a CTC head", _cmd_finetune)
+    p = add("finetune", "stage 3: supervised finetuning with a CTC head", _cmd_continue,
+            stage=run_finetune)
     p.add_argument("--init", required=True, metavar="CKPT", help="stage-1 or stage-2 checkpoint")
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--mode", choices=FINETUNE_MODES, default="full")
@@ -259,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", required=True, help="pipeline setting to vary")
     p.add_argument("--values", required=True, metavar="V1,V2,...")
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--variant", choices=PIPELINES, default="draft")
+    p.add_argument("--variants", type=_variants, default=("draft",), metavar="V1,V2,...",
+                   help=f"comma list from {','.join(PIPELINES)}, run on one pretrain per point")
     p.add_argument("--finetune-mode", choices=FINETUNE_MODES, default="full")
 
     return parser

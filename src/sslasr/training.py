@@ -11,7 +11,7 @@ the steps and writes the checkpoint."""
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -484,3 +484,16 @@ def run_pipeline(cfg: PipelineConfig, workdir, variants: tuple,
         ckpt = run_finetune(cfg, ckpt, vdir, mode=finetune_mode, corpus=corpora["target_train"])
         reports[variant] = {**run_evaluate(cfg, ckpt, corpus=corpora["target_eval"]), "variant": variant}
     return reports
+
+
+def sweep(settings: dict, key: str, values, workdir, variants: tuple, finetune_mode: str = "full"):
+    """Run run_pipeline on PipelineConfig(**{**settings, key: v}) in `workdir/<key>=<v>/`
+    for each of the distinct `values`, yielding (v, {variant: report}) as each point ends.
+    Every point's config is checked before this returns. key="seed" compares seeds."""
+    if key not in {f.name for f in fields(PipelineConfig)}:
+        raise ValueError(f"unknown sweep key '{key}'")
+    configs = [PipelineConfig(**{**settings, key: v}) for v in values]
+    if not values or len(set(values)) < len(values):
+        raise ValueError(f"sweep needs distinct values of '{key}', got {list(values)}")
+    return ((v, run_pipeline(cfg, Path(workdir) / f"{key}={v}", variants, finetune_mode))
+            for v, cfg in zip(values, configs))

@@ -33,12 +33,7 @@ from sslasr.objectives import (
     stack_targets,
 )
 from sslasr.optim import noam_lr, tri_stage_lr
-from sslasr.training import (
-    PipelineConfig,
-    run_adapt,
-    run_pipeline,
-    run_pretrain,
-)
+from sslasr.training import PipelineConfig, run_adapt, run_pipeline, run_pretrain, sweep
 
 
 def test_01_gradients_match_central_differences():
@@ -350,12 +345,9 @@ def test_09_learning_rate_schedules_match_closed_forms():
 
 def test_10_adaptation_orders_error_rates(tmp_path):
     ters = {"draft": [], "no_adapt": [], "scratch": []}
-    slowest = 0.0
-    for seed in range(5):
-        t0 = time.time()
-        reports = run_pipeline(PipelineConfig(seed=seed), tmp_path / f"seed{seed}",
-                               ("draft", "no_adapt", "scratch"))
-        elapsed = time.time() - t0
+    slowest, t0 = 0.0, time.time()
+    for seed, reports in sweep({}, "seed", range(5), tmp_path, tuple(ters)):
+        elapsed, t0 = time.time() - t0, time.time()
         slowest = max(slowest, elapsed)
         assert elapsed < 180.0, f"seed {seed} took {elapsed:.0f}s for all three variants"
         for variant, report in reports.items():

@@ -2,6 +2,7 @@
 
 import json
 import re
+import statistics
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -11,8 +12,8 @@ import sslasr.cli
 from sslasr.cli import GenCorpusSettings, main
 from sslasr.data import load_corpus, write_wav
 from sslasr.features import FeaturizerConfig
-from sslasr.io import load_checkpoint, read_jsonl, read_manifest, write_feat, write_manifest
-from sslasr.training import PipelineConfig
+from sslasr.io import load_checkpoint, read_config, read_jsonl, read_manifest, write_feat, write_manifest
+from sslasr.training import PipelineConfig, run_pipeline, sweep
 
 TINY = """\
 n_train = 16
@@ -332,16 +333,63 @@ class TestGradcheckCommand:
 
 class TestSweepCommand:
     def test_sweep_writes_results(self, tmp_path, tiny_config, capsys):
-        out = tmp_path / "sweep"
-        rc = main(["sweep", "--config", tiny_config, "--key", "d_adapter",
-                   "--values", "2,4", "--out", str(out), "--variant", "no_adapt",
-                   "--set", "pretrain_steps=1", "--set", "finetune_steps=1"])
+        # the multi-seed comparison: every variant at each seed, on one pretrain
+        out, variants = tmp_path / "sweep", ("draft", "no_adapt", "scratch")
+        rc = main(["sweep", "--config", tiny_config, "--key", "seed", "--values", "0,1",
+                   "--variants", ",".join(variants), "--out", str(out)])
         assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
         records = read_jsonl(out / "sweep.jsonl")
-        assert [r["value"] for r in records] == [2, 4]
-        assert all(r["key"] == "d_adapter" and "ter" in r for r in records)
-        assert all((out / point / name).is_file() for point in ("d_adapter=2", "d_adapter=4")
-                   for name in ("pretrain.ckpt", "no_adapt/finetune_full.ckpt"))
+        assert [(r["key"], r["value"], r["variant"]) for r in records] == \
+            [("seed", seed, v) for seed in (0, 1) for v in variants]
+        for v in variants:
+            median = statistics.median(r["ter"] for r in records if r["variant"] == v)
+            assert f"{v}: median ter={median:.4f} over 2 values of seed" in lines
+        assert lines[-1] == str(out / "sweep.jsonl")
+        for seed in (0, 1):
+            point = out / f"seed={seed}"
+            assert sorted(str(p.relative_to(point)) for p in point.rglob("pretrain.ckpt")) == \
+                ["pretrain.ckpt", "scratch/pretrain.ckpt"]
+            assert load_checkpoint(point / "scratch/pretrain.ckpt").provenance == {"f": 0, "ada": 0, "g": 0}
+        # each point's reports are a direct run_pipeline call's, but for the checkpoint path
+        settings = read_config(tiny_config)
+        for seed, reports in sweep(settings, "seed", [0, 1], tmp_path / "lib", variants):
+            direct = run_pipeline(PipelineConfig(**settings, seed=seed), tmp_path / f"direct{seed}", variants)
+            assert list(reports) == list(variants)
+            for v in variants:
+                assert reports[v].pop("checkpoint") == str(tmp_path / f"lib/seed={seed}/{v}/finetune_full.ckpt")
+                direct[v].pop("checkpoint")
+                assert reports[v] == direct[v]
+                assert [r["ter"] for r in records if (r["value"], r["variant"]) == (seed, v)] == [direct[v]["ter"]]
+
+    def test_base_valid_only_with_the_swept_value_runs(self, tmp_path, tiny_config, capsys):
+        # n_heads=3 does not divide the tiny config's d_model=16, but divides 48;
+        # `--variant` is argparse's prefix of `--variants`
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", tiny_config, "--set", "n_heads=3", "--key", "d_model",
+                   "--values", "48", "--variant", "no_adapt", "--out", str(out)])
+        assert rc == 0
+        assert [(r["value"], r["variant"]) for r in read_jsonl(out / "sweep.jsonl")] == [(48, "no_adapt")]
+        assert (out / "d_model=48/no_adapt/finetune_full.ckpt").is_file()
+
+    def test_repeated_value_is_rejected_before_the_first_point(self, tmp_path, tiny_config, capsys):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", tiny_config, "--key", "d_adapter", "--values", "2,4,2",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "sweep needs distinct values of 'd_adapter', got [2, 4, 2]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variants", ["draft,nonesuch", "no_adapt,no_adapt", ""])
+    def test_bad_variants_are_a_usage_error(self, tmp_path, tiny_config, capsys, variants):
+        out = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", tiny_config, "--key", "seed", "--values", "0",
+                  "--variants", variants, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --variants: expected distinct names from draft,saft,no_adapt,scratch" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
     def test_every_point_is_checked_before_the_first_runs(self, tmp_path, tiny_config, capsys):
         out = tmp_path / "sweep"

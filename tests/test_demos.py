@@ -1,8 +1,8 @@
 """Each demo, and the README's quick start, runs to completion as a standalone script.
 
 The quick ones take about a second each; 06_domain_adaptation.py, which
-runs the three pipelines on three seeds with one run_pipeline call, and
-so one pretrain, per seed, takes about 5 s on 2 CPUs.
+runs the three pipelines on three seeds with one sweep over `seed` (one
+run_pipeline call, and so one pretrain, per seed), takes about 5 s on 2 CPUs.
 """
 
 import os

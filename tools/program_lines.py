@@ -4,12 +4,13 @@
 
 Under sys.settrace, runs tools/output_matrix.py's run_matrix and every CLI
 subcommand on a tiny corpus: gen-corpus (features and waveform),
-featurize, pretrain, adapt, finetune, evaluate, sweep and gradcheck
---seeds 1; the training commands read output_matrix's tiny config as a
---config file. Then prints, per src/sslasr file, the executable lines (those
-the compiled code objects' co_lines attribute bytecode to) that none of
-them ran. A line listed here runs only under the tests, or never: a
-candidate for deletion, or a guard that only outside input reaches.
+featurize, pretrain, adapt, finetune, evaluate, sweep (draft against
+no_adapt over seeds 0 and 1) and gradcheck --seeds 1; the training
+commands read output_matrix's tiny config as a --config file. Then
+prints, per src/sslasr file, the executable lines (those the compiled
+code objects' co_lines attribute bytecode to) that none of them ran. A
+line listed here runs only under the tests, or never: a candidate for
+deletion, or a guard that only outside input reaches.
 Takes about 10 s on 2 vCPUs.
 """
 
@@ -98,7 +99,8 @@ def _programs() -> None:
             ["finetune", *settings, "--init", f"{tmp}/run/adapt_draft.ckpt", "--out", f"{tmp}/run"],
             ["evaluate", *settings, "--init", f"{tmp}/run/finetune_full.ckpt",
              "--report", f"{tmp}/run/report.json"],
-            ["sweep", *settings, "--key", "d_adapter", "--values", "2", "--out", f"{tmp}/sweep"],
+            ["sweep", *settings, "--key", "seed", "--values", "0,1", "--variants", "draft,no_adapt",
+             "--out", f"{tmp}/sweep"],
             ["gradcheck", "--seeds", "1"],
         ]
         for argv in runs:
