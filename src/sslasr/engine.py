@@ -5,16 +5,12 @@ active. backward() replays the tape in reverse and accumulates gradients
 into leaf tensors that have requires_grad set. Gradients accumulate
 across repeated backward calls; reset .grad between steps.
 
-Every op output is checked for NaN/Inf right after the forward
-computation, by one sum over it: a finite sum proves every element
-finite, and only a non-finite sum (a NaN or inf, or finite values whose
-sum overflows) pays for the elementwise scan that decides. Work that
-repeats, a training step's forward pass or one central-difference
-evaluation, runs through finite_result instead: the per-op checks are off
-and only its result is tested. A non-finite result runs the work again
-with the checks on, so the op that made the first non-finite value still
-raises naming itself; a non-finite intermediate that does not reach the
-result raises nothing there.
+Finiteness has one check, finite_result: it runs some work, a training
+step's forward pass or one evaluation, and tests only the result for NaN
+and inf. A non-finite result runs the work again with every op checking
+its own output, so the op that made the first non-finite value raises
+naming itself. An op called outside finite_result returns what it
+computes, NaN and inf included.
 
 Ops never write into their inputs, and parameter data is only ever
 written in place: optim.Adam moves its tensors' data into one flat
@@ -32,36 +28,7 @@ import numpy as np
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
-_unchecked_depth = 0  # > 0 inside _unchecked()
-
-
-class _unchecked:
-    """Context manager that turns the per-op finiteness checks off inside its
-    block; nestable, and on again however the outermost block exits. A
-    class, because every central-difference evaluation enters one and the
-    contextlib generator form costs several times more per block."""
-
-    def __enter__(self) -> None:
-        global _unchecked_depth
-        _unchecked_depth += 1
-
-    def __exit__(self, *exc) -> bool:
-        global _unchecked_depth
-        _unchecked_depth -= 1
-        return False
-
-
-def _check_finite(op: str, data: np.ndarray) -> None:
-    """Raise naming `op` if the float array `data` holds a NaN or an inf;
-    a no-op inside _unchecked()."""
-    if _unchecked_depth:
-        return
-    # A finite sum proves every element finite. A non-finite one may come from
-    # finite values that overflow (NumPy warns), so then the scan decides;
-    # logical_and.reduce is ndarray.all without its Python-level wrapper.
-    if not math.isfinite(np.add.reduce(data, axis=None)) and \
-            not np.logical_and.reduce(np.isfinite(data), axis=None):
-        raise FloatingPointError(f"non-finite values produced by op '{op}'")
+_replaying = False  # True while finite_result replays a non-finite run
 
 
 class Tensor:
@@ -142,25 +109,31 @@ def _active_tape():
 
 
 def finite_result(work, tape: Tape | None = None) -> Tensor:
-    """work()'s Tensor result, from a run with the per-op checks off (onto
-    `tape` if one is given) whose result alone is tested for NaN and inf.
+    """work()'s Tensor result, from a run onto `tape` (if one is given) whose
+    result alone is tested for NaN and inf.
 
-    A non-finite result is dropped: work runs again with the checks on and
-    off the tape, and the caller gets what that run gives, as if the checks
-    had been on all along. So the first op to make a non-finite value raises
-    FloatingPointError naming itself, and a result that no op made (a
-    constant) comes back as it is. work must redo whatever it draws (rebuild
-    its random generator), so that the replay repeats the first run."""
-    with _unchecked():
-        if tape is None:
+    A non-finite result is dropped: work runs again off the tape with every
+    op checking its output, and the caller gets what that run gives. So the
+    first op to make a non-finite value raises FloatingPointError naming
+    itself, a non-finite intermediate that does not reach the result raises
+    nothing, and a result that no op made (a constant) comes back as it is.
+    work must redo whatever it draws (rebuild its random generator), so
+    that the replay repeats the first run."""
+    global _replaying
+    if tape is None:
+        out = work()
+    else:
+        with tape:
             out = work()
-        else:
-            with tape:
-                out = work()
     data = out.data
     # item() tests the usual scalar result ten times faster than isfinite
-    finite = math.isfinite(data.item()) if data.size == 1 else np.isfinite(data).all()
-    return out if finite else work()
+    if math.isfinite(data.item()) if data.size == 1 else np.isfinite(data).all():
+        return out
+    outer, _replaying = _replaying, True
+    try:
+        return work()
+    finally:
+        _replaying = outer
 
 
 def _wrap(arr: np.ndarray) -> Tensor:
@@ -178,7 +151,8 @@ def _record(op: str, inputs: tuple, out_data: np.ndarray, backward_fn) -> Tensor
         out = _wrap(out_data)
     else:
         out = Tensor(out_data)
-    _check_finite(op, out.data)
+    if _replaying and not np.isfinite(out.data).all():
+        raise FloatingPointError(f"non-finite values produced by op '{op}'")
     if _TAPE_STACK:
         for t in inputs:
             if t.requires_grad:
@@ -295,8 +269,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, lengths, n_heads: int, causal: bo
     b attends keys j < lengths[b], and only j <= i if causal; a row with no
     such key attends its diagonal. Both ways it takes the bits of that chain
     of single ops: the same contiguous copies, the same matmuls on the same
-    views. Only the scaled scores and the output are checked for non-finite
-    values; every other intermediate reaches one."""
+    views."""
     B, T, D = q.shape
     dh = D // n_heads
 
@@ -310,7 +283,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, lengths, n_heads: int, causal: bo
     kt = np.ascontiguousarray(kh.transpose(0, 1, 3, 2))
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.dtype)
     s = (qh @ kt) * scale
-    _check_finite("attention", s)
     mask = _attention_mask(tuple(np.asarray(lengths).tolist()), T, causal)
     m = np.maximum.reduce(np.where(mask, s, -np.inf), axis=-1, keepdims=True)
     e = np.exp(np.where(mask, s - m, 0.0)) * mask

@@ -36,8 +36,8 @@ def _analytic_grads(fn, inputs) -> list:
             raise TypeError("gradcheck requires float64 Tensor inputs")
         t.requires_grad = True
         t.grad = None
-    with Tape() as tape:
-        backward(fn(*inputs), tape)
+    tape = Tape()
+    backward(E.finite_result(lambda: fn(*inputs), tape), tape)
     return [t.grad if t.grad is not None else np.zeros_like(t.data) for t in inputs]
 
 
@@ -51,10 +51,10 @@ def finite_diff_gradcheck(fn, inputs) -> float:
     (two evaluations disagree bitwise). A non-finite analytic or numeric
     gradient element makes the error inf, so the check fails.
 
-    The taped analytic pass checks every op output for NaN and inf. Each
-    central-difference evaluation checks only fn's value, and replays a
-    non-finite one with the per-op checks on, so a probe that crosses a
-    pole (log just above 0) raises FloatingPointError naming the op.
+    The taped analytic pass and each central-difference evaluation run
+    through engine.finite_result, so a non-finite value of fn, at the
+    point or at a probe that crosses a pole (log just above 0), raises
+    FloatingPointError naming the op that made it.
     """
     inputs = list(inputs)
     return _check_grads(fn, inputs, _analytic_grads(fn, inputs))
@@ -62,9 +62,9 @@ def finite_diff_gradcheck(fn, inputs) -> float:
 
 def _check_grads(fn, inputs: list, analytic: list) -> float:
     """finite_diff_gradcheck given fn's analytic gradients at inputs. Each
-    evaluation of fn runs through engine.finite_result: per-op checks off,
-    and a non-finite value replayed with them on before the determinism
-    test, where NaN != NaN would read as nondeterminism."""
+    evaluation of fn runs through engine.finite_result, so a non-finite
+    value raises naming its op before the determinism test, where
+    NaN != NaN would read as nondeterminism."""
 
     def evaluate() -> float:
         out = E.finite_result(lambda: fn(*inputs))

@@ -433,8 +433,9 @@ class MaskedClusterObjective(MaskedPrediction):
 
 def cluster_features(feats: np.ndarray, length: int, encoder: Encoder | None = None) -> np.ndarray:
     """One k-means input row per complete frame group of an utterance:
-    the group's mean feature vector, or with an encoder its hidden state."""
+    the group's mean feature vector, or with an encoder its hidden state,
+    from a run through engine.finite_result."""
     if encoder is None:
         return group_mean_features(feats, length)
-    hidden, _ = encoder(feats[None, :, :], np.array([length]))
+    hidden = E.finite_result(lambda: encoder(feats[None, :, :], np.array([length]))[0])
     return hidden.data[0, : int(length) // GROUP]

@@ -190,8 +190,10 @@ class SSLBundle(Module):
     def loss(self, batch_utts, rng: np.random.Generator, step: int) -> Tensor:
         return self.obj.loss(self.encoder, pad_batch(batch_utts), rng, step)
 
-    def encoder_for_finetune(self) -> Encoder:
-        return self.pair.average_directions() if self.pair is not None else self.encoder
+    def encoder_for_finetune(self, backbone_steps: int) -> Encoder:
+        """Bi-APC's direction average once its backbone has trained; before
+        that, as for every objective, the (forward) encoder as it is."""
+        return self.pair.average_directions() if self.pair and backbone_steps else self.encoder
 
 
 class CTCModel(Module):
@@ -273,8 +275,8 @@ def _train_loop(stage: str, cfg: PipelineConfig, corpus, loss_fn, all_params: di
         for step in range(1, steps + 1):
             opt.zero_grad()
             try:
-                # per-op checks off; a non-finite loss is replayed with them on,
-                # before any update, to name the op that made it
+                # a non-finite loss is replayed, before any update, to name
+                # the op that made it
                 tape = Tape()
                 loss = finite_result(lambda: step_loss(step), tape)
                 backward(loss, tape)
@@ -380,7 +382,7 @@ def run_finetune(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "full",
     steps = cfg.finetune_steps
     corpus = _corpus(cfg, "target_train") if corpus is None else corpus
     bundle, provenance = restore("finetune", cfg, ckpt_path)
-    encoder = bundle.encoder_for_finetune()
+    encoder = bundle.encoder_for_finetune(provenance.get("f", 0))
 
     if mode in ("adapters_frozen", "adapters_only", "random_adapters") and not encoder.d_adapter:
         raise ValueError(f"finetune mode '{mode}' requires a checkpoint with adapters")
@@ -427,7 +429,8 @@ def run_evaluate(cfg: PipelineConfig, ckpt_path, corpus=None) -> dict:
     refs, hyps = [], []
     for i in range(0, len(corpus), cfg.batch_size):
         batch = pad_batch(corpus[i : i + cfg.batch_size])
-        logits, out_lengths = model(batch.feats, batch.lengths)
+        logits = finite_result(lambda: model(batch.feats, batch.lengths)[0])
+        out_lengths = model.encoder.out_length(batch.lengths)
         for j, target in enumerate(batch.tokens):
             t_j = int(out_lengths[j])
             hyp = greedy_decode(logits.data[j, :t_j])

@@ -12,7 +12,15 @@ import sslasr.cli
 from sslasr.cli import GenCorpusSettings, main
 from sslasr.data import load_corpus, write_wav
 from sslasr.features import FeaturizerConfig
-from sslasr.io import load_checkpoint, read_config, read_jsonl, read_manifest, write_feat, write_manifest
+from sslasr.io import (
+    load_checkpoint,
+    read_config,
+    read_jsonl,
+    read_manifest,
+    save_checkpoint,
+    write_feat,
+    write_manifest,
+)
 from sslasr.training import PipelineConfig, run_pipeline, sweep
 
 TINY = """\
@@ -462,6 +470,22 @@ FORMER_FLAG_VALUES = [
 
 
 class TestErrorHandling:
+    def test_nan_weight_fails_evaluate_naming_the_op(self, tmp_path, tiny_config, capsys):
+        work = str(tmp_path / "run")
+        assert main(["pretrain", "--config", tiny_config, "--out", work]) == 0
+        assert main(["finetune", "--config", tiny_config, "--init", last_line(capsys),
+                     "--out", work]) == 0
+        ckpt = load_checkpoint(last_line(capsys))
+        ckpt.params["model.conv.conv1.w"][1, 2, 3] = np.nan
+        save_checkpoint(tmp_path / "nan.ckpt", ckpt.params, ckpt.config, ckpt.provenance,
+                        ckpt.rng_state)
+        report = tmp_path / "report.json"
+        with np.errstate(all="ignore"):
+            assert main(["evaluate", "--config", tiny_config, "--init", str(tmp_path / "nan.ckpt"),
+                         "--report", str(report)]) == 1
+        assert capsys.readouterr().err == "error: non-finite values produced by op 'conv1d'\n"
+        assert not report.exists()
+
     def test_unknown_set_key(self, tmp_path, capsys):
         rc = main(["gen-corpus", "--out", str(tmp_path), "--set", "volume=11"])
         assert rc == 1

@@ -255,10 +255,11 @@ class TestFusedOps:
             assert a.dtype == dtype and a.tobytes() == ref.tobytes(), name
 
     def test_attention_checks_its_scores(self):
+        # overflowing scores reach the output as NaN, which the replay names
         q = t64(np.full((1, 2, 2), 1e200))
         with pytest.raises(FloatingPointError, match="op 'attention'"):
-            with np.errstate(over="ignore"):
-                T.attention(q, q, q, [2], 1, causal=False)
+            with np.errstate(over="ignore", invalid="ignore"):
+                T.finite_result(lambda: T.attention(q, q, q, [2], 1, causal=False))
 
     @pytest.mark.parametrize("causal", [True, False], ids=["causal", "full"])
     def test_attention_ignores_the_keys_a_query_may_not_attend(self, causal):
@@ -386,20 +387,23 @@ class TestBackwardSemantics:
 
 
 class TestVerificationMode:
+    """finite_result's result test and its replay's per-op check on one NaN
+    in a large array, finite values whose sum overflows, and both infinities."""
+
     def test_overflow_raises_when_enabled(self):
         with pytest.raises(FloatingPointError, match="non-finite"):
             with np.errstate(over="ignore"):
-                T.exp(t64([1000.0]))
+                T.finite_result(lambda: T.exp(t64([1000.0])))
 
     def test_single_nan_at_the_end_of_a_large_array_raises(self):
         x = np.zeros(10**6, dtype=np.float32)
         x[-1] = np.nan
         with pytest.raises(FloatingPointError, match="op 'reshape'"):
-            T.reshape(Tensor(x), (1000, 1000))
+            T.finite_result(lambda: T.reshape(Tensor(x), (1000, 1000)))
 
     def test_finite_values_whose_sum_overflows_pass(self):
         x = np.full(4, 3e38, dtype=np.float32)
-        out = T.reshape(Tensor(x), (2, 2))
+        out = T.finite_result(lambda: T.reshape(Tensor(x), (2, 2)))
         np.testing.assert_array_equal(out.data.reshape(-1), x)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -407,7 +411,7 @@ class TestVerificationMode:
         x = np.zeros(1000, dtype=dtype)
         x[3], x[-2] = np.inf, -np.inf
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="op 'reshape'"):
-            T.reshape(Tensor(x), (10, 100))
+            T.finite_result(lambda: T.reshape(Tensor(x), (10, 100)))
 
 
 class TestAttentionMask:
@@ -482,7 +486,8 @@ NON_FINITE_OPS = {
 
 
 class TestPerOpFiniteness:
-    """Every recorded op raises on a non-finite output, naming itself."""
+    """Inside finite_result, every recorded op raises on a non-finite output,
+    naming itself."""
 
     def test_the_table_covers_every_recorded_op(self):
         src = inspect.getsource(T) + inspect.getsource(ctc)
@@ -491,7 +496,7 @@ class TestPerOpFiniteness:
     @pytest.mark.parametrize("op", sorted(NON_FINITE_OPS))
     def test_op_names_itself(self, op):
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as exc:
-            NON_FINITE_OPS[op]()
+            T.finite_result(NON_FINITE_OPS[op])
         assert str(exc.value) == f"non-finite values produced by op '{op}'"
 
     @pytest.mark.parametrize("op", sorted(NON_FINITE_OPS))
@@ -504,18 +509,13 @@ class TestPerOpFiniteness:
 
 
 class TestUncheckedRuns:
-    """_unchecked() turns the per-op checks off; finite_result tests only the
-    result of a run without them and replays a non-finite one with them."""
+    """finite_result tests only the result of a run and replays a non-finite
+    one with every op checking its output; an op called outside it checks
+    nothing."""
 
-    def test_unchecked_nests_and_ends_however_the_block_exits(self):
-        with pytest.raises(KeyError), np.errstate(all="ignore"):
-            with T._unchecked():
-                with T._unchecked():
-                    pass
-                assert T.log(t64([0.0])).data[0] == -np.inf
-                raise KeyError
-        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="op 'log'"):
-            T.log(t64([0.0]))
+    def test_an_op_called_directly_returns_its_non_finite_output(self):
+        with np.errstate(all="ignore"):
+            assert T.log(t64([0.0])).data[0] == -np.inf
 
     def test_an_intermediate_that_misses_the_result_does_not_raise(self):
         def work():
@@ -523,8 +523,6 @@ class TestUncheckedRuns:
 
         with np.errstate(all="ignore"):
             assert T.finite_result(work).data == 2.0
-            with pytest.raises(FloatingPointError, match="op 'log'"):
-                work()
 
     def test_a_non_finite_result_is_replayed_with_checks_and_off_the_tape(self):
         x = Tensor(np.array([0.0, 1.0]), requires_grad=True)
@@ -672,6 +670,12 @@ class TestGradcheckPrimitives:
             return Tensor(np.asarray(1.0 if a.data[0] == 0.5 else np.inf))
 
         assert finite_diff_gradcheck(fn, [t64([0.5])]) == math.inf
+
+    def test_nan_value_at_the_point_names_the_op(self):
+        # the taped analytic pass runs before any central difference
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as exc:
+            gradcheck._analytic_grads(lambda a: T.sum_(T.mul(T.log(a), a)), [t64([1.0, -1.0])])
+        assert str(exc.value) == "non-finite values produced by op 'log'"
 
     def test_probe_across_a_pole_names_the_op(self):
         # log is finite at 3e-6 but NaN at the probe 3e-6 - 1e-5: the op that

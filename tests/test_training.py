@@ -61,6 +61,14 @@ def tiny_cfg(**kw):
     return PipelineConfig(**base)
 
 
+def nan_copy(ckpt_path, out_path):
+    """A copy of a checkpoint with one NaN in the first conv's weight."""
+    ckpt = load_checkpoint(ckpt_path)
+    ckpt.params["model.conv.conv1.w"][1, 2, 3] = np.nan
+    save_checkpoint(out_path, ckpt.params, ckpt.config, ckpt.provenance, ckpt.rng_state)
+    return out_path
+
+
 @pytest.fixture(scope="module")
 def draft_chain(tmp_path_factory):
     cfg = tiny_cfg()
@@ -211,20 +219,33 @@ class TestNonFiniteSteps:
 
     def test_nan_backbone_weight_names_the_first_op_reading_it(self, tmp_path):
         cfg = tiny_cfg()
-        ckpt = load_checkpoint(run_pretrain(cfg, tmp_path))
-        ckpt.params["model.conv.conv1.w"][1, 2, 3] = np.nan
-        save_checkpoint(tmp_path / "nan.ckpt", ckpt.params, ckpt.config, ckpt.provenance, ckpt.rng_state)
+        nan = nan_copy(run_pretrain(cfg, tmp_path), tmp_path / "nan.ckpt")
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as exc:
-            run_adapt(cfg, tmp_path / "nan.ckpt", tmp_path / "adapt")
+            run_adapt(cfg, nan, tmp_path / "adapt")
         assert str(exc.value) == "stage 'adapt' step 1: non-finite values produced by op 'conv1d'"
         assert list((tmp_path / "adapt").iterdir()) == []
-        # the per-op checks are on again after the failed stage
-        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="op 'log'"):
-            E.log(Tensor([0.0]))
+        # the replay is over: an op called directly checks nothing again
+        assert E._replaying is False
+        with np.errstate(all="ignore"):
+            assert E.log(Tensor([0.0])).data[0] == -np.inf
+
+    def test_nan_finetune_weight_names_the_first_op_in_evaluation(self, draft_chain, tmp_path):
+        cfg, _, _, _, fin, _ = draft_chain
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as exc:
+            run_evaluate(cfg, nan_copy(fin, tmp_path / "nan.ckpt"))
+        assert str(exc.value) == "non-finite values produced by op 'conv1d'"
+
+    def test_nan_backbone_weight_names_the_first_op_in_adapt_cluster_targets(self, tmp_path):
+        cfg = tiny_cfg(objective="masked_cluster", pretrain_steps=1)
+        nan = nan_copy(run_pretrain(cfg, tmp_path), tmp_path / "nan.ckpt")
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as exc:
+            run_adapt(cfg, nan, tmp_path / "adapt")
+        assert str(exc.value) == "non-finite values produced by op 'conv1d'"
+        assert not (tmp_path / "adapt").exists()
 
     def test_an_intermediate_that_misses_the_loss_does_not_stop_the_step(self, tmp_path):
-        # log(0) is selected away: only the loss, the gradient norm and a
-        # replay with the per-op checks on decide whether a step fails
+        # log(0) is selected away: only the loss and the gradient norm
+        # decide whether a step fails
         w = Tensor(np.array([0.5, 2.0]), requires_grad=True)
 
         def loss_fn(batch, rng, step):
@@ -555,6 +576,17 @@ class TestRunPipeline:
         for variant in variants:
             alone = run_pipeline(cfg, tmp_path / variant, (variant,))[variant]
             assert {**reports[variant], "checkpoint": None} == {**alone, "checkpoint": None}
+
+    @pytest.mark.parametrize("scheme", BidirectionalAPC.SCHEMES)
+    def test_biapc_scratch_is_the_random_init_of_every_objective(self, scheme, tmp_path):
+        # no backbone step: finetuning takes the forward encoder as it is,
+        # not the average of the pair's two random inits
+        cfg = tiny_cfg(n_train=16, n_target=12, n_eval=6, apc_lags=2, pretrain_steps=3,
+                       adapt_steps=2, finetune_steps=2, biapc_scheme=scheme)
+        biapc, eapc = ({**run_pipeline(replace(cfg, objective=objective), tmp_path / objective,
+                                       ("scratch",))["scratch"], "checkpoint": None}
+                       for objective in ("biapc", "eapc"))
+        assert biapc == eapc
 
 
 class TestObjectiveCoverage:
