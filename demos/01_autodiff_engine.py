@@ -19,7 +19,7 @@ b = Tensor(np.zeros(2), requires_grad=True)
 x = Tensor(rng.normal(size=(4, 3)))  # plain input, no gradient needed
 
 with Tape() as tape:
-    h = E.relu(E.add(E.matmul(x, w), b))
+    h = E.relu(E.linear(x, w, b))
     loss = E.mean_(E.mul(h, h))
 E.backward(loss, tape)
 
@@ -37,7 +37,7 @@ b64 = Tensor(np.zeros(2), dtype=np.float64)
 
 
 def fn(wt, bt):
-    return E.mean_(E.mul(E.relu(E.add(E.matmul(x, wt), bt)), Tensor(np.full((4, 2), 0.7))))
+    return E.mean_(E.mul(E.relu(E.linear(x, wt, bt)), Tensor(np.full((4, 2), 0.7))))
 
 
 err = finite_diff_gradcheck(fn, [w64, b64])
@@ -45,7 +45,7 @@ print(f"worst relative error vs numeric slopes: {err:.2e}")
 
 print()
 print("== one seed of the full primitive battery ==")
-# every op in the engine (matmul, linear, attention, layer_norm, conv1d,
+# every op in the engine (linear, attention, layer_norm, conv1d,
 # embedding, ...) appears in at least one checked expression
 worst = gradcheck_battery(seed=0)
 print(f"worst relative error over the whole primitive set: {worst:.2e}")

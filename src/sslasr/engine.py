@@ -12,6 +12,9 @@ its own output, so the op that made the first non-finite value raises
 naming itself. An op called outside finite_result returns what it
 computes, NaN and inf included.
 
+Each arithmetic form has one op: a difference is add with a negated
+operand, and a matrix product is linear.
+
 Ops never write into their inputs, and parameter data is only ever
 written in place: optim.Adam moves its tensors' data into one flat
 buffer and updates it there, and gives each tensor a grad_slot that
@@ -212,33 +215,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _unbroadcast(g, b.shape) if b.requires_grad else None))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _record("sub", (a, b), a.data - b.data, lambda g: (
-        _unbroadcast(g, a.shape) if a.requires_grad else None,
-        _unbroadcast(-g, b.shape) if b.requires_grad else None))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record("mul", (a, b), a.data * b.data, lambda g: (
         _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
         _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError("matmul requires operands with ndim >= 2")
-    out = a.data @ b.data
-
-    def bwd(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _record("matmul", (a, b), out, bwd)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b as one node: the bits of add(matmul(x, w), b), both ways."""
+    """x @ w + b as one node, the one matrix product (a zero b for none)."""
     out = x.data @ w.data + b.data
 
     def bwd(g):
@@ -552,9 +536,3 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 
 def abs_(a: Tensor) -> Tensor:
     return add(relu(a), relu(mul(a, Tensor(np.asarray(-1.0, dtype=a.dtype)))))
-
-
-def straight_through(soft: Tensor, hard: np.ndarray) -> Tensor:
-    """Forward emits `hard`, backward follows `soft`."""
-    delta = Tensor(hard - soft.data)
-    return add(soft, delta)

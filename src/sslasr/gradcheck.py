@@ -117,8 +117,8 @@ def gradcheck_battery(seed: int) -> float:
 
     Inputs are drawn away from the relu kink so central differences stay
     valid; every engine primitive and abs_ appears in at least one
-    checked function. straight_through and the fused CTC op are checked
-    by the contrastive and CTC terms of loss_gradcheck_battery.
+    checked function. The fused CTC op is checked by the CTC term of
+    loss_gradcheck_battery.
     """
     rng = np.random.default_rng([seed, 0x6C])
 
@@ -142,7 +142,8 @@ def gradcheck_battery(seed: int) -> float:
     w1 = weights(2, 3)
     worst = max(worst, _conditioned_check(
         lambda a, b: E.add(E.add(
-            E.sum_(E.mul(E.add(E.log(a), E.sub(E.exp(E.mul(b, Tensor(np.full((), 0.3)))), E.relu(b))), Tensor(w1))),
+            E.sum_(E.mul(E.add(E.log(a), E.add(E.exp(E.mul(b, Tensor(np.full((), 0.3)))),
+                                               E.mul(E.relu(b), Tensor(np.full((), -1.0))))), Tensor(w1))),
             E.sum_(E.mul(E.gelu(b), Tensor(w1)))), E.mean_(E.abs_(b))),
         # log's operand is floored clear of its pole
         drawer((2, 3), (2, 3), shifts=[3.5, 0.0], floors=[0.5, -np.inf]), rng))
@@ -150,7 +151,7 @@ def gradcheck_battery(seed: int) -> float:
     w2 = weights(2, 6)
     worst = max(worst, _conditioned_check(
         lambda p, q: E.sum_(E.mul(E.reshape(E.slice_axis(
-            E.matmul(p, q), 2, 1, 5, step=2), (2, 6)), Tensor(w2))),
+            E.linear(p, q, Tensor(np.zeros(5))), 2, 1, 5, step=2), (2, 6)), Tensor(w2))),
         drawer((2, 3, 4), (4, 5)), rng))
 
     w3 = weights(2, 6)

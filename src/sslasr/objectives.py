@@ -56,7 +56,7 @@ def apc_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray, p: int = 1) -> 
     """
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
-    diff = E.sub(pred, Tensor(np.asarray(target, dtype=pred.dtype)))
+    diff = E.add(pred, Tensor(-np.asarray(target, dtype=pred.dtype)))
     err = E.abs_(diff) if p == 1 else E.mul(diff, diff)
     weights = np.asarray(mask, dtype=pred.dtype)[..., None]
     return E.sum_(E.mul(err, Tensor(weights)))
@@ -270,8 +270,10 @@ class GumbelQuantizer(Module):
         soft = E.softmax(noisy)
         hard = np.zeros_like(soft.data)
         np.put_along_axis(hard, np.argmax(soft.data, axis=-1)[..., None], 1.0, axis=-1)
-        code = E.straight_through(soft, hard)
-        quantized = E.matmul(code, self.p["codebook"])
+        # forward emits hard, backward follows soft
+        code = E.add(soft, Tensor(hard - soft.data))
+        codebook = self.p["codebook"]
+        quantized = E.linear(code, codebook, Tensor(np.zeros(codebook.shape[-1], dtype=codebook.dtype)))
         return quantized, soft
 
     @staticmethod
@@ -288,8 +290,10 @@ class GumbelQuantizer(Module):
         )
         plogp = E.sum_(E.mul(pbar, E.log(E.add(pbar, Tensor(np.asarray(1e-10, dtype=soft.dtype))))))
         ent = E.mul(plogp, Tensor(np.asarray(-1.0, dtype=plogp.dtype)))
-        return E.mul(E.sub(Tensor(np.asarray(float(v), dtype=soft.dtype)), E.exp(ent)),
-                     Tensor(np.asarray(1.0 / v, dtype=soft.dtype)))
+        # (exp(H) - V) * (-1/V): the bits of (V - exp(H)) * (1/V) both ways,
+        # but for the sign of a zero
+        return E.mul(E.add(E.exp(ent), Tensor(np.asarray(-float(v), dtype=soft.dtype))),
+                     Tensor(np.asarray(-1.0 / v, dtype=soft.dtype)))
 
 
 class ContrastiveObjective(MaskedPrediction):

@@ -138,6 +138,17 @@ def _group(name: str) -> str:
     return "f"
 
 
+@contextlib.contextmanager
+def _prefixed(where: str):
+    """Prefix `where: ` to a FloatingPointError or ValueError raised inside."""
+    try:
+        yield
+    except FloatingPointError as e:
+        raise FloatingPointError(f"{where}: {e}") from e
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from e
+
+
 _OBJECTIVE_TYPES = {"apc": EAPCObjective, "eapc": EAPCObjective,
                     "contrastive": ContrastiveObjective, "masked_cluster": MaskedClusterObjective}
 
@@ -185,7 +196,8 @@ class SSLBundle(Module):
         points = int(valid_groups([u.feats.shape[0] for u in corpus]).sum())
         if points < k:
             raise ValueError(f"stage '{stage}': fewer points than clusters: {points} points, {k} clusters")
-        self.obj.prepare(corpus, rng, self.encoder if stage == "adapt" else None)
+        with _prefixed(f"stage '{stage}'"):
+            self.obj.prepare(corpus, rng, self.encoder if stage == "adapt" else None)
 
     def loss(self, batch_utts, rng: np.random.Generator, step: int) -> Tensor:
         return self.obj.loss(self.encoder, pad_batch(batch_utts), rng, step)
@@ -274,16 +286,12 @@ def _train_loop(stage: str, cfg: PipelineConfig, corpus, loss_fn, all_params: di
         log = None  # opened at the first record: a failed first step leaves no file
         for step in range(1, steps + 1):
             opt.zero_grad()
-            try:
+            with _prefixed(f"stage '{stage}' step {step}"):
                 # a non-finite loss is replayed, before any update, to name
                 # the op that made it
                 tape = Tape()
                 loss = finite_result(lambda: step_loss(step), tape)
                 backward(loss, tape)
-            except FloatingPointError as e:
-                raise FloatingPointError(f"stage '{stage}' step {step}: {e}") from e
-            except ValueError as e:
-                raise ValueError(f"stage '{stage}' step {step}: {e}") from e
             grad_norm = clip_global_norm(trainable, cfg.clip_norm)
             if not np.isfinite(grad_norm):
                 # the clipped update would write NaN into every trainable tensor
@@ -423,19 +431,20 @@ def run_finetune(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "full",
 def run_evaluate(cfg: PipelineConfig, ckpt_path, corpus=None) -> dict:
     """Greedy-decode an eval corpus and report the token error rate."""
     corpus = _corpus(cfg, "target_eval") if corpus is None else corpus
-    if not corpus:
-        raise ValueError("no utterances")
     model, provenance = restore("evaluate", cfg, ckpt_path)
     refs, hyps = [], []
-    for i in range(0, len(corpus), cfg.batch_size):
-        batch = pad_batch(corpus[i : i + cfg.batch_size])
-        logits = finite_result(lambda: model(batch.feats, batch.lengths)[0])
-        out_lengths = model.encoder.out_length(batch.lengths)
-        for j, target in enumerate(batch.tokens):
-            t_j = int(out_lengths[j])
-            hyp = greedy_decode(logits.data[j, :t_j])
-            refs.append(target)
-            hyps.append([t - 1 for t in hyp])  # undo the blank offset
+    with _prefixed("stage 'evaluate'"):
+        if not corpus:
+            raise ValueError("no utterances")
+        for i in range(0, len(corpus), cfg.batch_size):
+            batch = pad_batch(corpus[i : i + cfg.batch_size])
+            logits = finite_result(lambda: model(batch.feats, batch.lengths)[0])
+            out_lengths = model.encoder.out_length(batch.lengths)
+            for j, target in enumerate(batch.tokens):
+                t_j = int(out_lengths[j])
+                hyp = greedy_decode(logits.data[j, :t_j])
+                refs.append(target)
+                hyps.append([t - 1 for t in hyp])  # undo the blank offset
     ter = error_rate(refs, hyps)
     edits = sum(edit_distance(r, h) for r, h in zip(refs, hyps))
     return {

@@ -483,7 +483,7 @@ class TestErrorHandling:
         with np.errstate(all="ignore"):
             assert main(["evaluate", "--config", tiny_config, "--init", str(tmp_path / "nan.ckpt"),
                          "--report", str(report)]) == 1
-        assert capsys.readouterr().err == "error: non-finite values produced by op 'conv1d'\n"
+        assert capsys.readouterr().err == "error: stage 'evaluate': non-finite values produced by op 'conv1d'\n"
         assert not report.exists()
 
     def test_unknown_set_key(self, tmp_path, capsys):

@@ -142,7 +142,7 @@ class TestEvaluation:
 
     def test_empty_corpus_rejected(self, draft_chain):
         cfg, _, _, _, fin, _ = draft_chain
-        with pytest.raises(ValueError, match="no utterances"):
+        with pytest.raises(ValueError, match="^stage 'evaluate': no utterances$"):
             run_evaluate(cfg, fin, corpus=[])
 
     def test_load_finetuned_roundtrip(self, draft_chain):
@@ -233,14 +233,14 @@ class TestNonFiniteSteps:
         cfg, _, _, _, fin, _ = draft_chain
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as exc:
             run_evaluate(cfg, nan_copy(fin, tmp_path / "nan.ckpt"))
-        assert str(exc.value) == "non-finite values produced by op 'conv1d'"
+        assert str(exc.value) == "stage 'evaluate': non-finite values produced by op 'conv1d'"
 
     def test_nan_backbone_weight_names_the_first_op_in_adapt_cluster_targets(self, tmp_path):
         cfg = tiny_cfg(objective="masked_cluster", pretrain_steps=1)
         nan = nan_copy(run_pretrain(cfg, tmp_path), tmp_path / "nan.ckpt")
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as exc:
             run_adapt(cfg, nan, tmp_path / "adapt")
-        assert str(exc.value) == "non-finite values produced by op 'conv1d'"
+        assert str(exc.value) == "stage 'adapt': non-finite values produced by op 'conv1d'"
         assert not (tmp_path / "adapt").exists()
 
     def test_an_intermediate_that_misses_the_loss_does_not_stop_the_step(self, tmp_path):
