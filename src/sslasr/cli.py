@@ -183,7 +183,7 @@ def _variants(text: str) -> tuple:
 def _cmd_sweep(args) -> int:
     points = sweep(_load_settings(args, PipelineConfig), args.key,
                    [parse_value(v) for v in args.values.split(",") if v.strip()],
-                   args.out, args.variants, args.finetune_mode)
+                   args.out, args.variants)
     results_path = Path(args.out) / "sweep.jsonl"
     results_path.unlink(missing_ok=True)
     ters = {variant: [] for variant in args.variants}
@@ -257,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--variants", type=_variants, default=("draft",), metavar="V1,V2,...",
                    help=f"comma list from {','.join(PIPELINES)}, run on one pretrain per point")
-    p.add_argument("--finetune-mode", choices=FINETUNE_MODES, default="full")
 
     return parser
 

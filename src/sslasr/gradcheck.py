@@ -346,7 +346,8 @@ def loss_gradcheck_battery(seed: int) -> float:
 
     # CTC through an encoder carrying random-initialized adapters
     enc5 = build_encoder(cfg, seed + 4)
-    enc5.insert_adapters(2, np.random.default_rng([seed, 0x79]), random_init=True)
+    enc5.insert_adapters(2, np.random.default_rng([seed, 0x79]))
+    enc5.reinit_adapters(np.random.default_rng([seed, 0x79]))
     head = CTCHead(np.random.default_rng([seed, 0x7A]), 8, vocab_size=3)
     named = _float64_params({"enc": enc5, "head": head})
     targets = [[1, 2], [2]]

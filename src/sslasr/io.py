@@ -2,8 +2,8 @@
 manifests, JSONL metric logs, and key=value config files.
 
 All binary formats are little-endian regardless of host byte order.
-Feature files and checkpoints are written atomically; their readers
-raise a ValueError that names the file on any malformed one.
+Feature files, checkpoints and manifests are written atomically. Every
+reader but read_jsonl raises a ValueError naming a malformed or unreadable file.
 """
 
 from __future__ import annotations
@@ -200,14 +200,15 @@ def write_manifest(path, entries) -> None:
 
 
 def _text_lines(path) -> list:
-    """The lines of a UTF-8 text file; other bytes are a ValueError naming it."""
+    """The lines of a UTF-8 text file; other bytes are a ValueError."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.readlines()
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        raise ValueError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+@names_the_file
 def read_manifest(path) -> list:
     entries = []
     for lineno, line in enumerate(_text_lines(path), 1):
@@ -216,12 +217,12 @@ def read_manifest(path) -> list:
             continue
         fields = line.split("\t")
         if len(fields) != 4:
-            raise ValueError(f"{path}: manifest line {lineno}: expected 4 tab-separated fields")
+            raise ValueError(f"manifest line {lineno}: expected 4 tab-separated fields")
         entries.append(ManifestEntry(*fields))
     seen = set()
     for e in entries:
         if e.utt_id in seen:
-            raise ValueError(f"{path}: duplicate utterance id in manifest: {e.utt_id!r}")
+            raise ValueError(f"duplicate utterance id in manifest: {e.utt_id!r}")
         seen.add(e.utt_id)
     return entries
 
@@ -303,6 +304,7 @@ class Settings:
             check_setting(f, getattr(self, f.name))
 
 
+@names_the_file
 def read_config(path) -> dict:
     """`key = value` lines; '#' starts a comment; blank lines ignored."""
     out = {}
@@ -311,7 +313,7 @@ def read_config(path) -> dict:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ValueError(f"{path}: config line {lineno}: expected 'key = value'")
+            raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, raw = stripped.split("=", 1)
         out[key.strip()] = parse_value(raw)
     return out

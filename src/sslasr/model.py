@@ -215,20 +215,18 @@ class Encoder(Module):
 
     # -- adapters ----------------------------------------------------------
 
-    def insert_adapters(self, d_adapter: int, rng: np.random.Generator,
-                        random_init: bool = False) -> None:
-        """One adapter after the conv block plus one after each transformer block."""
+    def insert_adapters(self, d_adapter: int, rng: np.random.Generator) -> None:
+        """One adapter after the conv block and each transformer block, each an exact passthrough."""
         if self.d_adapter:
             raise RuntimeError("adapters already present")
         if d_adapter < 1:
             raise ValueError(f"adapter width must be positive, got {d_adapter}")
         for i in range(self.cfg.n_blocks + 1):
-            self.children[f"adapter{i}"] = ResidualAdapter(
-                rng, self.cfg.d_model, d_adapter, random_init=random_init
-            )
+            self.children[f"adapter{i}"] = ResidualAdapter(rng, self.cfg.d_model, d_adapter)
         self.d_adapter = d_adapter
 
     def reinit_adapters(self, rng: np.random.Generator) -> None:
+        """The one way to randomize adapters: fresh random ones, drawn in insert_adapters' order."""
         if not self.d_adapter:
             raise RuntimeError("no adapters to reinitialize")
         for i in range(self.cfg.n_blocks + 1):

@@ -159,10 +159,9 @@ class BidirectionalAPC(Module):
                 if self.scheme == "share_all" or name not in ("conv", "adapter0"):
                     child.alias_from(self.fwd.children[name])
 
-    def insert_adapters(self, d_adapter: int, rng: np.random.Generator,
-                        random_init: bool = False) -> None:
-        self.fwd.insert_adapters(d_adapter, rng, random_init=random_init)
-        self.rev.insert_adapters(d_adapter, rng, random_init=random_init)
+    def insert_adapters(self, d_adapter: int, rng: np.random.Generator) -> None:
+        self.fwd.insert_adapters(d_adapter, rng)
+        self.rev.insert_adapters(d_adapter, rng)
         self._apply_sharing()
 
     def loss(self, encoder: Encoder, batch: Batch, rng=None, step: int = 0) -> Tensor:

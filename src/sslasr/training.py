@@ -182,8 +182,8 @@ class SSLBundle(Module):
             self.encoder = build_encoder(cfg, seed)
             self.children.update(model=self.encoder, obj=self.obj)
 
-    def insert_adapters(self, d_adapter: int, rng, random_init: bool = False) -> None:
-        (self.pair or self.encoder).insert_adapters(d_adapter, rng, random_init=random_init)
+    def insert_adapters(self, d_adapter: int, rng) -> None:
+        (self.pair or self.encoder).insert_adapters(d_adapter, rng)
 
     def prepare_cluster_targets(self, stage: str, corpus, rng) -> None:
         """Label the stage's corpus for masked_cluster, from raw features at
@@ -337,11 +337,6 @@ def _run_stage(stage: str, tag: str, cfg: PipelineConfig, workdir, corpus, model
 # ---------------------------------------------------------------------------
 
 
-def _check_mode(stage: str, mode: str, modes: tuple) -> None:
-    if mode not in modes:
-        raise ValueError(f"unknown {stage} mode '{mode}'")
-
-
 def run_pretrain(cfg: PipelineConfig, workdir, corpus=None, steps: int | None = None) -> str:
     """SSL pretraining on the source domain; returns the checkpoint path."""
     steps = cfg.pretrain_steps if steps is None else steps
@@ -361,7 +356,8 @@ def run_adapt(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "draft",
     'draft' inserts fresh adapters and trains only them (backbone and
     generator stay bit-identical); 'saft' updates every parameter at a
     reduced peak learning rate."""
-    _check_mode("adapt", mode, ADAPT_MODES)
+    if mode not in ADAPT_MODES:
+        raise ValueError(f"unknown adapt mode '{mode}'")
     corpus = _corpus(cfg, "target_train") if corpus is None else corpus
     bundle, provenance = restore("adapt", cfg, ckpt_path)
     if cfg.objective == "masked_cluster" and cfg.adapt_steps > 0:
@@ -386,7 +382,8 @@ def run_adapt(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "draft",
 def run_finetune(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "full",
                  corpus=None) -> str:
     """Supervised CTC finetuning with a fresh generator; returns ckpt path."""
-    _check_mode("finetune", mode, FINETUNE_MODES)
+    if mode not in FINETUNE_MODES:
+        raise ValueError(f"unknown finetune mode '{mode}'")
     steps = cfg.finetune_steps
     corpus = _corpus(cfg, "target_train") if corpus is None else corpus
     bundle, provenance = restore("finetune", cfg, ckpt_path)
@@ -464,8 +461,7 @@ def run_evaluate(cfg: PipelineConfig, ckpt_path, corpus=None) -> dict:
 PIPELINES = ("draft", "saft", "no_adapt", "scratch")
 
 
-def run_pipeline(cfg: PipelineConfig, workdir, variants: tuple,
-                 finetune_mode: str = "full") -> dict:
+def run_pipeline(cfg: PipelineConfig, workdir, variants: tuple) -> dict:
     """Run end-to-end variants on one set of corpora; returns {variant: report}.
 
     draft:    pretrain (source) -> adapter-only adapt (target) -> finetune
@@ -473,13 +469,13 @@ def run_pipeline(cfg: PipelineConfig, workdir, variants: tuple,
     no_adapt: pretrain (source) -> finetune
     scratch:  random init -> finetune
 
-    The variants that pretrain share one pretrain in `workdir`; each variant
-    runs its other stages, scratch its 0-step pretrain too, in `workdir/<variant>/`.
+    Each finetunes in mode 'full' (run_finetune runs the ablations). The variants that
+    pretrain share one pretrain in `workdir`; each variant runs its other stages, scratch
+    its 0-step pretrain too, in `workdir/<variant>/`, where an error names the variant.
     """
     if not (isinstance(variants, tuple) and variants and all(v in PIPELINES for v in variants)
             and len(set(variants)) == len(variants)):
         raise ValueError(f"variants must be a non-empty tuple of distinct names from {PIPELINES}, got {variants!r}")
-    _check_mode("finetune", finetune_mode, FINETUNE_MODES)
     workdir = Path(workdir)
     corpora = build_corpora(cfg)
     if set(variants) != {"scratch"}:
@@ -487,25 +483,29 @@ def run_pipeline(cfg: PipelineConfig, workdir, variants: tuple,
     reports = {}
     for variant in variants:
         vdir = workdir / variant
-        if variant == "scratch":
-            ckpt = run_pretrain(cfg, vdir, corpus=corpora["source_train"], steps=0)
-        elif variant == "no_adapt":
-            ckpt = pre
-        else:
-            ckpt = run_adapt(cfg, pre, vdir, mode=variant, corpus=corpora["target_train"])
-        ckpt = run_finetune(cfg, ckpt, vdir, mode=finetune_mode, corpus=corpora["target_train"])
-        reports[variant] = {**run_evaluate(cfg, ckpt, corpus=corpora["target_eval"]), "variant": variant}
+        with _prefixed(variant):
+            if variant == "scratch":
+                ckpt = run_pretrain(cfg, vdir, corpus=corpora["source_train"], steps=0)
+            elif variant == "no_adapt":
+                ckpt = pre
+            else:
+                ckpt = run_adapt(cfg, pre, vdir, mode=variant, corpus=corpora["target_train"])
+            ckpt = run_finetune(cfg, ckpt, vdir, corpus=corpora["target_train"])
+            reports[variant] = {**run_evaluate(cfg, ckpt, corpus=corpora["target_eval"]), "variant": variant}
     return reports
 
 
-def sweep(settings: dict, key: str, values, workdir, variants: tuple, finetune_mode: str = "full"):
+def sweep(settings: dict, key: str, values, workdir, variants: tuple):
     """Run run_pipeline on PipelineConfig(**{**settings, key: v}) in `workdir/<key>=<v>/`
-    for each of the distinct `values`, yielding (v, {variant: report}) as each point ends.
-    Every point's config is checked before this returns. key="seed" compares seeds."""
+    for each distinct v in `values`, yielding (v, {variant: report}) as each point ends; an
+    error names its point. Every config is checked before this returns. key="seed" compares seeds."""
     if key not in {f.name for f in fields(PipelineConfig)}:
         raise ValueError(f"unknown sweep key '{key}'")
     configs = [PipelineConfig(**{**settings, key: v}) for v in values]
     if not values or len(set(values)) < len(values):
         raise ValueError(f"sweep needs distinct values of '{key}', got {list(values)}")
-    return ((v, run_pipeline(cfg, Path(workdir) / f"{key}={v}", variants, finetune_mode))
-            for v, cfg in zip(values, configs))
+
+    def point(v, cfg):
+        with _prefixed(f"{key}={v}"):
+            return v, run_pipeline(cfg, Path(workdir) / f"{key}={v}", variants)
+    return (point(v, cfg) for v, cfg in zip(values, configs))

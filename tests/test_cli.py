@@ -370,6 +370,34 @@ class TestSweepCommand:
                 assert reports[v] == direct[v]
                 assert [r["ter"] for r in records if (r["value"], r["variant"]) == (seed, v)] == [direct[v]["ter"]]
 
+    def test_an_error_names_the_point_and_the_variant(self, tmp_path, tiny_config):
+        # one target utterance cannot seed 20 clusters at adapt; twelve can
+        settings = {**read_config(tiny_config), "objective": "masked_cluster", "n_clusters": 20}
+        points = sweep(settings, "n_target", [12, 1], tmp_path / "adapt", ("no_adapt", "draft"))
+        assert next(points)[0] == 12
+        with pytest.raises(ValueError, match=r"^n_target=1: draft: stage 'adapt': fewer points than "
+                                             r"clusters: \d+ points, 20 clusters$"):
+            next(points)
+        # the shared pretrain names the point alone
+        with pytest.raises(ValueError, match=r"^n_train=2: stage 'pretrain': fewer points than clusters: "):
+            next(sweep(settings, "n_train", [2], tmp_path / "pretrain", ("draft",)))
+
+    def test_command_error_names_the_point_and_the_variant(self, tmp_path, tiny_config, capsys):
+        rc = main(["sweep", "--config", tiny_config, "--set", "objective=masked_cluster",
+                   "--set", "n_target=1", "--set", "n_clusters=20", "--key", "seed", "--values", "0,1",
+                   "--variants", "no_adapt,draft", "--out", str(tmp_path / "sweep")])
+        assert rc == 1
+        assert re.fullmatch(r"error: seed=0: draft: stage 'adapt': fewer points than clusters: "
+                            r"\d+ points, 20 clusters\n", capsys.readouterr().err)
+
+    def test_finetune_mode_is_not_a_sweep_option(self, tmp_path, tiny_config, capsys):
+        # every variant finetunes in mode full; the ablations run through `finetune --mode`
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", tiny_config, "--key", "seed", "--values", "0",
+                  "--finetune-mode", "full", "--out", str(tmp_path / "sweep")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --finetune-mode full" in capsys.readouterr().err
+
     def test_base_valid_only_with_the_swept_value_runs(self, tmp_path, tiny_config, capsys):
         # n_heads=3 does not divide the tiny config's d_model=16, but divides 48;
         # `--variant` is argparse's prefix of `--variants`
@@ -602,6 +630,13 @@ class TestErrorHandling:
         assert rc == 1
         err = capsys.readouterr().err
         assert "bad.cfg" in err and "not UTF-8" in err
+
+    def test_missing_config_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "nope.cfg"
+        rc = main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {cfg}: No such file or directory\n"
+        assert not (tmp_path / "run").exists()
 
     def test_usage_errors_exit_two(self):
         with pytest.raises(SystemExit) as exc:

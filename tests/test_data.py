@@ -183,6 +183,12 @@ class TestDiskRoundTrip:
             load_corpus(manifest, TASK)
         assert str(exc.value) == f"{manifest}: utterance 'source_00001': {gone}: No such file or directory"
 
+    def test_missing_manifest_names_the_file(self, tmp_path):
+        manifest = tmp_path / "nope.tsv"
+        with pytest.raises(ValueError) as exc:
+            load_corpus(manifest, TASK)
+        assert str(exc.value) == f"{manifest}: No such file or directory"
+
     def test_first_check_of_the_first_bad_entry_is_reported(self, tmp_path):
         # entry 1 is too wide and has a non-integer token; entry 2 is out of vocabulary
         manifest = write_corpus(tmp_path, TASK, "source", 3, seed=3, emit="features")

@@ -142,7 +142,8 @@ class TestAdapters:
         enc = small_encoder(seed=7)
         feats = np.random.default_rng(5).normal(size=(1, 16, 8)).astype(np.float32)
         before, _ = enc(feats, [16])
-        enc.insert_adapters(4, np.random.default_rng(99), random_init=True)
+        enc.insert_adapters(4, np.random.default_rng(99))
+        enc.reinit_adapters(np.random.default_rng(99))
         after, _ = enc(feats, [16])
         assert not np.array_equal(before.data, after.data)
 

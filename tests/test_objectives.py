@@ -220,7 +220,7 @@ class TestBidirectional:
                             "share_all": blocks | {"conv", "adapter0"}}
         for scheme, shared in shared_by_scheme.items():
             pair = BidirectionalAPC(replace(LAG2, biapc_scheme=scheme), seed=0)
-            pair.insert_adapters(4, np.random.default_rng(0), random_init=True)
+            pair.insert_adapters(4, np.random.default_rng(0))
             f, r = pair.fwd.children, pair.rev.children
             assert set(r) == {"conv", "adapter0"} | blocks
             assert {name for name in r if shares_storage(r[name], f[name])} == shared, scheme

@@ -269,9 +269,11 @@ class TestFrozenGradients:
             bundle = SSLBundle(cfg, seed=0)
             if objective == "masked_cluster":
                 bundle.prepare_cluster_targets("pretrain", corpus, np.random.default_rng(1))
-            bundle.insert_adapters(cfg.d_adapter, np.random.default_rng(2), random_init=True)
-            params = bundle.named_params()
+            bundle.insert_adapters(cfg.d_adapter, np.random.default_rng(2))
+            params, fill = bundle.named_params(), np.random.default_rng(4)
             for name, t in params.items():
+                if _group(name) == "ada":  # in place, so aliased Bi-APC adapters stay aliased
+                    t.data[...] = fill.normal(size=t.data.shape)
                 t.requires_grad = not frozen or _group(name) == "ada"
             with Tape() as tape:
                 backward(bundle.loss(corpus, np.random.default_rng(3), 1), tape)
@@ -284,6 +286,22 @@ class TestFrozenGradients:
                 np.testing.assert_array_equal(g, grads[False][name], err_msg=name)
             else:
                 assert g is None, name
+
+
+class TestInsertedAdapters:
+    @pytest.mark.parametrize("objective,scheme",
+                             [(o, "share_generator") for o in OBJECTIVES if o != "biapc"]
+                             + [("biapc", s) for s in BidirectionalAPC.SCHEMES])
+    def test_inserted_adapters_are_an_exact_passthrough(self, objective, scheme):
+        cfg = tiny_cfg(objective=objective, biapc_scheme=scheme, n_train=8)
+        corpus = build_corpora(cfg)["target_train"][: cfg.batch_size]
+        bundle = SSLBundle(cfg, seed=0)
+        if objective == "masked_cluster":
+            bundle.prepare_cluster_targets("pretrain", corpus, np.random.default_rng(1))
+        before = bundle.loss(corpus, np.random.default_rng(3), 1).data
+        bundle.insert_adapters(cfg.d_adapter, np.random.default_rng(2))
+        assert any(_group(name) == "ada" for name in bundle.named_params())
+        assert bundle.loss(corpus, np.random.default_rng(3), 1).data.tobytes() == before.tobytes()
 
 
 class _ReferenceAdam:
@@ -493,9 +511,6 @@ class TestModeValidation:
             with pytest.raises(ValueError, match="variants must be a non-empty tuple of distinct names"):
                 run_pipeline(cfg, tmp_path / "pipeline", variants)
         assert not (tmp_path / "pipeline").exists()
-        with pytest.raises(ValueError, match="unknown finetune mode 'bogus'"):
-            run_pipeline(cfg, tmp_path / "fm", ("draft",), finetune_mode="bogus")
-        assert not (tmp_path / "fm").exists()
         with pytest.raises(ValueError, match="setting 'objective' must be one of .*, got 'mlm'"):
             SSLBundle(tiny_cfg(objective="mlm"), seed=0)
 
@@ -576,6 +591,17 @@ class TestRunPipeline:
         for variant in variants:
             alone = run_pipeline(cfg, tmp_path / variant, (variant,))[variant]
             assert {**reports[variant], "checkpoint": None} == {**alone, "checkpoint": None}
+
+    def test_an_error_names_the_variant(self, tmp_path):
+        # one target utterance has too few frame groups to seed 20 clusters at
+        # adapt; the shared pretrain belongs to no variant
+        cfg = tiny_cfg(objective="masked_cluster", n_target=1, n_clusters=20)
+        with pytest.raises(ValueError, match=r"^draft: stage 'adapt': fewer points than clusters: "
+                                             r"\d+ points, 20 clusters$"):
+            run_pipeline(cfg, tmp_path / "adapt", ("no_adapt", "draft"))
+        assert (tmp_path / "adapt/no_adapt/finetune_full.ckpt").is_file()
+        with pytest.raises(ValueError, match=r"^stage 'pretrain': fewer points than clusters: "):
+            run_pipeline(replace(cfg, n_train=2), tmp_path / "pretrain", ("no_adapt", "draft"))
 
     @pytest.mark.parametrize("scheme", BidirectionalAPC.SCHEMES)
     def test_biapc_scratch_is_the_random_init_of_every_objective(self, scheme, tmp_path):
@@ -767,7 +793,8 @@ SETTING_NAMES = {f.name for f in fields(PipelineConfig)}
 def test_a_config_is_rejected_by_name_or_runs_to_a_named_end(overrides):
     """Construction rejects a value by its setting's name; a config it
     accepts runs the draft pipeline to a finite report or to an error that
-    names its stage. No other exception escapes."""
+    names its stage, and the variant too past the shared pretrain. No other
+    exception escapes."""
     try:
         cfg = tiny_cfg(**{"n_target": 12, **overrides})
     except ValueError as e:
@@ -778,6 +805,6 @@ def test_a_config_is_rejected_by_name_or_runs_to_a_named_end(overrides):
         try:
             report = run_pipeline(cfg, work, ("draft",))["draft"]
         except (ValueError, FloatingPointError) as e:
-            assert re.match(r"stage '(pretrain|adapt|finetune)'", str(e)), e
+            assert re.match(r"stage 'pretrain'|draft: stage '(adapt|finetune)'", str(e)), e
         else:
             assert math.isfinite(report["ter"])
