@@ -362,8 +362,12 @@ def softmax(a: Tensor) -> Tensor:
     return _record("softmax", (a,), p, bwd)
 
 
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis with population variance, then affine."""
+_LN_EPS = 1e-5
+
+
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize over the last axis with population variance (plus _LN_EPS),
+    then affine."""
     x = a.data
     if x.shape[-1] == 0:
         raise ValueError("layer_norm over an empty last axis")
@@ -373,7 +377,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     mu = np.add.reduce(x, axis=-1, keepdims=True) / n
     d = x - mu
     var = np.add.reduce(d**2, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = d * inv
     out = gamma.data * xhat + beta.data
 

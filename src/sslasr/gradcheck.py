@@ -156,7 +156,7 @@ def gradcheck_battery(seed: int) -> float:
 
     w3 = weights(2, 6)
     worst = max(worst, _conditioned_check(
-        lambda v, gg, bv: E.sum_(E.mul(E.softmax(E.layer_norm(v, gg, bv, eps=1e-5)), Tensor(w3))),
+        lambda v, gg, bv: E.sum_(E.mul(E.softmax(E.layer_norm(v, gg, bv)), Tensor(w3))),
         drawer((2, 6), (6,), (6,), shifts=[0.0, 1.0, 0.0]), rng))
 
     wl = weights(2, 3, 5)

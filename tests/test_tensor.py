@@ -3,6 +3,7 @@
 import inspect
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from sslasr import gradcheck
 from sslasr.ctc import ctc_loss_batch
 from sslasr.gradcheck import finite_diff_gradcheck, gradcheck_battery
 from sslasr.objectives import GumbelQuantizer
-from sslasr.optim import BETA1, BETA2, EPS, Adam, clip_global_norm, noam_lr, tri_stage_lr
+from sslasr.optim import BETA1, BETA2, BLOCK, EPS, Adam, clip_global_norm, noam_lr, tri_stage_lr
 from sslasr.engine import Tape, Tensor, backward
 from sslasr.training import PipelineConfig, _train_loop
 
@@ -43,12 +44,14 @@ class TestForwardOracles:
 
     def test_layer_norm_two_point_row(self):
         g, b = t64([1.0]), t64([0.0])
-        out = T.layer_norm(t64([[1.0, 3.0]]), g, b, eps=0.0)
-        np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-12)
+        out = T.layer_norm(t64([[1.0, 3.0]]), g, b)
+        # mean 2 and variance 1, so the row is (-1, 1) / sqrt(1 + eps), eps = 1e-5
+        np.testing.assert_allclose(out.data, np.array([[-1.0, 1.0]]) / math.sqrt(1.0 + 1e-5),
+                                   atol=1e-12)
 
     def test_layer_norm_constant_row_is_zero(self):
         g, b = t64(np.ones(4)), t64(np.zeros(4))
-        out = T.layer_norm(t64([[5.0, 5.0, 5.0, 5.0]]), g, b, eps=1e-5)
+        out = T.layer_norm(t64([[5.0, 5.0, 5.0, 5.0]]), g, b)
         np.testing.assert_allclose(out.data, np.zeros((1, 4)), atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -600,7 +603,7 @@ class TestGradcheckPrimitives:
         wo = rng.normal(size=(2, 5, 4))
 
         def fn(x, g, bb, w, b):
-            z = T.layer_norm(x, g, bb, eps=1e-5)
+            z = T.layer_norm(x, g, bb)
             z = T.attention(T.linear(z, w, b), z, z, [5, 4], 2, causal=False)
             return T.sum_(T.mul(z, Tensor(wo)))
 
@@ -756,10 +759,12 @@ class TestOptim:
             opt.step(lr=0.1)
         assert abs(p1.data[0] - p2.data[0]) < 1e-4
 
-    def test_adam_in_place_update_matches_out_of_place_formula(self):
+    # the second arena spans three update blocks, the last one partial
+    @pytest.mark.parametrize("shape", [(3, 4), (2 * BLOCK + 7,)], ids=["one-block", "three-blocks"])
+    def test_adam_in_place_update_matches_out_of_place_formula(self, shape):
         rng = np.random.default_rng(19)
-        p0 = rng.normal(size=(3, 4)).astype(np.float32)
-        grads = [rng.normal(size=(3, 4)).astype(np.float32) for _ in range(3)]
+        p0 = rng.normal(size=shape).astype(np.float32)
+        grads = [rng.normal(size=shape).astype(np.float32) for _ in range(3)]
         p = Tensor(p0, requires_grad=True)
         opt = Adam({"p": p})
         ref, m, v = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
@@ -776,19 +781,51 @@ class TestOptim:
 
     def test_tensor_without_gradient_keeps_data_and_moments(self):
         rng = np.random.default_rng(5)
-        a = Tensor(rng.normal(size=(2, 3)).astype(np.float32), requires_grad=True)
-        b = Tensor(rng.normal(size=4).astype(np.float32), requires_grad=True)
-        opt = Adam({"a": a, "b": b})
-        a.grad, b.grad = np.ones((2, 3), np.float32), np.full(4, -2.0, np.float32)
-        opt.step(lr=0.01)
+        # b straddles the boundary between the first and second update blocks
+        a, b, c = (Tensor(rng.normal(size=n).astype(np.float32), requires_grad=True)
+                   for n in (BLOCK - 2, 4, 3))
+        opt = Adam({"a": a, "b": b, "c": c})
         sb = opt.layout[1][1]
+        assert sb.start < BLOCK < sb.stop
+        a.grad, b.grad, c.grad = (np.full(t.shape, k, np.float32) for t, k in ((a, 1), (b, -2), (c, 3)))
+        opt.step(lr=0.01)
         kept = [x.tobytes() for x in (b.data, opt.m[sb], opt.v[sb])]
-        a_before = a.data.copy()
+        a_before, c_before = a.data.copy(), c.data.copy()
         opt.zero_grad()
-        a.grad = np.ones((2, 3), np.float32)
+        a.grad, c.grad = np.ones(a.shape, np.float32), np.ones(c.shape, np.float32)
         opt.step(lr=0.01)
         assert [x.tobytes() for x in (b.data, opt.m[sb], opt.v[sb])] == kept
-        assert not np.array_equal(a.data, a_before)
+        assert not np.any(a.data == a_before) and not np.any(c.data == c_before)
+
+    def test_arena_is_four_rows_and_a_step_allocates_nothing(self):
+        def owned_bytes(x, seen):  # every array the optimizer holds, by its base
+            if isinstance(x, np.ndarray):
+                while x.base is not None:
+                    x = x.base
+                seen[id(x)] = x.nbytes
+            elif isinstance(x, (list, tuple)):
+                for y in x:
+                    owned_bytes(y, seen)
+            return seen
+
+        rng = np.random.default_rng(7)
+        params = {f"p{i}": Tensor(rng.normal(size=n).astype(np.float32), requires_grad=True)
+                  for i, n in enumerate((BLOCK + 3, 5, 2 * BLOCK))}
+        opt = Adam(params)
+        n, item = opt.data.size, opt.data.itemsize
+        owned = sum(owned_bytes(list(vars(opt).values()), {}).values())
+        # data, m, v and grad, plus at most two blocks of scratch
+        assert 4 * n * item <= owned <= (4 * n + 2 * BLOCK) * item, (owned, n)
+        for p in params.values():
+            p.grad = p.grad_slot
+            p.grad[...] = 1.0
+        tracemalloc.start()
+        try:
+            opt.step(lr=0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < BLOCK * item, peak
 
     def test_shared_tensor_takes_one_slot(self):
         p = Tensor(np.arange(3.0, dtype=np.float32), requires_grad=True)
@@ -853,5 +890,8 @@ def test_layer_norm_standardizes(d, rows, seed):
     x = np.random.default_rng(seed).normal(size=(rows, d)) * 3.0 + 1.0
     g = Tensor(np.ones(d, dtype=np.float64))
     b = Tensor(np.zeros(d, dtype=np.float64))
-    out = T.layer_norm(Tensor(x), g, b, eps=1e-12).data
+    out = T.layer_norm(Tensor(x), g, b).data
     np.testing.assert_allclose(out.mean(axis=-1), np.zeros(rows), atol=1e-8)
+    # each row's variance v becomes v / (v + eps), eps = 1e-5
+    var = x.var(axis=-1)
+    np.testing.assert_allclose(out.var(axis=-1), var / (var + 1e-5), atol=1e-8)
