@@ -8,6 +8,9 @@ import numpy as np
 
 from .io import Settings, setting
 
+# energies below this are clamped before the log, so silence stays finite
+LOG_FLOOR = 1e-10
+
 
 @dataclass(frozen=True)
 class FeaturizerConfig(Settings):
@@ -15,9 +18,6 @@ class FeaturizerConfig(Settings):
     window_ms: float = setting(25.0, above=0)
     shift_ms: float = setting(10.0, above=0)
     n_mels: int = setting(40, lo=1)
-    fmin: float = setting(0.0, lo=0)
-    fmax: float | None = setting(None, above=0)  # None -> Nyquist
-    log_floor: float = setting(1e-10, above=0)
 
 
 def hamming_window(length: int) -> np.ndarray:
@@ -43,15 +43,13 @@ def next_pow2(n: int) -> int:
     return p
 
 
-def mel_filterbank(n_mels: int, nfft: int, sample_rate: int,
-                   fmin: float = 0.0, fmax: float | None = None):
-    """Triangular mel filters over rfft bins, each rescaled to peak at 1.
+def mel_filterbank(n_mels: int, nfft: int, sample_rate: int):
+    """Triangular mel filters over rfft bins from 0 Hz to Nyquist, each
+    rescaled to peak at 1.
 
     Returns (filters, centers_hz) with filters of shape (n_mels, nfft//2+1).
     """
-    if fmax is None:
-        fmax = sample_rate / 2.0
-    mels = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2)
+    mels = np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2)
     hz = mel_to_hz(mels)
     bin_freqs = np.arange(nfft // 2 + 1) * sample_rate / nfft
     filters = np.zeros((n_mels, bin_freqs.size))
@@ -89,9 +87,7 @@ class Featurizer:
             raise ValueError("window/shift too small for the sample rate")
         self.nfft = next_pow2(self.win)
         self.window = hamming_window(self.win)
-        self.filters, self.centers_hz = mel_filterbank(
-            c.n_mels, self.nfft, c.sample_rate, c.fmin, c.fmax
-        )
+        self.filters, self.centers_hz = mel_filterbank(c.n_mels, self.nfft, c.sample_rate)
 
     def __call__(self, waveform: np.ndarray) -> np.ndarray:
         x = np.asarray(waveform, dtype=np.float64)
@@ -101,7 +97,7 @@ class Featurizer:
         spectrum = np.fft.rfft(frames, n=self.nfft, axis=-1)
         power = (spectrum.real**2 + spectrum.imag**2)
         energies = power @ self.filters.T
-        logmel = np.log(np.maximum(energies, self.config.log_floor))
+        logmel = np.log(np.maximum(energies, LOG_FLOOR))
         return logmel.astype(np.float32)
 
     def n_frames(self, n_samples: int) -> int:

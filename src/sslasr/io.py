@@ -89,7 +89,7 @@ def read_feat(path):
 
 
 # ---------------------------------------------------------------------------
-# SSLCKPT1: named tensors + JSON header with config/provenance/rng state
+# SSLCKPT1: named tensors + JSON header with config and provenance
 # ---------------------------------------------------------------------------
 
 
@@ -98,12 +98,9 @@ class Checkpoint:
     params: dict  # name -> np.ndarray
     config: dict
     provenance: dict
-    rng_state: dict | None
-    version: int = 1
 
 
-def save_checkpoint(path, params: dict, config: dict, provenance: dict,
-                    rng_state: dict | None = None) -> None:
+def save_checkpoint(path, params: dict, config: dict, provenance: dict) -> None:
     """params maps name -> Tensor or ndarray (float32/float64 only)."""
     table = []
     payloads = []
@@ -122,7 +119,6 @@ def save_checkpoint(path, params: dict, config: dict, provenance: dict,
         "provenance": dict(provenance),
         "config": dict(config),
         "tensors": table,
-        "rng_state": rng_state,
     }
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
     _write_atomic(path, [CKPT_MAGIC, struct.pack("<I", len(hbytes)), hbytes, *payloads])
@@ -134,7 +130,9 @@ def _is_count(v) -> bool:
 
 @names_the_file
 def load_checkpoint(path) -> Checkpoint:
-    """Read an SSLCKPT1 file; a malformed one raises a ValueError naming it."""
+    """Read an SSLCKPT1 file; a malformed one raises a ValueError naming it.
+    A header key outside the format's fields (an older file's `rng_state`)
+    is ignored."""
     raw = Path(path).read_bytes()
     if raw[: len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise ValueError("bad SSLCKPT1 magic")
@@ -171,13 +169,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise ValueError("truncated SSLCKPT1 payload")
         arr = np.frombuffer(raw, dtype=code, count=count, offset=start).reshape(shape)
         params[entry["name"]] = arr.astype(entry["dtype"])
-    return Checkpoint(
-        params=params,
-        config=header["config"],
-        provenance=header["provenance"],
-        rng_state=header.get("rng_state"),
-        version=header["version"],
-    )
+    return Checkpoint(params=params, config=header["config"], provenance=header["provenance"])
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +268,8 @@ _KINDS = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
 def check_setting(f: Field, value) -> None:
     """Raise a ValueError naming the setting if `value` is not of the field's
     annotated type (a string) or lies outside its domain; NaN lies outside all."""
-    kind, _, none_ok = f.type.partition(" | ")
-    if value is None and none_ok:
-        return
-    if type(value) not in _KINDS[kind]:
-        raise ValueError(f"setting '{f.name}' expects {kind}, got {value!r}")
+    if type(value) not in _KINDS[f.type]:
+        raise ValueError(f"setting '{f.name}' expects {f.type}, got {value!r}")
     d = f.metadata
     if "choices" in d and value not in d["choices"]:
         rule = f"be one of {', '.join(map(str, d['choices']))}"

@@ -35,6 +35,10 @@ OBJECTIVES = ("apc", "eapc", "biapc", "contrastive", "masked_cluster")
 ADAPT_MODES = ("draft", "saft")
 FINETUNE_MODES = ("full", "adapters_frozen", "adapters_only", "random_adapters", "plus_ra")
 _STAGE_IDS = {"pretrain": 1, "adapt": 2, "finetune": 3}
+# the recipe's fixed schedule: noam peak factor (pretrain, draft), saft's share
+# of it, the gradient-norm clip, and the finetune warmup and hold fractions
+NOAM_FACTOR, SAFT_LR_SCALE, CLIP_NORM = 0.5, 0.5, 5.0
+FT_WARMUP_FRAC, FT_HOLD_FRAC = 0.1, 0.4
 
 # structural fields that must match between a config and a checkpoint snapshot
 _STRUCTURAL = (
@@ -87,14 +91,8 @@ class PipelineConfig(Settings):
     pretrain_steps: int = setting(150, lo=0)
     adapt_steps: int = setting(80, lo=0)
     finetune_steps: int = setting(60, lo=0)
-    noam_factor: float = setting(0.5, above=0)
     noam_warmup: int = setting(50, lo=1)
-    saft_lr_scale: float = setting(0.5, above=0)
     ft_peak_lr: float = setting(2e-3, above=0)
-    ft_warmup_frac: float = setting(0.1, lo=0, hi=1)
-    ft_hold_frac: float = setting(0.4, lo=0, hi=1)
-    ft_final_scale: float = setting(0.05, above=0, hi=1)  # tri_stage_lr takes its log
-    clip_norm: float = setting(5.0, above=0)
     d_adapter: int = setting(8, lo=1)
     spec_augment: bool = setting(False)
 
@@ -108,9 +106,6 @@ class PipelineConfig(Settings):
         if self.d_model % self.n_heads:
             raise ValueError(f"setting 'n_heads' must divide d_model ({self.d_model}), "
                              f"got {self.n_heads}")
-        if self.ft_warmup_frac + self.ft_hold_frac > 1:
-            raise ValueError(f"setting 'ft_hold_frac' must be <= 1 - ft_warmup_frac "
-                             f"({self.ft_warmup_frac}), got {self.ft_hold_frac}")
 
 
 # the built-in corpora: name -> (domain, size setting, offset from corpus_seed)
@@ -292,7 +287,7 @@ def _train_loop(stage: str, cfg: PipelineConfig, corpus, loss_fn, all_params: di
                 tape = Tape()
                 loss = finite_result(lambda: step_loss(step), tape)
                 backward(loss, tape)
-            grad_norm = clip_global_norm(trainable, cfg.clip_norm)
+            grad_norm = clip_global_norm(trainable, CLIP_NORM)
             if not np.isfinite(grad_norm):
                 # the clipped update would write NaN into every trainable tensor
                 raise FloatingPointError(f"stage '{stage}' step {step}: non-finite gradient norm {grad_norm}")
@@ -327,8 +322,7 @@ def _run_stage(stage: str, tag: str, cfg: PipelineConfig, workdir, corpus, model
                   for g in ("f", "ada", "g")}
     fields.update(stage=stage, adapters_d=model.encoder.d_adapter)
     out = workdir / f"{tag}.ckpt"
-    save_checkpoint(out, params, {**vars(cfg), **fields}, provenance,
-                    rng_state={"seed": cfg.seed, "stage": stage, "step": steps})
+    save_checkpoint(out, params, {**vars(cfg), **fields}, provenance)
     return str(out)
 
 
@@ -341,10 +335,11 @@ def run_pretrain(cfg: PipelineConfig, workdir, corpus=None, steps: int | None = 
     """SSL pretraining on the source domain; returns the checkpoint path."""
     steps = cfg.pretrain_steps if steps is None else steps
     corpus = _corpus(cfg, "source_train") if corpus is None else corpus
-    bundle = SSLBundle(cfg, seed=cfg.seed)
+    with _prefixed("stage 'pretrain'"):
+        bundle = SSLBundle(cfg, seed=cfg.seed)
     if cfg.objective == "masked_cluster" and steps > 0:
         bundle.prepare_cluster_targets("pretrain", corpus, np.random.default_rng([cfg.seed, 0x535]))
-    lr_fn = lambda s: noam_lr(s, cfg.d_model, cfg.noam_warmup, cfg.noam_factor)
+    lr_fn = lambda s: noam_lr(s, cfg.d_model, cfg.noam_warmup, NOAM_FACTOR)
     return _run_stage("pretrain", "pretrain", cfg, workdir, corpus, bundle, bundle.loss,
                       bundle.named_params(), steps, lr_fn, {})
 
@@ -367,12 +362,12 @@ def run_adapt(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "draft",
             bundle.insert_adapters(cfg.d_adapter, np.random.default_rng([cfg.seed, 0xADA]))
         elif bundle.encoder.d_adapter != cfg.d_adapter:
             raise ValueError("checkpoint already has adapters of a different size")
-        factor = cfg.noam_factor
+        factor = NOAM_FACTOR
         trainable = {k: v for k, v in bundle.named_params().items() if _group(k) == "ada"}
     else:
         if bundle.encoder.d_adapter:
             raise ValueError("saft does not apply to a model with adapters")
-        factor = cfg.noam_factor * cfg.saft_lr_scale
+        factor = NOAM_FACTOR * SAFT_LR_SCALE
         trainable = bundle.named_params()
     lr_fn = lambda s: noam_lr(s, cfg.d_model, cfg.noam_warmup, factor)
     return _run_stage("adapt", f"adapt_{mode}", cfg, workdir, corpus, bundle, bundle.loss,
@@ -386,6 +381,9 @@ def run_finetune(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "full",
         raise ValueError(f"unknown finetune mode '{mode}'")
     steps = cfg.finetune_steps
     corpus = _corpus(cfg, "target_train") if corpus is None else corpus
+    for u in corpus:  # CTC needs a token to align to
+        if not u.tokens:
+            raise ValueError(f"stage 'finetune': utterance '{u.utt_id}' has an empty transcript")
     bundle, provenance = restore("finetune", cfg, ckpt_path)
     encoder = bundle.encoder_for_finetune(provenance.get("f", 0))
 
@@ -405,10 +403,10 @@ def run_finetune(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "full",
         frozen = "ada" if mode == "adapters_frozen" else "f"
         trainable = {k: v for k, v in trainable.items() if _group(k) != frozen}
 
-    warmup = max(1, int(round(cfg.ft_warmup_frac * steps)))
-    hold = int(round(cfg.ft_hold_frac * steps))
+    warmup = max(1, int(round(FT_WARMUP_FRAC * steps)))
+    hold = int(round(FT_HOLD_FRAC * steps))
     decay = max(1, steps - warmup - hold)
-    lr_fn = lambda s: tri_stage_lr(s, cfg.ft_peak_lr, warmup, hold, decay, cfg.ft_final_scale)
+    lr_fn = lambda s: tri_stage_lr(s, cfg.ft_peak_lr, warmup, hold, decay)
 
     def loss_fn(batch_utts, rng, step):
         batch = pad_batch(batch_utts)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sslasr.features import (
+    LOG_FLOOR,
     Featurizer,
     FeaturizerConfig,
     frame_signal,
@@ -108,7 +109,7 @@ class TestFeaturizer:
         basis = np.exp(-2j * np.pi * np.outer(k, n) / fz.nfft)
         spectrum = padded @ basis.T
         power = np.abs(spectrum) ** 2
-        expected = np.log(np.maximum(power @ fz.filters.T, cfg.log_floor))
+        expected = np.log(np.maximum(power @ fz.filters.T, LOG_FLOOR))
 
         got = fz(x)
         assert got.shape == expected.shape

@@ -98,14 +98,11 @@ class TestCheckpoints:
         params = self._params()
         cfg = {"d_model": 6, "objective": "apc", "lr": 0.001}
         prov = {"pretrain_steps": 10, "stage": "pretrain"}
-        rng_state = {"step": 10, "stream": 3}
         p = tmp_path / "m.ckpt"
-        save_checkpoint(p, params, cfg, prov, rng_state)
+        save_checkpoint(p, params, cfg, prov)
         ck = load_checkpoint(p)
-        assert ck.version == 1
         assert ck.config == cfg
         assert ck.provenance == prov
-        assert ck.rng_state == rng_state
         assert set(ck.params) == set(params)
         for name, val in params.items():
             arr = val.data if isinstance(val, Tensor) else val
@@ -172,10 +169,15 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="unknown SSLCKPT1 dtype 'int8'"):
             load_checkpoint(p)
 
-    def test_missing_rng_state_is_none(self, tmp_path):
+    def test_header_rng_state_is_ignored(self, tmp_path):
+        # older files carry an `rng_state` header key; the writer no longer does
         p = tmp_path / "x.ckpt"
         save_checkpoint(p, {}, {"a": 1}, {})
-        assert load_checkpoint(p).rng_state is None
+        assert b"rng_state" not in p.read_bytes()
+        p.write_bytes(_ckpt_bytes({"version": 1, "config": {"a": 1}, "provenance": {"f": 2},
+                                   "tensors": [], "rng_state": {"seed": 0, "step": 2}}))
+        ck = load_checkpoint(p)
+        assert (ck.params, ck.config, ck.provenance) == ({}, {"a": 1}, {"f": 2})
 
 
 class TestManifests:
@@ -272,11 +274,11 @@ class TestJsonlAndConfig:
 
     def test_check_setting_reads_the_declared_type_and_domain(self):
         declared = {f.name: f for f in fields(FeaturizerConfig)}
-        check_setting(declared["fmax"], None)  # `float | None`
-        check_setting(declared["fmax"], 4000)  # an int is a float
+        check_setting(declared["window_ms"], 30)  # an int is a float
         for name, value, message in [
-            ("fmax", 0.0, "setting 'fmax' must be > 0, got 0.0"),
-            ("fmin", float("nan"), "setting 'fmin' must be >= 0, got nan"),
+            ("window_ms", 0.0, "setting 'window_ms' must be > 0, got 0.0"),
+            ("window_ms", None, "setting 'window_ms' expects float, got None"),
+            ("shift_ms", float("nan"), "setting 'shift_ms' must be > 0, got nan"),
             ("n_mels", 40.0, "setting 'n_mels' expects int, got 40.0"),
             ("n_mels", True, "setting 'n_mels' expects int, got True"),
         ]:
