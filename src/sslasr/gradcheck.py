@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import replace
 
@@ -60,11 +61,54 @@ def finite_diff_gradcheck(fn, inputs) -> float:
     return _check_grads(fn, inputs, _analytic_grads(fn, inputs))
 
 
-def _check_grads(fn, inputs: list, analytic: list) -> float:
+def _hold(method):
+    """method, returning its previous output again while its inputs keep
+    the same shape, dtype and bytes; it always recomputes while
+    finite_result replays, so the replay names the op."""
+    last = []
+
+    def held(*args):
+        key = [(a.shape, a.dtype, a.tobytes())
+               for a in (x.data if isinstance(x, Tensor) else np.asarray(x) for x in args)]
+        if E._replaying or not last or last[0] != key:
+            last[:] = key, method(*args)
+        return last[1]
+
+    return held
+
+
+@contextlib.contextmanager
+def _held_encoders(encoders, probed: np.ndarray):
+    """Hold each encoder's encode_latents unless `probed` shares memory with
+    a parameter of its conv block, and its contextualize unless `probed`
+    shares memory with any of its parameters; the held methods are
+    instance attributes, always deleted on exit."""
+    try:
+        for enc in encoders:
+            for name, part in (("encode_latents", enc.children["conv"]), ("contextualize", enc)):
+                if not any(np.shares_memory(probed, t.data) for t in part.named_params().values()):
+                    setattr(enc, name, _hold(getattr(enc, name)))
+        yield
+    finally:
+        for enc in encoders:
+            vars(enc).pop("encode_latents", None)
+            vars(enc).pop("contextualize", None)
+
+
+def _check_grads(fn, inputs: list, analytic: list, encoders=()) -> float:
     """finite_diff_gradcheck given fn's analytic gradients at inputs. Each
     evaluation of fn runs through engine.finite_result, so a non-finite
     value raises naming its op before the determinism test, where
-    NaN != NaN would read as nondeterminism."""
+    NaN != NaN would read as nondeterminism.
+
+    While one input's elements are probed, each of `encoders` (those fn
+    runs) reuses its conv block's output (encode_latents) if that input is
+    none of the block's parameters, and its transformer part's output
+    (contextualize) if it is none of the encoder's, for as long as the
+    method's inputs keep their bytes; the first probe computes them. A
+    reused output is the one the same function of the same bytes made, so
+    every evaluation, at the same points, gives the same bits as without
+    reuse."""
 
     def evaluate() -> float:
         out = E.finite_result(lambda: fn(*inputs))
@@ -82,34 +126,35 @@ def _check_grads(fn, inputs: list, analytic: list) -> float:
     for t, a in zip(inputs, analytic):
         flat = t.data.reshape(-1)
         aflat = a.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            fp = evaluate()
-            flat[i] = orig - eps
-            fm = evaluate()
-            flat[i] = orig
-            numeric = (fp - fm) / (2.0 * eps)
-            denom = max(abs(aflat[i]), abs(numeric), 1e-8)
-            err = abs(aflat[i] - numeric) / denom if math.isfinite(numeric) else math.inf
-            worst = max(worst, err)
+        with _held_encoders(encoders, t.data):
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                fp = evaluate()
+                flat[i] = orig - eps
+                fm = evaluate()
+                flat[i] = orig
+                numeric = (fp - fm) / (2.0 * eps)
+                denom = max(abs(aflat[i]), abs(numeric), 1e-8)
+                err = abs(aflat[i] - numeric) / denom if math.isfinite(numeric) else math.inf
+                worst = max(worst, err)
     return worst
 
 
-def _conditioned_check(fn, draw, rng) -> float:
+def _conditioned_check(fn, draw, rng, encoders=()) -> float:
     """Gradcheck at a probe point whose gradient elements avoid the
     relative-error floor's blind spot.
 
     Elements with |g| between ~0 and 1e-3 make the floored relative error
     dominated by float64 noise, so such draws are rejected and redrawn;
     after eight rejections the ninth draw is checked untested. Exactly-zero
-    gradients (masked-out inputs) are fine.
+    gradients (masked-out inputs) are fine. encoders go to _check_grads.
     """
     for tries in range(9):
         inputs = draw(rng)
         grads = _analytic_grads(fn, inputs)
         if tries == 8 or not any(np.any((a > 1e-12) & (a < 1e-3)) for a in map(np.abs, grads)):
-            return _check_grads(fn, inputs, grads)
+            return _check_grads(fn, inputs, grads, encoders)
 
 
 def gradcheck_battery(seed: int) -> float:
@@ -258,10 +303,10 @@ def loss_gradcheck_battery(seed: int) -> float:
     batch = Batch(feats, lengths, utt_ids=("u0", "u1"))
     worst = 0.0
 
-    def check(fn, specs):
+    def check(fn, specs, *encoders):
         tensors = [t for t, _, _ in specs]
         return _conditioned_check(_with_linear_probe(fn, tensors, rng),
-                                  _param_draw(specs), rng)
+                                  _param_draw(specs), rng, encoders)
 
     # APC (single lag, squared error)
     enc = build_encoder(cfg, seed)
@@ -272,7 +317,7 @@ def loss_gradcheck_battery(seed: int) -> float:
         [(named["enc.block0.attn.wo.w"], 0.0, 0.5),
          (named["enc.final_ln.g"], 1.0, 0.3),
          (named["enc.conv.conv2.b"], 0.0, 0.5),
-         (named["obj.gen0.b"], 0.0, 0.5)]))
+         (named["obj.gen0.b"], 0.0, 0.5)], enc))
 
     # E-APC (two lags, absolute error)
     enc2 = build_encoder(cfg, seed + 1)
@@ -283,7 +328,7 @@ def loss_gradcheck_battery(seed: int) -> float:
         [(named["enc.block0.ffn.lin1.b"], 0.0, 0.5),
          (named["enc.block0.ln2.g"], 1.0, 0.3),
          (named["obj.gen1.b"], 0.0, 0.5),
-         (named["enc.block0.attn.wq.b"], 0.0, 0.5)]))
+         (named["enc.block0.attn.wq.b"], 0.0, 0.5)], enc2))
 
     # bidirectional APC with a shared generator
     pair = BidirectionalAPC(replace(cfg, apc_shift=1, apc_lags=1, apc_p=1,
@@ -293,7 +338,7 @@ def loss_gradcheck_battery(seed: int) -> float:
         lambda *_: pair.loss(pair.fwd, batch),
         [(named["pair.fwd.gen.gen0.b"], 0.0, 0.5),
          (named["pair.fwd.model.block0.ln1.g"], 1.0, 0.3),
-         (named["pair.rev.model.conv.conv2.b"], 0.0, 0.5)]))
+         (named["pair.rev.model.conv.conv2.b"], 0.0, 0.5)], pair.fwd, pair.rev))
 
     # contrastive with quantized targets and diversity. The quantizer's
     # hard assignment makes the forward pass piecewise-constant in
@@ -313,7 +358,7 @@ def loss_gradcheck_battery(seed: int) -> float:
         [(named["obj.mask_emb"], 0.0, 0.5),
          (named["obj.quantizer.codebook"], 0.0, 1.0),
          (named["enc.block0.attn.wv.b"], 0.0, 0.5),
-         (named["enc.final_ln.g"], 1.0, 0.3)]))
+         (named["enc.final_ln.g"], 1.0, 0.3)], enc3))
 
     # the quantizer's soft path: diversity is smooth in the projection
     quant = cobj.children["quantizer"]
@@ -342,7 +387,7 @@ def loss_gradcheck_battery(seed: int) -> float:
         [(named["obj.mask_emb"], 0.0, 0.5),
          (named["obj.classifier.w"], 0.0, 0.5),
          (named["obj.classifier.b"], 0.0, 0.5),
-         (named["enc.block0.attn.wk.b"], 0.0, 0.5)]))
+         (named["enc.block0.attn.wk.b"], 0.0, 0.5)], enc4))
 
     # CTC through an encoder carrying random-initialized adapters
     enc5 = build_encoder(cfg, seed + 4)
@@ -362,7 +407,7 @@ def loss_gradcheck_battery(seed: int) -> float:
          (named["head.out.b"], 0.0, 0.5),
          (named["enc.adapter1.down.w"], 0.0, 0.5),
          (named["enc.adapter1.up.w"], 0.0, 0.5),
-         (named["enc.adapter0.ln.g"], 1.0, 0.3)]))
+         (named["enc.adapter0.ln.g"], 1.0, 0.3)], enc5))
 
     # residual adapter forward on its own
     ada = ResidualAdapter(np.random.default_rng([seed, 0x7B]), 8, 2,

@@ -235,7 +235,7 @@ def restore(stage: str, cfg: PipelineConfig, ckpt_path) -> tuple:
     ckpt = load_checkpoint(ckpt_path)
     bad = [k for k in _STRUCTURAL if k in ckpt.config and ckpt.config[k] != getattr(cfg, k)]
     if bad:
-        raise ValueError(f"config mismatch with checkpoint on fields {bad}")
+        raise ValueError(f"stage '{stage}': config mismatch with checkpoint on fields {bad}")
     finetuned = ckpt.config.get("stage") == "finetune"
     if finetuned != (stage == "evaluate"):
         held = "a finetune" if finetuned else "a pretrain or adapt"
@@ -429,8 +429,8 @@ def run_evaluate(cfg: PipelineConfig, ckpt_path, corpus=None) -> dict:
     model, provenance = restore("evaluate", cfg, ckpt_path)
     refs, hyps = [], []
     with _prefixed("stage 'evaluate'"):
-        if not corpus:
-            raise ValueError("no utterances")
+        if not any(u.tokens for u in corpus):  # the error rate would be inf
+            raise ValueError("every transcript is empty" if corpus else "no utterances")
         for i in range(0, len(corpus), cfg.batch_size):
             batch = pad_batch(corpus[i : i + cfg.batch_size])
             logits = finite_result(lambda: model(batch.feats, batch.lengths)[0])

@@ -332,6 +332,38 @@ class TestTrainingCommands:
                             (out / "finetune_full_metrics.jsonl").read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_config_mismatch_names_the_stage(self, tmp_path, tiny_config, capsys):
+        main(["pretrain", "--config", tiny_config, "--out", str(tmp_path / "run"),
+              "--set", "pretrain_steps=1"])
+        pre = last_line(capsys)
+        out = tmp_path / "ada"
+        rc = main(["adapt", "--config", tiny_config, "--init", pre, "--out", str(out),
+                   "--set", "d_model=32"])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: stage 'adapt': config mismatch with "
+                                           "checkpoint on fields ['d_model']\n")
+        assert not out.exists()
+
+    def test_evaluate_rejects_a_manifest_without_a_reference_token(self, tmp_path, tiny_config,
+                                                                    capsys):
+        work = str(tmp_path / "run")
+        main(["pretrain", "--config", tiny_config, "--out", work, "--set", "pretrain_steps=1"])
+        pre = last_line(capsys)
+        main(["finetune", "--config", tiny_config, "--init", pre,
+              "--out", work, "--set", "finetune_steps=1"])
+        fin = last_line(capsys)
+        main(["gen-corpus", "--out", str(tmp_path / "c"), "--set", "n_utterances=3",
+              "--set", "d_feat=4", "--set", "proto_len=8", "--set", "vocab_size=5",
+              "--set", "min_tokens=3", "--set", "max_tokens=4"])
+        manifest = last_line(capsys)
+        write_manifest(manifest, [replace(e, transcript="") for e in read_manifest(manifest)])
+        report = tmp_path / "out" / "report.json"
+        rc = main(["evaluate", "--config", tiny_config, "--init", fin,
+                   "--manifest", manifest, "--report", str(report)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: stage 'evaluate': every transcript is empty\n"
+        assert not report.parent.exists()
+
     def test_evaluate_empty_manifest(self, tmp_path, tiny_config, capsys):
         work = str(tmp_path / "run")
         main(["pretrain", "--config", tiny_config, "--out", work, "--set", "pretrain_steps=1"])

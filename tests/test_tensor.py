@@ -15,6 +15,7 @@ from sslasr import engine as T
 from sslasr import gradcheck
 from sslasr.ctc import ctc_loss_batch
 from sslasr.gradcheck import finite_diff_gradcheck, gradcheck_battery
+from sslasr.model import Encoder, Linear, build_encoder
 from sslasr.objectives import GumbelQuantizer
 from sslasr.optim import BETA1, BETA2, BLOCK, EPS, Adam, clip_global_norm, noam_lr, tri_stage_lr
 from sslasr.engine import Tape, Tensor, backward
@@ -738,6 +739,98 @@ class TestGradcheckPrimitives:
         # unfloored, this seed draws a weight of 3e-5 that puts a gradient
         # element inside the relative-error floor's blind spot (error 6.6e-6)
         assert gradcheck_battery(1334668087) < 1e-6
+
+
+class TestHeldEncoders:
+    """While one tensor is probed, the oracle reuses an encoder's conv and
+    transformer outputs that the tensor cannot change."""
+
+    @staticmethod
+    def encoder_and_head():
+        cfg = PipelineConfig(d_feat=4, d_model=8, n_heads=2, n_blocks=1, d_ffn=16, causal=True)
+        enc = build_encoder(cfg, 0)
+        head = Linear(np.random.default_rng(1), 8, 3)
+        named = gradcheck._float64_params({"enc": enc, "head": head})
+        rng = np.random.default_rng(2)
+        named["head.b"].data[...] = rng.normal(size=3)
+        feats, lengths = rng.normal(size=(2, 9, 4)), np.array([9, 6])
+        w = Tensor(rng.normal(size=(2, 3, 3)))
+
+        def fn(*_):
+            hidden, _ = enc(feats, lengths)
+            return T.sum_(T.mul(head(hidden), w))
+
+        return enc, named, fn
+
+    @staticmethod
+    def assert_released(enc):
+        assert "encode_latents" not in vars(enc) and "contextualize" not in vars(enc)
+
+    @pytest.mark.parametrize("name", ["enc.conv.conv1.w", "enc.block0.attn.wq.b", "head.w"])
+    def test_same_bits_as_without_reuse(self, name):
+        enc, named, fn = self.encoder_and_head()
+        t = named[name]
+        analytic = gradcheck._analytic_grads(fn, [t])
+        plain = gradcheck._check_grads(fn, [t], analytic)
+        held = gradcheck._check_grads(fn, [t], analytic, (enc,))
+        assert float.hex(held) == float.hex(plain) and held < 1e-6
+        self.assert_released(enc)
+
+    def test_released_when_the_check_raises(self):
+        enc, named, fn = self.encoder_and_head()
+        t = named["head.b"]
+        analytic = gradcheck._analytic_grads(fn, [t])
+        with pytest.raises(ValueError, match="scalar-valued"):
+            gradcheck._check_grads(lambda *a: T.add(fn(*a), Tensor(np.zeros(2))),
+                                   [t], analytic, (enc,))
+        self.assert_released(enc)
+
+    def test_nan_in_a_held_loop_replays_the_real_encoder(self, monkeypatch):
+        enc, named, fn = self.encoder_and_head()
+        t = named["head.w"]
+        analytic = gradcheck._analytic_grads(fn, [t])
+        replayed = []
+
+        def spy(method):
+            real = getattr(Encoder, method)
+
+            def run(self, *args):
+                if T._replaying:
+                    replayed.append(method)
+                return real(self, *args)
+
+            return run
+
+        for method in ("encode_latents", "contextualize"):
+            monkeypatch.setattr(Encoder, method, spy(method))
+        calls = []
+
+        def poisoned(*_):
+            calls.append(1)
+            if len(calls) == 4:  # the second evaluation of the held loop
+                named["head.b"].data[0] = np.nan
+            return fn()
+
+        with pytest.raises(FloatingPointError) as exc:
+            gradcheck._check_grads(poisoned, [t], analytic, (enc,))
+        assert str(exc.value) == "non-finite values produced by op 'linear'"
+        assert replayed == ["encode_latents", "contextualize"]
+        self.assert_released(enc)
+
+    def test_head_probe_runs_the_conv_block_once_per_loop(self, monkeypatch):
+        # a head-only probe of n = 3 elements: the two determinism evaluations
+        # and the first held one run both convs, (2 + 2n) x 2 = 16 without reuse
+        enc, named, fn = self.encoder_and_head()
+        t = named["head.b"]
+        analytic = gradcheck._analytic_grads(fn, [t])
+        calls, runs = [], []
+        conv1d = T.conv1d
+        monkeypatch.setattr(T, "conv1d", lambda *a: calls.append(a) or conv1d(*a))
+        for encoders in ((enc,), ()):
+            calls.clear()
+            err = gradcheck._check_grads(fn, [t], analytic, encoders)
+            runs.append((len(calls), float.hex(err)))
+        assert [n for n, _ in runs] == [6, 16] and runs[0][1] == runs[1][1]
 
 
 class TestOptim:

@@ -146,6 +146,17 @@ class TestEvaluation:
         with pytest.raises(ValueError, match="^stage 'evaluate': no utterances$"):
             run_evaluate(cfg, fin, corpus=[])
 
+    def test_corpus_without_a_reference_token_rejected(self, draft_chain):
+        # the token error rate over no reference tokens would be inf
+        cfg, _, _, _, fin, _ = draft_chain
+        corpus = build_corpora(cfg)["target_eval"]
+        silent = [replace(u, tokens=[]) for u in corpus]
+        with pytest.raises(ValueError, match="^stage 'evaluate': every transcript is empty$"):
+            run_evaluate(cfg, fin, corpus=silent)
+        report = run_evaluate(cfg, fin, corpus=[corpus[0]] + silent[1:])
+        assert report["total_ref_tokens"] == len(corpus[0].tokens)
+        assert np.isfinite(report["ter"])
+
     def test_load_finetuned_roundtrip(self, draft_chain):
         cfg, _, _, _, fin, _ = draft_chain
         model, provenance = restore("evaluate", cfg, fin)
@@ -429,6 +440,18 @@ class TestBundleRoundTrip:
             restore("adapt", tiny_cfg(d_model=32), pre)
         with pytest.raises(ValueError, match="config mismatch"):
             restore("adapt", tiny_cfg(objective="apc"), pre)
+
+    def test_structural_mismatch_names_the_stage(self, draft_chain, tmp_path):
+        _, _, pre, _, fin, _ = draft_chain
+        wide = tiny_cfg(d_model=32)
+        for stage, run in (("adapt", lambda: run_adapt(wide, pre, tmp_path)),
+                           ("finetune", lambda: run_finetune(wide, pre, tmp_path)),
+                           ("evaluate", lambda: run_evaluate(wide, fin))):
+            with pytest.raises(ValueError) as exc:
+                run()
+            assert str(exc.value) == (f"stage '{stage}': config mismatch with checkpoint "
+                                      "on fields ['d_model']")
+        assert not any(tmp_path.iterdir())
 
     def test_restored_objective_takes_the_callers_settings(self, tmp_path):
         # the checkpoint holds weights; non-structural objective settings
