@@ -28,7 +28,6 @@ class CTCHead(Module):
 
     def __init__(self, rng, d_model: int, vocab_size: int):
         super().__init__()
-        self.vocab_size = vocab_size
         self.children["out"] = Linear(rng, d_model, vocab_size + 1)
 
     def __call__(self, hidden: Tensor) -> Tensor:

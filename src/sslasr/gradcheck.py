@@ -141,9 +141,20 @@ def _check_grads(fn, inputs: list, analytic: list, encoders=()) -> float:
     return worst
 
 
-def _conditioned_check(fn, draw, rng, encoders=()) -> float:
-    """Gradcheck at a probe point whose gradient elements avoid the
-    relative-error floor's blind spot.
+def _draw(specs, rng) -> list:
+    """Refresh each spec's tensor in place, in spec order, to
+    max(shift + scale * N(0, 1), floor), keeping the array object a model
+    or a checked function holds; returns the tensors.
+
+    specs is a list of (tensor, shift, scale, floor)."""
+    for t, shift, scale, floor in specs:
+        t.data[...] = np.maximum(shift + scale * rng.normal(size=t.data.shape), floor)
+    return [t for t, *_ in specs]
+
+
+def _conditioned_check(fn, specs, rng, encoders=()) -> float:
+    """Gradcheck at a probe point, drawn by _draw(specs, rng), whose
+    gradient elements avoid the relative-error floor's blind spot.
 
     Elements with |g| between ~0 and 1e-3 make the floored relative error
     dominated by float64 noise, so such draws are rejected and redrawn;
@@ -151,7 +162,7 @@ def _conditioned_check(fn, draw, rng, encoders=()) -> float:
     gradients (masked-out inputs) are fine. encoders go to _check_grads.
     """
     for tries in range(9):
-        inputs = draw(rng)
+        inputs = _draw(specs, rng)
         grads = _analytic_grads(fn, inputs)
         if tries == 8 or not any(np.any((a > 1e-12) & (a < 1e-3)) for a in map(np.abs, grads)):
             return _check_grads(fn, inputs, grads, encoders)
@@ -168,14 +179,10 @@ def gradcheck_battery(seed: int) -> float:
     rng = np.random.default_rng([seed, 0x6C])
 
     def drawer(*shapes, shifts=None, floors=None):
-        offs = shifts or [0.0] * len(shapes)
-        lows = floors or [-np.inf] * len(shapes)
-
-        def make(r):
-            return [Tensor(np.maximum(r.normal(size=s) + o, lo), dtype=np.float64)
-                    for s, o, lo in zip(shapes, offs, lows)]
-
-        return make
+        # specs over float64 leaves made once: N(0, 1) plus each shift, floored
+        return [(Tensor(np.zeros(s), dtype=np.float64), shift, 1.0, floor)
+                for s, shift, floor in zip(shapes, shifts or [0.0] * len(shapes),
+                                           floors or [-np.inf] * len(shapes))]
 
     def weights(*shape):
         # floored clear of 0: redrawing the inputs cannot lift a gradient
@@ -251,24 +258,6 @@ def _float64_params(modules: dict) -> dict:
     return named
 
 
-def _param_draw(specs):
-    """Draw closure over existing parameter tensors.
-
-    specs is a list of (tensor, shift, scale); each call refreshes the
-    tensors' values in place (keeping the array objects the model holds)
-    so the enclosing loss sees the redrawn point.
-    """
-
-    def make(r):
-        out = []
-        for t, shift, scale in specs:
-            t.data[...] = shift + scale * r.normal(size=t.data.shape)
-            out.append(t)
-        return out
-
-    return make
-
-
 def _with_linear_probe(base_fn, tensors, rng):
     """Add sum(w * t) over the checked tensors to a loss function.
 
@@ -304,9 +293,10 @@ def loss_gradcheck_battery(seed: int) -> float:
     worst = 0.0
 
     def check(fn, specs, *encoders):
+        # specs are (parameter, shift, scale), drawn unfloored
         tensors = [t for t, _, _ in specs]
         return _conditioned_check(_with_linear_probe(fn, tensors, rng),
-                                  _param_draw(specs), rng, encoders)
+                                  [(*spec, -np.inf) for spec in specs], rng, encoders)
 
     # APC (single lag, squared error)
     enc = build_encoder(cfg, seed)

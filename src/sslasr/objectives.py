@@ -252,7 +252,6 @@ class GumbelQuantizer(Module):
 
     def __init__(self, rng, d_latent: int, n_codes: int):
         super().__init__()
-        self.n_codes = n_codes
         self.children["proj"] = Linear(rng, d_latent, n_codes)
         limit = math.sqrt(6.0 / (n_codes + d_latent))
         self.p["codebook"] = Tensor(

@@ -259,10 +259,6 @@ def restore(stage: str, cfg: PipelineConfig, ckpt_path) -> tuple:
 
 def _train_loop(stage: str, cfg: PipelineConfig, corpus, loss_fn, all_params: dict,
                 trainable: dict, steps: int, lr_fn, metrics_path) -> None:
-    if not trainable and steps > 0:
-        raise ValueError(f"stage '{stage}' has no trainable parameters")
-    if not corpus and steps > 0:
-        raise ValueError(f"stage '{stage}' has no utterances")
     ids = {id(t) for t in trainable.values()}
     for t in all_params.values():
         t.requires_grad = id(t) in ids
@@ -308,9 +304,14 @@ def _run_stage(stage: str, tag: str, cfg: PipelineConfig, workdir, corpus, model
                trainable: dict, steps: int, lr_fn, provenance: dict, **fields) -> str:
     """Train `model`, then save it as '<tag>.ckpt'; returns the path.
 
-    The stage's metrics log '<tag>_metrics.jsonl' starts fresh, so a rerun
-    in the same workdir leaves only its own records. Each provenance group
-    gains `steps` iff any of its tensors was trainable."""
+    A stage with no trainable parameters or no utterances is refused before
+    any file is written or deleted; otherwise its metrics log '<tag>_metrics.jsonl'
+    starts fresh, so a rerun in the same workdir leaves only its own records.
+    Each provenance group gains `steps` iff any of its tensors was trainable."""
+    if not trainable and steps > 0:
+        raise ValueError(f"stage '{stage}' has no trainable parameters")
+    if not corpus and steps > 0:
+        raise ValueError(f"stage '{stage}' has no utterances")
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     metrics_path = workdir / f"{tag}_metrics.jsonl"
@@ -352,7 +353,7 @@ def run_adapt(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "draft",
     generator stay bit-identical); 'saft' updates every parameter at a
     reduced peak learning rate."""
     if mode not in ADAPT_MODES:
-        raise ValueError(f"unknown adapt mode '{mode}'")
+        raise ValueError(f"stage 'adapt': unknown adapt mode '{mode}'")
     corpus = _corpus(cfg, "target_train") if corpus is None else corpus
     bundle, provenance = restore("adapt", cfg, ckpt_path)
     if cfg.objective == "masked_cluster" and cfg.adapt_steps > 0:
@@ -361,12 +362,12 @@ def run_adapt(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "draft",
         if not bundle.encoder.d_adapter:
             bundle.insert_adapters(cfg.d_adapter, np.random.default_rng([cfg.seed, 0xADA]))
         elif bundle.encoder.d_adapter != cfg.d_adapter:
-            raise ValueError("checkpoint already has adapters of a different size")
+            raise ValueError(f"stage 'adapt': checkpoint has adapters of width {bundle.encoder.d_adapter}, not {cfg.d_adapter}")
         factor = NOAM_FACTOR
         trainable = {k: v for k, v in bundle.named_params().items() if _group(k) == "ada"}
     else:
         if bundle.encoder.d_adapter:
-            raise ValueError("saft does not apply to a model with adapters")
+            raise ValueError("stage 'adapt': saft does not apply to a model with adapters")
         factor = NOAM_FACTOR * SAFT_LR_SCALE
         trainable = bundle.named_params()
     lr_fn = lambda s: noam_lr(s, cfg.d_model, cfg.noam_warmup, factor)
@@ -378,7 +379,7 @@ def run_finetune(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "full",
                  corpus=None) -> str:
     """Supervised CTC finetuning with a fresh generator; returns ckpt path."""
     if mode not in FINETUNE_MODES:
-        raise ValueError(f"unknown finetune mode '{mode}'")
+        raise ValueError(f"stage 'finetune': unknown finetune mode '{mode}'")
     steps = cfg.finetune_steps
     corpus = _corpus(cfg, "target_train") if corpus is None else corpus
     for u in corpus:  # CTC needs a token to align to
@@ -388,12 +389,12 @@ def run_finetune(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "full",
     encoder = bundle.encoder_for_finetune(provenance.get("f", 0))
 
     if mode in ("adapters_frozen", "adapters_only", "random_adapters") and not encoder.d_adapter:
-        raise ValueError(f"finetune mode '{mode}' requires a checkpoint with adapters")
+        raise ValueError(f"stage 'finetune': finetune mode '{mode}' requires a checkpoint with adapters")
     if mode == "random_adapters":
         encoder.reinit_adapters(np.random.default_rng([cfg.seed, 0xF00D]))
     if mode == "plus_ra":
         if encoder.d_adapter:
-            raise ValueError("finetune mode 'plus_ra' requires a checkpoint without adapters")
+            raise ValueError("stage 'finetune': finetune mode 'plus_ra' requires a checkpoint without adapters")
         encoder.insert_adapters(cfg.d_adapter, np.random.default_rng([cfg.seed, 0xF00D]))
 
     model = CTCModel(cfg, encoder)

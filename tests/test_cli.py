@@ -344,6 +344,19 @@ class TestTrainingCommands:
                                            "checkpoint on fields ['d_model']\n")
         assert not out.exists()
 
+    def test_adapt_mode_error_names_the_stage(self, tmp_path, tiny_config, capsys):
+        work = str(tmp_path / "run")
+        main(["pretrain", "--config", tiny_config, "--out", work, "--set", "pretrain_steps=1"])
+        main(["adapt", "--config", tiny_config, "--init", last_line(capsys), "--out", work,
+              "--set", "adapt_steps=1"])
+        ada = last_line(capsys)
+        out = tmp_path / "saft"
+        assert main(["adapt", "--config", tiny_config, "--init", ada, "--out", str(out),
+                     "--mode", "saft"]) == 1
+        assert capsys.readouterr().err == ("error: stage 'adapt': saft does not apply to a "
+                                           "model with adapters\n")
+        assert not out.exists()
+
     def test_evaluate_rejects_a_manifest_without_a_reference_token(self, tmp_path, tiny_config,
                                                                     capsys):
         work = str(tmp_path / "run")

@@ -17,10 +17,20 @@ def _load_tool():
     return module
 
 
-def test_matrix_digests_every_written_file(tmp_path):
+def test_matrix_digests_every_written_file(tmp_path, monkeypatch):
     tool = _load_tool()
+    run, leaked = tool.run_matrix, []
+
+    def run_and_scan(root):
+        # every file is read before main removes the run directory
+        run(root)
+        leaked.extend(p for p in Path(root).rglob("*")
+                      if p.is_file() and str(root).encode() in p.read_bytes())
+
+    monkeypatch.setattr(tool, "run_matrix", run_and_scan)
     out = tmp_path / "matrix.json"
     assert tool.main([str(out)]) == 0
+    assert leaked == []
     table = json.loads(out.read_text())
     assert all(re.fullmatch(r"[0-9a-f]{64}", d) for d in table.values())
     for name in tool.recipes():
@@ -42,3 +52,8 @@ def test_matrix_digests_every_written_file(tmp_path):
                         ("fbank", ["feats/target_00002.feat"])]:
         for path in ["manifest.tsv", *files]:
             assert f"corpus/{name}/{path}" in table
+    for tag in ("pretrain", "adapt_draft", "finetune_full"):
+        assert f"cli/{tag}.ckpt" in table
+        assert f"cli/{tag}_metrics.jsonl" in table
+    assert "cli/report.json" in table
+    assert "cli/sweep/sweep.jsonl" in table

@@ -712,9 +712,19 @@ class TestGradcheckPrimitives:
         monkeypatch.setattr(gradcheck, "backward", lambda *a: calls.append(a) or backward(*a))
         w = t64(scale * np.array([1.5, -2.0, 0.7]))
         err = gradcheck._conditioned_check(lambda x: T.sum_(T.mul(x, w)),
-                                           lambda r: [t64(r.normal(size=3))],
+                                           [(t64(np.zeros(3)), 0.0, 1.0, -np.inf)],
                                            np.random.default_rng(0))
         assert err < 1e-6 and len(calls) == passes
+
+    def test_draw_refreshes_each_tensor_in_place(self):
+        a, b = t64(np.zeros((2, 3))), t64(np.zeros(4))
+        arrays = [a.data, b.data]
+        out = gradcheck._draw([(a, 0.0, 1.0, 0.0), (b, 1.0, 0.3, -np.inf)], np.random.default_rng(5))
+        assert out == [a, b] and all(t.data is arr for t, arr in zip(out, arrays))
+        r = np.random.default_rng(5)
+        na = r.normal(size=(2, 3))
+        assert np.array_equal(a.data, np.maximum(na, 0.0)) and (na < 0).any()
+        assert np.array_equal(b.data, 1.0 + 0.3 * r.normal(size=4))
 
     def test_battery_invokes_every_recorded_op(self, monkeypatch):
         ops = set(re.findall(r'_record\("(\w+)"', inspect.getsource(T)))

@@ -528,9 +528,9 @@ class TestBundleRoundTrip:
 class TestModeValidation:
     def test_unknown_names_rejected(self, draft_chain, tmp_path):
         cfg, _, pre, _, _, _ = draft_chain
-        with pytest.raises(ValueError, match="unknown adapt mode"):
+        with pytest.raises(ValueError, match="^stage 'adapt': unknown adapt mode 'drift'$"):
             run_adapt(cfg, pre, tmp_path, mode="drift")
-        with pytest.raises(ValueError, match="unknown finetune mode"):
+        with pytest.raises(ValueError, match="^stage 'finetune': unknown finetune mode 'partial'$"):
             run_finetune(cfg, pre, tmp_path, mode="partial")
         for variants in ((), ("draft", "draft"), ("baseline",), "draft"):
             with pytest.raises(ValueError, match="variants must be a non-empty tuple of distinct names"):
@@ -541,21 +541,24 @@ class TestModeValidation:
 
     def test_saft_rejects_adapter_checkpoints(self, draft_chain, tmp_path):
         cfg, _, _, ada, _, _ = draft_chain
-        with pytest.raises(ValueError, match="saft does not apply"):
+        with pytest.raises(ValueError, match="^stage 'adapt': saft does not apply to a model with adapters$"):
             run_adapt(cfg, ada, tmp_path, mode="saft")
 
     def test_adapter_modes_need_adapters(self, draft_chain, tmp_path):
         cfg, _, pre, ada, _, _ = draft_chain
-        with pytest.raises(ValueError, match="requires a checkpoint with adapters"):
+        with pytest.raises(ValueError, match="^stage 'finetune': finetune mode 'adapters_only' "
+                                             "requires a checkpoint with adapters$"):
             run_finetune(cfg, pre, tmp_path, mode="adapters_only")
-        with pytest.raises(ValueError, match="requires a checkpoint without adapters"):
+        with pytest.raises(ValueError, match="^stage 'finetune': finetune mode 'plus_ra' "
+                                             "requires a checkpoint without adapters$"):
             run_finetune(cfg, ada, tmp_path, mode="plus_ra")
 
     def test_adapter_width_conflict_rejected(self, draft_chain, tmp_path):
         cfg, _, _, ada, _, _ = draft_chain
         wider = tiny_cfg(d_adapter=8, adapt_steps=1)
-        with pytest.raises(ValueError, match="different size"):
+        with pytest.raises(ValueError) as info:
             run_adapt(wider, ada, tmp_path, mode="draft")
+        assert str(info.value) == "stage 'adapt': checkpoint has adapters of width 4, not 8"
 
 
 class TestDeterminism:
@@ -771,10 +774,22 @@ class TestDegenerateInput:
     def test_empty_corpus_rejected_by_every_training_stage(self, tmp_path):
         cfg = tiny_cfg()
         with pytest.raises(ValueError, match="stage 'pretrain' has no utterances"):
-            run_pretrain(cfg, tmp_path, corpus=[])
+            run_pretrain(cfg, tmp_path / "fresh", corpus=[])
+        assert not (tmp_path / "fresh").exists()
         pre = run_pretrain(cfg, tmp_path, steps=0)
         with pytest.raises(ValueError, match="stage 'finetune' has no utterances"):
             run_finetune(cfg, pre, tmp_path, corpus=[])
+
+    def test_a_refused_rerun_leaves_the_previous_run_untouched(self, draft_chain):
+        # the refusal comes before the stage deletes its metrics log or writes
+        cfg, work, pre, ada, _, _ = draft_chain
+        before = {p: p.read_bytes() for p in work.iterdir()}
+        for stage, run in (("pretrain", lambda: run_pretrain(cfg, work, corpus=[])),
+                           ("adapt", lambda: run_adapt(cfg, pre, work, corpus=[])),
+                           ("finetune", lambda: run_finetune(cfg, ada, work, corpus=[]))):
+            with pytest.raises(ValueError, match=f"^stage '{stage}' has no utterances$"):
+                run()
+            assert {p: p.read_bytes() for p in work.iterdir()} == before
 
 
 def test_registry_constants():

@@ -10,12 +10,14 @@ non-causal encoder (their setting in the paper). Plus one draft chain that
 finetunes under every finetune mode, all on tiny configs. spec_augment/
 finetunes the chain's adapt checkpoint once more with SpecAugment on and
 enough steps to reach the learning-rate decay. Each run's evaluation
-report is written beside its checkpoints and metrics logs. corpus/
-holds what the `sslasr` command line writes: gen-corpus feature corpora
-at the default task and at one set by --set, a target-domain waveform
-corpus drawn with seed 3, and the featurize output of that corpus.
-gradcheck.json holds the gradient oracle's worst errors, as float.hex,
-for both batteries over seeds 0-1.
+report is written beside its checkpoints and metrics logs. gradcheck.json
+holds the gradient oracle's worst errors, as float.hex, for both batteries
+over seeds 0-1. commands(), every `sslasr` subcommand once, makes
+this the one list of programs (tools/program_lines.py traces it): corpus/
+holds what gen-corpus and featurize write, cli/ what pretrain, adapt,
+finetune, evaluate --report and sweep write from cli/tiny.cfg, a --config
+file of tiny_config(). Reports name their checkpoint by file name, so no
+file holds the run directory's path.
 OUT.json maps every written file, by its path relative to the run
 directory, to its sha256. A refactor that must not change outputs runs
 this script in both checkouts (the package is imported from the src/
@@ -70,18 +72,28 @@ def recipes() -> dict:
     return out
 
 
-def corpus_commands(root: Path) -> list:
-    """The command lines whose output corpus/ holds; every setting goes
-    through --set so the command line's reading of it is covered."""
+def commands(root: Path) -> list:
+    """The command lines run_matrix runs under `root`, in order: the corpus
+    commands write corpus/ with every setting through --set, so the command
+    line's reading of it is covered; the training commands read cli/tiny.cfg."""
+    corpus, cli = root / "corpus", root / "cli"
     task = ["vocab_size=5", "d_feat=4", "proto_len=6", "min_tokens=3", "max_tokens=4",
             "noise_sigma=0.2", "proto_seed=3", "seed=2"]
+    settings = ["--config", f"{cli}/tiny.cfg"]
     return [
-        ["gen-corpus", "--out", f"{root}/features", "--set", "n_utterances=4"],
-        ["gen-corpus", "--out", f"{root}/task", "--set", "n_utterances=4",
+        ["gen-corpus", "--out", f"{corpus}/features", "--set", "n_utterances=4"],
+        ["gen-corpus", "--out", f"{corpus}/task", "--set", "n_utterances=4",
          *[arg for kv in task for arg in ("--set", kv)]],
-        ["gen-corpus", "--out", f"{root}/waveform", "--set", "n_utterances=3",
+        ["gen-corpus", "--out", f"{corpus}/waveform", "--set", "n_utterances=3",
          "--set", "domain=target", "--set", "emit=waveform", "--set", "seed=3"],
-        ["featurize", "--manifest", f"{root}/waveform/manifest.tsv", "--out", f"{root}/fbank"],
+        ["featurize", "--manifest", f"{corpus}/waveform/manifest.tsv", "--out", f"{corpus}/fbank"],
+        ["pretrain", *settings, "--out", f"{cli}", "--manifest", f"{corpus}/task/manifest.tsv"],
+        ["adapt", *settings, "--init", f"{cli}/pretrain.ckpt", "--out", f"{cli}"],
+        ["finetune", *settings, "--init", f"{cli}/adapt_draft.ckpt", "--out", f"{cli}"],
+        ["evaluate", *settings, "--init", f"{cli}/finetune_full.ckpt", "--report", f"{cli}/report.json"],
+        ["sweep", *settings, "--key", "seed", "--values", "0,1", "--variants", "draft,no_adapt",
+         "--out", f"{cli}/sweep"],
+        ["gradcheck", "--seeds", "1"],
     ]
 
 
@@ -113,10 +125,16 @@ def run_matrix(root) -> None:
     fin = run_finetune(augmented, ada, workdir)
     _write_report(run_evaluate(augmented, fin), workdir, "report.json")
 
-    for argv in corpus_commands(root / "corpus"):
+    cli = root / "cli"
+    cli.mkdir()
+    # every PipelineConfig field, so each kind of value goes through the config file
+    (cli / "tiny.cfg").write_text("".join(f"{k} = {v}\n" for k, v in vars(base).items()),
+                                  encoding="utf-8")
+    for argv in commands(root):
         with contextlib.redirect_stdout(io.StringIO()):
             if sslasr_main(argv) != 0:
                 raise SystemExit(f"command failed: sslasr {' '.join(argv)}")
+    _write_report(json.loads((cli / "report.json").read_text(encoding="utf-8")), cli, "report.json")
 
     oracle = {f"{fn.__name__}/{seed}": float(fn(seed)).hex()
               for fn in (gradcheck_battery, loss_gradcheck_battery) for seed in GRADCHECK_SEEDS}

@@ -2,23 +2,19 @@
 
     python3 tools/program_lines.py
 
-Under sys.settrace, runs tools/output_matrix.py's run_matrix and every CLI
-subcommand on a tiny corpus: gen-corpus (features and waveform),
-featurize, pretrain, adapt, finetune, evaluate, sweep (draft against
-no_adapt over seeds 0 and 1) and gradcheck --seeds 1; the training
-commands read output_matrix's tiny config as a --config file. Then
-prints, per src/sslasr file, the executable lines (those the compiled
-code objects' co_lines attribute bytecode to) that none of them ran. A
-line listed here runs only under the tests, or never: a candidate for
-deletion, or a guard that only outside input reaches.
-Takes about 10 s on 2 vCPUs.
+Under sys.settrace, runs tools/output_matrix.py's run_matrix, the one
+list of programs: the library's pipeline runs and every `sslasr`
+subcommand, all on tiny inputs. Then prints, per src/sslasr file, the
+executable lines (those the compiled code objects' co_lines attribute
+bytecode to) that none of them ran. A line listed here runs only under the
+tests, or never: a candidate for deletion, or a guard that only outside
+input reaches.
+Takes about 4 s on 2 vCPUs.
 """
 
 from __future__ import annotations
 
-import contextlib
 import importlib.util
-import io
 import sys
 import tempfile
 from pathlib import Path
@@ -75,39 +71,11 @@ def spans(lines: list[int]) -> str:
 def _programs() -> None:
     """Every program on tiny inputs; imports happen here, under the tracer."""
     sys.path.insert(0, str(ROOT / "src"))
-    from sslasr.cli import main
-
     spec = importlib.util.spec_from_file_location("output_matrix", ROOT / "tools" / "output_matrix.py")
     matrix = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(matrix)
-
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        matrix.run_matrix(tmp / "matrix")
-        cfg = tmp / "tiny.cfg"
-        # every PipelineConfig field, so each kind of value goes through the config file
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in vars(matrix.tiny_config()).items()),
-                       encoding="utf-8")
-        settings = ["--config", str(cfg)]
-        runs = [
-            ["gen-corpus", "--out", f"{tmp}/feats", "--set", "n_utterances=16", "--set", "d_feat=4",
-             "--set", "vocab_size=5", "--set", "min_tokens=3", "--set", "max_tokens=4"],
-            ["gen-corpus", "--out", f"{tmp}/wav", "--set", "n_utterances=2", "--set", "emit=waveform"],
-            ["featurize", "--manifest", f"{tmp}/wav/manifest.tsv", "--out", f"{tmp}/fbank"],
-            ["pretrain", *settings, "--out", f"{tmp}/run", "--manifest", f"{tmp}/feats/manifest.tsv"],
-            ["adapt", *settings, "--init", f"{tmp}/run/pretrain.ckpt", "--out", f"{tmp}/run"],
-            ["finetune", *settings, "--init", f"{tmp}/run/adapt_draft.ckpt", "--out", f"{tmp}/run"],
-            ["evaluate", *settings, "--init", f"{tmp}/run/finetune_full.ckpt",
-             "--report", f"{tmp}/run/report.json"],
-            ["sweep", *settings, "--key", "seed", "--values", "0,1", "--variants", "draft,no_adapt",
-             "--out", f"{tmp}/sweep"],
-            ["gradcheck", "--seeds", "1"],
-        ]
-        for argv in runs:
-            with contextlib.redirect_stdout(io.StringIO()):
-                rc = main(argv)
-            if rc != 0:
-                raise SystemExit(f"program failed: sslasr {' '.join(argv)}")
+        matrix.run_matrix(tmp)
 
 
 def main() -> int:
