@@ -350,7 +350,8 @@ def kmeans_fit(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding then at most 25 Lloyd iterations; empty clusters
     are reseeded to the point farthest from its assigned center. The loop
     ends early when the labels repeat those of an iteration that reseeded
-    nothing: each center is then its cluster's mean, a fixed point."""
+    nothing: each center is then its cluster's mean, a fixed point.
+    Working memory is O(n·d + n·k) for n points of d dims and k clusters."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if n < k:
@@ -364,7 +365,7 @@ def kmeans_fit(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         d2 = np.minimum(d2, ((x - centers[i]) ** 2).sum(axis=1))
     prev = None  # the last iteration's labels, unless it reseeded a cluster
     for _ in range(25):
-        dists = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        dists = _sq_dists(x, centers)
         labels = dists.argmin(axis=1)
         if prev is not None and np.array_equal(labels, prev):
             break
@@ -382,8 +383,14 @@ def kmeans_fit(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def kmeans_assign(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d = ((np.asarray(x, dtype=np.float64)[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return d.argmin(axis=1)
+    """Each point's nearest center, in O(n·d + n·k) working memory. Each
+    call loops over the centers, so label many rows in one call."""
+    return _sq_dists(np.asarray(x, dtype=np.float64), centers).argmin(axis=1)
+
+
+def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances, one center at a time: no (n, k, d) temporary."""
+    return np.stack([((x - c) ** 2).sum(axis=1) for c in centers], axis=1)
 
 
 def group_mean_features(feats: np.ndarray, length: int) -> np.ndarray:
@@ -407,8 +414,9 @@ class MaskedClusterObjective(MaskedPrediction):
         """Fit k-means centers on the corpus and label every utterance of it,
         from group-mean features or, given an encoder, its hidden states."""
         rows = [cluster_features(u.feats, u.feats.shape[0], encoder) for u in corpus]
-        centers = kmeans_fit(np.concatenate(rows, axis=0), self.cfg.n_clusters, rng)
-        self.targets = {u.utt_id: kmeans_assign(r, centers) for u, r in zip(corpus, rows)}
+        points = np.concatenate(rows, axis=0)
+        labels = kmeans_assign(points, kmeans_fit(points, self.cfg.n_clusters, rng))
+        self.targets = dict(zip([u.utt_id for u in corpus], np.split(labels, np.cumsum([len(r) for r in rows])[:-1])))
 
     def loss(self, encoder: Encoder, batch: Batch, rng: np.random.Generator, step: int = 0) -> Tensor:
         missing = [u for u in batch.utt_ids if u not in self.targets]

@@ -305,8 +305,10 @@ def _run_stage(stage: str, tag: str, cfg: PipelineConfig, workdir, corpus, model
     """Train `model`, then save it as '<tag>.ckpt'; returns the path.
 
     A stage with no trainable parameters or no utterances is refused before
-    any file is written or deleted; otherwise its metrics log '<tag>_metrics.jsonl'
-    starts fresh, so a rerun in the same workdir leaves only its own records.
+    any file is written or deleted. Otherwise its metrics log is written under
+    a temporary name and renamed to '<tag>_metrics.jsonl' once the checkpoint
+    is written, so a rerun in the same workdir leaves only its own records,
+    and a rerun that fails leaves the previous run's checkpoint and log.
     Each provenance group gains `steps` iff any of its tensors was trainable."""
     if not trainable and steps > 0:
         raise ValueError(f"stage '{stage}' has no trainable parameters")
@@ -315,15 +317,23 @@ def _run_stage(stage: str, tag: str, cfg: PipelineConfig, workdir, corpus, model
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     metrics_path = workdir / f"{tag}_metrics.jsonl"
-    metrics_path.unlink(missing_ok=True)
+    partial = workdir / f".{tag}_metrics.jsonl.partial"
+    partial.unlink(missing_ok=True)  # left by a killed run: the log is appended to
     params = model.named_params()
-    _train_loop(stage, cfg, corpus, loss_fn, params, trainable, steps, lr_fn, metrics_path)
     touched = {_group(name) for name in trainable}
     provenance = {g: provenance.get(g, 0) + (steps if g in touched else 0)
                   for g in ("f", "ada", "g")}
     fields.update(stage=stage, adapters_d=model.encoder.d_adapter)
     out = workdir / f"{tag}.ckpt"
-    save_checkpoint(out, params, {**vars(cfg), **fields}, provenance)
+    try:
+        _train_loop(stage, cfg, corpus, loss_fn, params, trainable, steps, lr_fn, partial)
+        save_checkpoint(out, params, {**vars(cfg), **fields}, provenance)
+        if partial.exists():
+            partial.replace(metrics_path)
+        else:  # a 0-step run logs nothing
+            metrics_path.unlink(missing_ok=True)
+    finally:
+        partial.unlink(missing_ok=True)
     return str(out)
 
 
@@ -425,7 +435,8 @@ def run_finetune(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "full",
 
 
 def run_evaluate(cfg: PipelineConfig, ckpt_path, corpus=None) -> dict:
-    """Greedy-decode an eval corpus and report the token error rate."""
+    """Greedy-decode an eval corpus and report the token error rate. The
+    report names its checkpoint by file name, not by the path it was given."""
     corpus = _corpus(cfg, "target_eval") if corpus is None else corpus
     model, provenance = restore("evaluate", cfg, ckpt_path)
     refs, hyps = [], []
@@ -448,7 +459,7 @@ def run_evaluate(cfg: PipelineConfig, ckpt_path, corpus=None) -> dict:
         "n_utterances": len(refs),
         "total_ref_tokens": int(sum(len(r) for r in refs)),
         "total_edits": int(edits),
-        "checkpoint": str(ckpt_path),
+        "checkpoint": Path(ckpt_path).name,
         "provenance": provenance,
     }
 

@@ -192,6 +192,21 @@ class TestTrainingCommands:
         assert np.isfinite(on_disk["ter"])
         assert on_disk["provenance"] == {"f": 4, "ada": 4, "g": 4}
 
+    def test_same_chain_in_two_directories_writes_the_same_report(self, tmp_path, tiny_config, capsys):
+        # the report names its checkpoint by file name, not by the --init path
+        reports = []
+        for name in ("a", "deeper/b"):
+            work = str(tmp_path / name)
+            assert main(["pretrain", "--config", tiny_config, "--out", work]) == 0
+            assert main(["finetune", "--config", tiny_config, "--init", last_line(capsys),
+                         "--out", work]) == 0
+            report = tmp_path / name / "report.json"
+            assert main(["evaluate", "--config", tiny_config, "--init", last_line(capsys),
+                         "--report", str(report)]) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["checkpoint"] == "finetune_full.ckpt"
+
     def test_checkpoint_carries_objective_forward(self, tmp_path, tiny_config, capsys):
         work = str(tmp_path / "run")
         main(["pretrain", "--config", tiny_config, "--out", work,
@@ -327,7 +342,6 @@ class TestTrainingCommands:
             fin = last_line(capsys)
             assert main(["evaluate", "--config", tiny_config, "--init", fin]) == 0
             report = json.loads(capsys.readouterr().out)
-            del report["checkpoint"]
             outputs.append((report, Path(fin).read_bytes(),
                             (out / "finetune_full_metrics.jsonl").read_bytes()))
         assert outputs[0] == outputs[1]
@@ -460,14 +474,13 @@ class TestSweepCommand:
             assert sorted(str(p.relative_to(point)) for p in point.rglob("pretrain.ckpt")) == \
                 ["pretrain.ckpt", "scratch/pretrain.ckpt"]
             assert load_checkpoint(point / "scratch/pretrain.ckpt").provenance == {"f": 0, "ada": 0, "g": 0}
-        # each point's reports are a direct run_pipeline call's, but for the checkpoint path
+        # each point's reports are a direct run_pipeline call's
         settings = read_config(tiny_config)
         for seed, reports in sweep(settings, "seed", [0, 1], tmp_path / "lib", variants):
             direct = run_pipeline(PipelineConfig(**settings, seed=seed), tmp_path / f"direct{seed}", variants)
             assert list(reports) == list(variants)
             for v in variants:
-                assert reports[v].pop("checkpoint") == str(tmp_path / f"lib/seed={seed}/{v}/finetune_full.ckpt")
-                direct[v].pop("checkpoint")
+                assert reports[v]["checkpoint"] == "finetune_full.ckpt"
                 assert reports[v] == direct[v]
                 assert [r["ter"] for r in records if (r["value"], r["variant"]) == (seed, v)] == [direct[v]["ter"]]
 

@@ -1,6 +1,7 @@
 """Five self-supervised objectives: exact reductions, sharing schemes,
 masking, quantization, and k-means targets."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -456,9 +457,10 @@ class TestKMeans:
         assert np.array_equal(a, b)
 
     @staticmethod
-    def _fit_25_iterations(x, k, rng):
-        """kmeans_fit without its early exit: all 25 Lloyd iterations.
-        Returns the centers and the number of reseeded clusters."""
+    def _broadcast_fit(x, k, rng, early_exit=False):
+        """kmeans_fit's reference: distances from one (n, k, d) broadcast,
+        and all 25 Lloyd iterations unless `early_exit`. Returns the centers
+        and the number of reseeded clusters."""
         x = np.asarray(x, dtype=np.float64)
         n = x.shape[0]
         centers = np.empty((k, x.shape[1]))
@@ -468,10 +470,13 @@ class TestKMeans:
             probs = d2 / d2.sum() if d2.sum() > 0 else np.full(n, 1.0 / n)
             centers[i] = x[int(rng.choice(n, p=probs))]
             d2 = np.minimum(d2, ((x - centers[i]) ** 2).sum(axis=1))
-        reseeds = 0
+        reseeds, prev = 0, None
         for _ in range(25):
             dists = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             labels = dists.argmin(axis=1)
+            if early_exit and prev is not None and np.array_equal(labels, prev):
+                break
+            prev = labels
             for i in range(k):
                 pts = x[labels == i]
                 if len(pts) == 0:
@@ -479,22 +484,54 @@ class TestKMeans:
                     centers[i] = x[worst]
                     labels[worst] = i
                     reseeds += 1
+                    prev = None
                 else:
                     centers[i] = pts.mean(axis=0)
         return centers, reseeds
+
+    @pytest.mark.parametrize("d", [8, 64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fit_and_assign_keep_the_broadcast_bits(self, d, seed):
+        rng = np.random.default_rng(seed)
+        pts, _ = self._blobs(rng, rng.normal(scale=3.0, size=(6, d)), n=50, scale=1.0)
+        want, _ = self._broadcast_fit(pts, 16, np.random.default_rng(seed + 100), early_exit=True)
+        got = kmeans_fit(pts, 16, np.random.default_rng(seed + 100))
+        assert got.tobytes() == want.tobytes()
+        queries = rng.normal(scale=3.0, size=(70, d)).astype(np.float32)
+        broadcast = ((queries.astype(np.float64)[:, None, :] - got[None, :, :]) ** 2).sum(axis=2)
+        assert kmeans_assign(queries, got).tobytes() == broadcast.argmin(axis=1).tobytes()
+
+    @pytest.mark.parametrize("d", [8, 64])
+    def test_a_reseeding_fit_keeps_the_broadcast_bits(self, d):
+        # three distinct points for four clusters: every Lloyd pass leaves one empty
+        pts = np.repeat(np.random.default_rng(d).normal(size=(3, d)), [9, 6, 4], axis=0)
+        want, reseeds = self._broadcast_fit(pts, 4, np.random.default_rng(3), early_exit=True)
+        assert reseeds > 0
+        assert kmeans_fit(pts, 4, np.random.default_rng(3)).tobytes() == want.tobytes()
+
+    def test_working_memory_holds_no_points_by_clusters_by_dims_array(self):
+        n, k, d = 4000, 16, 64
+        pts = np.random.default_rng(0).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            kmeans_fit(pts, k, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * k * d * 8 / 4
 
     @pytest.mark.parametrize("seed", range(6))
     def test_early_exit_keeps_the_25_iteration_centers(self, seed):
         rng = np.random.default_rng(seed)
         pts, _ = self._blobs(rng, rng.normal(scale=3.0, size=(5, 3)), n=60, scale=1.0)
-        want, _ = self._fit_25_iterations(pts, 8, np.random.default_rng(seed + 100))
+        want, _ = self._broadcast_fit(pts, 8, np.random.default_rng(seed + 100))
         assert kmeans_fit(pts, 8, np.random.default_rng(seed + 100)).tobytes() == want.tobytes()
 
     def test_early_exit_after_a_reseed_keeps_the_25_iteration_centers(self):
         # two distinct points for three clusters: once both are centers,
         # seeding picks a duplicate, and Lloyd's first pass leaves it empty
         pts = np.repeat([[0.0, 0.0], [1.0, 2.0]], [7, 5], axis=0)
-        want, reseeds = self._fit_25_iterations(pts, 3, np.random.default_rng(4))
+        want, reseeds = self._broadcast_fit(pts, 3, np.random.default_rng(4))
         assert reseeds > 0
         assert kmeans_fit(pts, 3, np.random.default_rng(4)).tobytes() == want.tobytes()
 
@@ -555,10 +592,14 @@ class TestMaskedCluster:
             replace(CFG, n_clusters=3, mask_prob=0.065, span_len=10, cluster_alpha=1.0), rng)
         obj.prepare(corpus, np.random.default_rng(6))
         assert set(obj.targets) == {u.utt_id for u in corpus}
-        for u in corpus:
+        # one assign call for the corpus gives each utterance its own labels
+        rows = [cluster_features(u.feats, u.feats.shape[0]) for u in corpus]
+        centers = kmeans_fit(np.concatenate(rows), 3, np.random.default_rng(6))
+        for u, r in zip(corpus, rows):
             lab = obj.targets[u.utt_id]
             assert lab.shape == (u.feats.shape[0] // 4,)
             assert set(lab) <= {0, 1, 2}
+            assert lab.tobytes() == kmeans_assign(r, centers).tobytes()
 
     def test_unprepared_id_raises_before_any_tape_node(self):
         enc, obj, batch = self._setup(6)

@@ -98,7 +98,6 @@ def commands(root: Path) -> list:
 
 
 def _write_report(report: dict, workdir: Path, name: str) -> None:
-    report = dict(report, checkpoint=Path(report["checkpoint"]).name)
     (workdir / name).write_text(json.dumps(report, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -134,6 +133,7 @@ def run_matrix(root) -> None:
         with contextlib.redirect_stdout(io.StringIO()):
             if sslasr_main(argv) != 0:
                 raise SystemExit(f"command failed: sslasr {' '.join(argv)}")
+    # in the library reports' compact form
     _write_report(json.loads((cli / "report.json").read_text(encoding="utf-8")), cli, "report.json")
 
     oracle = {f"{fn.__name__}/{seed}": float(fn(seed)).hex()
