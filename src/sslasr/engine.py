@@ -2,8 +2,11 @@
 
 A Tape records every differentiable op applied to Tensors while it is
 active. backward() replays the tape in reverse and accumulates gradients
-into leaf tensors that have requires_grad set. Gradients accumulate
-across repeated backward calls; reset .grad between steps.
+into leaf tensors that have requires_grad set. A tape is consumed by its
+backward: each node lets go of its arrays once it has made its gradients,
+so a forward array is freed as soon as the last node that reads it is
+done, and a second backward on the tape raises. Gradients accumulate
+across tapes; reset .grad between steps.
 
 Finiteness has one check, finite_result: it runs some work, a training
 step's forward pass or one evaluation, and tests only the result for NaN
@@ -88,10 +91,12 @@ class _Node:
 
 
 class Tape:
-    """Ordered record of ops; context manager activates it."""
+    """Ordered record of ops; context manager activates it. consumed is set
+    by the one backward the tape may run."""
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.consumed = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -179,22 +184,32 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Accumulate d(loss)/d(leaf) into .grad of every requiring leaf.
+    """Accumulate d(loss)/d(leaf) into .grad of every requiring leaf, and
+    consume the tape.
 
     grads maps a tensor to its gradient so far. An op output's entry is
     popped when its node is reached: its consumers come later on the
-    tape, so it is complete. The entries left at the end are leaves'.
-    Each leaf gets one deposit of its summed gradient g, written into its
-    grad_slot when it has one: .grad + g, or 0.0 + g when .grad is None
-    (the bits of zeros_like + g: -0.0 becomes +0.0)."""
+    tape, so it is complete. The node then drops its backward_fn, inputs
+    and output (it keeps op, and the tape keeps every node), so each
+    forward array is freed once the last node that reads it has made its
+    gradient. A second backward on the tape raises ValueError. The entries
+    left at the end are leaves'. Each leaf gets one deposit of its summed
+    gradient g, written into its grad_slot when it has one: .grad + g, or
+    0.0 + g when .grad is None (the bits of zeros_like + g: -0.0 becomes
+    +0.0)."""
     if loss.size != 1:
         raise ValueError("backward requires a scalar loss")
+    if tape.consumed:
+        raise ValueError("backward on a consumed tape: record the ops on a new tape")
+    tape.consumed = True
     grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
         g = grads.pop(node.output, None)
+        inputs, fn = node.inputs, node.backward_fn
+        node.inputs = node.output = node.backward_fn = None
         if g is None:
             continue
-        for t, ig in zip(node.inputs, node.backward_fn(g)):
+        for t, ig in zip(inputs, fn(g)):
             if ig is None or not t.requires_grad:
                 continue
             ig = ig.astype(t.data.dtype, copy=False)
@@ -333,7 +348,9 @@ _GELU_K = 0.044715
 
 
 def gelu(a: Tensor) -> Tensor:
-    """tanh-approximation GELU."""
+    """tanh-approximation GELU. Its backward keeps tanh(u) and recomputes
+    x * x, with the bits that keeping it gave, so until backward a taped
+    gelu holds one array beside its input and output."""
     x = a.data
     x2 = x * x  # x**3 would take NumPy's generic pow loop, ~100x slower
     u = _GELU_C * (x + _GELU_K * (x2 * x))
@@ -341,7 +358,7 @@ def gelu(a: Tensor) -> Tensor:
     out = 0.5 * x * (1.0 + t)
 
     def bwd(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_K * x2)
+        du = _GELU_C * (1.0 + 3.0 * _GELU_K * (x * x))
         dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
         return (g * dy,)
 

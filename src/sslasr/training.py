@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ctc import CTCHead, ctc_loss_batch, edit_distance, error_rate, greedy_decode
+from .ctc import CTCHead, ctc_loss_batch, edit_distance, error_rate, greedy_decode, min_input_length
 from .data import make_corpus, pad_batch
 from .engine import Tape, Tensor, backward, finite_result
 from .features import spec_augment
@@ -387,16 +387,24 @@ def run_adapt(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "draft",
 
 def run_finetune(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "full",
                  corpus=None) -> str:
-    """Supervised CTC finetuning with a fresh generator; returns ckpt path."""
+    """Supervised CTC finetuning with a fresh generator; returns ckpt path.
+    An utterance with an empty transcript, or with fewer encoder frames than
+    CTC needs to emit its transcript, is refused before any file is written."""
     if mode not in FINETUNE_MODES:
         raise ValueError(f"stage 'finetune': unknown finetune mode '{mode}'")
     steps = cfg.finetune_steps
     corpus = _corpus(cfg, "target_train") if corpus is None else corpus
-    for u in corpus:  # CTC needs a token to align to
-        if not u.tokens:
-            raise ValueError(f"stage 'finetune': utterance '{u.utt_id}' has an empty transcript")
     bundle, provenance = restore("finetune", cfg, ckpt_path)
     encoder = bundle.encoder_for_finetune(provenance.get("f", 0))
+    # CTC needs a token to align to, and enough encoder frames to emit it:
+    # the loss would skip an infeasible utterance at every step that draws it
+    for u in corpus:
+        if not u.tokens:
+            raise ValueError(f"stage 'finetune': utterance '{u.utt_id}' has an empty transcript")
+        frames, need = encoder.out_length(u.feats.shape[0]), min_input_length(u.tokens)
+        if frames < need:
+            raise ValueError(f"stage 'finetune': utterance '{u.utt_id}' has {frames} encoder "
+                             f"frames, fewer than the {need} that CTC needs to emit its transcript")
 
     if mode in ("adapters_frozen", "adapters_only", "random_adapters") and not encoder.d_adapter:
         raise ValueError(f"stage 'finetune': finetune mode '{mode}' requires a checkpoint with adapters")
@@ -508,12 +516,21 @@ def run_pipeline(cfg: PipelineConfig, workdir, variants: tuple) -> dict:
 def sweep(settings: dict, key: str, values, workdir, variants: tuple):
     """Run run_pipeline on PipelineConfig(**{**settings, key: v}) in `workdir/<key>=<v>/`
     for each distinct v in `values`, yielding (v, {variant: report}) as each point ends; an
-    error names its point. Every config is checked before this returns. key="seed" compares seeds."""
+    error names its point. Every config is checked before this returns, and so is the spacing of
+    corpus_seed values (closer than 4, two points would share corpora). key="seed" compares seeds."""
     if key not in {f.name for f in fields(PipelineConfig)}:
         raise ValueError(f"unknown sweep key '{key}'")
     configs = [PipelineConfig(**{**settings, key: v}) for v in values]
     if not values or len(set(values)) < len(values):
         raise ValueError(f"sweep needs distinct values of '{key}', got {list(values)}")
+    if key == "corpus_seed":
+        # corpus_seed + each offset seeds one corpus, so closer values share corpora
+        span = max(offset for _, _, offset in _CORPORA.values()) + 1
+        ordered = sorted(values)
+        for a, b in zip(ordered, ordered[1:]):
+            if b - a < span:
+                raise ValueError(f"sweep values {a} and {b} of 'corpus_seed' are closer than {span}: "
+                                 f"their built-in corpora would share utterances")
 
     def point(v, cfg):
         with _prefixed(f"{key}={v}"):

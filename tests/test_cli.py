@@ -530,6 +530,25 @@ class TestSweepCommand:
         assert "sweep needs distinct values of 'd_adapter', got [2, 4, 2]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("values,pair", [("100,101", "100 and 101"), ("107,100,103", "100 and 103"),
+                                             ("100,104,106", "104 and 106")])
+    def test_corpus_seeds_closer_than_4_are_rejected_before_the_first_point(
+            self, tmp_path, tiny_config, capsys, values, pair):
+        # corpus_seed + 0, 2 and 3 seed the three corpora: 100's target_eval is 101's target_train
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", tiny_config, "--key", "corpus_seed", "--values", values,
+                   "--out", str(out)])
+        assert rc == 1
+        assert f"sweep values {pair} of 'corpus_seed' are closer than 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_corpus_seeds_4_apart_run(self, tmp_path, tiny_config, capsys):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", tiny_config, "--key", "corpus_seed", "--values", "100,104",
+                   "--variants", "no_adapt", "--out", str(out)])
+        assert rc == 0
+        assert [r["value"] for r in read_jsonl(out / "sweep.jsonl")] == [100, 104]
+
     @pytest.mark.parametrize("variants", ["draft,nonesuch", "no_adapt,no_adapt", ""])
     def test_bad_variants_are_a_usage_error(self, tmp_path, tiny_config, capsys, variants):
         out = tmp_path / "sweep"

@@ -14,12 +14,13 @@ from sslasr import ctc
 from sslasr import engine as T
 from sslasr import gradcheck
 from sslasr.ctc import ctc_loss_batch
+from sslasr.data import make_corpus
 from sslasr.gradcheck import finite_diff_gradcheck, gradcheck_battery
 from sslasr.model import Encoder, Linear, build_encoder
 from sslasr.objectives import GumbelQuantizer
 from sslasr.optim import BETA1, BETA2, BLOCK, EPS, Adam, clip_global_norm, noam_lr, tri_stage_lr
 from sslasr.engine import Tape, Tensor, backward
-from sslasr.training import PipelineConfig, _train_loop
+from sslasr.training import PipelineConfig, SSLBundle, _train_loop
 
 
 def t64(data, rg=False):
@@ -295,13 +296,60 @@ class TestFusedOps:
 
 class TestBackwardSemantics:
     def test_repeated_backward_exactly_doubles(self):
+        """Gradients accumulate across tapes: one backward each on two tapes
+        of the same function doubles x.grad exactly."""
+        x = t64([1.0, 2.0, 3.0], rg=True)
+        grads = []
+        for _ in range(2):
+            with Tape() as tape:
+                backward(T.sum_(T.mul(x, x)), tape)
+            grads.append(x.grad.copy())
+        np.testing.assert_array_equal(grads[1], 2.0 * grads[0])
+
+    def test_backward_consumes_the_tape(self):
         x = t64([1.0, 2.0, 3.0], rg=True)
         with Tape() as tape:
-            loss = T.sum_(T.mul(x, x))
+            loss = T.sum_(T.gelu(T.mul(x, x)))
+        n = len(tape.nodes)
+        backward(loss, tape)
+        assert len(tape.nodes) == n == 3  # the count the benchmark's tracer reads
+        assert [node.op for node in tape.nodes] == ["mul", "gelu", "sum"]
+        for node in tape.nodes:
+            assert node.inputs is None and node.output is None and node.backward_fn is None
+        g = x.grad.copy()
+        with pytest.raises(ValueError, match="consumed tape"):
             backward(loss, tape)
-            g1 = x.grad.copy()
+        assert x.grad.tobytes() == g.tobytes()
+
+    def test_a_tape_without_nodes_is_consumed_too(self):
+        x = t64(2.0, rg=True)
+        tape = Tape()
+        backward(x, tape)
+        with pytest.raises(ValueError, match="consumed tape"):
+            backward(x, tape)
+        assert x.grad == 1.0
+
+    def test_backward_frees_the_forward_arrays_as_it_goes(self):
+        """A tiny pretrain step: traced memory inside backward stays within a
+        small margin of the memory at the end of the forward pass, since each
+        forward array goes as its gradient arrives."""
+        cfg = PipelineConfig(vocab_size=5, d_feat=4, proto_len=8, min_tokens=3, max_tokens=4,
+                             n_train=8, d_model=16, n_heads=2, n_blocks=2, d_ffn=32,
+                             objective="biapc", apc_lags=1, batch_size=4)
+        bundle = SSLBundle(cfg, 0)
+        utts = make_corpus(cfg, "source", 4, 0)
+        bundle.loss(utts, np.random.default_rng(0), 1)  # warm caches off the trace
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = bundle.loss(utts, np.random.default_rng(0), 1)
+            forward_end, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
             backward(loss, tape)
-        np.testing.assert_array_equal(x.grad, 2.0 * g1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - forward_end < 0.1 * forward_end, (forward_end, peak)
 
     def test_broadcast_add_reduces_grad(self):
         a = t64(np.ones((2, 3)), rg=True)
@@ -366,14 +414,38 @@ class TestBackwardSemantics:
             ins = [Tensor(a, requires_grad=i != skip) for i, a in enumerate(arrays)]
             with Tape() as tape:
                 z = fn(*ins)
-                backward(T.sum_(T.mul(z, z)), tape)
+                loss = T.sum_(T.mul(z, z))
+            # read before backward, which consumes the tape
+            op_grads = tape.nodes[0].backward_fn(np.ones_like(z.data))
+            backward(loss, tape)
             grads[skip] = [t.grad for t in ins]
         # the op's backward computes nothing for the frozen input
-        assert tape.nodes[0].backward_fn(np.ones_like(z.data))[frozen] is None
+        assert op_grads[frozen] is None
         assert grads[frozen][frozen] is None
         for i, (full, skipped) in enumerate(zip(grads[None], grads[frozen])):
             if i != frozen:
                 np.testing.assert_array_equal(skipped, full)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_holds_tanh_alone_and_keeps_the_bits_of_holding_x_squared(self, dtype):
+        rng = np.random.default_rng(26)
+        x = (rng.normal(size=(8, 1000)) * 3).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                T.gelu(Tensor(x, requires_grad=True))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2.5 * x.nbytes  # the output and tanh(u), not x * x too
+        # the backward that held x * x from the forward pass
+        x2 = x * x
+        t = np.tanh(T._GELU_C * (x + T._GELU_K * (x2 * x)))
+        du = T._GELU_C * (1.0 + 3.0 * T._GELU_K * x2)
+        want = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+        got, = tape.nodes[0].backward_fn(g)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("in_arena", [False, True], ids=["plain", "arena"])
     def test_first_deposit_matches_zeros_like_plus_g_bits(self, in_arena):

@@ -583,6 +583,19 @@ class TestModeValidation:
             run_adapt(wider, ada, tmp_path, mode="draft")
         assert str(info.value) == "stage 'adapt': checkpoint has adapters of width 4, not 8"
 
+    def test_infeasible_ctc_target_is_refused_before_a_file_is_written(self, draft_chain, tmp_path):
+        # 4 frames make 1 encoder frame, too few for any 3-4 token transcript
+        cfg, _, pre, _, _, _ = draft_chain
+        corpus = build_corpora(cfg)["target_train"]
+        for i in (5, 3):
+            corpus[i] = replace(corpus[i], feats=corpus[i].feats[:4])
+        need = len(corpus[3].tokens) + sum(a == b for a, b in zip(corpus[3].tokens, corpus[3].tokens[1:]))
+        with pytest.raises(ValueError, match=f"^stage 'finetune': utterance 'target_00003' has 1 encoder "
+                                             f"frames, fewer than the {need} that CTC needs to emit its "
+                                             f"transcript$"):
+            run_finetune(cfg, pre, tmp_path / "ft", corpus=corpus)
+        assert not (tmp_path / "ft").exists()
+
 
 class TestDeterminism:
     def test_repeat_runs_are_bit_identical(self, tmp_path):
