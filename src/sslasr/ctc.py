@@ -9,8 +9,6 @@ gradient softmax - posterior occupancy (Graves et al., ICML 2006).
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from . import engine as E
@@ -50,12 +48,12 @@ def min_input_length(target) -> int:
 
 
 def ctc_loss_batch(logits: Tensor, out_lengths, targets) -> Tensor:
-    """Mean over the feasible part of a batch of each utterance's CTC loss,
-    -log P(target), divided by its target length.
+    """Mean over a batch of each utterance's CTC loss, -log P(target),
+    divided by its target length.
 
     logits: (B, T, V); out_lengths gives each utterance's valid frame
-    count; targets is a list of B token-id lists. Infeasible utterances
-    are skipped (each with a warning); an all-infeasible batch raises.
+    count; targets is a list of B token-id lists. A target that its
+    frames cannot emit raises ValueError.
     """
     B, T, V = logits.shape
     lengths = [int(n) for n in np.asarray(out_lengths).reshape(-1)]
@@ -63,7 +61,7 @@ def ctc_loss_batch(logits: Tensor, out_lengths, targets) -> Tensor:
         if n != B:
             raise ValueError(f"{n} CTC {what} for a batch of {B}: "
                              f"utterance {min(n, B)} is unmatched")
-    kept, labels = [], []
+    labels = []
     for b, (n, target) in enumerate(zip(lengths, targets)):
         if not 0 <= n <= T:
             raise ValueError(f"utterance {b}: out_length {n} outside [0, {T}]")
@@ -73,32 +71,28 @@ def ctc_loss_batch(logits: Tensor, out_lengths, targets) -> Tensor:
         if not target:
             raise ValueError(f"utterance {b}: empty CTC target")
         if n < min_input_length(target):
-            warnings.warn(f"CTC target of utterance {b} infeasible for {n} frames; skipped")
-            continue
-        kept.append(b)
+            raise ValueError(f"utterance {b}: CTC target of {len(target)} tokens needs "
+                             f"{min_input_length(target)} frames, has {n}")
         labels.append(target)
-    if not kept:
-        raise ValueError("no feasible CTC targets in batch")
 
-    K = len(kept)
     n_lab = np.array([len(y) for y in labels])
     S = 2 * int(n_lab.max()) + 1
-    ext = np.full((K, S), BLANK)
+    ext = np.full((B, S), BLANK)
     for k, y in enumerate(labels):
         ext[k, : 2 * len(y) + 1] = extended_labels(y)
     # the skip s-2 -> s is open only between distinct labels
-    skip = np.full((K, S - 2), -np.inf)
+    skip = np.full((B, S - 2), -np.inf)
     skip[(ext[:, 2:] != BLANK) & (ext[:, 2:] != ext[:, :-2])] = 0.0
-    ks = np.arange(K)
-    t_last = np.array([lengths[b] for b in kept]) - 1
+    ks = np.arange(B)
+    t_last = np.array(lengths) - 1
     s_last = 2 * n_lab
-    scale = 1.0 / (K * n_lab)
+    scale = 1.0 / (B * n_lab)
 
-    x = logits.data[kept].astype(np.float64)
+    x = logits.data.astype(np.float64)
     m = x.max(axis=-1, keepdims=True)
     logp = x - m - np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
-    em = np.take_along_axis(logp, ext[:, None, :], axis=2)  # (K, T, S)
-    alpha = np.full((K, T, S), -np.inf)
+    em = np.take_along_axis(logp, ext[:, None, :], axis=2)  # (B, T, S)
+    alpha = np.full((B, T, S), -np.inf)
     alpha[:, 0, :2] = em[:, 0, :2]
     for t in range(1, T):
         a = alpha[:, t - 1]
@@ -112,7 +106,7 @@ def ctc_loss_batch(logits: Tensor, out_lengths, targets) -> Tensor:
     def bwd(g):
         # beta[k, t, s]: log-probability of frames t+1.. finishing the labels
         # from state s at frame t
-        beta = np.full((K, T, S), -np.inf)
+        beta = np.full((B, T, S), -np.inf)
         beta[ks, t_last, s_last] = 0.0
         beta[ks, t_last, s_last - 1] = 0.0
         for t in range(T - 2, -1, -1):
@@ -121,15 +115,13 @@ def ctc_loss_batch(logits: Tensor, out_lengths, targets) -> Tensor:
             cur[:, :-1] = np.logaddexp(cur[:, :-1], nxt[:, 1:])
             cur[:, :-2] = np.logaddexp(cur[:, :-2], nxt[:, 2:] + skip)
             beta[:, t] = np.where((t < t_last)[:, None], cur, beta[:, t])
-        onehot = np.zeros((K, S, V))
+        onehot = np.zeros((B, S, V))
         onehot[ks[:, None], np.arange(S), ext] = 1.0
-        occ = np.exp(alpha + beta + nll[:, None, None]) @ onehot  # (K, T, V)
+        occ = np.exp(alpha + beta + nll[:, None, None]) @ onehot  # (B, T, V)
         # occupancy sums to 1 over a valid frame and to 0 over a padded one,
         # so this is softmax - occupancy on valid frames and exactly 0 on padding
         gk = np.exp(logp) * occ.sum(axis=-1, keepdims=True) - occ
-        grad = np.zeros((B, T, V))
-        grad[kept] = gk * (g * scale)[:, None, None]
-        return (grad,)
+        return (gk * (g * scale)[:, None, None],)
 
     loss = np.asarray((nll * scale).sum(), dtype=logits.dtype)
     return E._record("ctc_loss", (logits,), loss, bwd)

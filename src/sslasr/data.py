@@ -56,7 +56,7 @@ def domain_transform(proto_seed: int, d_feat: int):
 
 
 def make_utterance(cfg: PipelineConfig, domain: str, seed: int, prototypes: np.ndarray,
-                   a: np.ndarray, b: np.ndarray, index: int) -> Utterance:
+                   a: np.ndarray | None, b: np.ndarray | None, index: int) -> Utterance:
     rng = np.random.default_rng([seed, index])
     n_tok = int(rng.integers(cfg.min_tokens, cfg.max_tokens + 1))
     tokens = rng.integers(0, cfg.vocab_size, size=n_tok).tolist()
@@ -72,7 +72,8 @@ def make_corpus(cfg: PipelineConfig, domain: str, n: int, seed: int) -> list:
     if domain not in DOMAINS:
         raise ValueError(f"unknown domain '{domain}'")
     protos = token_prototypes(cfg.proto_seed, cfg.vocab_size, cfg.proto_len, cfg.d_feat)
-    a, b = domain_transform(cfg.proto_seed, cfg.d_feat)
+    # only the target domain is mapped; the QR would load LAPACK for nothing
+    a, b = domain_transform(cfg.proto_seed, cfg.d_feat) if domain == "target" else (None, None)
     return [make_utterance(cfg, domain, seed, protos, a, b, i) for i in range(n)]
 
 

@@ -2,11 +2,15 @@
 
 A Tape records every differentiable op applied to Tensors while it is
 active. backward() replays the tape in reverse and accumulates gradients
-into leaf tensors that have requires_grad set. A tape is consumed by its
-backward: each node lets go of its arrays once it has made its gradients,
-so a forward array is freed as soon as the last node that reads it is
-done, and a second backward on the tape raises. Gradients accumulate
-across tapes; reset .grad between steps.
+into leaf tensors that have requires_grad set. The tape refers to no op
+output: a taped output's Tensor points to its node, a node points to the
+nodes that made its inputs, and an op's closure holds only what its
+backward reads, so an array outlives the forward pass only if some
+backward reads it. A tape is consumed by its backward: each node lets go
+of its closure once it has made its gradients, so a forward array is
+freed as soon as the last node that reads it is done, and a second
+backward on the tape raises. Gradients accumulate across tapes; reset
+.grad between steps.
 
 Finiteness has one check, finite_result: it runs some work, a training
 step's forward pass or one evaluation, and tests only the result for NaN
@@ -27,6 +31,7 @@ backward fills in place instead of allocating a gradient array.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -45,10 +50,11 @@ class Tensor:
     tensor keeps the storage its optimizer updates. grad is None until
     backward() deposits into it. grad_slot, set by an optimizer, is the
     view of its gradient buffer that backward writes the gradient into;
-    None otherwise.
+    None otherwise. node is the _Node that made this tensor on a tape, None
+    for a leaf and for an untaped op's output.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "grad_slot")
+    __slots__ = ("data", "requires_grad", "grad", "grad_slot", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -59,6 +65,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self.grad_slot = None
+        self.node = None
 
     @property
     def shape(self):
@@ -81,22 +88,35 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("op", "inputs", "output", "backward_fn")
+    """One taped op. inputs holds, per input of the op, what backward sends
+    its gradient to: the input's node when that is on the same tape (the
+    one numbered serial), the input Tensor when it is a leaf that requires
+    grad or another tape's output, else None. dtype is the output's. A
+    node refers to neither its tape nor its output Tensor, so freeing
+    needs reference counting alone."""
 
-    def __init__(self, op, inputs, output, backward_fn):
+    __slots__ = ("op", "inputs", "dtype", "serial", "backward_fn")
+
+    def __init__(self, op, inputs, dtype, serial, backward_fn):
         self.op = op
         self.inputs = inputs
-        self.output = output
+        self.dtype = dtype
+        self.serial = serial
         self.backward_fn = backward_fn
+
+
+_SERIALS = itertools.count()
 
 
 class Tape:
     """Ordered record of ops; context manager activates it. consumed is set
-    by the one backward the tape may run."""
+    by the one backward the tape may run; serial, unique to the tape, tells
+    its nodes from other tapes'."""
 
     def __init__(self):
         self.nodes: list[_Node] = []
         self.consumed = False
+        self.serial = next(_SERIALS)
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -144,19 +164,21 @@ def finite_result(work, tape: Tape | None = None) -> Tensor:
         _replaying = outer
 
 
-def _wrap(arr: np.ndarray) -> Tensor:
-    """Tensor(arr) for an op's float ndarray output, without the conversions."""
-    out = Tensor.__new__(Tensor)
-    out.data = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
-    out.requires_grad = False
-    out.grad = None
-    out.grad_slot = None
-    return out
+def _key(t: Tensor, serial: int):
+    """What a node on tape `serial` keys input t's gradient by (see _Node)."""
+    node = t.node
+    if node is not None and node.serial == serial:
+        return node
+    return t if t.requires_grad else None
 
 
 def _record(op: str, inputs: tuple, out_data: np.ndarray, backward_fn) -> Tensor:
     if type(out_data) is np.ndarray and out_data.dtype in _FLOAT_DTYPES:
-        out = _wrap(out_data)
+        # Tensor(out_data) without the conversions
+        out = Tensor.__new__(Tensor)
+        out.data = out_data if out_data.flags.c_contiguous else np.ascontiguousarray(out_data)
+        out.requires_grad = False
+        out.grad = out.grad_slot = out.node = None
     else:
         out = Tensor(out_data)
     if _replaying and not np.isfinite(out.data).all():
@@ -164,8 +186,11 @@ def _record(op: str, inputs: tuple, out_data: np.ndarray, backward_fn) -> Tensor
     if _TAPE_STACK:
         for t in inputs:
             if t.requires_grad:
+                tape = _TAPE_STACK[-1]
+                keys = [_key(u, tape.serial) for u in inputs]
                 out.requires_grad = True
-                _TAPE_STACK[-1].nodes.append(_Node(op, inputs, out, backward_fn))
+                out.node = _Node(op, keys, out.data.dtype, tape.serial, backward_fn)
+                tape.nodes.append(out.node)
                 break
     return out
 
@@ -187,36 +212,36 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """Accumulate d(loss)/d(leaf) into .grad of every requiring leaf, and
     consume the tape.
 
-    grads maps a tensor to its gradient so far. An op output's entry is
-    popped when its node is reached: its consumers come later on the
-    tape, so it is complete. The node then drops its backward_fn, inputs
-    and output (it keeps op, and the tape keeps every node), so each
-    forward array is freed once the last node that reads it has made its
-    gradient. A second backward on the tape raises ValueError. The entries
-    left at the end are leaves'. Each leaf gets one deposit of its summed
-    gradient g, written into its grad_slot when it has one: .grad + g, or
-    0.0 + g when .grad is None (the bits of zeros_like + g: -0.0 becomes
-    +0.0)."""
+    grads maps a node's or a Tensor's key (see _Node) to its gradient so
+    far. A node's entry is popped when the node is reached: its consumers
+    come later on the tape, so it is complete. The node then drops its
+    backward_fn and inputs (it keeps op, and the tape keeps every node),
+    so each forward array is freed once the last node that reads it has
+    made its gradient. A second backward on the tape raises ValueError.
+    The entries left at the end are Tensors': leaves, and other tapes'
+    outputs. Each gets one deposit of its summed gradient g, written into
+    its grad_slot when it has one: .grad + g, or 0.0 + g when .grad is
+    None (the bits of zeros_like + g: -0.0 becomes +0.0)."""
     if loss.size != 1:
         raise ValueError("backward requires a scalar loss")
     if tape.consumed:
         raise ValueError("backward on a consumed tape: record the ops on a new tape")
     tape.consumed = True
-    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+    key = _key(loss, tape.serial)
+    grads = {} if key is None else {key: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
-        g = grads.pop(node.output, None)
+        g = grads.pop(node, None)
         inputs, fn = node.inputs, node.backward_fn
-        node.inputs = node.output = node.backward_fn = None
+        node.inputs = node.backward_fn = None
         if g is None:
             continue
-        for t, ig in zip(inputs, fn(g)):
-            if ig is None or not t.requires_grad:
+        for k, ig in zip(inputs, fn(g)):
+            if ig is None or k is None:
                 continue
-            ig = ig.astype(t.data.dtype, copy=False)
-            grads[t] = grads[t] + ig if t in grads else ig
+            ig = ig.astype(k.dtype, copy=False)
+            grads[k] = grads[k] + ig if k in grads else ig
     for t, g in grads.items():
-        if t.requires_grad:
-            t.grad = np.add(0.0 if t.grad is None else t.grad, g, out=t.grad_slot)
+        t.grad = np.add(0.0 if t.grad is None else t.grad, g, out=t.grad_slot)
 
 
 # ---------------------------------------------------------------------------
@@ -224,26 +249,42 @@ def backward(loss: Tensor, tape: Tape) -> None:
 # ---------------------------------------------------------------------------
 
 
+# An op's closure holds only what its backward reads: an input's shape
+# (sa), or the array it reads (xa), only when that input requires grad,
+# else None. Ops read t.data.shape, at half the cost of the Tensor.shape
+# property: gradcheck's untaped passes run tens of thousands of ops.
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
+    sa = a.data.shape if a.requires_grad else None
+    sb = b.data.shape if b.requires_grad else None
     return _record("add", (a, b), a.data + b.data, lambda g: (
-        _unbroadcast(g, a.shape) if a.requires_grad else None,
-        _unbroadcast(g, b.shape) if b.requires_grad else None))
+        None if sa is None else _unbroadcast(g, sa),
+        None if sb is None else _unbroadcast(g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    sa = a.data.shape if a.requires_grad else None
+    sb = b.data.shape if b.requires_grad else None
+    xa = None if sb is None else a.data
+    xb = None if sa is None else b.data
     return _record("mul", (a, b), a.data * b.data, lambda g: (
-        _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-        _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
+        None if sa is None else _unbroadcast(g * xb, sa),
+        None if sb is None else _unbroadcast(g * xa, sb)))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b as one node, the one matrix product (a zero b for none)."""
+    """x @ w + b as one node, the one matrix product (a zero b for none).
+    Its backward holds x's array only while w takes a gradient."""
     out = x.data @ w.data + b.data
+    wd = w.data if x.requires_grad else None
+    xd = x.data if w.requires_grad else None
+    sw, sb = w.data.shape, b.data.shape if b.requires_grad else None
 
     def bwd(g):
-        gx = g @ np.swapaxes(w.data, -1, -2) if x.requires_grad else None
-        gw = _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape) if w.requires_grad else None
-        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        gx = None if wd is None else g @ np.swapaxes(wd, -1, -2)
+        gw = None if xd is None else _unbroadcast(np.swapaxes(xd, -1, -2) @ g, sw)
+        gb = None if sb is None else _unbroadcast(g, sb)
         return gx, gw, gb
 
     return _record("linear", (x, w, b), out, bwd)
@@ -287,18 +328,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, lengths, n_heads: int, causal: bo
     e = np.exp(np.where(mask, s - m, 0.0)) * mask
     p = e / e.sum(axis=-1, keepdims=True)
     out = np.ascontiguousarray((p @ vh).transpose(0, 2, 1, 3)).reshape(B, T, D)
+    rq, rk, rv = q.requires_grad, k.requires_grad, v.requires_grad
 
     def bwd(g):
         gctx = np.transpose(g.reshape(B, T, n_heads, dh), (0, 2, 1, 3))
         gq = gk = gv = None
-        if q.requires_grad or k.requires_grad:
+        if rq or rk:
             gp = gctx @ np.swapaxes(vh, -1, -2)
             gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
-            if q.requires_grad:
+            if rq:
                 gq = merge(gs @ np.swapaxes(kt, -1, -2))
-            if k.requires_grad:
+            if rk:
                 gk = merge(np.transpose(np.swapaxes(qh, -1, -2) @ gs, (0, 1, 3, 2)))
-        if v.requires_grad:
+        if rv:
             gv = merge(np.swapaxes(p, -1, -2) @ gctx)
         return gq, gk, gv
 
@@ -334,13 +376,13 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    out = np.log(a.data)
-    return _record("log", (a,), out, lambda g: (g / a.data,))
+    x = a.data
+    return _record("log", (a,), np.log(x), lambda g: (g / x,))
 
 
 def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0)
-    return _record("relu", (a,), out, lambda g: (g * (a.data > 0),))
+    x = a.data
+    return _record("relu", (a,), np.maximum(x, 0), lambda g: (g * (x > 0),))
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -396,20 +438,24 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     var = np.add.reduce(d**2, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = d * inv
-    out = gamma.data * xhat + beta.data
+    gd = gamma.data
+    out = gd * xhat + beta.data
+    ra = a.requires_grad
+    sg = gd.shape if gamma.requires_grad else None
+    sb = beta.data.shape if beta.requires_grad else None
 
     def bwd(g):
         ga = ggamma = gbeta = None
-        if a.requires_grad:
-            gx_hat = g * gamma.data
+        if ra:
+            gx_hat = g * gd
             m1 = np.add.reduce(gx_hat, axis=-1, keepdims=True) / n
             m2 = np.add.reduce(gx_hat * xhat, axis=-1, keepdims=True) / n
             ga = inv * (gx_hat - m1 - xhat * m2)
         axes = tuple(range(g.ndim - 1))
-        if gamma.requires_grad:
-            ggamma = _unbroadcast((g * xhat).sum(axis=axes) if axes else g * xhat, gamma.shape)
-        if beta.requires_grad:
-            gbeta = _unbroadcast(g.sum(axis=axes) if axes else g, beta.shape)
+        if sg is not None:
+            ggamma = _unbroadcast((g * xhat).sum(axis=axes) if axes else g * xhat, sg)
+        if sb is not None:
+            gbeta = _unbroadcast(g.sum(axis=axes) if axes else g, sb)
         return ga, ggamma, gbeta
 
     return _record("layer_norm", (a, gamma, beta), out, bwd)
@@ -431,7 +477,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int, causal: bool) -> Tensor
 
     # zero padding, with extra on the right when the last strided window needs it
     Tp = max(T + K - 1, (t_out - 1) * stride + K)
-    xp = np.zeros((B, Tp, Cin), dtype=x.dtype)
+    dtype = x.dtype
+    xp = np.zeros((B, Tp, Cin), dtype=dtype)
     xp[:, left : left + T] = x.data
     # windows (B, t_out, K, Cin) as a strided view of xp, built directly
     # (as_strided's Python wrapper costs more than the view); xp is
@@ -443,21 +490,25 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int, causal: bool) -> Tensor
     cols = win.reshape(B, t_out, K * Cin)
     w2 = w.data.reshape(K * Cin, Cout)
     out = cols @ w2 + b.data
+    # the windows (and so xp) only while w takes a gradient
+    w2t = w2.T if x.requires_grad else None
+    colst = cols if w.requires_grad else None
+    sb = b.data.shape if b.requires_grad else None
 
     def bwd(g):
         gx = gw = gb = None
-        if x.requires_grad:
-            gcols = (g @ w2.T).reshape(B, t_out, K, Cin)
-            gxp = np.zeros_like(xp)
+        if w2t is not None:
+            gcols = (g @ w2t).reshape(B, t_out, K, Cin)
+            gxp = np.zeros((B, Tp, Cin), dtype=dtype)
             # one tap's windows never overlap, so a strided += scatters exactly
             span = stride * (t_out - 1) + 1
             for k in range(K):
                 gxp[:, k : k + span : stride] += gcols[:, :, k]
             gx = gxp[:, left : left + T]
-        if w.requires_grad:
-            gw = (cols.reshape(B * t_out, K * Cin).T @ g.reshape(B * t_out, Cout)).reshape(w.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(g.sum(axis=(0, 1)), b.shape)
+        if colst is not None:
+            gw = (colst.reshape(B * t_out, K * Cin).T @ g.reshape(B * t_out, Cout)).reshape(K, Cin, Cout)
+        if sb is not None:
+            gb = _unbroadcast(g.sum(axis=(0, 1)), sb)
         return gx, gw, gb
 
     return _record("conv1d", (x, w, b), np.ascontiguousarray(out), bwd)
@@ -469,9 +520,10 @@ def embedding(table: Tensor, indices) -> Tensor:
     if not np.issubdtype(idx.dtype, np.integer):
         raise TypeError("embedding indices must be integers")
     out = table.data[idx]
+    shape, dtype = table.data.shape, table.data.dtype
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(shape, dtype)
         np.add.at(gt, idx, g)
         return (gt,)
 
@@ -482,27 +534,32 @@ def where_mask(a: Tensor, b: Tensor, mask) -> Tensor:
     """Elementwise select: mask True takes a, False takes b."""
     m = np.asarray(mask, dtype=bool)
     out = np.where(m, a.data, b.data)
+    sa = a.data.shape if a.requires_grad else None
+    sb = b.data.shape if b.requires_grad else None
 
     def bwd(g):
         mb = np.broadcast_to(m, g.shape)
-        return (_unbroadcast(np.where(mb, g, 0.0), a.shape) if a.requires_grad else None,
-                _unbroadcast(np.where(mb, 0.0, g), b.shape) if b.requires_grad else None)
+        return (None if sa is None else _unbroadcast(np.where(mb, g, 0.0), sa),
+                None if sb is None else _unbroadcast(np.where(mb, 0.0, g), sb))
 
     return _record("where", (a, b), out, bwd)
 
 
 def sum_(a: Tensor, axis=None) -> Tensor:
+    shape = a.data.shape
+
     def bwd(g):
         g = np.asarray(g) if axis is None else np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _record("sum", (a,), np.asarray(np.add.reduce(a.data, axis=axis)), bwd)
 
 
 def mean_(a: Tensor) -> Tensor:
     """The mean over every element."""
+    shape, size = a.data.shape, a.data.size
     return _record("mean", (a,), np.asarray(a.data.mean()),
-                   lambda g: (np.broadcast_to(g, a.shape).copy() / a.size,))
+                   lambda g: (np.broadcast_to(g, shape).copy() / size,))
 
 
 def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
@@ -515,12 +572,13 @@ def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
     dot = (xa * xb).sum(axis=-1, keepdims=True)
     c = dot / (na * nb)
     out = c[..., 0]
+    sa, sb = xa.shape, xb.shape
 
     def bwd(g):
         ge = np.asarray(g)[..., None]
         ga = ge * (xb / (na * nb) - c * xa / (na * na))
         gb = ge * (xa / (na * nb) - c * xb / (nb * nb))
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        return _unbroadcast(ga, sa), _unbroadcast(gb, sb)
 
     return _record("cosine_similarity", (a, b), out, bwd)
 
@@ -543,7 +601,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 
     def bwd(g):
         p = e / e.sum(axis=-1, keepdims=True)
-        onehot = np.zeros_like(x)
+        onehot = np.zeros_like(e)
         np.put_along_axis(onehot, idx[..., None], 1.0, axis=-1)
         return ((p - onehot) * np.asarray(g)[..., None],)
 

@@ -397,7 +397,7 @@ def run_finetune(cfg: PipelineConfig, ckpt_path, workdir, mode: str = "full",
     bundle, provenance = restore("finetune", cfg, ckpt_path)
     encoder = bundle.encoder_for_finetune(provenance.get("f", 0))
     # CTC needs a token to align to, and enough encoder frames to emit it:
-    # the loss would skip an infeasible utterance at every step that draws it
+    # the loss refuses an infeasible one too, but only at a step that draws it
     for u in corpus:
         if not u.tokens:
             raise ValueError(f"stage 'finetune': utterance '{u.utt_id}' has an empty transcript")

@@ -1,7 +1,6 @@
 """CTC loss against closed-form values and a brute-force path oracle."""
 
 import itertools
-import warnings
 
 import numpy as np
 import pytest
@@ -112,28 +111,24 @@ class TestFeasibility:
         assert extended_labels([1, 2]) == [0, 1, 0, 2, 0]
         assert extended_labels([]) == [0]
 
-    def test_infeasible_utterance_warns_naming_it(self):
+    def test_infeasible_utterance_raises_naming_it(self):
         logits = Tensor(np.zeros((2, 2, 3)))
-        with pytest.warns(UserWarning, match="utterance 1 infeasible for 2 frames"):
+        with pytest.raises(ValueError, match=r"^utterance 1: CTC target of 2 tokens needs 3 frames, has 2$"):
             ctc_loss_batch(logits, [2, 2], [[1], [1, 1]])
 
-    def test_batch_skips_infeasible_and_averages_rest(self):
+    def test_batch_averages_length_normalized_losses(self):
         rng = np.random.default_rng(1)
         logits = Tensor(rng.normal(size=(2, 4, 3)))
-        out_lengths = [4, 2]
-        targets = [[1, 2], [1, 1]]  # second needs 3 frames but has 2
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            got = ctc_loss_batch(logits, out_lengths, targets)
-        single = ctc_nll(logits.data[0], [1, 2]) / 2
-        assert got.data == pytest.approx(single, rel=1e-12)
+        out_lengths = [4, 3]
+        targets = [[1, 2], [1, 1]]  # the second has exactly the 3 frames it needs
+        got = ctc_loss_batch(logits, out_lengths, targets)
+        want = (ctc_nll(logits.data[0], [1, 2]) / 2 + ctc_nll(logits.data[1, :3], [1, 1]) / 2) / 2
+        assert got.data == pytest.approx(want, rel=1e-12)
 
     def test_all_infeasible_batch_raises(self):
         logits = Tensor(np.zeros((1, 1, 3)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(ValueError, match="no feasible CTC targets"):
-                ctc_loss_batch(logits, [1], [[1, 1]])
+        with pytest.raises(ValueError, match="utterance 0: CTC target of 2 tokens needs 3 frames, has 1"):
+            ctc_loss_batch(logits, [1], [[1, 1]])
 
     def test_invalid_targets_rejected(self):
         logits = Tensor(np.zeros((2, 3, 3)))
@@ -176,26 +171,25 @@ class TestInputChecks:
 class TestFusedGradient:
     """The fused op's closed-form gradient against central differences."""
 
-    LENGTHS = [6, 4, 2]
-    TARGETS = [[1, 1, 2], [3, 2], [2, 2]]  # a repeat (no skip); 2 frames cannot emit [2, 2]
+    LENGTHS = [6, 4, 3]
+    TARGETS = [[1, 1, 2], [3, 2], [2, 2]]  # a repeat (no skip); [2, 2] takes all 3 of its frames
 
     def loss(self, x):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return ctc_loss_batch(x, self.LENGTHS, self.TARGETS)
+        return ctc_loss_batch(x, self.LENGTHS, self.TARGETS)
 
     def test_matches_central_differences(self):
         x = Tensor(np.random.default_rng(4).normal(size=(3, 6, 4)))
         assert finite_diff_gradcheck(self.loss, [x]) < 1e-6
 
-    def test_padding_and_skipped_rows_are_exactly_zero(self):
+    def test_padding_rows_are_exactly_zero(self):
         x = Tensor(np.random.default_rng(5).normal(size=(3, 6, 4)), requires_grad=True)
         with Tape() as tape:
             backward(self.loss(x), tape)
         assert np.all(x.grad[1, 4:] == 0.0)  # padded frames
-        assert np.all(x.grad[2] == 0.0)  # the infeasible utterance
+        assert np.all(x.grad[2, 3:] == 0.0)
         assert np.all(np.abs(x.grad[0]).sum(axis=-1) > 0)
         assert np.all(np.abs(x.grad[1, :4]).sum(axis=-1) > 0)
+        assert np.all(np.abs(x.grad[2, :3]).sum(axis=-1) > 0)
 
     def test_one_tape_node_per_call(self):
         x = Tensor(np.random.default_rng(6).normal(size=(3, 6, 4)), requires_grad=True)

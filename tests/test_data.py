@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sslasr import data
 from sslasr.data import (
     Batch,
     domain_transform,
@@ -75,6 +76,17 @@ class TestDomainShift:
             assert eig.min() > 0
             assert eig.max() / eig.min() <= 10.0
             assert b.shape == (8,)
+
+    def test_a_source_corpus_does_not_compute_the_target_map(self, monkeypatch):
+        want = [u.feats.tobytes() for u in make_corpus(TASK, "source", 5, 0)]
+
+        def refuse(*args):
+            raise AssertionError("domain_transform called for a source corpus")
+
+        monkeypatch.setattr(data, "domain_transform", refuse)
+        assert [u.feats.tobytes() for u in make_corpus(TASK, "source", 5, 0)] == want
+        with pytest.raises(AssertionError, match="called"):
+            make_corpus(TASK, "target", 5, 0)
 
     def test_mean_shift_matches_prediction(self):
         n_utterances = 400

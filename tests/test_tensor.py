@@ -1,9 +1,11 @@
 """Engine tests: forward oracles, backward semantics, gradcheck, optimizer."""
 
+import gc
 import inspect
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -315,7 +317,7 @@ class TestBackwardSemantics:
         assert len(tape.nodes) == n == 3  # the count the benchmark's tracer reads
         assert [node.op for node in tape.nodes] == ["mul", "gelu", "sum"]
         for node in tape.nodes:
-            assert node.inputs is None and node.output is None and node.backward_fn is None
+            assert node.inputs is None and node.backward_fn is None
         g = x.grad.copy()
         with pytest.raises(ValueError, match="consumed tape"):
             backward(loss, tape)
@@ -350,6 +352,22 @@ class TestBackwardSemantics:
         finally:
             tracemalloc.stop()
         assert peak - forward_end < 0.1 * forward_end, (forward_end, peak)
+
+    def test_a_tensor_from_another_tape_gets_its_gradient_there(self):
+        x = t64([1.0, 2.0, 3.0], rg=True)
+        with Tape() as first:
+            y = T.mul(x, x)
+            s = T.sum_(y)
+        with Tape() as second:
+            loss = T.sum_(T.mul(y, y))
+        backward(loss, second)
+        assert y.grad.tobytes() == (2.0 * y.data).tobytes() and x.grad is None
+        backward(s, first)
+        assert x.grad.tobytes() == (2.0 * x.data).tobytes()
+        # a leaf passed as the loss gets ones
+        c = t64(2.0, rg=True)
+        backward(c, Tape())
+        assert c.grad == 1.0
 
     def test_broadcast_add_reduces_grad(self):
         a = t64(np.ones((2, 3)), rg=True)
@@ -471,6 +489,93 @@ class TestBackwardSemantics:
         with Tape() as tape:
             backward(T.sum_(T.mul(x, x)), tape)
         assert x.grad.dtype == np.float32
+
+
+def _adapted_encoder():
+    """A tiny causal encoder with adapters, and an input batch."""
+    cfg = PipelineConfig(d_feat=4, d_model=8, n_heads=2, n_blocks=2, d_ffn=16)
+    enc = Encoder(cfg, np.random.default_rng(0))
+    enc.insert_adapters(4, np.random.default_rng(1))
+    feats = np.random.default_rng(2).normal(size=(2, 12, 4)).astype(np.float32)
+    return enc, feats, [12, 9]
+
+
+def _tensors_held(obj):
+    """The Tensors obj is, or that a function's closure cells, a tuple or
+    a list hold, looking into nested closures and sequences."""
+    if isinstance(obj, Tensor):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [t for item in obj for t in _tensors_held(item)]
+    if callable(obj) and getattr(obj, "__closure__", None):
+        return [t for cell in obj.__closure__ for t in _tensors_held(cell.cell_contents)]
+    return []
+
+
+class TestTapeReferences:
+    """The tape refers to what backward reads, and no op output."""
+
+    def test_no_node_holds_an_op_output(self, monkeypatch):
+        enc, feats, lengths = _adapted_encoder()
+        outputs = []  # held, so their ids stay unique
+        record = T._record
+
+        def spy(*args):
+            outputs.append(record(*args))
+            return outputs[-1]
+
+        monkeypatch.setattr(T, "_record", spy)
+        with Tape() as tape:
+            enc(feats, lengths)
+        made = {id(t) for t in outputs}
+        assert len(tape.nodes) == 4 + 1 + 2 * 12 + 3 * 5 + 1
+        for node in tape.nodes:
+            held = _tensors_held(node.inputs) + _tensors_held(node.backward_fn)
+            assert not [t for t in held if id(t) in made], node.op
+
+    def test_arrays_no_backward_reads_die_with_the_forward_pass(self, monkeypatch):
+        """In adapt's setting (adapters alone train), the q/k/v projections,
+        every residual sum and every frozen linear's input are freed by
+        reference counting alone once the forward pass returns."""
+        enc, feats, lengths = _adapted_encoder()
+        for name, t in enc.named_params().items():
+            t.requires_grad = name.startswith("adapter")
+        refs = {"qkv": [], "add": [], "frozen_linear_input": []}
+        attention, add, linear = T.attention, T.add, T.linear
+
+        def spy_attention(q, k, v, *args):
+            refs["qkv"] += [weakref.ref(t.data) for t in (q, k, v)]
+            return attention(q, k, v, *args)
+
+        def spy_add(a, b):
+            out = add(a, b)
+            refs["add"].append(weakref.ref(out.data))
+            return out
+
+        def spy_linear(x, w, b):
+            if x.requires_grad and not w.requires_grad:
+                refs["frozen_linear_input"].append(weakref.ref(x.data))
+            return linear(x, w, b)
+
+        monkeypatch.setattr(T, "attention", spy_attention)
+        monkeypatch.setattr(T, "add", spy_add)
+        monkeypatch.setattr(T, "linear", spy_linear)
+        gc.disable()
+        try:
+            with Tape() as tape:
+                out, _ = enc(feats, lengths)
+            counts = {k: len(v) for k, v in refs.items()}
+            alive = {k: sum(r() is not None for r in v) for k, v in refs.items()}
+        finally:
+            gc.enable()
+        # 2 blocks x 3; 1 positions + 2 blocks x 2 + 3 adapters; 2 blocks x 6
+        assert counts == {"qkv": 6, "add": 8, "frozen_linear_input": 12}
+        assert alive == {"qkv": 0, "add": 0, "frozen_linear_input": 0}
+        with tape:
+            loss = T.sum_(T.mul(out, out))
+        backward(loss, tape)
+        assert all(t.grad is not None for name, t in enc.named_params().items()
+                   if name.startswith("adapter"))
 
 
 class TestVerificationMode:

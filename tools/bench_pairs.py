@@ -13,9 +13,11 @@ neither.
 For every end-to-end metric BENCHMARK.json names, the output holds each
 side's runs, median and [q1, q3], the change/parent ratio of the
 medians, the pairs the change won (strictly better by the metric's
-`better` direction), and whether the change's median lies outside the
-parent's [q1, q3]. `env` is the environment line perfbench printed. The
-last lines printed summarize the same, one line per workload and metric.
+`better` direction), whether the change's median lies outside the
+parent's [q1, q3], and whether the sides separate (`separated`: every
+change run better than every parent run). `env` is the environment line
+perfbench printed. The last lines printed summarize the same, one line
+per workload and metric.
 """
 
 from __future__ import annotations
@@ -71,23 +73,26 @@ def summarize(parent: list, change: list, better: str) -> dict:
 
     p, c = side(parent), side(change)
     won = sum((b < a) if better == "lower" else (b > a) for a, b in zip(parent, change))
+    separated = max(change) < min(parent) if better == "lower" else min(change) > max(parent)
     q1, q3 = p["iqr"]
     return {"parent": p, "change": c,
             "ratio": c["median"] / p["median"] if p["median"] else None,
             "pairs_won": int(won), "pairs": len(parent),
-            "outside_parent_iqr": not q1 <= c["median"] <= q3}
+            "outside_parent_iqr": not q1 <= c["median"] <= q3, "separated": bool(separated)}
 
 
 def summary_line(workload: str, metric: str, m: dict) -> str:
-    """One printed line: both medians, their ratio, the pairs won, and where
-    the change's median sits against the parent's [q1, q3]."""
+    """One printed line: both medians, their ratio, the pairs won, where
+    the change's median sits against the parent's [q1, q3], and whether
+    the sides separate."""
     ratio = "n/a" if m["ratio"] is None else f"{m['ratio']:.3f}"
     q1, q3 = m["parent"]["iqr"]
     where = "outside" if m["outside_parent_iqr"] else "inside"
     return (f"# {workload} {metric}: parent {m['parent']['median']:.4f} "
             f"change {m['change']['median']:.4f} ratio {ratio}, "
             f"change won {m['pairs_won']}/{m['pairs']}, "
-            f"change median {where} parent [q1, q3] [{q1:.4f}, {q3:.4f}]")
+            f"change median {where} parent [q1, q3] [{q1:.4f}, {q3:.4f}], "
+            f"sides {'separated' if m['separated'] else 'overlap'}")
 
 
 def run_pairs(parent_tree: Path, workloads, pairs: int, seconds: float, tiny: bool) -> dict:
